@@ -3,8 +3,8 @@
 Subcommands: riccati, simulate, verify, hjbfp.  Every run writes a JSON
 summary embedding the full manifest; identical manifests produce
 byte-identical artifacts.  Exit codes: 0 success, 1 bad input, 2 numerical
-failure (Riccati blow-up / CFL), 3 at least one check failed or the Picard
-iteration did not converge.
+failure (Riccati blow-up, CFL, non-finite PDE slice), 3 at least one check
+failed or the Picard iteration did not converge.
 """
 
 from __future__ import annotations
@@ -225,58 +225,37 @@ def cmd_hjbfp(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     xmin, xmax, Nx, Nt = args.grid.split(",")
     grid = hj.SpaceGrid1D(float(xmin), float(xmax), int(Nx))
-    demo = _load_demo_problem(args)
-    if demo is not None:
-        tgrid = ric.TimeGrid(demo.T, int(Nt))
-        m0 = hj.gaussian_density(grid, args.m0_mean, args.m0_std)
-        try:
-            fields = hj.picard_solve(demo, grid, tgrid, m0, kind="MFG",
-                                     damping=args.damping)
-        except hj.CFLViolation as exc:
-            print(f"hjbfp: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        except hj.NonConvergence as exc:
-            _write_json(os.path.join(args.out, "hjbfp.json"),
-                        {"manifest": asdict(man), "converged": False,
-                         "history": exc.history})
-            print(f"hjbfp: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        _dump_slices(fields, os.path.join(args.out, "hjbfp_fields.csv"))
-        _write_json(os.path.join(args.out, "hjbfp.json"),
-                    {"manifest": asdict(man), "converged": True,
-                     "iterations": fields.iterations})
-        return EXIT_OK
-    model = _load_model(args)
-    tgrid = ric.TimeGrid(model.T, int(Nt))
-    prob = hj.problem_from_lq(model)
     m0 = hj.gaussian_density(grid, args.m0_mean, args.m0_std)
-    kind = args.kind.upper()
-    try:
+    prob, model, kind, term = _load_demo_problem(args), None, "MFG", None
+    if prob is None:
+        model = _load_model(args)
+        prob = hj.problem_from_lq(model)
+        kind = args.kind.upper()
         if kind == "MFC":
             y0 = hj.first_moment(m0, grid.nodes(), grid.dx)
             term = hj.terminal_mfc_lq(model, grid.nodes(), y0)
-            fields = hj.picard_solve(prob, grid, tgrid, m0, kind="MFC",
-                                     damping=args.damping, terminal_override=term)
-        else:
-            fields = hj.picard_solve(prob, grid, tgrid, m0, kind="MFG",
-                                     damping=args.damping)
-    except hj.CFLViolation as exc:
+    tgrid = ric.TimeGrid(prob.T, int(Nt))
+    path = os.path.join(args.out, "hjbfp.json")
+    try:
+        fields = hj.picard_solve(prob, grid, tgrid, m0, kind=kind,
+                                 damping=args.damping, terminal_override=term)
+    except (hj.CFLViolation, ric.NumericalFailure) as exc:
+        _write_json(path, {"manifest": asdict(man), "converged": False, "error": str(exc)})
         print(f"hjbfp: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except hj.NonConvergence as exc:
-        _write_json(os.path.join(args.out, "hjbfp.json"),
-                    {"manifest": asdict(man), "converged": False,
-                     "history": exc.history})
+        _write_json(path, {"manifest": asdict(man), "converged": False,
+                           "history": exc.history})
         print(f"hjbfp: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    rgrid = ric.TimeGrid(model.T, max(int(Nt), 1000))
-    sol = ric.solve_mfc(model, rgrid) if kind == "MFC" else ric.solve_mfg(model, rgrid)
-    report = hj.cross_validate_lq(model, sol, fields)
+    payload = {"manifest": asdict(man), "converged": True, "iterations": fields.iterations}
+    if model is not None:
+        rgrid = ric.TimeGrid(model.T, max(int(Nt), 1000))
+        sol = ric.solve_mfc(model, rgrid) if kind == "MFC" else ric.solve_mfg(model, rgrid)
+        payload["cross_validation"] = hj.cross_validate_lq(model, sol, fields)
     _dump_slices(fields, os.path.join(args.out, "hjbfp_fields.csv"))
-    payload = {"manifest": asdict(man), "converged": True,
-               "iterations": fields.iterations, "cross_validation": report}
-    _write_json(os.path.join(args.out, "hjbfp.json"), payload)
+    _write_json(path, payload)
     return EXIT_OK
 
 

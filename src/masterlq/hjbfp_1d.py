@@ -7,10 +7,10 @@ data sees) and solved by damped Picard iteration:
     -du/dt - (sigma^2/2) u_xx = H(x, ybar, u_x)   [+ measure term, MFC]
      dm/dt - (sigma^2/2) m_xx + (G m)_x = 0
 
-Scheme: diffusion implicit (tridiagonal solve per step), advection /
-Hamiltonian gradient explicit with sign-of-velocity upwinding.  Boundaries:
-zero-flux (reflecting) for m, one-sided differences for u.  Each density
-slice is renormalized to unit mass.
+Scheme: diffusion implicit (LU-factored once per sweep, one tridiagonal
+solve per step), advection / Hamiltonian gradient explicit with sign-of-
+velocity upwinding.  Boundaries: zero-flux (reflecting) for m, one-sided
+differences for u.  Each density slice is renormalized to unit mass.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import lq_model as lq
 from . import riccati as ric
@@ -161,8 +161,25 @@ def _diffusion_banded(nu_dt: float, dx: float, Nx: int, neumann: bool) -> np.nda
     return ab
 
 
+def _diffusion_lu(ab: np.ndarray) -> tuple:
+    """LU factors of banded ab for dgttrs(*lu, b).  ab is strictly diagonally
+    dominant: no row is swapped, so solves equal solve_banded's bit for bit."""
+    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise np.linalg.LinAlgError("singular diffusion matrix")
+    return lu
+
+
 def _mass(m: np.ndarray, dx: float) -> float:
-    return float(np.sum(m) * dx)
+    return float(m.sum() * dx)
+
+
+def _check_cfl(vel: np.ndarray, dt: float, dx: float, k: int) -> None:
+    courant = float(np.abs(vel).max()) * dt / dx
+    if courant > 1.0:
+        raise CFLViolation(courant, dt, dx)
+    if not courant <= 1.0:      # NaN velocity
+        raise ric.NumericalFailure(k)
 
 
 def _upwind_divergence(G: np.ndarray, m: np.ndarray, dx: float) -> np.ndarray:
@@ -176,23 +193,19 @@ def _upwind_divergence(G: np.ndarray, m: np.ndarray, dx: float) -> np.ndarray:
     return div
 
 
-def _upwind_gradient(u: np.ndarray, vel: np.ndarray, dx: float) -> np.ndarray:
-    """u_x selected against the characteristic velocity sign."""
-    fwd = np.empty_like(u)
-    bwd = np.empty_like(u)
-    fwd[:-1] = (u[1:] - u[:-1]) / dx
-    fwd[-1] = (u[-1] - u[-2]) / dx
-    bwd[1:] = (u[1:] - u[:-1]) / dx
-    bwd[0] = (u[1] - u[0]) / dx
-    return np.where(vel > 0.0, bwd, fwd)
-
-
-def _central_gradient(u: np.ndarray, dx: float) -> np.ndarray:
-    return np.gradient(u, dx)
+def _differences(u: np.ndarray, dx: float, fwd: np.ndarray, central: np.ndarray) -> None:
+    """Forward differences (u[j+1] - u[j]) / dx into fwd, and np.gradient(u, dx)
+    into central: second order inside, the one-sided fwd values at the ends."""
+    np.subtract(u[1:], u[:-1], out=fwd)
+    fwd /= dx
+    np.subtract(u[2:], u[:-2], out=central[1:-1])
+    central[1:-1] /= 2.0 * dx
+    central[0] = fwd[0]
+    central[-1] = fwd[-1]
 
 
 def first_moment(m: np.ndarray, x: np.ndarray, dx: float) -> float:
-    return float(np.sum(x * m) * dx / max(_mass(m, dx), 1e-300))
+    return float((x * m).sum() * dx / max(_mass(m, dx), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -204,58 +217,63 @@ def solve_fp_forward(drift_fn, sigma: float, m0: np.ndarray,
 
     Semi-implicit: diffusion implicit with reflecting boundaries, advection
     explicit donor-cell upwind.  Each slice is renormalized to unit mass.
+    Raises CFLViolation (Courant > 1) or NumericalFailure (non-finite value).
     """
     if sigma <= 0.0:
         raise ValueError("sigma > 0 required")
     x, dx, dt = grid.nodes(), grid.dx, tgrid.h
     nu = 0.5 * sigma ** 2
-    ab = _diffusion_banded(nu * dt, dx, grid.Nx, neumann=True)
+    lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, grid.Nx, neumann=True))
     m = np.empty((tgrid.K + 1, grid.Nx))
     m[0] = np.maximum(m0, 0.0)
     m[0] /= _mass(m[0], dx)
     for k in range(tgrid.K):
         G = drift_fn(k, x, m[k])
-        courant = float(np.max(np.abs(G))) * dt / dx
-        if courant > 1.0:
-            raise CFLViolation(courant, dt, dx)
-        rhs = m[k] - dt * _upwind_divergence(G, m[k], dx)
-        nxt = solve_banded((1, 1), ab, rhs)
-        nxt = np.maximum(nxt, 0.0)
-        nxt /= _mass(nxt, dx)
-        m[k + 1] = nxt
+        _check_cfl(G, dt, dx, k)
+        nxt = m[k + 1]
+        np.subtract(m[k], dt * _upwind_divergence(G, m[k], dx), out=nxt)
+        dgttrs(*lu, nxt, overwrite_b=1)
+        np.maximum(nxt, 0.0, out=nxt)
+        mass = _mass(nxt, dx)
+        if not 0.0 < mass < np.inf:     # a NaN, infinite or all-zero slice
+            raise ric.NumericalFailure(k + 1)
+        nxt /= mass
     return m
 
 
 def solve_hjb_backward(m: np.ndarray, prob: Problem1D, grid: SpaceGrid1D,
                        tgrid: ric.TimeGrid, mfc_extra: bool = False,
                        terminal_override: np.ndarray | None = None) -> np.ndarray:
-    """Backward HJB sweep given the full density array m[(Nt+1), Nx]."""
+    """Backward HJB sweep given the full density array m[(Nt+1), Nx].
+    Raises CFLViolation (Courant > 1) or NumericalFailure (non-finite value)."""
+    if mfc_extra and prob.dHdm_coeff is None:
+        raise ValueError("MFC variant needs the closed-form measure term")
     x, dx, dt = grid.nodes(), grid.dx, tgrid.h
     nu = 0.5 * prob.sigma ** 2
-    ab = _diffusion_banded(nu * dt, dx, grid.Nx, neumann=False)
+    # boundary rows carry u_xx = 0 (linear extrapolation)
+    lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, grid.Nx, neumann=False))
     u = np.empty_like(m)
     yT = first_moment(m[-1], x, dx) if prob.uses_mean else 0.0
     u[-1] = terminal_override if terminal_override is not None else prob.terminal(x, yT)
+    fwd, q_c, q = np.empty(grid.Nx - 1), np.empty(grid.Nx), np.empty(grid.Nx)
     for k in range(tgrid.K - 1, -1, -1):
         yb = first_moment(m[k], x, dx) if prob.uses_mean else 0.0
-        q_c = _central_gradient(u[k + 1], dx)
+        _differences(u[k + 1], dx, fwd, q_c)
         vel = prob.drift(x, yb, q_c)
-        courant = float(np.max(np.abs(vel))) * dt / dx
-        if courant > 1.0:
-            raise CFLViolation(courant, dt, dx)
-        q = _upwind_gradient(u[k + 1], vel, dx)
+        _check_cfl(vel, dt, dx, k)
+        # upwind u_x: backward difference where vel > 0, forward elsewhere
+        q[0] = fwd[0]
+        q[1:-1] = np.where(vel[1:-1] > 0.0, fwd[:-1], fwd[1:])
+        q[-1] = fwd[-1]
         H = prob.hamiltonian(x, yb, q)
         if mfc_extra:
-            if prob.dHdm_coeff is None:
-                raise ValueError("MFC variant needs the closed-form measure term")
-            qbar = float(np.sum(q_c * m[k]) * dx)
+            qbar = float((q_c * m[k]).sum() * dx)
             H = H + prob.dHdm_coeff(yb, qbar) * x
-        rhs = u[k + 1] + dt * H
-        # boundary rows carry u_xx = 0 (linear extrapolation)
-        nxt = solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(nxt)):
+        nxt = u[k]
+        np.add(u[k + 1], dt * H, out=nxt)
+        dgttrs(*lu, nxt, overwrite_b=1)
+        if not np.isfinite(nxt).all():
             raise ric.NumericalFailure(k)
-        u[k] = nxt
     return u
 
 
@@ -273,15 +291,17 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
     m0 = m0 / _mass(m0, dx)
     m = np.tile(m0, (tgrid.K + 1, 1))
     history: list[float] = []
+    fwd, q = np.empty(grid.Nx - 1), np.empty(grid.Nx)
     u = None
+
+    def drift_fn(k, xs, m_slice):
+        yb = first_moment(m_slice, xs, dx) if prob.uses_mean else 0.0
+        _differences(u[k], dx, fwd, q)
+        return prob.drift(xs, yb, q)
+
     for it in range(1, max_iter + 1):
         u = solve_hjb_backward(m, prob, grid, tgrid, mfc_extra=(kind == "MFC"),
                                terminal_override=terminal_override)
-
-        def drift_fn(k, xs, m_slice):
-            yb = first_moment(m_slice, xs, dx) if prob.uses_mean else 0.0
-            q = _central_gradient(u[k], dx)
-            return prob.drift(xs, yb, q)
 
         m_new = solve_fp_forward(drift_fn, prob.sigma, m0, grid, tgrid)
         delta = float(np.max(np.abs(m_new - m)))

@@ -164,9 +164,26 @@ def test_hjbfp_crowd_cross_validation(tmp_path):
 
 
 def test_hjbfp_cfl_exit_2(tmp_path):
-    code, _ = run(tmp_path, "hjbfp", "--model", CROWD, "--kind", "mfg",
-                  "--grid=-4,4,400,50")
+    code, out = run(tmp_path, "hjbfp", "--model", CROWD, "--kind", "mfg",
+                    "--grid=-4,4,400,50")
     assert code == 2
+    rep = json.loads((out / "hjbfp.json").read_text())
+    assert rep["converged"] is False and rep["manifest"]["command"] == "hjbfp"
+    assert rep["error"].startswith("advective Courant number")
+    assert not (out / "hjbfp_fields.csv").exists()
+
+
+def test_hjbfp_non_finite_exit_2(tmp_path, monkeypatch):
+    import dataclasses
+    import masterlq.hjbfp_1d as hj
+    orig = hj.cosine_demo
+    monkeypatch.setattr(hj, "cosine_demo", lambda **kw: dataclasses.replace(
+        orig(**kw), hamiltonian=lambda x, y, q: np.full_like(x, np.nan)))
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, "--grid=-3,3,40,50")
+    assert code == 2
+    rep = json.loads((out / "hjbfp.json").read_text())
+    assert rep["converged"] is False
+    assert rep["error"] == "non-finite value at node 49"
 
 
 def test_hjbfp_cosine_demo_no_cross_validation(tmp_path):

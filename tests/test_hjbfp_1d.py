@@ -1,15 +1,21 @@
 """1D HJB-Fokker-Planck finite differences and Riccati cross-validation."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrs
 
 from masterlq import hjbfp_1d as fd, lq_model, riccati
 from masterlq.hjbfp_1d import (CFLViolation, NonConvergence, SpaceGrid1D,
                                cosine_demo, cross_validate_lq, first_moment,
                                gaussian_density, picard_solve, problem_from_lq,
-                               solve_fp_forward, solve_hjb_backward)
+                               solve_fp_forward, solve_hjb_backward,
+                               terminal_mfc_lq)
 from masterlq.lq_model import scalar_model
+from masterlq.riccati import NumericalFailure
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +186,141 @@ def test_cross_validate_zero_coupling_lqr(grid):
     sol = riccati.solve_mfg(m, tg)
     rep = cross_validate_lq(m, sol, pde)
     assert rep["sup_diff"] <= 1e-2
+
+
+# ---------------------------------------------------------------------------
+# bitwise reference: the per-step solve_banded / np.gradient formulation
+
+def _ref_fp_forward(drift_fn, sigma, m0, grid, tgrid):
+    x, dx, dt = grid.nodes(), grid.dx, tgrid.h
+    ab = fd._diffusion_banded(0.5 * sigma ** 2 * dt, dx, grid.Nx, neumann=True)
+    m = np.empty((tgrid.K + 1, grid.Nx))
+    m[0] = np.maximum(m0, 0.0)
+    m[0] /= np.sum(m[0]) * dx
+    for k in range(tgrid.K):
+        G = drift_fn(k, x, m[k])
+        Gf = 0.5 * (G[:-1] + G[1:])
+        flux = np.where(Gf > 0.0, Gf * m[k][:-1], Gf * m[k][1:])
+        div = np.zeros_like(m[k])
+        div[0] = flux[0] / dx
+        div[1:-1] = (flux[1:] - flux[:-1]) / dx
+        div[-1] = -flux[-1] / dx
+        nxt = np.maximum(solve_banded((1, 1), ab, m[k] - dt * div), 0.0)
+        m[k + 1] = nxt / (np.sum(nxt) * dx)
+    return m
+
+
+def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False, terminal_override=None):
+    x, dx, dt = grid.nodes(), grid.dx, tgrid.h
+    ab = fd._diffusion_banded(0.5 * prob.sigma ** 2 * dt, dx, grid.Nx, neumann=False)
+    moment = lambda ms: np.sum(x * ms) * dx / (np.sum(ms) * dx) if prob.uses_mean else 0.0
+    u = np.empty_like(m)
+    u[-1] = terminal_override if terminal_override is not None else prob.terminal(x, moment(m[-1]))
+    for k in range(tgrid.K - 1, -1, -1):
+        yb = moment(m[k])
+        q_c = np.gradient(u[k + 1], dx)
+        vel = prob.drift(x, yb, q_c)
+        fwd = np.empty_like(u[k + 1])
+        bwd = np.empty_like(u[k + 1])
+        fwd[:-1] = (u[k + 1][1:] - u[k + 1][:-1]) / dx
+        fwd[-1] = (u[k + 1][-1] - u[k + 1][-2]) / dx
+        bwd[1:] = (u[k + 1][1:] - u[k + 1][:-1]) / dx
+        bwd[0] = (u[k + 1][1] - u[k + 1][0]) / dx
+        H = prob.hamiltonian(x, yb, np.where(vel > 0.0, bwd, fwd))
+        if mfc_extra:
+            H = H + prob.dHdm_coeff(yb, float(np.sum(q_c * m[k]) * dx)) * x
+        u[k] = solve_banded((1, 1), ab, u[k + 1] + dt * H)
+    return u
+
+
+def _ref_picard(prob, grid, tgrid, m0, kind, terminal_override, iterations):
+    x, dx = grid.nodes(), grid.dx
+    m0 = m0 / (np.sum(m0) * dx)
+    m = np.tile(m0, (tgrid.K + 1, 1))
+    history = []
+    for _ in range(iterations):
+        u = _ref_hjb_backward(m, prob, grid, tgrid, kind == "MFC", terminal_override)
+        drift = lambda k, xs, ms: prob.drift(
+            xs, np.sum(xs * ms) * dx / (np.sum(ms) * dx) if prob.uses_mean else 0.0,
+            np.gradient(u[k], dx))
+        m_new = _ref_fp_forward(drift, prob.sigma, m0, grid, tgrid)
+        history.append(float(np.max(np.abs(m_new - m))))
+        m = 0.5 * m_new + 0.5 * m
+        m /= np.sum(m, axis=1, keepdims=True) * dx
+    return u, m, history
+
+
+def _bitwise_case(crowd, name):
+    if name == "cosine":
+        grid = SpaceGrid1D(-3.0, 3.0, 40)
+        return (cosine_demo(), grid, riccati.TimeGrid(0.5, 50),
+                gaussian_density(grid, 0.0, 0.7), None)
+    grid = SpaceGrid1D(-4.0, 4.0, 40)
+    m0 = gaussian_density(grid, 1.0, 0.5)
+    term = (terminal_mfc_lq(crowd, grid.nodes(), first_moment(m0, grid.nodes(), grid.dx))
+            if name == "MFC" else None)
+    return problem_from_lq(crowd), grid, riccati.TimeGrid(crowd.T, 50), m0, term
+
+
+@pytest.mark.parametrize("name", ["MFG", "MFC", "cosine"])
+def test_sweeps_bitwise_equal_reference(crowd_mfg, name):
+    prob, grid, tg, m0, term = _bitwise_case(crowd_mfg, name)
+    kind = "MFC" if name == "MFC" else "MFG"
+    lin = lambda k, xs, ms: 0.3 - 0.5 * xs
+    m = _ref_fp_forward(lin, prob.sigma, m0, grid, tg)
+    assert np.array_equal(solve_fp_forward(lin, prob.sigma, m0, grid, tg), m)
+    u = _ref_hjb_backward(m, prob, grid, tg, kind == "MFC", term)
+    assert np.array_equal(solve_hjb_backward(m, prob, grid, tg, kind == "MFC", term), u)
+    # full Picard solve, which also drives the FP sweep through its drift closure
+    pde = picard_solve(prob, grid, tg, m0, kind=kind, terminal_override=term)
+    u_ref, m_ref, history = _ref_picard(prob, grid, tg, m0, kind, term, pde.iterations)
+    assert pde.iterations > 1
+    assert pde.history == history
+    assert np.array_equal(pde.u, u_ref) and np.array_equal(pde.m, m_ref)
+
+
+@pytest.mark.parametrize("neumann", [True, False], ids=["neumann", "extrapolation"])
+def test_factored_solve_equals_solve_banded(neumann):
+    ab = fd._diffusion_banded(0.125 * 2.5e-4, 8.0 / 199, 200, neumann)
+    lu = fd._diffusion_lu(ab)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        b = rng.standard_normal(200) * 10.0 ** rng.uniform(-6, 6)
+        x = b.copy()
+        dgttrs(*lu, x, overwrite_b=1)
+        assert np.array_equal(x, solve_banded((1, 1), ab, b))
+
+
+# ---------------------------------------------------------------------------
+# non-finite values
+
+def test_fp_nan_drift_raises_numerical_failure(grid):
+    tg = riccati.TimeGrid(0.5, 100)
+    m0 = gaussian_density(grid, 0.0, 0.5)
+    with pytest.raises(NumericalFailure) as exc:
+        solve_fp_forward(lambda k, x, ms: np.full_like(x, np.nan), 0.5, m0, grid, tg)
+    assert exc.value.node == 0
+
+
+def test_fp_nan_slice_raises_numerical_failure(grid):
+    tg = riccati.TimeGrid(0.5, 100)
+    m0 = gaussian_density(grid, 0.0, 0.5)
+    m0[7] = np.nan
+    with pytest.raises(NumericalFailure) as exc:
+        solve_fp_forward(lambda k, x, ms: np.zeros_like(x), 0.5, m0, grid, tg)
+    assert exc.value.node == 1
+
+
+@pytest.mark.parametrize("field", ["drift", "hamiltonian"])
+def test_hjb_nan_raises_numerical_failure(grid, field):
+    tg = riccati.TimeGrid(0.5, 100)
+    prob = dataclasses.replace(problem_from_lq(scalar_model(A=0.0, B=1.0, Q=1.0, R=1.0,
+                                                            sigma=0.5, T=0.5)),
+                               **{field: lambda x, y, q: np.full_like(x, np.nan)})
+    m = np.tile(gaussian_density(grid, 0.0, 1.0), (tg.K + 1, 1))
+    with pytest.raises(NumericalFailure) as exc:
+        solve_hjb_backward(m, prob, grid, tg)
+    assert exc.value.node == tg.K - 1
 
 
 # ---------------------------------------------------------------------------
