@@ -3,8 +3,8 @@
 Subcommands: riccati, simulate, verify, hjbfp.  Every run writes a JSON
 summary embedding the full manifest; identical manifests produce
 byte-identical artifacts.  Exit codes: 0 success, 1 bad input, 2 numerical
-failure (Riccati blow-up, CFL, non-finite PDE slice), 3 at least one check
-failed or the Picard iteration did not converge.
+failure (Riccati blow-up or non-finite value, CFL, non-finite PDE slice),
+3 at least one check failed or the Picard iteration did not converge.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ def cmd_riccati(args) -> int:
         _write_json(os.path.join(args.out, f"riccati_{args.kind}.json"), summary)
         print(f"riccati: finite escape near t = {exc.escape_time:.6g}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ric.NumericalFailure as exc:
+        summary["error"] = str(exc)
+        _write_json(os.path.join(args.out, f"riccati_{args.kind}.json"), summary)
+        print(f"riccati: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     ric.to_csv(sol, os.path.join(args.out, f"riccati_{args.kind}.csv"))
     summary["P0"] = sol.P[0].tolist()
     summary["Sigma0"] = sol.Sigma[0].tolist()
@@ -97,9 +102,9 @@ def cmd_simulate(args) -> int:
     model = _load_model(args)
     man = _manifest(args, "simulate")
     os.makedirs(args.out, exist_ok=True)
-    if args.particles < 1:
-        raise ValueError("need at least one particle")
-    grid = ric.TimeGrid(model.T, max(args.steps, 1))
+    if args.particles < 1 or args.steps < 1:
+        raise ValueError("need at least one particle and one time step")
+    grid = ric.TimeGrid(model.T, args.steps)
     sol = ric.solve_mfc(model, grid)
     X0 = mk.gaussian_ensemble(args.particles, model.n, args.seed)
     cfg = mk.SimConfig(steps=args.steps, seed=args.seed)
@@ -234,6 +239,7 @@ def cmd_hjbfp(args) -> int:
         if kind == "MFC":
             y0 = hj.first_moment(m0, grid.nodes(), grid.dx)
             term = hj.terminal_mfc_lq(model, grid.nodes(), y0)
+    man.kind = kind.lower()    # a demo problem is always solved as an MFG
     tgrid = ric.TimeGrid(prob.T, int(Nt))
     path = os.path.join(args.out, "hjbfp.json")
     try:

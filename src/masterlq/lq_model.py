@@ -81,8 +81,8 @@ def validate(model: LQModelSpec) -> ValidationReport:
     if n < 1 or d < 1:
         v.append("dimensions n, d must be positive")
         return ValidationReport(v)
-    if model.T <= 0:
-        v.append("horizon T must be positive")
+    if not 0.0 < model.T < np.inf:
+        v.append(f"horizon T must be finite and positive, got {model.T}")
     if model.sigma < 0 or model.beta < 0:
         v.append("noise coefficients sigma, beta must be nonnegative")
 

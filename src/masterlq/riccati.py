@@ -55,8 +55,8 @@ class TimeGrid:
     K: int
 
     def __post_init__(self):
-        if self.K < 1 or self.T <= 0:
-            raise ValueError("need K >= 1 and T > 0")
+        if self.K < 1 or not 0.0 < self.T < np.inf:
+            raise ValueError(f"need K >= 1 and a finite horizon T > 0, got K={self.K}, T={self.T}")
 
     @property
     def h(self) -> float:
@@ -93,43 +93,33 @@ def rk4_backward(rhs, terminal: np.ndarray, grid: TimeGrid, post_step=None) -> n
 
     rhs(t, M) -> dM/dt.  Returns an array of per-node values, index k
     holding the value at t_k.  ``post_step`` (optional) maps the value
-    after each step, e.g. a symmetrizer.
+    after each step, e.g. a symmetrizer.  Same loop as the Riccati solves,
+    so a non-finite value or one beyond BLOWUP_THRESHOLD raises.
     """
-    terminal = np.asarray(terminal, dtype=float)
-    out = np.empty((grid.K + 1,) + terminal.shape)
-    out[grid.K] = terminal
-    h = -grid.h
-    t = grid.T
-    M = terminal
-    for k in range(grid.K, 0, -1):
-        k1 = rhs(t, M)
-        k2 = rhs(t + 0.5 * h, M + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, M + 0.5 * h * k2)
-        k4 = rhs(t + h, M + h * k3)
-        M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if post_step is not None:
-            M = post_step(M)
-        if not np.all(np.isfinite(M)):
-            raise NumericalFailure(k - 1)
-        t += h
-        out[k - 1] = M
-    return out
+    step = (lambda s: (post_step(s[0]),)) if post_step is not None else (lambda s: s)
+    nodes, _ = _integrate(lambda t, s: (rhs(t, s[0]),),
+                          (np.asarray(terminal, dtype=float),), grid, step)
+    return np.array([s[0] for s in nodes])
 
 
 def _mfc_rhs(model: LQModelSpec):
     A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
     BRB = model.BRB()
-    a = model.sigma ** 2
-    b2 = model.beta ** 2
+    # State-independent products, formed as the rhs expressions group them,
+    # so hoisting them leaves every result bit unchanged.
+    AAbar, AT, AbarT = A + Abar, A.T, Abar.T
+    STQbar = S.T @ Qbar
+    STQbarS, QbarS = STQbar @ S, Qbar @ S
+    ca, cb = 0.5 * model.sigma ** 2, 0.5 * model.beta ** 2
 
     def rhs(t, state):
         P, Sig, _ = state
-        M = A + Abar - BRB @ P
-        dP = -(P @ A + A.T @ P - P @ BRB @ P + Q + Qbar)
+        M = AAbar - BRB @ P
+        dP = -(P @ A + AT @ P - P @ BRB @ P + Q + Qbar)
         dSig = -(Sig @ M + M.T @ Sig - Sig @ BRB @ Sig
-                 + S.T @ Qbar @ S - Qbar @ S - S.T @ Qbar
-                 + P @ Abar + Abar.T @ P)
-        dlam = -(0.5 * a * np.trace(P) + 0.5 * b2 * np.trace(P + Sig))
+                 + STQbarS - QbarS - STQbar
+                 + P @ Abar + AbarT @ P)
+        dlam = -(ca * P.trace() + cb * (P + Sig).trace())
         return dP, dSig, dlam
 
     return rhs
@@ -138,19 +128,21 @@ def _mfc_rhs(model: LQModelSpec):
 def _mfg_rhs(model: LQModelSpec):
     A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
     BRB = model.BRB()
-    a = model.sigma ** 2
-    b2 = model.beta ** 2
+    AAbar, AT, AbarT = A + Abar, A.T, Abar.T
+    STQbarS, QbarS = (S.T @ Qbar) @ S, Qbar @ S
+    a, b2 = model.sigma ** 2, model.beta ** 2
+    cP, cG = 0.5 * (b2 + a), 0.5 * b2
 
     def rhs(t, state):
         P, Sig, Gam, _ = state
-        M = A + Abar - BRB @ P
-        N = A + Abar - BRB @ (P + Sig)
-        dP = -(P @ A + A.T @ P - P @ BRB @ P + Q + Qbar)
-        dSig = -(Sig @ M + (A.T - P @ BRB) @ Sig - Sig @ BRB @ Sig
-                 - Qbar @ S + P @ Abar)
-        dGam = -(Gam @ N + N.T @ Gam + S.T @ Qbar @ S - Sig @ BRB @ Sig
-                 + Sig @ Abar + Abar.T @ Sig)
-        dmu = -(0.5 * (b2 + a) * np.trace(P) + 0.5 * b2 * np.trace(Gam) + b2 * np.trace(Sig))
+        PB = P @ BRB
+        SBS = Sig @ BRB @ Sig
+        M = AAbar - BRB @ P
+        N = AAbar - BRB @ (P + Sig)
+        dP = -(P @ A + AT @ P - PB @ P + Q + Qbar)
+        dSig = -(Sig @ M + (AT - PB) @ Sig - SBS - QbarS + P @ Abar)
+        dGam = -(Gam @ N + N.T @ Gam + STQbarS - SBS + Sig @ Abar + AbarT @ Sig)
+        dmu = -(cP * P.trace() + cG * Gam.trace() + b2 * Sig.trace())
         return dP, dSig, dGam, dmu
 
     return rhs
@@ -158,25 +150,24 @@ def _mfg_rhs(model: LQModelSpec):
 
 def _integrate(rhs, state, grid: TimeGrid, symmetrize):
     """RK4 over a tuple-valued state with per-step symmetrization and
-    blow-up detection.  Also records the rhs at every node."""
+    blow-up detection.  Also records the rhs at every node; the rhs at a
+    node is the next step's first stage, so a solve makes 4K + 1 calls."""
     K, h = grid.K, grid.h
     nodes = [state]
     derivs = [rhs(grid.T, state)]
     t = grid.T
     for k in range(K, 0, -1):
-        k1 = rhs(t, state)
+        k1 = derivs[-1]
         k2 = rhs(t - 0.5 * h, _axpy(state, k1, -0.5 * h))
         k3 = rhs(t - 0.5 * h, _axpy(state, k2, -0.5 * h))
         k4 = rhs(t - h, _axpy(state, k3, -h))
-        incr = tuple((c1 + 2.0 * c2 + 2.0 * c3 + c4) for c1, c2, c3, c4 in zip(k1, k2, k3, k4))
-        state = _axpy(state, incr, -h / 6.0)
-        state = symmetrize(state)
+        state = symmetrize(tuple(s + (-h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                                 for s, c1, c2, c3, c4 in zip(state, k1, k2, k3, k4)))
         t -= h
         for comp in state:
-            if not np.all(np.isfinite(comp)):
-                raise NumericalFailure(k - 1)
-            if np.max(np.abs(comp)) > BLOWUP_THRESHOLD:
-                raise RiccatiBlowUp(t)
+            m = np.abs(comp).max()
+            if not m <= BLOWUP_THRESHOLD:    # NaN compares false
+                raise NumericalFailure(k - 1) if not np.isfinite(m) else RiccatiBlowUp(t)
         nodes.append(state)
         derivs.append(rhs(t, state))
     nodes.reverse()

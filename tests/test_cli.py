@@ -46,6 +46,29 @@ def test_riccati_blowup_exit_2(tmp_path):
     assert rep["blowup"]["escape_time"] == pytest.approx(1 - np.pi / 4, abs=0.05)
 
 
+def test_riccati_non_finite_writes_json_exit_2(tmp_path, monkeypatch, capsys):
+    import masterlq.lq_model as lq
+    monkeypatch.setattr(lq.LQModelSpec, "BRB", lambda self: np.full((self.n, self.n), np.nan))
+    code, out = run(tmp_path, "riccati", "--model", LQR, "--steps", "50", "--kind", "mfg")
+    assert code == 2
+    rep = json.loads((out / "riccati_mfg.json").read_text())
+    assert rep["manifest"]["command"] == "riccati"
+    assert rep["error"] == "non-finite value at node 49"
+    assert not (out / "riccati_mfg.csv").exists()
+    assert capsys.readouterr().err.strip().splitlines() == ["riccati: non-finite value at node 49"]
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])
+def test_riccati_bad_horizon_exit_1(tmp_path, capsys, T):
+    bad = tmp_path / "badT.json"
+    bad.write_text(json.dumps({"n": 1, "d": 1, "T": T, "B": 1.0, "Q": 1.0, "R": 1.0}))
+    code, out = run(tmp_path, "riccati", "--model", str(bad))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "horizon T must be finite and positive" in err[0]
+    assert not (out / "riccati_mfc.json").exists()
+
+
 def test_riccati_malformed_json_exit_1(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -93,6 +116,16 @@ def test_simulate_byte_identical(tmp_path):
 def test_simulate_zero_particles_exit_1(tmp_path):
     code, _ = run(tmp_path, "simulate", "--model", COUPLED, "--particles", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_simulate_no_steps_exit_1(tmp_path, capsys, steps):
+    code, out = run(tmp_path, "simulate", "--model", COUPLED, "--particles", "100",
+                    "--steps", steps)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: need at least one particle and one time step"]
+    assert not (out / "simulate.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +226,25 @@ def test_hjbfp_cosine_demo_no_cross_validation(tmp_path):
     rep = json.loads((out / "hjbfp.json").read_text())
     assert rep["converged"] is True
     assert "cross_validation" not in rep
+
+
+@pytest.mark.parametrize("kind", [None, "mfc", "mfg"])
+def test_hjbfp_demo_records_kind_solved(tmp_path, kind):
+    argv = ["hjbfp", "--model", COSINE, "--grid=-3,3,40,50"]
+    code, out = run(tmp_path, *argv, *(["--kind", kind] if kind else []))
+    assert code == 0
+    rep = json.loads((out / "hjbfp.json").read_text())
+    assert rep["manifest"]["kind"] == "mfg"
+
+
+def test_hjbfp_demo_bad_horizon_exit_1(tmp_path, capsys):
+    demo = tmp_path / "cosine_nan.json"
+    demo.write_text(json.dumps({**json.loads(open(COSINE).read()), "T": float("nan")}))
+    code, out = run(tmp_path, "hjbfp", "--model", str(demo), "--grid=-3,3,40,50")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "finite horizon T > 0" in err[0]
+    assert not (out / "hjbfp.json").exists()
 
 
 def test_hjbfp_nonconvergence_exit_3(tmp_path, monkeypatch):

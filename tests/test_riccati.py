@@ -203,3 +203,173 @@ def test_csv_round_trip(tmp_path, sol_coupled_mfg):
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
     assert first[1] == sol_coupled_mfg.P[0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# _integrate against the five-call reference formulation
+
+def _ref_mfc_rhs(model):
+    A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
+    BRB = model.BRB()
+    a = model.sigma ** 2
+    b2 = model.beta ** 2
+
+    def rhs(t, state):
+        P, Sig, _ = state
+        M = A + Abar - BRB @ P
+        dP = -(P @ A + A.T @ P - P @ BRB @ P + Q + Qbar)
+        dSig = -(Sig @ M + M.T @ Sig - Sig @ BRB @ Sig
+                 + S.T @ Qbar @ S - Qbar @ S - S.T @ Qbar
+                 + P @ Abar + Abar.T @ P)
+        dlam = -(0.5 * a * np.trace(P) + 0.5 * b2 * np.trace(P + Sig))
+        return dP, dSig, dlam
+
+    return rhs
+
+
+def _ref_mfg_rhs(model):
+    A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
+    BRB = model.BRB()
+    a = model.sigma ** 2
+    b2 = model.beta ** 2
+
+    def rhs(t, state):
+        P, Sig, Gam, _ = state
+        M = A + Abar - BRB @ P
+        N = A + Abar - BRB @ (P + Sig)
+        dP = -(P @ A + A.T @ P - P @ BRB @ P + Q + Qbar)
+        dSig = -(Sig @ M + (A.T - P @ BRB) @ Sig - Sig @ BRB @ Sig
+                 - Qbar @ S + P @ Abar)
+        dGam = -(Gam @ N + N.T @ Gam + S.T @ Qbar @ S - Sig @ BRB @ Sig
+                 + Sig @ Abar + Abar.T @ Sig)
+        dmu = -(0.5 * (b2 + a) * np.trace(P) + 0.5 * b2 * np.trace(Gam) + b2 * np.trace(Sig))
+        return dP, dSig, dGam, dmu
+
+    return rhs
+
+
+def _ref_axpy(state, direction, scale):
+    return tuple(s + scale * d for s, d in zip(state, direction))
+
+
+def _ref_integrate(rhs, state, grid, symmetrize):
+    K, h = grid.K, grid.h
+    nodes = [state]
+    derivs = [rhs(grid.T, state)]
+    t = grid.T
+    for k in range(K, 0, -1):
+        k1 = rhs(t, state)
+        k2 = rhs(t - 0.5 * h, _ref_axpy(state, k1, -0.5 * h))
+        k3 = rhs(t - 0.5 * h, _ref_axpy(state, k2, -0.5 * h))
+        k4 = rhs(t - h, _ref_axpy(state, k3, -h))
+        incr = tuple((c1 + 2.0 * c2 + 2.0 * c3 + c4) for c1, c2, c3, c4 in zip(k1, k2, k3, k4))
+        state = _ref_axpy(state, incr, -h / 6.0)
+        state = symmetrize(state)
+        t -= h
+        for comp in state:
+            if not np.all(np.isfinite(comp)):
+                raise riccati.NumericalFailure(k - 1)
+            if np.max(np.abs(comp)) > riccati.BLOWUP_THRESHOLD:
+                raise RiccatiBlowUp(t)
+        nodes.append(state)
+        derivs.append(rhs(t, state))
+    nodes.reverse()
+    derivs.reverse()
+    return nodes, derivs
+
+
+def _ref_solve(kind, m, grid):
+    """Every stored array of the reference solve, by RiccatiSolution field."""
+    sym = lambda M: 0.5 * (M + M.T)
+    ST, QbT = m.ST, m.QbarT
+    if kind == "mfc":
+        state = (m.QT + QbT, ST.T @ QbT @ ST - (ST.T @ QbT + QbT @ ST), 0.0)
+        names, dnames = ("P", "Sigma", "lam"), ("dP", "dSigma")
+        nodes, derivs = _ref_integrate(_ref_mfc_rhs(m), state, grid,
+                                       lambda s: (sym(s[0]), sym(s[1]), s[2]))
+    else:
+        state = (m.QT + QbT, -QbT @ ST, ST.T @ QbT @ ST, 0.0)
+        names, dnames = ("P", "Sigma", "Gamma", "mu"), ("dP", "dSigma", "dGamma", "dmu")
+        nodes, derivs = _ref_integrate(_ref_mfg_rhs(m), state, grid,
+                                       lambda s: (sym(s[0]),) + s[1:])
+    out = {name: np.array([s[i] for s in nodes]) for i, name in enumerate(names)}
+    out.update({name: np.array([d[i] for d in derivs]) for i, name in enumerate(dnames)})
+    return out
+
+
+@pytest.fixture(scope="module")
+def seeded_n8():
+    """Convex n = 8 model with weak mean-field coupling and a stable drift."""
+    n, rng = 8, np.random.default_rng(1)
+    small = lambda scale: scale * rng.standard_normal((n, n)) / np.sqrt(n)
+
+    def psd(scale):
+        G = rng.standard_normal((n, n))
+        M = scale * (G @ G.T) / n
+        return 0.5 * (M + M.T)
+
+    eye = np.eye(n)
+    return lq_model.LQModelSpec(
+        n=n, d=n, T=1.0, A=-0.3 * eye + small(0.2), Abar=small(0.05),
+        B=eye + small(0.1), Q=psd(1.0) + 0.5 * eye, Qbar=psd(0.2), S=small(0.1),
+        R=psd(0.1) + eye, QT=psd(0.5), QbarT=psd(0.1), ST=small(0.1),
+        sigma=0.5, beta=0.2, convex=True)
+
+
+@pytest.mark.parametrize("name", ["scalar_coupled", "asymmetric_2x2", "coupled_2x2", "seeded_n8"])
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_integrate_bitwise_equal_reference(request, kind, name):
+    m = request.getfixturevalue(name)
+    grid = TimeGrid(m.T, 300)
+    sol = (solve_mfc if kind == "mfc" else solve_mfg)(m, grid)
+    ref = _ref_solve(kind, m, grid)
+    for field, arr in ref.items():
+        assert np.array_equal(getattr(sol, field), arr), field
+    if kind == "mfg" and name == "asymmetric_2x2":
+        assert np.max(np.abs(sol.Sigma - np.swapaxes(sol.Sigma, 1, 2))) > 1e-6
+
+
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_integrate_rhs_calls_per_solve(monkeypatch, coupled_2x2, kind):
+    calls = []
+
+    def counting(factory):
+        def make(model):
+            rhs = factory(model)
+
+            def counted(t, state):
+                calls.append(t)
+                return rhs(t, state)
+            return counted
+        return make
+
+    name = f"_{kind}_rhs"
+    monkeypatch.setattr(riccati, name, counting(getattr(riccati, name)))
+    K = 37
+    (solve_mfc if kind == "mfc" else solve_mfg)(coupled_2x2, TimeGrid(1.0, K))
+    assert len(calls) == 4 * K + 1
+
+
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_blowup_escape_time_equals_reference(kind):
+    m = scalar_model(B=1.0, R=1.0, Q=-4.0, T=1.0)
+    grid = TimeGrid(1.0, 4000)
+    with pytest.raises(RiccatiBlowUp) as new:
+        (solve_mfc if kind == "mfc" else solve_mfg)(m, grid)
+    with pytest.raises(RiccatiBlowUp) as ref:
+        _ref_solve(kind, m, grid)
+    assert new.value.escape_time == ref.value.escape_time
+
+
+@pytest.mark.parametrize("bad", [{"Q": np.nan}, {"QT": np.inf}, {"sigma": np.nan}],
+                         ids=["Q_nan", "QT_inf", "sigma_nan"])
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerical_failure_node_equals_reference(kind, bad):
+    m = scalar_model(**{"B": 1.0, "R": 1.0, "Q": 1.0, "beta": 0.3, "T": 1.0, **bad})
+    grid = TimeGrid(1.0, 50)
+    with pytest.raises(riccati.NumericalFailure) as new:
+        (solve_mfc if kind == "mfc" else solve_mfg)(m, grid)
+    with pytest.raises(riccati.NumericalFailure) as ref:
+        _ref_solve(kind, m, grid)
+    assert new.value.node == ref.value.node
