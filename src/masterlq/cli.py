@@ -225,11 +225,20 @@ def _load_demo_problem(args):
                           kappa=doc.get("kappa", 0.5))
 
 
+def _parse_grid(text: str) -> tuple[float, float, int, int]:
+    """--grid as (xmin, xmax, Nx, Nt); anything else is bad input."""
+    try:
+        xmin, xmax, Nx, Nt = text.split(",")
+        return float(xmin), float(xmax), int(Nx), int(Nt)
+    except ValueError:
+        raise ValueError(f"--grid expects xmin,xmax,Nx,Nt (got {text!r})") from None
+
+
 def cmd_hjbfp(args) -> int:
     man = _manifest(args, "hjbfp")
     os.makedirs(args.out, exist_ok=True)
-    xmin, xmax, Nx, Nt = args.grid.split(",")
-    grid = hj.SpaceGrid1D(float(xmin), float(xmax), int(Nx))
+    xmin, xmax, Nx, Nt = _parse_grid(args.grid)
+    grid = hj.SpaceGrid1D(xmin, xmax, Nx)
     m0 = hj.gaussian_density(grid, args.m0_mean, args.m0_std)
     prob, model, kind, term = _load_demo_problem(args), None, "MFG", None
     if prob is None:
@@ -240,7 +249,7 @@ def cmd_hjbfp(args) -> int:
             y0 = hj.first_moment(m0, grid.nodes(), grid.dx)
             term = hj.terminal_mfc_lq(model, grid.nodes(), y0)
     man.kind = kind.lower()    # a demo problem is always solved as an MFG
-    tgrid = ric.TimeGrid(prob.T, int(Nt))
+    tgrid = ric.TimeGrid(prob.T, Nt)
     path = os.path.join(args.out, "hjbfp.json")
     try:
         fields = hj.picard_solve(prob, grid, tgrid, m0, kind=kind,
@@ -257,7 +266,7 @@ def cmd_hjbfp(args) -> int:
 
     payload = {"manifest": asdict(man), "converged": True, "iterations": fields.iterations}
     if model is not None:
-        rgrid = ric.TimeGrid(model.T, max(int(Nt), 1000))
+        rgrid = ric.TimeGrid(model.T, max(Nt, 1000))
         sol = ric.solve_mfc(model, rgrid) if kind == "MFC" else ric.solve_mfg(model, rgrid)
         payload["cross_validation"] = hj.cross_validate_lq(model, sol, fields)
     _dump_slices(fields, os.path.join(args.out, "hjbfp_fields.csv"))
@@ -317,8 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # MASTERLQ_THREADS caps internal parallelism; all kernels here are
-    # sequential numpy calls, so results never depend on its value.
+    # MASTERLQ_THREADS caps internal parallelism.  Only simulate uses a
+    # second thread, to draw the next step's normals; 1 draws them inline.
+    # The draws are keyed on (seed, stream, step), so results never depend
+    # on the value.
     threads = os.environ.get("MASTERLQ_THREADS")
     if threads is not None and (not threads.isdigit() or int(threads) < 1):
         print("error: MASTERLQ_THREADS must be a positive integer", file=sys.stderr)

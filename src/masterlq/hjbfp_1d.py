@@ -87,8 +87,9 @@ class Problem1D:
     uses_mean: bool = True
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma > 0 required: the FD solver needs nondegenerate diffusion")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"diffusion coefficient sigma must be finite and > 0 for the "
+                             f"FD solver, got {self.sigma}")
 
 
 def problem_from_lq(model: lq.LQModelSpec) -> Problem1D:

@@ -83,8 +83,10 @@ def validate(model: LQModelSpec) -> ValidationReport:
         return ValidationReport(v)
     if not 0.0 < model.T < np.inf:
         v.append(f"horizon T must be finite and positive, got {model.T}")
-    if model.sigma < 0 or model.beta < 0:
-        v.append("noise coefficients sigma, beta must be nonnegative")
+    for name in ("sigma", "beta"):
+        if not 0.0 <= getattr(model, name) < np.inf:
+            v.append(f"noise coefficient {name} must be finite and nonnegative, "
+                     f"got {getattr(model, name)}")
 
     shapes = {
         "A": (n, n), "Abar": (n, n), "B": (n, d), "Q": (n, n), "Qbar": (n, n),
@@ -94,6 +96,8 @@ def validate(model: LQModelSpec) -> ValidationReport:
         M = getattr(model, name)
         if M.shape != shape:
             v.append(f"dimension mismatch: {name} has shape {M.shape}, expected {shape}")
+        elif not np.all(np.isfinite(M)):
+            v.append(f"{name} has non-finite entries")
     if v:
         return ValidationReport(v)
 

@@ -8,12 +8,16 @@ with xi_i per-particle Gaussians, eta one shared Gaussian per step (common
 noise), and ybar the empirical mean, which stands in for the conditional
 law given the common-noise path.  All noise comes from a counter-based
 generator keyed on (seed, stream, step), so trajectories are bit-identical
-regardless of scheduling or worker count.
+regardless of scheduling or worker count: simulate draws step k+1's noise
+on one worker thread while step k runs (MASTERLQ_THREADS=1 draws inline).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +30,14 @@ STREAM_INITIAL = 2
 STREAM_PERTURBATION = 3
 
 
-def _normals(seed: int, stream: int, step: int, shape) -> np.ndarray:
+def _philox(seed: int, stream: int, step: int) -> np.random.Generator:
     key = np.array([seed, stream], dtype=np.uint64)
     counter = np.array([0, 0, 0, step], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
-    return rng.standard_normal(shape)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _normals(seed: int, stream: int, step: int, shape) -> np.ndarray:
+    return _philox(seed, stream, step).standard_normal(shape)
 
 
 @dataclass
@@ -63,9 +70,7 @@ def gaussian_ensemble(N: int, n: int, seed: int, mean=0.0, std=1.0) -> ParticleE
 
 
 def uniform_ensemble(N: int, n: int, seed: int, low=-1.0, high=1.0) -> ParticleEnsemble:
-    key = np.array([seed, STREAM_INITIAL], dtype=np.uint64)
-    counter = np.array([0, 0, 0, 1], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    rng = _philox(seed, STREAM_INITIAL, 1)
     return ParticleEnsemble(rng.uniform(low, high, (N, n)), seed=seed)
 
 
@@ -97,11 +102,11 @@ class FeedbackPolicy:
     delta1: np.ndarray | None = None
     delta2: np.ndarray | None = None
 
-    def gains(self, t: float, model: lq.LQModelSpec):
+    def gains(self, t: float, RB: np.ndarray | None):
+        """(K1, K2) at time t, given RB = model.Rinv_Bt() (None for CUSTOM_LINEAR)."""
         if self.kind == "CUSTOM_LINEAR":
             return self.K1, self.K2
         ev = ric.eval_at(self.sol, t)
-        RB = model.Rinv_Bt()
         K1 = -RB @ ev["P"]
         K2 = -RB @ ev["Sigma"]
         if self.kind == "PERTURBED":
@@ -139,7 +144,24 @@ class Trajectory:
     running_cost_partial: np.ndarray  # (steps+1,) mean partial sums for CSV
     final_states: np.ndarray          # (N, n)
     states_history: np.ndarray | None = None   # (steps+1, N, n) if requested
-    controls_history: np.ndarray | None = None
+
+
+# simulate draws a step's normals on its worker thread only from this many
+# draws per step (N n) up: below it the hand-off to the worker costs more
+# than the draw (on 2 cores the two break even near N = 10^4 at n = 1).
+PREFETCH_MIN_DRAWS = 16384
+
+
+def _prefetch_allowed() -> bool:
+    """MASTERLQ_THREADS=1 keeps simulate on the calling thread."""
+    threads = os.environ.get("MASTERLQ_THREADS", "")
+    return not (threads.isdigit() and int(threads) <= 1)
+
+
+def _run_inline(fn, *args) -> Future:
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
@@ -151,6 +173,7 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
     dt = cfg.dt(model.T)
     sdt = np.sqrt(dt)
     cseed = cfg.seed if cfg.common_seed is None else cfg.common_seed
+    sig_sdt, beta_sdt = model.sigma * sdt, model.beta * sdt
 
     x = X0.states.copy()
     times = np.linspace(0.0, model.T, cfg.steps + 1)
@@ -160,40 +183,66 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
     run = np.zeros(N)
     run_partial = np.zeros(cfg.steps + 1)
     hist = np.empty((cfg.steps + 1, N, n)) if cfg.store_states else None
-    ctrl_hist = np.empty((cfg.steps, N, model.d)) if cfg.store_states else None
+
+    def noise(k, buf):
+        # Step k's scaled draws.  On the worker thread this calls no public
+        # function, so every traced span stays on the calling thread.
+        if buf is not None:
+            _philox(cfg.seed, STREAM_IDIOSYNCRATIC, k).standard_normal(out=buf)
+            buf *= sig_sdt
+        if model.beta > 0.0:
+            return buf, beta_sdt * _normals(cseed, STREAM_COMMON, k, (n,))
+        return buf, None
+
+    # a @ M.T takes a slow path on (N, n) operands, and so does adding a row
+    # vector to a temporary.  np.dot with a contiguous transpose and in-place
+    # updates give the same bits in the same order, except that np.dot's
+    # bits differ for a single particle, which keeps @.
+    def times_t(a, M):
+        return np.dot(a, np.ascontiguousarray(M.T)) if N > 1 else a @ M.T
 
     S, Qb, Q, R = model.S, model.Qbar, model.Q, model.R
-    for k in range(cfg.steps):
-        t = times[k]
-        yb = x.mean(axis=0)
-        ybar[k] = yb
-        m2[k] = np.mean(x * x, axis=0)
-        if hist is not None:
-            hist[k] = x
-        K1, K2 = policy.gains(t, model)
-        v = x @ K1.T + yb @ K2.T
-        if ctrl_hist is not None:
-            ctrl_hist[k] = v
-        # left-endpoint running cost
-        e = x - yb @ S.T
-        f = 0.5 * (np.einsum("ij,jk,ik->i", x, Q, x)
-                   + np.einsum("ij,jk,ik->i", v, R, v)
-                   + np.einsum("ij,jk,ik->i", e, Qb, e))
-        run += f * dt
-        run_partial[k + 1] = run_partial[k] + float(np.mean(f)) * dt
+    RB = None if policy.kind == "CUSTOM_LINEAR" else model.Rinv_Bt()
+    bufs = [np.empty((N, n)), np.empty((N, n))] if model.sigma > 0.0 else [None, None]
+    prefetch = model.sigma > 0.0 and N * n >= PREFETCH_MIN_DRAWS and _prefetch_allowed()
+    with ThreadPoolExecutor(1) if prefetch else nullcontext() as pool:
+        submit = pool.submit if prefetch else _run_inline
+        pending = submit(noise, 0, bufs[0])
+        for k in range(cfg.steps):
+            t = times[k]
+            yb = x.mean(axis=0)
+            ybar[k] = yb
+            m2[k] = np.mean(x * x, axis=0)
+            if hist is not None:
+                hist[k] = x
+            K1, K2 = policy.gains(t, RB)
+            v = times_t(x, K1)
+            v += yb @ K2.T
+            # left-endpoint running cost
+            e = x - yb @ S.T
+            f = 0.5 * (np.einsum("ij,jk,ik->i", x, Q, x)
+                       + np.einsum("ij,jk,ik->i", v, R, v)
+                       + np.einsum("ij,jk,ik->i", e, Qb, e))
+            run += f * dt
+            run_partial[k + 1] = run_partial[k] + float(np.mean(f)) * dt
 
-        drift = x @ model.A.T + yb @ model.Abar.T + v @ model.B.T
-        x = x + drift * dt
-        if model.sigma > 0.0:
-            x = x + model.sigma * sdt * _normals(cfg.seed, STREAM_IDIOSYNCRATIC, k, (N, n))
-        if model.beta > 0.0:
-            eta = _normals(cseed, STREAM_COMMON, k, (n,))
-            x = x + model.beta * sdt * eta
-            bpath[k + 1] = bpath[k] + model.beta * sdt * eta
-        else:
-            bpath[k + 1] = bpath[k]
-        if not np.all(np.isfinite(x)):
-            raise ric.NumericalFailure(k)
+            drift = times_t(x, model.A)
+            drift += yb @ model.Abar.T
+            drift += times_t(v, model.B)
+            drift *= dt
+            x += drift
+            z, b = pending.result()
+            if k + 1 < cfg.steps:
+                pending = submit(noise, k + 1, bufs[(k + 1) % 2])
+            if z is not None:
+                x += z
+            if b is not None:
+                x += b
+                bpath[k + 1] = bpath[k] + b
+            else:
+                bpath[k + 1] = bpath[k]
+            if not np.all(np.isfinite(x)):
+                raise ric.NumericalFailure(k)
 
     ybar[-1] = x.mean(axis=0)
     m2[-1] = np.mean(x * x, axis=0)
@@ -201,7 +250,7 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
         hist[-1] = x
     return Trajectory(times=times, ybar=ybar, second_moment=m2, common_path=bpath,
                       running_cost=run, running_cost_partial=run_partial,
-                      final_states=x, states_history=hist, controls_history=ctrl_hist)
+                      final_states=x, states_history=hist)
 
 
 def estimate_cost(model: lq.LQModelSpec, traj: Trajectory) -> dict:

@@ -247,6 +247,41 @@ def test_hjbfp_demo_bad_horizon_exit_1(tmp_path, capsys):
     assert not (out / "hjbfp.json").exists()
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -0.5])
+def test_hjbfp_demo_bad_sigma_exit_1(tmp_path, capsys, sigma):
+    demo = tmp_path / "cosine_sigma.json"
+    demo.write_text(json.dumps({**json.loads(open(COSINE).read()), "sigma": sigma}))
+    code, out = run(tmp_path, "hjbfp", "--model", str(demo), "--grid=-3,3,40,50")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "diffusion coefficient sigma" in err[0]
+    assert not (out / "hjbfp.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [("sigma", float("nan")), ("beta", float("inf")),
+                                         ("A", float("nan")), ("Qbar", float("-inf"))])
+@pytest.mark.parametrize("command", ["hjbfp", "riccati"])
+def test_lq_non_finite_field_exit_1(tmp_path, capsys, command, field, value):
+    model = tmp_path / "crowd_bad.json"
+    model.write_text(json.dumps({**json.loads(open(CROWD).read()), field: value}))
+    code, out = run(tmp_path, command, "--model", str(model), "--grid=-4,4,40,50",
+                    "--steps", "50")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid model: ")
+    assert f"{field} " in err[0] and "finite" in err[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("grid", ["-3,3,40", "-3,3,forty,50", "-3,3,40,50,7", "-3,3,40.5,50"])
+def test_hjbfp_malformed_grid_exit_1(tmp_path, capsys, grid):
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, f"--grid={grid}")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --grid expects xmin,xmax,Nx,Nt (got {grid!r})"]
+    assert not (out / "hjbfp.json").exists()
+
+
 def test_hjbfp_nonconvergence_exit_3(tmp_path, monkeypatch):
     import masterlq.hjbfp_1d as hj
     orig = hj.picard_solve

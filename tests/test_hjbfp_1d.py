@@ -151,6 +151,12 @@ def test_picard_nonconvergence_reports_history(crowd_mfg, grid):
     assert len(exc.value.history) == 2
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0])
+def test_problem_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="diffusion coefficient sigma"):
+        fd.cosine_demo(sigma=sigma)
+
+
 def test_problem_from_lq_rejects_matrix_models(coupled_2x2):
     with pytest.raises(ValueError):
         problem_from_lq(coupled_2x2)

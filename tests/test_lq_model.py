@@ -30,6 +30,24 @@ def test_r_not_positive_definite_rejected():
     assert any("positive definite" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("kw", [{"sigma": np.nan}, {"beta": np.inf}, {"sigma": -0.1}])
+def test_noise_coefficient_not_finite_nonnegative_rejected(kw):
+    report = validate(scalar_model(Q=1.0, R=1.0, **kw))
+    name = next(iter(kw))
+    assert report.violations == [f"noise coefficient {name} must be finite and "
+                                 f"nonnegative, got {kw[name]}"]
+
+
+@pytest.mark.parametrize("name", ["A", "B", "Qbar", "R", "ST"])
+def test_non_finite_matrix_entry_rejected(name):
+    m = make_coupled_2x2()
+    M = getattr(m, name).copy()
+    M[0, -1] = np.nan
+    from dataclasses import replace
+    report = validate(replace(m, **{name: M}))
+    assert report.violations == [f"{name} has non-finite entries"]
+
+
 def test_dimension_mismatch_reported():
     m = make_coupled_2x2()
     bad = LQModelSpec(n=2, d=2, T=1.0, A=m.A, Abar=m.Abar,

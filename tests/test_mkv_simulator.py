@@ -1,6 +1,10 @@
 """Particle simulation, cost estimation, optimality, maximum principle."""
 from __future__ import annotations
 
+import dataclasses
+import functools
+import threading
+
 import numpy as np
 import pytest
 
@@ -218,3 +222,222 @@ def test_trajectory_csv(tmp_path, scalar_coupled, sol_coupled_mfc):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 22      # header + steps+1 rows
     assert lines[0].startswith("t,")
+
+
+# ---------------------------------------------------------------------------
+# simulate against the per-step reference formulation
+
+def _reference_simulate(model, policy, X0, cfg):
+    """The Euler loop as first written: a fresh draw per step, x @ M.T, and
+    R^{-1} B* re-factored at every step."""
+    N, n = X0.N, X0.n
+    dt = cfg.dt(model.T)
+    sdt = np.sqrt(dt)
+    cseed = cfg.seed if cfg.common_seed is None else cfg.common_seed
+    x = X0.states.copy()
+    times = np.linspace(0.0, model.T, cfg.steps + 1)
+    ybar = np.empty((cfg.steps + 1, n))
+    m2 = np.empty((cfg.steps + 1, n))
+    bpath = np.zeros((cfg.steps + 1, n))
+    run = np.zeros(N)
+    run_partial = np.zeros(cfg.steps + 1)
+    hist = np.empty((cfg.steps + 1, N, n)) if cfg.store_states else None
+    S, Qb, Q, R = model.S, model.Qbar, model.Q, model.R
+    for k in range(cfg.steps):
+        t = times[k]
+        yb = x.mean(axis=0)
+        ybar[k] = yb
+        m2[k] = np.mean(x * x, axis=0)
+        if hist is not None:
+            hist[k] = x
+        if policy.kind == "CUSTOM_LINEAR":
+            K1, K2 = policy.K1, policy.K2
+        else:
+            ev = riccati.eval_at(policy.sol, t)
+            RB = model.Rinv_Bt()
+            K1 = -RB @ ev["P"]
+            K2 = -RB @ ev["Sigma"]
+            if policy.kind == "PERTURBED":
+                K1 = K1 + policy.eps * policy.delta1
+                K2 = K2 + policy.eps * policy.delta2
+        v = x @ K1.T + yb @ K2.T
+        e = x - yb @ S.T
+        f = 0.5 * (np.einsum("ij,jk,ik->i", x, Q, x)
+                   + np.einsum("ij,jk,ik->i", v, R, v)
+                   + np.einsum("ij,jk,ik->i", e, Qb, e))
+        run += f * dt
+        run_partial[k + 1] = run_partial[k] + float(np.mean(f)) * dt
+        drift = x @ model.A.T + yb @ model.Abar.T + v @ model.B.T
+        x = x + drift * dt
+        if model.sigma > 0.0:
+            x = x + model.sigma * sdt * mkv._normals(cfg.seed, mkv.STREAM_IDIOSYNCRATIC, k, (N, n))
+        if model.beta > 0.0:
+            eta = mkv._normals(cseed, mkv.STREAM_COMMON, k, (n,))
+            x = x + model.beta * sdt * eta
+            bpath[k + 1] = bpath[k] + model.beta * sdt * eta
+        else:
+            bpath[k + 1] = bpath[k]
+        if not np.all(np.isfinite(x)):
+            raise riccati.NumericalFailure(k)
+    ybar[-1] = x.mean(axis=0)
+    m2[-1] = np.mean(x * x, axis=0)
+    if hist is not None:
+        hist[-1] = x
+    return mkv.Trajectory(times=times, ybar=ybar, second_moment=m2, common_path=bpath,
+                          running_cost=run, running_cost_partial=run_partial,
+                          final_states=x, states_history=hist)
+
+
+def _model_n3_d2():
+    """n = 3 state, d = 2 control: the gains and B are not square."""
+    rng = np.random.default_rng(42)
+    G = rng.standard_normal((3, 3))
+    return lq_model.LQModelSpec(
+        n=3, d=2, T=1.0, A=0.3 * rng.standard_normal((3, 3)),
+        Abar=0.2 * rng.standard_normal((3, 3)), B=rng.standard_normal((3, 2)),
+        Q=G @ G.T / 3, Qbar=np.eye(3) * 0.5, S=0.3 * rng.standard_normal((3, 3)),
+        R=np.array([[1.0, 0.2], [0.2, 0.8]]), QT=np.eye(3), QbarT=np.eye(3) * 0.2,
+        ST=0.1 * np.eye(3), sigma=0.3, beta=0.1)
+
+
+SIM_MODELS = {
+    "scalar_lqr": lambda: lq_model.scalar_model(A=0.0, B=1.0, Q=1.0, R=1.0,
+                                                sigma=1.0, T=1.0),
+    "scalar_coupled": lambda: lq_model.scalar_model(
+        A=0.2, Abar=0.3, B=1.0, Q=1.0, Qbar=0.5, S=0.4, R=1.0, QT=0.5, QbarT=0.3,
+        ST=0.2, sigma=0.5, beta=0.3, T=1.0),
+    "coupled_2x2": make_coupled_2x2,
+    "n3_d2": _model_n3_d2,
+}
+
+
+@functools.cache
+def _solved(name):
+    m = SIM_MODELS[name]()
+    grid = riccati.TimeGrid(m.T, 200)
+    return m, riccati.solve_mfc(m, grid), riccati.solve_mfg(m, grid)
+
+
+def _policy(kind, model, mfc, mfg):
+    if kind == "OPTIMAL_MFC":
+        return optimal_policy(mfc)
+    if kind == "OPTIMAL_MFG":
+        return optimal_policy(mfg)
+    if kind == "PERTURBED":
+        d1, d2 = mkv.perturbation_directions(model, 3)
+        return mkv.FeedbackPolicy(kind="PERTURBED", sol=mfc, eps=0.3, delta1=d1, delta2=d2)
+    return zero_policy(model)
+
+
+@pytest.fixture(params=["unset", "1"])
+def threads(request, monkeypatch):
+    """MASTERLQ_THREADS unset, with the worker used whatever N is, or 1."""
+    if request.param == "unset":
+        monkeypatch.delenv("MASTERLQ_THREADS", raising=False)
+        monkeypatch.setattr(mkv, "PREFETCH_MIN_DRAWS", 1)
+    else:
+        monkeypatch.setenv("MASTERLQ_THREADS", "1")
+    return request.param
+
+
+@pytest.mark.parametrize("store", [False, True], ids=["plain", "store"])
+@pytest.mark.parametrize("kind", ["OPTIMAL_MFC", "OPTIMAL_MFG", "PERTURBED", "zero"])
+@pytest.mark.parametrize("name", list(SIM_MODELS))
+def test_simulate_bitwise_equal_reference(name, kind, store, threads):
+    model, mfc, mfg = _solved(name)
+    policy = _policy(kind, model, mfc, mfg)
+    X0 = gaussian_ensemble(257, model.n, seed=19, mean=0.4)
+    cfg = SimConfig(steps=40, seed=19, store_states=store)
+    got = simulate(model, policy, X0, cfg)
+    ref = _reference_simulate(model, policy, X0, cfg)
+    for fld in dataclasses.fields(mkv.Trajectory):
+        a, b = getattr(got, fld.name), getattr(ref, fld.name)
+        assert (a is None and b is None) or np.array_equal(a, b), fld.name
+
+
+@pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2"])
+def test_simulate_single_particle_equals_reference(name, threads):
+    model, mfc, _ = _solved(name)
+    X0 = ParticleEnsemble(np.full((1, model.n), 0.7))
+    cfg = SimConfig(steps=30, seed=2)
+    got = simulate(model, optimal_policy(mfc), X0, cfg)
+    ref = _reference_simulate(model, optimal_policy(mfc), X0, cfg)
+    assert np.array_equal(got.final_states, ref.final_states)
+    assert np.array_equal(got.running_cost_partial, ref.running_cost_partial)
+
+
+def test_simulate_one_rinv_bt_per_call(monkeypatch):
+    model, mfc, _ = _solved("coupled_2x2")
+    calls = []
+    original = lq_model.LQModelSpec.Rinv_Bt
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(lq_model.LQModelSpec, "Rinv_Bt", counted)
+    simulate(model, optimal_policy(mfc), gaussian_ensemble(50, 2, seed=1),
+             SimConfig(steps=25, seed=1))
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_numerical_failure_same_step_and_joins_worker(threads):
+    model = lq_model.scalar_model(A=0.5, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=1.0)
+    policy = mkv.FeedbackPolicy(kind="CUSTOM_LINEAR", K1=np.array([[1e120]]),
+                                K2=np.array([[0.0]]))
+    X0 = gaussian_ensemble(300, 1, seed=20)
+    cfg = SimConfig(steps=50, seed=20)
+    with pytest.raises(riccati.NumericalFailure) as ref:
+        _reference_simulate(model, policy, X0, cfg)
+    before = threading.active_count()
+    with pytest.raises(riccati.NumericalFailure) as got:
+        simulate(model, policy, X0, cfg)
+    assert got.value.node == ref.value.node < cfg.steps - 1
+    assert threading.active_count() == before
+
+
+class _CountingExecutor(mkv.ThreadPoolExecutor):
+    created = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).created += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("sigma,threads_env,workers", [
+    (0.0, None, 0), (0.5, "1", 0), (0.5, None, 1), (0.5, "8", 1)])
+def test_simulate_worker_thread(monkeypatch, sigma, threads_env, workers):
+    if threads_env is None:
+        monkeypatch.delenv("MASTERLQ_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MASTERLQ_THREADS", threads_env)
+    monkeypatch.setattr(mkv, "PREFETCH_MIN_DRAWS", 1)
+    monkeypatch.setattr(_CountingExecutor, "created", 0)
+    monkeypatch.setattr(mkv, "ThreadPoolExecutor", _CountingExecutor)
+    drawn_on = set()
+    philox = mkv._philox
+
+    def recorded(*args):
+        drawn_on.add(threading.get_ident())
+        return philox(*args)
+
+    monkeypatch.setattr(mkv, "_philox", recorded)
+    model = lq_model.scalar_model(B=1.0, Q=1.0, R=1.0, sigma=sigma, beta=0.2, T=1.0)
+    simulate(model, zero_policy(model), gaussian_ensemble(40, 1, seed=21),
+             SimConfig(steps=10, seed=21))
+    assert _CountingExecutor.created == workers
+    if sigma > 0.0:
+        off_main = drawn_on - {threading.get_ident()}
+        assert len(off_main) == workers
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("N", [2, 7, 2000, 100_000])
+def test_dot_contiguous_transpose_equals_matmul(N, n):
+    # simulate's np.dot(a, ascontiguousarray(M.T)) stands in for a @ M.T
+    rng = np.random.default_rng(N + n)
+    x = rng.standard_normal((N, n))
+    for d in sorted({1, 2, n}):
+        M = rng.standard_normal((d, n))
+        assert np.array_equal(np.dot(x, np.ascontiguousarray(M.T)), x @ M.T)
