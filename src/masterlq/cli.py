@@ -49,6 +49,17 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_failure(path: str, man: RunManifest, exc: Exception, **extra) -> int:
+    """A numerical failure's artifact: the manifest and the one-line error
+    (and a Riccati blow-up's escape time); returns the exit code."""
+    payload = {"manifest": asdict(man), "error": str(exc), **extra}
+    if isinstance(exc, ric.RiccatiBlowUp):
+        payload["blowup"] = {"escape_time": exc.escape_time}
+    _write_json(path, payload)
+    print(f"{man.command}: {exc}", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def _load_model(args) -> lq.LQModelSpec:
     if not args.model:
         raise FileNotFoundError("--model is required for this command")
@@ -73,28 +84,18 @@ def cmd_riccati(args) -> int:
     man = _manifest(args, "riccati")
     os.makedirs(args.out, exist_ok=True)
     grid = ric.TimeGrid(model.T, args.steps)
-    summary = {"manifest": asdict(man)}
+    path = os.path.join(args.out, f"riccati_{args.kind}.json")
     try:
-        if args.kind == "mfc":
-            sol = ric.solve_mfc(model, grid)
-        else:
-            sol = ric.solve_mfg(model, grid)
-    except ric.RiccatiBlowUp as exc:
-        summary["blowup"] = {"escape_time": exc.escape_time}
-        _write_json(os.path.join(args.out, f"riccati_{args.kind}.json"), summary)
-        print(f"riccati: finite escape near t = {exc.escape_time:.6g}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ric.NumericalFailure as exc:
-        summary["error"] = str(exc)
-        _write_json(os.path.join(args.out, f"riccati_{args.kind}.json"), summary)
-        print(f"riccati: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        sol = (ric.solve_mfc if args.kind == "mfc" else ric.solve_mfg)(model, grid)
+    except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
+        return _write_failure(path, man, exc)
     ric.to_csv(sol, os.path.join(args.out, f"riccati_{args.kind}.csv"))
+    summary = {"manifest": asdict(man)}
     summary["P0"] = sol.P[0].tolist()
     summary["Sigma0"] = sol.Sigma[0].tolist()
     diag = ric.check_symmetry_conditions(model)
     summary["symmetry"] = asdict(diag)
-    _write_json(os.path.join(args.out, f"riccati_{args.kind}.json"), summary)
+    _write_json(path, summary)
     return EXIT_OK
 
 
@@ -105,12 +106,16 @@ def cmd_simulate(args) -> int:
     if args.particles < 1 or args.steps < 1:
         raise ValueError("need at least one particle and one time step")
     grid = ric.TimeGrid(model.T, args.steps)
-    sol = ric.solve_mfc(model, grid)
     X0 = mk.gaussian_ensemble(args.particles, model.n, args.seed)
     cfg = mk.SimConfig(steps=args.steps, seed=args.seed)
-    traj = mk.simulate(model, mk.optimal_policy(sol), X0, cfg)
+    path = os.path.join(args.out, "simulate.json")
+    try:
+        sol = ric.solve_mfc(model, grid)
+        traj = mk.simulate(model, mk.optimal_policy(sol), X0, cfg)
+    except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
+        return _write_failure(path, man, exc)
     est = mk.estimate_cost(model, traj)
-    V = mk.eval_value_mfc(sol, X0.states, 0.0)
+    V = mv.eval_value(sol, X0.states, 0.0)
     tol = 3.0 * est["stderr"] + man.tolerances["cost_dt_const"] * cfg.dt(model.T)
     mk.trajectory_to_csv(traj, os.path.join(args.out, "trajectory.csv"))
     summary = {
@@ -118,7 +123,7 @@ def cmd_simulate(args) -> int:
         "J_hat": est["J_hat"], "stderr": est["stderr"], "V_reference": V,
         "pass": bool(abs(est["J_hat"] - V) <= tol),
     }
-    _write_json(os.path.join(args.out, "simulate.json"), summary)
+    _write_json(path, summary)
     return EXIT_OK if summary["pass"] else EXIT_CHECK_FAILED
 
 
@@ -191,20 +196,20 @@ def _suite_optimality(args, model) -> tuple[list[dict], bool]:
 def cmd_verify(args) -> int:
     man = _manifest(args, "verify")
     os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"verify_{args.suite}.json")
     if args.suite == "lift":
         reports, ok = _suite_lift(args)
     else:
         model = _load_model(args)
-        if args.suite == "master":
-            reports, ok = _suite_master(args, model)
-        elif args.suite == "mp":
-            reports, ok = _suite_mp(args, model)
-        elif args.suite == "optimality":
-            reports, ok = _suite_optimality(args, model)
-        else:
+        suites = {"master": _suite_master, "mp": _suite_mp, "optimality": _suite_optimality}
+        if args.suite not in suites:
             raise ValueError(f"unknown suite {args.suite!r}")
+        try:
+            reports, ok = suites[args.suite](args, model)
+        except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
+            return _write_failure(path, man, exc)
     payload = {"manifest": asdict(man), "reports": reports, "pass": ok}
-    _write_json(os.path.join(args.out, f"verify_{args.suite}.json"), payload)
+    _write_json(path, payload)
     for r in reports:
         status = "PASS" if r.get("pass") else "FAIL"
         print(f"[{status}] {r.get('check', '?')}")
@@ -255,9 +260,7 @@ def cmd_hjbfp(args) -> int:
         fields = hj.picard_solve(prob, grid, tgrid, m0, kind=kind,
                                  damping=args.damping, terminal_override=term)
     except (hj.CFLViolation, ric.NumericalFailure) as exc:
-        _write_json(path, {"manifest": asdict(man), "converged": False, "error": str(exc)})
-        print(f"hjbfp: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _write_failure(path, man, exc, converged=False)
     except hj.NonConvergence as exc:
         _write_json(path, {"manifest": asdict(man), "converged": False,
                            "history": exc.history})

@@ -46,8 +46,9 @@ class SpaceGrid1D:
     Nx: int
 
     def __post_init__(self):
-        if self.x_min >= self.x_max:
-            raise ValueError("x_min must be below x_max")
+        if not -np.inf < self.x_min < self.x_max < np.inf:    # NaN compares false
+            raise ValueError(f"grid bounds must be finite with x_min < x_max, "
+                             f"got x_min={self.x_min}, x_max={self.x_max}")
         if self.Nx < 16:
             raise ValueError("need Nx >= 16")
 
@@ -355,6 +356,10 @@ def cross_validate_lq(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
 
 
 def gaussian_density(grid: SpaceGrid1D, mean: float, std: float) -> np.ndarray:
+    if not np.isfinite(mean):
+        raise ValueError(f"initial density mean must be finite, got {mean}")
+    if not 0.0 < std < np.inf:
+        raise ValueError(f"initial density std must be finite and > 0, got {std}")
     x = grid.nodes()
     m = np.exp(-0.5 * ((x - mean) / std) ** 2)
     return m / (np.sum(m) * grid.dx)

@@ -117,41 +117,85 @@ def validate(model: LQModelSpec) -> ValidationReport:
     return ValidationReport(v)
 
 
-def hamiltonian(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec) -> float:
-    """H(x, y, q) = inf_v [ f(x,y,v) + q.g(x,y,v) ] in closed form."""
-    x, y, q = (np.asarray(z, dtype=float).reshape(model.n) for z in (x, y, q))
-    Qb, S = model.Qbar, model.S
-    val = (0.5 * x @ (model.Q + Qb) @ x
-           - x @ Qb @ S @ y
-           + 0.5 * y @ S.T @ Qb @ S @ y
-           - 0.5 * q @ model.BRB() @ q
-           + q @ (model.A @ x + model.Abar @ y))
-    return float(val)
+def _rows(z, width: int):
+    """(rows, single): z as (N, width) rows, a single point being one row."""
+    z = np.asarray(z, dtype=float)
+    return (z, False) if z.ndim == 2 else (z.reshape(1, width), True)
+
+
+def _mean(y, n: int) -> np.ndarray:
+    """The population mean (n,), or one mean per row (N, n)."""
+    y = np.asarray(y, dtype=float)
+    return y if y.ndim == 2 else y.reshape(n)
+
+
+def _point(vals: np.ndarray, single: bool):
+    """A kernel's rows, or its value at the single point it was given."""
+    if not single:
+        return vals
+    return float(vals[0]) if vals.ndim == 1 else vals[0]
+
+
+# The kernels below take one point (n,) or rows (N, n) of x (and q, v); the
+# mean y is one (n,) vector shared by all rows, or one per row.  A point
+# gives a float (a vector for v*, D_q H and D_x H), rows give one value per row.
+
+def hamiltonian(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec):
+    """H(x, y, q) = inf_v [ f(x,y,v) + q.g(x,y,v) ] = f(x, y, v*) + q.G(x, y, q),
+    attained at v* = -R^{-1} B* q."""
+    (x, single), (q, _) = _rows(x, model.n), _rows(q, model.n)
+    v = optimal_feedback(x, y, q, model)
+    H = running_cost(x, y, v, model) + np.einsum("ij,ij->i", q, drift_G(x, y, q, model))
+    return _point(H, single)
 
 
 def optimal_feedback(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec) -> np.ndarray:
-    """Unique minimizer of v -> f(x,y,v) + q.g(x,y,v); linear in q."""
-    q = np.asarray(q, dtype=float).reshape(model.n)
-    return -model.Rinv_Bt() @ q
+    """Unique minimizer v* = -R^{-1} B* q of v -> f(x,y,v) + q.g(x,y,v); linear in q."""
+    q, single = _rows(q, model.n)
+    return _point(-(q @ model.Rinv_Bt().T), single)
 
 
 def drift_G(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec) -> np.ndarray:
     """Optimal drift G(x, y, q) = Ax + Abar y - B R^{-1} B* q = D_q H."""
-    x, y, q = (np.asarray(z, dtype=float).reshape(model.n) for z in (x, y, q))
-    return model.A @ x + model.Abar @ y - model.BRB() @ q
+    (x, single), (q, _) = _rows(x, model.n), _rows(q, model.n)
+    G = x @ model.A.T + _mean(y, model.n) @ model.Abar.T - q @ model.BRB().T
+    return _point(G, single)
 
 
-def running_cost(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec) -> float:
-    x, y = (np.asarray(z, dtype=float).reshape(model.n) for z in (x, y))
-    v = np.asarray(v, dtype=float).reshape(model.d)
-    e = x - model.S @ y
-    return float(0.5 * (x @ model.Q @ x + v @ model.R @ v + e @ model.Qbar @ e))
+def dx_hamiltonian(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec) -> np.ndarray:
+    """D_x H(x, y, q) = (Q + Qbar) x - Qbar S y + A* q."""
+    (x, single), (q, _) = _rows(x, model.n), _rows(q, model.n)
+    Qb, S = model.Qbar, model.S
+    DxH = x @ (model.Q + Qb).T - _mean(y, model.n) @ (Qb @ S).T + q @ model.A
+    return _point(DxH, single)
 
 
-def terminal_cost(x: np.ndarray, y: np.ndarray, model: LQModelSpec) -> float:
-    x, y = (np.asarray(z, dtype=float).reshape(model.n) for z in (x, y))
-    e = x - model.ST @ y
-    return float(0.5 * (x @ model.QT @ x + e @ model.QbarT @ e))
+def measure_term(y: np.ndarray, qbar: np.ndarray, model: LQModelSpec) -> np.ndarray:
+    """Coefficient c of the term int D_m H(xi, m, Du(xi))(x) m(dxi) = c.x that
+    the control problem adds, for the mean y and the mean gradient qbar:
+    c = (S*Qbar S - S*Qbar) y + Abar* qbar."""
+    y, qbar = np.asarray(y, dtype=float), np.asarray(qbar, dtype=float)
+    S, Qb = model.S, model.Qbar
+    return y @ (-S.T @ Qb + S.T @ Qb @ S).T + qbar @ model.Abar
+
+
+def running_cost(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec):
+    """f(x, y, v) = 1/2 [ x*Qx + v*Rv + (x - Sy)* Qbar (x - Sy) ]."""
+    (x, single), (v, _) = _rows(x, model.n), _rows(v, model.d)
+    e = x - _mean(y, model.n) @ model.S.T
+    f = 0.5 * (np.einsum("ij,jk,ik->i", x, model.Q, x)
+               + np.einsum("ij,jk,ik->i", v, model.R, v)
+               + np.einsum("ij,jk,ik->i", e, model.Qbar, e))
+    return _point(f, single)
+
+
+def terminal_cost(x: np.ndarray, y: np.ndarray, model: LQModelSpec):
+    """h(x, y) = 1/2 [ x*QT x + (x - ST y)* QbarT (x - ST y) ]."""
+    x, single = _rows(x, model.n)
+    e = x - _mean(y, model.n) @ model.ST.T
+    h = 0.5 * (np.einsum("ij,jk,ik->i", x, model.QT, x)
+               + np.einsum("ij,jk,ik->i", e, model.QbarT, e))
+    return _point(h, single)
 
 
 def dynamics(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec) -> np.ndarray:

@@ -39,6 +39,23 @@ def eval_master_field(sol: ric.RiccatiSolution, X: np.ndarray, t: float) -> np.n
     return X @ ev["P"].T + X.mean(axis=0) @ ev["Sigma"].T
 
 
+def _linear_field_terms(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
+                        X: np.ndarray, t: float):
+    """For the field U(X) = PX + Sigma EX on the rows of X: the mean ybar,
+    U, D U(X) G(X) with G the optimal drift (D U(X) Z = PZ + Sigma EZ),
+    D_x H(x, ybar, U) and dU/dt from the stored derivatives."""
+    ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
+    P, Sig = ev["P"], ev["Sigma"]
+    X = np.atleast_2d(X)
+    yb = X.mean(axis=0)
+    U = X @ P.T + yb @ Sig.T
+    G = lq.drift_G(X, yb, U, model)
+    DU_G = G @ P.T + G.mean(axis=0) @ Sig.T
+    DxH = lq.dx_hamiltonian(X, yb, U, model)
+    dU = X @ dv["dP"].T + yb @ dv["dSigma"].T
+    return yb, U, DU_G, DxH, dU
+
+
 def residual_master_mfc(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                         X: np.ndarray, t: float) -> dict:
     """Residual of the MFC master equation for the linear field ansatz.
@@ -49,22 +66,8 @@ def residual_master_mfc(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     """
     if sol.kind != "MFC":
         raise ValueError("kind mismatch: need MFC solution")
-    ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
-    P, Sig = ev["P"], ev["Sigma"]
-    A, Abar, Q, Qb, S = model.A, model.Abar, model.Q, model.Qbar, model.S
-    BRB = model.BRB()
-    X = np.atleast_2d(X)
-    yb = X.mean(axis=0)
-
-    U = X @ P.T + yb @ Sig.T
-    Ubar = U.mean(axis=0)
-    # D U(X) G(X) with G = AX + Abar EX - BRB U(X); DU(X)Z = PZ + Sigma EZ
-    G = X @ A.T + yb @ Abar.T - U @ BRB.T
-    DU_G = G @ P.T + G.mean(axis=0) @ Sig.T
-    DxH = X @ (Q + Qb).T - yb @ (Qb @ S).T + U @ A
-    copy = yb @ (-S.T @ Qb + S.T @ Qb @ S).T + Ubar @ Abar
-
-    dU = X @ dv["dP"].T + yb @ dv["dSigma"].T
+    yb, U, DU_G, DxH, dU = _linear_field_terms(model, sol, X, t)
+    copy = lq.measure_term(yb, U.mean(axis=0), model)
     second_deriv_terms = np.zeros_like(U)   # identically zero for the linear ansatz
     resid = dU + second_deriv_terms + DU_G + DxH + copy
     norm = float(np.max(np.linalg.norm(resid, axis=1)))
@@ -86,18 +89,7 @@ def residual_master_mfg_gradient(model: lq.LQModelSpec, sol: ric.RiccatiSolution
     self-adjointness violation of D U (max asymmetry of Sigma over nodes)."""
     if sol.kind != "MFG":
         raise ValueError("kind mismatch: need MFG solution")
-    ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
-    P, Sig = ev["P"], ev["Sigma"]
-    A, Abar, Q, Qb, S = model.A, model.Abar, model.Q, model.Qbar, model.S
-    BRB = model.BRB()
-    X = np.atleast_2d(X)
-    yb = X.mean(axis=0)
-
-    U = X @ P.T + yb @ Sig.T
-    G = X @ A.T + yb @ Abar.T - U @ BRB.T
-    DU_G = G @ P.T + G.mean(axis=0) @ Sig.T
-    DxH = X @ (Q + Qb).T - yb @ (Qb @ S).T + U @ A
-    dU = X @ dv["dP"].T + yb @ dv["dSigma"].T
+    _, _, DU_G, DxH, dU = _linear_field_terms(model, sol, X, t)
     resid = dU + DU_G + DxH
     sym_violation = float(np.max(np.abs(sol.Sigma - np.swapaxes(sol.Sigma, 1, 2))))
     return {
@@ -114,8 +106,6 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
         raise ValueError("kind mismatch: need MFG solution with Gamma, mu")
     ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
     P, Sig, Gam = ev["P"], ev["Sigma"], ev["Gamma"]
-    A, Abar, Q, Qb, S = model.A, model.Abar, model.Q, model.Qbar, model.S
-    BRB = model.BRB()
     s2, b2 = model.sigma ** 2, model.beta ** 2
     x = np.asarray(x, dtype=float).reshape(model.n)
     X = np.atleast_2d(X)
@@ -128,11 +118,9 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     ek_sum = 0.5 * b2 * np.trace(Gam)
     div_term = b2 * np.trace(Sig)
     DXU = Sig.T @ x + Gam @ yb
-    mean_flow = (A + Abar - BRB @ (P + Sig)) @ yb
+    mean_flow = (model.A + model.Abar - model.BRB() @ (P + Sig)) @ yb
     inner = float(DXU @ mean_flow)
-    Dx = P @ x + Sig @ yb
-    quad = (0.5 * x @ (Q + Qb) @ x - x @ Qb @ S @ yb + 0.5 * yb @ S.T @ Qb @ S @ yb
-            - 0.5 * Dx @ BRB @ Dx + Dx @ (A @ x + Abar @ yb))
+    quad = lq.hamiltonian(x, yb, P @ x + Sig @ yb, model)
     terms = {
         "dU_dt": float(dU), "laplacian_x": float(lap_x),
         "D2X_gaussian": float(d2X_gauss), "ek_sum": float(ek_sum),
@@ -146,26 +134,15 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
 def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                   y0: np.ndarray, grid: ric.TimeGrid) -> np.ndarray:
     """RK4 on dy/dt = (A + Abar - BRB (P + Sigma)) y, forward from y(0)."""
-    BRB = model.BRB()
+    AAbar, BRB = model.A + model.Abar, model.BRB()
 
-    def rhs(t, y):
-        ev = ric.eval_at(sol, t)
-        return (model.A + model.Abar - BRB @ (ev["P"] + ev["Sigma"])) @ y
+    def rhs(t, state):
+        PS = ric._interp(sol.P, sol.grid, t) + ric._interp(sol.Sigma, sol.grid, t)
+        return ((AAbar - BRB @ PS) @ state[0],)
 
-    h = grid.h
-    out = np.empty((grid.K + 1, model.n))
-    y = np.asarray(y0, dtype=float).reshape(model.n)
-    out[0] = y
-    t = 0.0
-    for k in range(grid.K):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = y
-        t += h
-    return out
+    y0 = np.asarray(y0, dtype=float).reshape(model.n)
+    nodes, _ = ric._integrate(rhs, (y0,), 0.0, grid.h, grid.K, lambda s: s)
+    return np.array([s[0] for s in nodes])
 
 
 def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
@@ -185,48 +162,28 @@ def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
         t_pts = np.asarray(time_panel(model.T))
     flow_grid = ric.TimeGrid(model.T, 2000)
     flow = mean_flow_ode(model, sol, y0, flow_grid)
-    A, Abar, Q, Qb, S = model.A, model.Abar, model.Q, model.Qbar, model.S
-    BRB = model.BRB()
-    s2 = model.sigma ** 2
-    x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-    if x_pts.shape[1] != model.n:
-        x_pts = x_pts.reshape(-1, model.n)
+    AAbar, BRB = model.A + model.Abar, model.BRB()
+    x_pts = np.asarray(x_pts, dtype=float).reshape(-1, model.n)
 
     worst = 0.0
     for t in t_pts:
         ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
         P, Sig = ev["P"], ev["Sigma"]
-        yb = _interp_flow(flow, flow_grid, t)
-        ydot = (A + Abar - BRB @ (P + Sig)) @ yb
-        res = np.empty(len(x_pts))
-        for i, x in enumerate(x_pts):
-            Du = P @ x + Sig @ yb
-            H = (0.5 * x @ (Q + Qb) @ x - x @ Qb @ S @ yb + 0.5 * yb @ S.T @ Qb @ S @ yb
-                 - 0.5 * Du @ BRB @ Du + Du @ (A @ x + Abar @ yb))
-            if sol.kind == "MFG":
-                Gam = ev["Gamma"]
-                du_dt = (0.5 * x @ dv["dP"] @ x + x @ (dv["dSigma"] @ yb + Sig @ ydot)
-                         + 0.5 * (yb @ dv["dGamma"] @ yb + 2.0 * yb @ Gam @ ydot)
-                         + dv["dmu"])
-                Au = -0.5 * s2 * np.trace(P)
-                res[i] = -du_dt + Au - H
-            else:
-                du_dt = 0.5 * x @ dv["dP"] @ x + x @ (dv["dSigma"] @ yb + Sig @ ydot)
-                Au = -0.5 * s2 * np.trace(P)
-                qbar = P @ yb + Sig @ yb   # int Du(xi) m(dxi) for the linear gradient
-                dHdm = float((-yb @ Qb @ S + yb @ S.T @ Qb @ S + qbar @ Abar) @ x)
-                res[i] = -du_dt + Au - H - dHdm
-        if sol.kind == "MFC":
+        yb = ric._interp(flow, flow_grid, t)
+        ydot = (AAbar - BRB @ (P + Sig)) @ yb
+        H = lq.hamiltonian(x_pts, yb, x_pts @ P.T + Sig @ yb, model)
+        du_dt = (0.5 * np.einsum("ij,jk,ik->i", x_pts, dv["dP"], x_pts)
+                 + x_pts @ (dv["dSigma"] @ yb + Sig @ ydot))
+        Au = -0.5 * model.sigma ** 2 * np.trace(P)
+        if sol.kind == "MFG":
+            du_dt += 0.5 * (yb @ dv["dGamma"] @ yb + 2.0 * yb @ ev["Gamma"] @ ydot) + dv["dmu"]
+            res = -du_dt + Au - H
+        else:
+            qbar = P @ yb + Sig @ yb   # int Du(xi) m(dxi) for the linear gradient
+            res = -du_dt + Au - H - x_pts @ lq.measure_term(yb, qbar, model)
             res = res - np.mean(res)   # x-independent offset not pinned for MFC
         worst = max(worst, float(np.max(np.abs(res))))
     return {"max_residual": worst}
-
-
-def _interp_flow(flow: np.ndarray, grid: ric.TimeGrid, t: float) -> np.ndarray:
-    s = min(t, grid.T) / grid.h
-    k = min(int(np.floor(s)), grid.K - 1)
-    w = s - k
-    return (1.0 - w) * flow[k] + w * flow[k + 1]
 
 
 def corrupt_P(sol: ric.RiccatiSolution, delta: float = 1e-3) -> ric.RiccatiSolution:

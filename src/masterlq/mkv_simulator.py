@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lq_model as lq
+from . import master_verifier as mv
 from . import riccati as ric
 
 STREAM_IDIOSYNCRATIC = 0
@@ -201,7 +202,6 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
     def times_t(a, M):
         return np.dot(a, np.ascontiguousarray(M.T)) if N > 1 else a @ M.T
 
-    S, Qb, Q, R = model.S, model.Qbar, model.Q, model.R
     RB = None if policy.kind == "CUSTOM_LINEAR" else model.Rinv_Bt()
     bufs = [np.empty((N, n)), np.empty((N, n))] if model.sigma > 0.0 else [None, None]
     prefetch = model.sigma > 0.0 and N * n >= PREFETCH_MIN_DRAWS and _prefetch_allowed()
@@ -218,11 +218,7 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
             K1, K2 = policy.gains(t, RB)
             v = times_t(x, K1)
             v += yb @ K2.T
-            # left-endpoint running cost
-            e = x - yb @ S.T
-            f = 0.5 * (np.einsum("ij,jk,ik->i", x, Q, x)
-                       + np.einsum("ij,jk,ik->i", v, R, v)
-                       + np.einsum("ij,jk,ik->i", e, Qb, e))
+            f = lq.running_cost(x, yb, v, model)   # left-endpoint rule
             run += f * dt
             run_partial[k + 1] = run_partial[k] + float(np.mean(f)) * dt
 
@@ -255,23 +251,11 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
 
 def estimate_cost(model: lq.LQModelSpec, traj: Trajectory) -> dict:
     """Empirical cost J_hat = mean(total per-particle cost), with stderr."""
-    x, yb = traj.final_states, traj.ybar[-1]
-    e = x - yb @ model.ST.T
-    h = 0.5 * (np.einsum("ij,jk,ik->i", x, model.QT, x)
-               + np.einsum("ij,jk,ik->i", e, model.QbarT, e))
+    h = lq.terminal_cost(traj.final_states, traj.ybar[-1], model)
     total = traj.running_cost + h
     N = total.size
     stderr = float(np.std(total, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
     return {"J_hat": float(np.mean(total)), "stderr": stderr}
-
-
-def eval_value_mfc(sol: ric.RiccatiSolution, X: np.ndarray, t: float) -> float:
-    """V(X, t) with empirical expectations, from the MFC Riccati solution."""
-    ev = ric.eval_at(sol, t)
-    X = np.atleast_2d(X)
-    yb = X.mean(axis=0)
-    quad = float(np.mean(np.einsum("ij,jk,ik->i", X, ev["P"], X)))
-    return 0.5 * quad + 0.5 * float(yb @ ev["Sigma"] @ yb) + ev["lam"]
 
 
 def check_cost_matches_value(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
@@ -302,7 +286,7 @@ def check_cost_matches_value(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     R = len(Js)
     scatter = float(np.std(Js, ddof=1)) / np.sqrt(R) if R > 1 else 0.0
     stderr = float(np.hypot(np.mean(errs) / np.sqrt(R), scatter))
-    V = eval_value_mfc(sol, X0.states, 0.0)
+    V = mv.eval_value(sol, X0.states, 0.0)
     tol = 3.0 * stderr + dt_const * cfg.dt(model.T)
     gap = abs(J_hat - V)
     return {"J_hat": J_hat, "stderr": stderr, "V_reference": V,
@@ -332,17 +316,6 @@ def check_optimality_gap(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     return {"J_optimal": base["J_hat"], "stderr": base["stderr"], "gaps": gaps,
             "quadratic_coefficient": quad_coef,
             "all_nonnegative": monotone, "pass": monotone and quad_coef > 0.0}
-
-
-def _dXL(model: lq.LQModelSpec, x: np.ndarray, yb: np.ndarray,
-         Z: np.ndarray, Zbar: np.ndarray) -> np.ndarray:
-    """Lagrangian gradient for the LQ data, per particle:
-
-    (Q+Qbar)x - Qbar S ybar + (S*Qbar S - S*Qbar) ybar + A*Z + Abar* E Z.
-    """
-    S, Qb = model.S, model.Qbar
-    ymix = (-Qb @ S + S.T @ Qb @ S - S.T @ Qb) @ yb
-    return x @ (model.Q + Qb).T + ymix + Z @ model.A + Zbar @ model.Abar
 
 
 def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
@@ -379,7 +352,9 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     stats = []
     for k in range(cfg.steps):
         dZ = Z[k + 1] - Z[k]
-        g = _dXL(model, traj.states_history[k], traj.ybar[k], Z[k], Z[k].mean(axis=0))
+        # D_X L = D_x H(x, ybar, Z) + the measure term at (ybar, E Z)
+        g = (lq.dx_hamiltonian(traj.states_history[k], traj.ybar[k], Z[k], model)
+             + lq.measure_term(traj.ybar[k], Z[k].mean(axis=0), model))
         resid = dZ + dt * g
         if mode == "stochastic" and model.sigma > 0.0:
             dw = sdt * _normals(cfg.seed, STREAM_IDIOSYNCRATIC, k, traj.states_history[k].shape)

@@ -97,9 +97,9 @@ def rk4_backward(rhs, terminal: np.ndarray, grid: TimeGrid, post_step=None) -> n
     so a non-finite value or one beyond BLOWUP_THRESHOLD raises.
     """
     step = (lambda s: (post_step(s[0]),)) if post_step is not None else (lambda s: s)
-    nodes, _ = _integrate(lambda t, s: (rhs(t, s[0]),),
-                          (np.asarray(terminal, dtype=float),), grid, step)
-    return np.array([s[0] for s in nodes])
+    nodes, _ = _integrate(lambda t, s: (rhs(t, s[0]),), (np.asarray(terminal, dtype=float),),
+                          grid.T, -grid.h, grid.K, step)
+    return np.array([s[0] for s in reversed(nodes)])
 
 
 def _mfc_rhs(model: LQModelSpec):
@@ -148,30 +148,33 @@ def _mfg_rhs(model: LQModelSpec):
     return rhs
 
 
-def _integrate(rhs, state, grid: TimeGrid, symmetrize):
-    """RK4 over a tuple-valued state with per-step symmetrization and
-    blow-up detection.  Also records the rhs at every node; the rhs at a
-    node is the next step's first stage, so a solve makes 4K + 1 calls."""
-    K, h = grid.K, grid.h
+def _integrate(rhs, state, t0: float, h: float, K: int, symmetrize):
+    """K classical RK4 steps of signed size h from (t0, state), over a
+    tuple-valued state, with per-step symmetrization and blow-up detection.
+
+    The steps run forward from t = 0 (h > 0) or backward from t = K|h|
+    (h < 0); a NumericalFailure names the grid node, counted from t = 0.
+    Returns the nodes and the rhs at each node, in step order.  The rhs at
+    a node is the next step's first stage, so K steps make 4K + 1 calls.
+    """
     nodes = [state]
-    derivs = [rhs(grid.T, state)]
-    t = grid.T
-    for k in range(K, 0, -1):
+    derivs = [rhs(t0, state)]
+    t = t0
+    for k in range(K):
         k1 = derivs[-1]
-        k2 = rhs(t - 0.5 * h, _axpy(state, k1, -0.5 * h))
-        k3 = rhs(t - 0.5 * h, _axpy(state, k2, -0.5 * h))
-        k4 = rhs(t - h, _axpy(state, k3, -h))
-        state = symmetrize(tuple(s + (-h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        k2 = rhs(t + 0.5 * h, _axpy(state, k1, 0.5 * h))
+        k3 = rhs(t + 0.5 * h, _axpy(state, k2, 0.5 * h))
+        k4 = rhs(t + h, _axpy(state, k3, h))
+        state = symmetrize(tuple(s + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
                                  for s, c1, c2, c3, c4 in zip(state, k1, k2, k3, k4)))
-        t -= h
+        t += h
         for comp in state:
             m = np.abs(comp).max()
             if not m <= BLOWUP_THRESHOLD:    # NaN compares false
-                raise NumericalFailure(k - 1) if not np.isfinite(m) else RiccatiBlowUp(t)
+                node = k + 1 if h > 0 else K - 1 - k
+                raise NumericalFailure(node) if not np.isfinite(m) else RiccatiBlowUp(t)
         nodes.append(state)
         derivs.append(rhs(t, state))
-    nodes.reverse()
-    derivs.reverse()
     return nodes, derivs
 
 
@@ -189,7 +192,9 @@ def solve_mfc(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
     def symmetrize(s):
         return (_sym(s[0]), _sym(s[1]), s[2])
 
-    nodes, derivs = _integrate(_mfc_rhs(model), state, grid, symmetrize)
+    nodes, derivs = _integrate(_mfc_rhs(model), state, grid.T, -grid.h, grid.K, symmetrize)
+    nodes.reverse()
+    derivs.reverse()
     return RiccatiSolution(
         kind="MFC", grid=grid,
         P=np.array([s[0] for s in nodes]),
@@ -209,7 +214,9 @@ def solve_mfg(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
         # only P; MFG Sigma asymmetry is a feature, not roundoff
         return (_sym(s[0]), s[1], s[2], s[3])
 
-    nodes, derivs = _integrate(_mfg_rhs(model), state, grid, symmetrize)
+    nodes, derivs = _integrate(_mfg_rhs(model), state, grid.T, -grid.h, grid.K, symmetrize)
+    nodes.reverse()
+    derivs.reverse()
     return RiccatiSolution(
         kind="MFG", grid=grid,
         P=np.array([s[0] for s in nodes]),

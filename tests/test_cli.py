@@ -58,6 +58,29 @@ def test_riccati_non_finite_writes_json_exit_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.strip().splitlines() == ["riccati: non-finite value at node 49"]
 
 
+@pytest.mark.parametrize("command,artifact", [
+    (("riccati",), "riccati_mfc.json"),
+    (("simulate", "--particles", "200"), "simulate.json"),
+    (("verify", "--suite", "master"), "verify_master.json"),
+    (("verify", "--suite", "mp", "--particles", "200"), "verify_mp.json"),
+    (("verify", "--suite", "optimality", "--particles", "200"), "verify_optimality.json"),
+], ids=["riccati", "simulate", "master", "mp", "optimality"])
+def test_blowup_writes_failure_artifact_exit_2(tmp_path, capsys, command, artifact):
+    # Q = -4 drives P to a finite escape near t = 5 - pi/4 = 4.21
+    bad = tmp_path / "escape.json"
+    bad.write_text(json.dumps({"n": 1, "d": 1, "T": 5.0, "B": 1.0, "Q": -4.0, "R": 1.0,
+                               "sigma": 0.5}))
+    code, out = run(tmp_path, *command, "--model", str(bad), "--steps", "400")
+    assert code == 2
+    rep = json.loads((out / artifact).read_text())
+    assert rep["manifest"]["command"] == command[0]
+    assert rep["error"].startswith("Riccati solution exceeds 1e+12 near t = ")
+    assert rep["blowup"]["escape_time"] == pytest.approx(5 - np.pi / 4, abs=0.05)
+    assert set(rep) == {"manifest", "error", "blowup"}
+    assert capsys.readouterr().err.strip().splitlines() == [f"{command[0]}: {rep['error']}"]
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])
 def test_riccati_bad_horizon_exit_1(tmp_path, capsys, T):
     bad = tmp_path / "badT.json"
@@ -111,6 +134,29 @@ def test_simulate_byte_identical(tmp_path):
     assert main(argv + [f"--out={b}"]) == 0
     for name in ("simulate.json", "trajectory.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_simulate_byte_identical_across_threads(tmp_path, monkeypatch):
+    # N n = 16384 draws per step reaches PREFETCH_MIN_DRAWS, so unless
+    # MASTERLQ_THREADS=1 the draws run on the worker thread.
+    import masterlq.mkv_simulator as mk
+    assert 16384 >= mk.PREFETCH_MIN_DRAWS
+    pools = []
+    orig = mk.ThreadPoolExecutor
+    monkeypatch.setattr(mk, "ThreadPoolExecutor", lambda *a: pools.append(1) or orig(*a))
+    argv = ["simulate", "--model", LQR, "--particles", "16384", "--steps", "20", "--seed", "2"]
+    outs = {}
+    for threads in (None, "1", "2"):
+        if threads is None:
+            monkeypatch.delenv("MASTERLQ_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MASTERLQ_THREADS", threads)
+        outs[threads] = tmp_path / f"threads_{threads}"
+        assert main(argv + [f"--out={outs[threads]}"]) == 0
+    assert len(pools) == 2      # unset and 2 use the worker, 1 draws inline
+    for name in ("simulate.json", "trajectory.csv"):
+        first = (outs[None] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs.values())
 
 
 def test_simulate_zero_particles_exit_1(tmp_path):
@@ -279,6 +325,29 @@ def test_hjbfp_malformed_grid_exit_1(tmp_path, capsys, grid):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: --grid expects xmin,xmax,Nx,Nt (got {grid!r})"]
+    assert not (out / "hjbfp.json").exists()
+
+
+@pytest.mark.parametrize("grid", ["nan,3,40,50", "-3,inf,40,50", "3,-3,40,50"])
+def test_hjbfp_bad_grid_bound_exit_1(tmp_path, capsys, grid):
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, f"--grid={grid}")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: grid bounds must be finite with x_min < x_max, got ")
+    assert not (out / "hjbfp.json").exists()
+
+
+@pytest.mark.parametrize("option,value", [("--m0-std", "0"), ("--m0-std", "-1"),
+                                          ("--m0-std", "nan"), ("--m0-std", "inf"),
+                                          ("--m0-mean", "nan"), ("--m0-mean", "inf")])
+def test_hjbfp_bad_initial_density_exit_1(tmp_path, capsys, option, value):
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, "--grid=-3,3,40,50",
+                    f"{option}={value}")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    what = "std must be finite and > 0" if option == "--m0-std" else "mean must be finite"
+    assert len(err) == 1 and err[0].startswith(f"error: initial density {what}, got ")
     assert not (out / "hjbfp.json").exists()
 
 

@@ -40,6 +40,20 @@ def test_grid_rejects_tiny():
         SpaceGrid1D(-1.0, 1.0, 8)
 
 
+@pytest.mark.parametrize("bounds", [(np.nan, 3.0), (-3.0, np.nan), (-3.0, np.inf),
+                                    (-np.inf, 3.0), (3.0, 3.0), (3.0, -3.0)])
+def test_grid_rejects_bad_bounds(bounds):
+    with pytest.raises(ValueError, match="grid bounds must be finite with x_min < x_max"):
+        SpaceGrid1D(*bounds, 40)
+
+
+@pytest.mark.parametrize("mean,std", [(np.nan, 0.5), (np.inf, 0.5), (0.0, 0.0),
+                                      (0.0, -1.0), (0.0, np.nan), (0.0, np.inf)])
+def test_gaussian_density_rejects_bad_parameters(grid, mean, std):
+    with pytest.raises(ValueError, match="initial density"):
+        gaussian_density(grid, mean, std)
+
+
 def test_gaussian_density_normalized(grid):
     m0 = gaussian_density(grid, 0.5, 0.7)
     assert np.sum(m0) * grid.dx == pytest.approx(1.0, abs=1e-12)

@@ -198,3 +198,70 @@ def test_load_model_round_trip(tmp_path):
     assert m.n == 2 and m.T == 0.7 and m.sigma == 0.4
     assert np.allclose(m.A, doc["A"])
     assert np.allclose(m.R, 2.0 * np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# row kernels: N rows at once agree with the kernel at each point
+
+SCALAR_COUPLED = scalar_model(A=0.2, Abar=0.3, B=1.5, Q=1.0, Qbar=0.5, S=0.4, R=2.0,
+                              QT=0.5, QbarT=0.3, ST=0.2)
+
+
+def _model_n3_d2():
+    rng = np.random.default_rng(7)
+    sym = lambda M: M @ M.T / 3
+    return LQModelSpec(n=3, d=2, T=1.0, A=rng.normal(size=(3, 3)), Abar=rng.normal(size=(3, 3)),
+                       B=rng.normal(size=(3, 2)), Q=sym(rng.normal(size=(3, 3))),
+                       Qbar=sym(rng.normal(size=(3, 3))), S=rng.normal(size=(3, 3)),
+                       R=np.array([[1.0, 0.2], [0.2, 0.8]]), QT=sym(rng.normal(size=(3, 3))),
+                       QbarT=sym(rng.normal(size=(3, 3))), ST=rng.normal(size=(3, 3)))
+
+ROW_KERNELS = {
+    "hamiltonian": lambda x, y, q, v, m: hamiltonian(x, y, q, m),
+    "optimal_feedback": lambda x, y, q, v, m: optimal_feedback(x, y, q, m),
+    "drift_G": lambda x, y, q, v, m: drift_G(x, y, q, m),
+    "dx_hamiltonian": lambda x, y, q, v, m: lq_model.dx_hamiltonian(x, y, q, m),
+    "measure_term": lambda x, y, q, v, m: lq_model.measure_term(y, q, m),
+    "running_cost": lambda x, y, q, v, m: running_cost(x, y, v, m),
+    "terminal_cost": lambda x, y, q, v, m: terminal_cost(x, y, m),
+}
+SCALAR_KERNELS = ("hamiltonian", "running_cost", "terminal_cost")
+
+
+@pytest.mark.parametrize("shared_mean", [True, False], ids=["mean", "mean_per_row"])
+@pytest.mark.parametrize("model", [SCALAR_COUPLED, make_coupled_2x2(), _model_n3_d2()],
+                         ids=["scalar", "coupled_2x2", "n3_d2"])
+@pytest.mark.parametrize("name", list(ROW_KERNELS))
+def test_row_kernel_equals_pointwise(name, model, shared_mean):
+    rng = np.random.default_rng(3)
+    N, n = 17, model.n
+    x, q, v = rng.normal(size=(N, n)), rng.normal(size=(N, n)), rng.normal(size=(N, model.d))
+    y = rng.normal(size=n) if shared_mean else rng.normal(size=(N, n))
+    kernel = ROW_KERNELS[name]
+    rows = kernel(x, y, q, v, model)
+    width = model.d if name == "optimal_feedback" else n
+    assert rows.shape == ((N,) if name in SCALAR_KERNELS else (N, width))
+    for i in range(N):
+        point = kernel(x[i], y if shared_mean else y[i], q[i], v[i], model)
+        assert isinstance(point, float) == (name in SCALAR_KERNELS)
+        assert np.shape(point) == rows[i].shape
+        assert np.allclose(rows[i], point, rtol=1e-13, atol=1e-13)
+
+
+def test_row_kernels_match_closed_forms():
+    m = make_coupled_2x2()
+    rng = np.random.default_rng(4)
+    x, y, q, v = rng.normal(size=(4, 2))
+    BRB = m.B @ np.linalg.solve(m.R, m.B.T)
+    e, eT = x - m.S @ y, x - m.ST @ y
+    f = 0.5 * (x @ m.Q @ x + v @ m.R @ v + e @ m.Qbar @ e)
+    H = (0.5 * x @ (m.Q + m.Qbar) @ x - x @ m.Qbar @ m.S @ y
+         + 0.5 * y @ m.S.T @ m.Qbar @ m.S @ y - 0.5 * q @ BRB @ q + q @ (m.A @ x + m.Abar @ y))
+    assert running_cost(x, y, v, m) == pytest.approx(f, rel=1e-13)
+    assert terminal_cost(x, y, m) == pytest.approx(0.5 * (x @ m.QT @ x + eT @ m.QbarT @ eT),
+                                                   rel=1e-13)
+    assert hamiltonian(x, y, q, m) == pytest.approx(H, rel=1e-13)
+    assert np.allclose(lq_model.dx_hamiltonian(x, y, q, m),
+                       (m.Q + m.Qbar) @ x - m.Qbar @ m.S @ y + m.A.T @ q, rtol=1e-13)
+    assert np.allclose(lq_model.measure_term(y, q, m),
+                       (m.S.T @ m.Qbar @ m.S - m.S.T @ m.Qbar) @ y + m.Abar.T @ q, rtol=1e-13)

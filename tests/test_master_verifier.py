@@ -206,3 +206,109 @@ def test_state_panel_reproducible():
     b = seeded_state_panel(2, 16, 9)
     assert np.array_equal(a, b)
     assert a.shape == (16, 2)
+
+
+# ---------------------------------------------------------------------------
+# bitwise against the formulation that wrote each LQ form out in place
+
+def _ref_mean_flow_ode(model, sol, y0, grid):
+    """Mean-flow RK4 with its own loop and the full eval_at per stage."""
+    BRB = model.BRB()
+
+    def rhs(t, y):
+        ev = riccati.eval_at(sol, t)
+        return (model.A + model.Abar - BRB @ (ev["P"] + ev["Sigma"])) @ y
+
+    h = grid.h
+    out = np.empty((grid.K + 1, model.n))
+    y = np.asarray(y0, dtype=float).reshape(model.n)
+    out[0] = y
+    t = 0.0
+    for k in range(grid.K):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[k + 1] = y
+        t += h
+    return out
+
+
+def _ref_residual_terms(model, sol, X, t):
+    ev, dv = riccati.eval_at(sol, t), riccati.deriv_at(sol, t)
+    P, Sig = ev["P"], ev["Sigma"]
+    A, Abar, Q, Qb, S = model.A, model.Abar, model.Q, model.Qbar, model.S
+    BRB = model.BRB()
+    X = np.atleast_2d(X)
+    yb = X.mean(axis=0)
+    U = X @ P.T + yb @ Sig.T
+    G = X @ A.T + yb @ Abar.T - U @ BRB.T
+    DU_G = G @ P.T + G.mean(axis=0) @ Sig.T
+    DxH = X @ (Q + Qb).T - yb @ (Qb @ S).T + U @ A
+    copy = yb @ (-S.T @ Qb + S.T @ Qb @ S).T + U.mean(axis=0) @ Abar
+    dU = X @ dv["dP"].T + yb @ dv["dSigma"].T
+    return dU, DU_G, DxH, copy
+
+
+def _ref_residual_master_mfc(model, sol, X, t):
+    dU, DU_G, DxH, copy = _ref_residual_terms(model, sol, X, t)
+    second = np.zeros_like(dU)
+    resid = dU + second + DU_G + DxH + copy
+    return {
+        "residual_norm": float(np.max(np.linalg.norm(resid, axis=1))),
+        "term_breakdown": {
+            "dU_dt": float(np.max(np.abs(dU))),
+            "second_derivative_terms": float(np.max(np.abs(second))),
+            "DU_times_G": float(np.max(np.abs(DU_G))),
+            "Dx_H": float(np.max(np.abs(DxH))),
+            "measure_copy_term": float(np.max(np.abs(copy))),
+        },
+    }
+
+
+def _ref_residual_master_mfg_gradient(model, sol, X, t):
+    dU, DU_G, DxH, _ = _ref_residual_terms(model, sol, X, t)
+    resid = dU + DU_G + DxH
+    return {
+        "residual_norm": float(np.max(np.linalg.norm(resid, axis=1))),
+        "symmetry_violation": float(np.max(np.abs(sol.Sigma - np.swapaxes(sol.Sigma, 1, 2)))),
+    }
+
+
+@pytest.mark.parametrize("K", [50, 2000])
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+@pytest.mark.parametrize("name", ["crowd_mfg", "scalar_coupled", "coupled_2x2"])
+def test_mean_flow_ode_bitwise_equal_reference(request, name, kind, K):
+    m = request.getfixturevalue(name)
+    solve = riccati.solve_mfc if kind == "mfc" else riccati.solve_mfg
+    sol = solve(m, riccati.TimeGrid(m.T, 400))
+    y0 = np.linspace(1.0, -0.5, m.n)
+    grid = riccati.TimeGrid(m.T, K)
+    assert np.array_equal(mean_flow_ode(m, sol, y0, grid), _ref_mean_flow_ode(m, sol, y0, grid))
+
+
+def _dense_3x3():
+    """Dense n = 3 data, so that regrouping any product changes its bits."""
+    rng = np.random.default_rng(11)
+    small = lambda: 0.3 * rng.normal(size=(3, 3))
+    psd = lambda: (lambda G: G @ G.T / 3)(rng.normal(size=(3, 3)))
+    return lq_model.LQModelSpec(n=3, d=3, T=1.0, A=small(), Abar=small(), B=np.eye(3) + small(),
+                                Q=psd() + np.eye(3), Qbar=psd(), S=small(), R=psd() + np.eye(3),
+                                QT=psd(), QbarT=psd(), ST=small(), sigma=0.3, beta=0.1)
+
+
+@pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "asymmetric_2x2", "dense_3x3"])
+def test_master_residuals_equal_reference(request, name):
+    m = _dense_3x3() if name == "dense_3x3" else request.getfixturevalue(name)
+    grid = riccati.TimeGrid(m.T, 500)
+    mfc, mfg = riccati.solve_mfc(m, grid), riccati.solve_mfg(m, grid)
+    X = seeded_state_panel(m.n, 64, 8)
+    for t in time_panel(m.T):
+        yb, U, DU_G, DxH, dU = mv._linear_field_terms(m, mfc, X, t)
+        terms = (dU, DU_G, DxH, lq_model.measure_term(yb, U.mean(axis=0), m))
+        for got, ref in zip(terms, _ref_residual_terms(m, mfc, X, t)):
+            assert np.array_equal(got, ref)
+        assert residual_master_mfc(m, mfc, X, t) == _ref_residual_master_mfc(m, mfc, X, t)
+        assert (residual_master_mfg_gradient(m, mfg, X, t)
+                == _ref_residual_master_mfg_gradient(m, mfg, X, t))

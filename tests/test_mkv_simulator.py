@@ -8,12 +8,12 @@ import threading
 import numpy as np
 import pytest
 
-from masterlq import lq_model, mkv_simulator as mkv, riccati
+from masterlq import lq_model, master_verifier as mv, mkv_simulator as mkv, riccati
 from masterlq.lq_model import scalar_model
 from masterlq.mkv_simulator import (ParticleEnsemble, SimConfig,
                                     check_cost_matches_value,
                                     check_max_principle, check_optimality_gap,
-                                    estimate_cost, eval_value_mfc,
+                                    estimate_cost,
                                     gaussian_ensemble, optimal_policy,
                                     simulate, trajectory_to_csv,
                                     uniform_ensemble, zero_policy)
@@ -149,7 +149,7 @@ def test_cost_matches_value_coupled(scalar_coupled, sol_coupled_mfc):
 
 def test_value_terminal_slice(scalar_coupled, sol_coupled_mfc):
     X0 = gaussian_ensemble(5000, 1, seed=12, mean=0.4)
-    V = eval_value_mfc(sol_coupled_mfc, X0.states, scalar_coupled.T)
+    V = mv.eval_value(sol_coupled_mfc, X0.states, scalar_coupled.T)
     yb = X0.states.mean(axis=0)
     h = np.mean([lq_model.terminal_cost(x, yb, scalar_coupled) for x in X0.states])
     assert V == pytest.approx(h, abs=1e-10)
@@ -441,3 +441,82 @@ def test_dot_contiguous_transpose_equals_matmul(N, n):
     for d in sorted({1, 2, n}):
         M = rng.standard_normal((d, n))
         assert np.array_equal(np.dot(x, np.ascontiguousarray(M.T)), x @ M.T)
+
+
+# ---------------------------------------------------------------------------
+# cost and co-state checks against their in-place formulations
+
+def _ref_estimate_cost(model, traj):
+    x, yb = traj.final_states, traj.ybar[-1]
+    e = x - yb @ model.ST.T
+    h = 0.5 * (np.einsum("ij,jk,ik->i", x, model.QT, x)
+               + np.einsum("ij,jk,ik->i", e, model.QbarT, e))
+    total = traj.running_cost + h
+    N = total.size
+    stderr = float(np.std(total, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+    return {"J_hat": float(np.mean(total)), "stderr": stderr}
+
+
+def _ref_max_principle(model, sol, X0, cfg, mode):
+    """The co-state residual with the Lagrangian gradient written out."""
+    model = dataclasses.replace(model, sigma=model.sigma if mode == "stochastic" else 0.0,
+                                beta=0.0)
+    cfg = SimConfig(steps=cfg.steps, seed=cfg.seed, store_states=True)
+    traj = simulate(model, optimal_policy(sol), X0, cfg)
+    dt = cfg.dt(model.T)
+    S, Qb = model.S, model.Qbar
+    Z = np.empty_like(traj.states_history)
+    for k, t in enumerate(traj.times):
+        ev = riccati.eval_at(sol, t)
+        Z[k] = traj.states_history[k] @ ev["P"].T + traj.ybar[k] @ ev["Sigma"].T
+    worst, stats = 0.0, []
+    for k in range(cfg.steps):
+        x, yb = traj.states_history[k], traj.ybar[k]
+        ymix = (-Qb @ S + S.T @ Qb @ S - S.T @ Qb) @ yb
+        g = x @ (model.Q + Qb).T + ymix + Z[k] @ model.A + Z[k].mean(axis=0) @ model.Abar
+        resid = Z[k + 1] - Z[k] + dt * g
+        if mode == "stochastic":
+            dw = np.sqrt(dt) * mkv._normals(cfg.seed, mkv.STREAM_IDIOSYNCRATIC, k, x.shape)
+            ev = riccati.eval_at(sol, traj.times[k])
+            resid = resid - model.sigma * (dw @ ev["P"].T + dw.mean(axis=0) @ ev["Sigma"].T)
+            stats.append(float(np.mean(np.sum(resid ** 2, axis=1))))
+        else:
+            worst = max(worst, float(np.max(np.abs(resid))) / dt)
+    ST, QbT = model.ST, model.QbarT
+    DXh = (traj.final_states @ (model.QT + QbT).T
+           + traj.ybar[-1] @ (ST.T @ QbT @ ST - ST.T @ QbT - QbT @ ST).T)
+    out = {"terminal_gap": float(np.max(np.abs(Z[-1] - DXh)))}
+    if mode == "stochastic":
+        out["mean_sq_residual"] = float(np.max(stats))
+    else:
+        out["residual"], out["C"] = worst, worst / dt
+    return out
+
+
+@pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "n3_d2"])
+def test_estimate_cost_equals_reference(name):
+    model, mfc, mfg = _solved(name)
+    for sol in (mfc, mfg):
+        traj = simulate(model, optimal_policy(sol), gaussian_ensemble(300, model.n, seed=5),
+                        SimConfig(steps=40, seed=5))
+        assert estimate_cost(model, traj) == _ref_estimate_cost(model, traj)
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+@pytest.mark.parametrize("name,N,steps,seed", [
+    ("scalar_coupled", 400, 200, 6), ("coupled_2x2", 400, 200, 6), ("n3_d2", 400, 200, 6),
+    ("scalar_coupled", 2000, 1000, 1),    # `verify --suite mp` on scalar_coupled, seed 1
+])
+def test_max_principle_equals_reference(name, N, steps, seed, mode):
+    model = SIM_MODELS[name]()
+    mfc = riccati.solve_mfc(model, riccati.TimeGrid(model.T, steps))
+    X0, cfg = gaussian_ensemble(N, model.n, seed=seed), SimConfig(steps=steps, seed=seed)
+    got = check_max_principle(model, mfc, X0, cfg, mode=mode)
+    ref = _ref_max_principle(model, mfc, X0, cfg, mode)
+    assert got["terminal_gap"] == ref["terminal_gap"]
+    # D_X L is summed in another order, so each step's residual may move by
+    # a few ulps of D_X L's O(1) terms: 1e-15 absolute per unit of dt.
+    dt = cfg.dt(model.T)
+    floor = {"residual": 1e-15, "C": 1e-15 / dt, "mean_sq_residual": 0.0}
+    for key in ref.keys() - {"terminal_gap"}:
+        assert got[key] == pytest.approx(ref[key], rel=1e-10, abs=floor[key]), key
