@@ -4,7 +4,8 @@ Subcommands: riccati, simulate, verify, hjbfp.  Every run writes a JSON
 summary embedding the full manifest; identical manifests produce
 byte-identical artifacts.  Exit codes: 0 success, 1 bad input, 2 numerical
 failure (Riccati blow-up or non-finite value, CFL, non-finite PDE slice),
-3 at least one check failed or the Picard iteration did not converge.
+3 at least one check failed (for hjbfp: the LQ cross-validation exceeds
+the manifest's pde_diff) or the HJB-FP iteration did not converge.
 """
 
 from __future__ import annotations
@@ -71,11 +72,14 @@ def _load_model(args) -> lq.LQModelSpec:
 
 
 def _manifest(args, command: str) -> RunManifest:
+    tolerances = {"check_rel": 1e-8, "cost_dt_const": 10.0}
+    if command == "hjbfp":
+        tolerances["pde_diff"] = 1e-2   # bound on sup_diff and mean_flow_diff
     return RunManifest(
         command=command, model=args.model, seed=args.seed,
         steps=args.steps, particles=args.particles, grid=args.grid,
         suite=getattr(args, "suite", None), kind=args.kind,
-        tolerances={"check_rel": 1e-8, "cost_dt_const": 10.0},
+        tolerances=tolerances,
     )
 
 
@@ -267,13 +271,21 @@ def cmd_hjbfp(args) -> int:
         print(f"hjbfp: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    payload = {"manifest": asdict(man), "converged": True, "iterations": fields.iterations}
+    payload = {"manifest": asdict(man), "converged": True,
+               "iterations": fields.iterations, "history": fields.history}
+    ok = True
     if model is not None:
         rgrid = ric.TimeGrid(model.T, max(Nt, 1000))
         sol = ric.solve_mfc(model, rgrid) if kind == "MFC" else ric.solve_mfg(model, rgrid)
-        payload["cross_validation"] = hj.cross_validate_lq(model, sol, fields)
+        cv = payload["cross_validation"] = hj.cross_validate_lq(model, sol, fields)
+        tol = man.tolerances["pde_diff"]
+        ok = payload["pass"] = all(cv[k] <= tol for k in ("sup_diff", "mean_flow_diff"))
     _dump_slices(fields, os.path.join(args.out, "hjbfp_fields.csv"))
     _write_json(path, payload)
+    if not ok:
+        print(f"hjbfp: cross-validation sup_diff = {cv['sup_diff']:.3e}, mean_flow_diff = "
+              f"{cv['mean_flow_diff']:.3e}, bound pde_diff = {tol:g}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -319,9 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("hjbfp", help="1D HJB-FP Picard solve + LQ cross-validation")
+    sp = sub.add_parser("hjbfp", help="1D HJB-FP fixed-point solve + LQ cross-validation")
     common(sp)
-    sp.add_argument("--damping", type=float, default=0.5)
+    sp.add_argument("--damping", type=float, default=0.5,
+                    help="Anderson mixing parameter in (0, 1]")
     sp.add_argument("--m0-mean", type=float, default=1.0)
     sp.add_argument("--m0-std", type=float, default=0.5)
     sp.set_defaults(func=cmd_hjbfp)

@@ -2,7 +2,8 @@
 
 Backward HJB (value u) and forward FP (density m) on a truncated interval,
 coupled through the first moment of m (the only measure statistic the LQ
-data sees) and solved by damped Picard iteration:
+data sees) and, for MFC, the mean gradient E[u_x] of the measure term; the
+fixed point is found by Anderson-accelerated iteration on those paths:
 
     -du/dt - (sigma^2/2) u_xx = H(x, ybar, u_x)   [+ measure term, MFC]
      dm/dt - (sigma^2/2) m_xx + (G m)_x = 0
@@ -15,6 +16,7 @@ differences for u.  Each density slice is renormalized to unit mass.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from . import lq_model as lq
 from . import riccati as ric
 from . import master_verifier as mv
+
+ANDERSON_DEPTH = 5     # Anderson history depth of picard_solve
 
 
 class CFLViolation(RuntimeError):
@@ -243,23 +247,25 @@ def solve_fp_forward(drift_fn, sigma: float, m0: np.ndarray,
     return m
 
 
-def solve_hjb_backward(m: np.ndarray, prob: Problem1D, grid: SpaceGrid1D,
-                       tgrid: ric.TimeGrid, mfc_extra: bool = False,
+def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid1D,
+                       tgrid: ric.TimeGrid, qbar: np.ndarray | None = None,
                        terminal_override: np.ndarray | None = None) -> np.ndarray:
-    """Backward HJB sweep given the full density array m[(Nt+1), Nx].
+    """Backward HJB sweep given the mean path ybar[0..K] (read only when the
+    problem uses the mean) and, for the MFC measure term, the path
+    qbar[0..K-1] of the mean gradient E[D_x u].
     Raises CFLViolation (Courant > 1) or NumericalFailure (non-finite value)."""
-    if mfc_extra and prob.dHdm_coeff is None:
+    if qbar is not None and prob.dHdm_coeff is None:
         raise ValueError("MFC variant needs the closed-form measure term")
     x, dx, dt = grid.nodes(), grid.dx, tgrid.h
     nu = 0.5 * prob.sigma ** 2
     # boundary rows carry u_xx = 0 (linear extrapolation)
     lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, grid.Nx, neumann=False))
-    u = np.empty_like(m)
-    yT = first_moment(m[-1], x, dx) if prob.uses_mean else 0.0
+    u = np.empty((tgrid.K + 1, grid.Nx))
+    yT = float(ybar[tgrid.K]) if prob.uses_mean else 0.0
     u[-1] = terminal_override if terminal_override is not None else prob.terminal(x, yT)
     fwd, q_c, q = np.empty(grid.Nx - 1), np.empty(grid.Nx), np.empty(grid.Nx)
     for k in range(tgrid.K - 1, -1, -1):
-        yb = first_moment(m[k], x, dx) if prob.uses_mean else 0.0
+        yb = float(ybar[k]) if prob.uses_mean else 0.0
         _differences(u[k + 1], dx, fwd, q_c)
         vel = prob.drift(x, yb, q_c)
         _check_cfl(vel, dt, dx, k)
@@ -268,9 +274,8 @@ def solve_hjb_backward(m: np.ndarray, prob: Problem1D, grid: SpaceGrid1D,
         q[1:-1] = np.where(vel[1:-1] > 0.0, fwd[:-1], fwd[1:])
         q[-1] = fwd[-1]
         H = prob.hamiltonian(x, yb, q)
-        if mfc_extra:
-            qbar = float((q_c * m[k]).sum() * dx)
-            H = H + prob.dHdm_coeff(yb, qbar) * x
+        if qbar is not None:
+            H = H + prob.dHdm_coeff(yb, float(qbar[k])) * x
         nxt = u[k]
         np.add(u[k + 1], dt * H, out=nxt)
         dgttrs(*lu, nxt, overwrite_b=1)
@@ -279,22 +284,54 @@ def solve_hjb_backward(m: np.ndarray, prob: Problem1D, grid: SpaceGrid1D,
     return u
 
 
+def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray,
+                uses_mean: bool, mfc: bool) -> np.ndarray:
+    """The statistics the HJB sweep reads, from (u, m): ybar_k = E[X_k] for
+    k = 0..K when the problem uses the mean, then for MFC
+    qbar_k = sum_j D_c u[k+1]_j m[k]_j dx for k = 0..K-1, with D_c the central
+    difference of _differences (one-sided at the ends; dx cancels).  Written
+    as sums of products, so no (K+1) x Nx temporary is formed."""
+    parts = []
+    if uses_mean:
+        parts.append(np.einsum("kj,j->k", m, x) / m.sum(axis=1))
+    if mfc:
+        un, mk = u[1:], m[:-1]
+        inner = (np.einsum("kj,kj->k", un[:, 2:], mk[:, 1:-1])
+                 - np.einsum("kj,kj->k", un[:, :-2], mk[:, 1:-1]))
+        parts.append(0.5 * inner + (un[:, 1] - un[:, 0]) * mk[:, 0]
+                     + (un[:, -1] - un[:, -2]) * mk[:, -1])
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
 def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
                  m0: np.ndarray, kind: str = "MFG", damping: float = 0.5,
                  max_iter: int = 200, tol: float = 1e-6,
                  terminal_override=None) -> PDEFields:
-    """Damped Picard iteration on the density between HJB and FP sweeps."""
+    """Anderson-accelerated fixed point on the statistics z the HJB reads.
+
+    z holds the mean path ybar_0..ybar_K (when the problem uses the mean)
+    and, for MFC, the mean gradient path qbar_0..qbar_{K-1}.  F(z) runs one
+    HJB sweep on z, one FP sweep on the resulting drift, and reads z back
+    from the new (u, m).  Each step is a Type-II Anderson step (Walker-Ni)
+    of depth ANDERSON_DEPTH with mixing `damping`; the iteration stops when
+    max |F(z) - z| < tol and returns that evaluation's u and m.  An empty z
+    (a problem that never reads m) converges after one HJB + FP pair.
+    """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     if kind not in ("MFG", "MFC"):
         raise ValueError("kind must be MFG or MFC")
-    x, dx = grid.nodes(), grid.dx
+    mfc = kind == "MFC"
+    x, dx, K = grid.nodes(), grid.dx, tgrid.K
     m0 = np.maximum(np.asarray(m0, dtype=float), 0.0)
     m0 = m0 / _mass(m0, dx)
-    m = np.tile(m0, (tgrid.K + 1, 1))
+    nY = K + 1 if prob.uses_mean else 0
+    z = np.concatenate([np.full(nY, first_moment(m0, x, dx)), np.zeros(K if mfc else 0)])
     history: list[float] = []
+    dZ: deque = deque(maxlen=ANDERSON_DEPTH)
+    dF: deque = deque(maxlen=ANDERSON_DEPTH)
+    z_prev = f_prev = None
     fwd, q = np.empty(grid.Nx - 1), np.empty(grid.Nx)
-    u = None
 
     def drift_fn(k, xs, m_slice):
         yb = first_moment(m_slice, xs, dx) if prob.uses_mean else 0.0
@@ -302,17 +339,25 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
         return prob.drift(xs, yb, q)
 
     for it in range(1, max_iter + 1):
-        u = solve_hjb_backward(m, prob, grid, tgrid, mfc_extra=(kind == "MFC"),
+        u = m = None    # free the previous iterate before the next sweep
+        u = solve_hjb_backward(z[:nY], prob, grid, tgrid, qbar=z[nY:] if mfc else None,
                                terminal_override=terminal_override)
-
-        m_new = solve_fp_forward(drift_fn, prob.sigma, m0, grid, tgrid)
-        delta = float(np.max(np.abs(m_new - m)))
+        m = solve_fp_forward(drift_fn, prob.sigma, m0, grid, tgrid)
+        f = _statistics(u, m, x, prob.uses_mean, mfc) - z
+        delta = float(np.max(np.abs(f))) if f.size else 0.0
         history.append(delta)
-        m = damping * m_new + (1.0 - damping) * m
-        m /= np.sum(m, axis=1, keepdims=True) * dx
         if delta < tol:
             return PDEFields(u=u, m=m, grid=grid, tgrid=tgrid,
                              iterations=it, history=history)
+        if z_prev is not None:
+            dZ.append(z - z_prev)
+            dF.append(f - f_prev)
+        z_prev, f_prev = z, f
+        z = z + damping * f
+        if dF:
+            Fm, Zm = np.column_stack(dF), np.column_stack(dZ)
+            gamma = np.linalg.lstsq(Fm, f, rcond=None)[0]
+            z -= (Zm + damping * Fm) @ gamma
     raise NonConvergence(history)
 
 

@@ -39,6 +39,13 @@ def eval_master_field(sol: ric.RiccatiSolution, X: np.ndarray, t: float) -> np.n
     return X @ ev["P"].T + X.mean(axis=0) @ ev["Sigma"].T
 
 
+def _mean_drift(AAbar: np.ndarray, BRB: np.ndarray, P: np.ndarray, Sig: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
+    """The mean flow's drift (A + Abar - BRB (P + Sigma)) y, i.e. E[G] for the
+    linear field PX + Sigma EX; AAbar = A + Abar and BRB = B R^{-1} B*."""
+    return (AAbar - BRB @ (P + Sig)) @ y
+
+
 def _linear_field_terms(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                         X: np.ndarray, t: float):
     """For the field U(X) = PX + Sigma EX on the rows of X: the mean ybar,
@@ -118,7 +125,7 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     ek_sum = 0.5 * b2 * np.trace(Gam)
     div_term = b2 * np.trace(Sig)
     DXU = Sig.T @ x + Gam @ yb
-    mean_flow = (model.A + model.Abar - model.BRB() @ (P + Sig)) @ yb
+    mean_flow = _mean_drift(model.A + model.Abar, model.BRB(), P, Sig, yb)
     inner = float(DXU @ mean_flow)
     quad = lq.hamiltonian(x, yb, P @ x + Sig @ yb, model)
     terms = {
@@ -137,8 +144,8 @@ def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     AAbar, BRB = model.A + model.Abar, model.BRB()
 
     def rhs(t, state):
-        PS = ric._interp(sol.P, sol.grid, t) + ric._interp(sol.Sigma, sol.grid, t)
-        return ((AAbar - BRB @ PS) @ state[0],)
+        return (_mean_drift(AAbar, BRB, ric._interp(sol.P, sol.grid, t),
+                            ric._interp(sol.Sigma, sol.grid, t), state[0]),)
 
     y0 = np.asarray(y0, dtype=float).reshape(model.n)
     nodes, _ = ric._integrate(rhs, (y0,), 0.0, grid.h, grid.K, lambda s: s)
@@ -170,7 +177,7 @@ def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
         ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
         P, Sig = ev["P"], ev["Sigma"]
         yb = ric._interp(flow, flow_grid, t)
-        ydot = (AAbar - BRB @ (P + Sig)) @ yb
+        ydot = _mean_drift(AAbar, BRB, P, Sig, yb)
         H = lq.hamiltonian(x_pts, yb, x_pts @ P.T + Sig @ yb, model)
         du_dt = (0.5 * np.einsum("ij,jk,ik->i", x_pts, dv["dP"], x_pts)
                  + x_pts @ (dv["dSigma"] @ yb + Sig @ ydot))

@@ -363,6 +363,50 @@ def test_hjbfp_nonconvergence_exit_3(tmp_path, monkeypatch):
     assert rep["converged"] is False and len(rep["history"]) == 1
 
 
+def test_hjbfp_writes_history_on_success(tmp_path):
+    code, out = run(tmp_path, "hjbfp", "--model", CROWD, "--kind", "mfc",
+                    "--grid=-4,4,150,1200")
+    assert code == 0
+    rep = json.loads((out / "hjbfp.json").read_text())
+    assert rep["converged"] is True and rep["pass"] is True
+    assert len(rep["history"]) == rep["iterations"] and rep["history"][-1] < 1e-6
+    assert rep["manifest"]["tolerances"]["pde_diff"] == 1e-2
+
+
+def test_hjbfp_cosine_history_is_one_exact_pair(tmp_path):
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, "--grid=-3,3,40,50")
+    assert code == 0
+    rep = json.loads((out / "hjbfp.json").read_text())
+    assert rep["iterations"] == 1 and rep["history"] == [0.0]
+    assert "pass" not in rep
+
+
+@pytest.mark.parametrize("bad", [{"sup_diff": 0.011}, {"mean_flow_diff": 0.5},
+                                 {"sup_diff": float("nan")}])
+def test_hjbfp_cross_validation_gate_exit_3(tmp_path, monkeypatch, capsys, bad):
+    import masterlq.hjbfp_1d as hj
+    orig = hj.cross_validate_lq
+    monkeypatch.setattr(hj, "cross_validate_lq", lambda *a: {**orig(*a), **bad})
+    code, out = run(tmp_path, "hjbfp", "--model", CROWD, "--kind", "mfc",
+                    "--grid=-4,4,150,1200")     # passes unpatched (sup_diff 6.6e-3)
+    assert code == 3
+    rep = json.loads((out / "hjbfp.json").read_text())
+    assert rep["converged"] is True and rep["pass"] is False
+    assert all(rep["cross_validation"][k] == v or v != v for k, v in bad.items())
+    assert (out / "hjbfp_fields.csv").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("hjbfp: cross-validation sup_diff = ")
+
+
+@pytest.mark.parametrize("argv,name", [(("riccati", "--model", LQR), "riccati_mfc.json"),
+                                       (("verify", "--suite", "lift"), "verify_lift.json")])
+def test_pde_tolerance_only_in_hjbfp_manifest(tmp_path, argv, name):
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    tol = json.loads((out / name).read_text())["manifest"]["tolerances"]
+    assert tol == {"check_rel": 1e-8, "cost_dt_const": 10.0}
+
+
 # ---------------------------------------------------------------------------
 # environment / manifest
 

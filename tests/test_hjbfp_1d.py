@@ -32,6 +32,18 @@ def crowd_pde(crowd_mfg, grid):
     return pde, tg
 
 
+@pytest.fixture(scope="module")
+def crowd_pde_mfc(crowd_mfg, grid):
+    tg = riccati.TimeGrid(crowd_mfg.T, 2000)
+    m0 = gaussian_density(grid, 1.0, 0.5)
+    return picard_solve(problem_from_lq(crowd_mfg), grid, tg, m0,
+                        kind="MFC", damping=0.5), tg
+
+
+def _mean_path(m, grid):
+    return np.array([first_moment(mk, grid.nodes(), grid.dx) for mk in m])
+
+
 # ---------------------------------------------------------------------------
 # grids and densities
 
@@ -105,8 +117,9 @@ def test_hjb_quadratic_preserved(crowd_mfg, grid):
     tg = riccati.TimeGrid(0.5, 2000)
     prob = problem_from_lq(scalar_model(A=0.0, B=1.0, Q=1.0, R=1.0,
                                         QT=0.3, sigma=0.5, T=0.5))
-    m = np.tile(gaussian_density(grid, 0.0, 1.0), (tg.K + 1, 1))
-    u = solve_hjb_backward(m, prob, grid, tg)
+    ybar = np.full(tg.K + 1, first_moment(gaussian_density(grid, 0.0, 1.0),
+                                          grid.nodes(), grid.dx))
+    u = solve_hjb_backward(ybar, prob, grid, tg)
     x = grid.nodes()
     mask = np.abs(x) <= 2.0
     coef = np.polyfit(x[mask], u[0][mask], 2)
@@ -118,8 +131,7 @@ def test_hjb_terminal_slice_exact(crowd_mfg, grid):
     tg = riccati.TimeGrid(0.5, 100)
     prob = problem_from_lq(scalar_model(A=0.0, B=1.0, Q=1.0, R=1.0,
                                         QT=0.3, sigma=0.5, T=0.5))
-    m = np.tile(gaussian_density(grid, 0.0, 1.0), (tg.K + 1, 1))
-    u = solve_hjb_backward(m, prob, grid, tg)
+    u = solve_hjb_backward(np.zeros(tg.K + 1), prob, grid, tg)
     x = grid.nodes()
     assert np.array_equal(u[-1], 0.5 * 0.3 * x * x)
 
@@ -187,11 +199,8 @@ def test_cross_validate_mfg(crowd_mfg, crowd_pde):
     assert rep["mean_flow_diff"] <= 1e-2
 
 
-def test_cross_validate_mfc(crowd_mfg, grid):
-    tg = riccati.TimeGrid(crowd_mfg.T, 2000)
-    m0 = gaussian_density(grid, 1.0, 0.5)
-    pde = picard_solve(problem_from_lq(crowd_mfg), grid, tg, m0,
-                       kind="MFC", damping=0.5)
+def test_cross_validate_mfc(crowd_mfg, crowd_pde_mfc):
+    pde, tg = crowd_pde_mfc
     sol = riccati.solve_mfc(crowd_mfg, tg)
     rep = cross_validate_lq(crowd_mfg, sol, pde)
     assert rep["sup_diff"] <= 1e-2
@@ -253,21 +262,24 @@ def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False, terminal_override=N
     return u
 
 
-def _ref_picard(prob, grid, tgrid, m0, kind, terminal_override, iterations):
+def _ref_picard(prob, grid, tgrid, m0, kind, terminal_override, tol):
+    """Damped (0.5) Picard iteration on the whole density, until the density
+    changes by less than tol."""
     x, dx = grid.nodes(), grid.dx
     m0 = m0 / (np.sum(m0) * dx)
     m = np.tile(m0, (tgrid.K + 1, 1))
-    history = []
-    for _ in range(iterations):
+    for _ in range(500):
         u = _ref_hjb_backward(m, prob, grid, tgrid, kind == "MFC", terminal_override)
         drift = lambda k, xs, ms: prob.drift(
             xs, np.sum(xs * ms) * dx / (np.sum(ms) * dx) if prob.uses_mean else 0.0,
             np.gradient(u[k], dx))
         m_new = _ref_fp_forward(drift, prob.sigma, m0, grid, tgrid)
-        history.append(float(np.max(np.abs(m_new - m))))
+        delta = float(np.max(np.abs(m_new - m)))
         m = 0.5 * m_new + 0.5 * m
         m /= np.sum(m, axis=1, keepdims=True) * dx
-    return u, m, history
+        if delta < tol:
+            return u, m
+    raise AssertionError("reference Picard iteration did not converge")
 
 
 def _bitwise_case(crowd, name):
@@ -282,21 +294,71 @@ def _bitwise_case(crowd, name):
     return problem_from_lq(crowd), grid, riccati.TimeGrid(crowd.T, 50), m0, term
 
 
+def _ref_mean_gradient(u, m, dx):
+    """qbar_k = sum np.gradient(u[k+1]) m[k] dx, the sum _ref_hjb_backward forms."""
+    return np.array([np.sum(np.gradient(u[k + 1], dx) * m[k]) * dx
+                     for k in range(len(m) - 1)])
+
+
 @pytest.mark.parametrize("name", ["MFG", "MFC", "cosine"])
 def test_sweeps_bitwise_equal_reference(crowd_mfg, name):
     prob, grid, tg, m0, term = _bitwise_case(crowd_mfg, name)
-    kind = "MFC" if name == "MFC" else "MFG"
     lin = lambda k, xs, ms: 0.3 - 0.5 * xs
     m = _ref_fp_forward(lin, prob.sigma, m0, grid, tg)
     assert np.array_equal(solve_fp_forward(lin, prob.sigma, m0, grid, tg), m)
-    u = _ref_hjb_backward(m, prob, grid, tg, kind == "MFC", term)
-    assert np.array_equal(solve_hjb_backward(m, prob, grid, tg, kind == "MFC", term), u)
-    # full Picard solve, which also drives the FP sweep through its drift closure
+    # the HJB sweep on the moments of m (and, for MFC, the reference's own
+    # mean gradient path) equals the reference sweep on m itself
+    u = _ref_hjb_backward(m, prob, grid, tg, name == "MFC", term)
+    qbar = _ref_mean_gradient(u, m, grid.dx) if name == "MFC" else None
+    ybar = _mean_path(m, grid) if prob.uses_mean else None
+    assert np.array_equal(solve_hjb_backward(ybar, prob, grid, tg, qbar, term), u)
+
+
+@pytest.mark.parametrize("kind", ["MFG", "MFC"])
+def test_anderson_matches_density_picard(crowd_mfg, kind):
+    prob, grid, tg, m0, term = _bitwise_case(crowd_mfg, kind)
     pde = picard_solve(prob, grid, tg, m0, kind=kind, terminal_override=term)
-    u_ref, m_ref, history = _ref_picard(prob, grid, tg, m0, kind, term, pde.iterations)
-    assert pde.iterations > 1
-    assert pde.history == history
-    assert np.array_equal(pde.u, u_ref) and np.array_equal(pde.m, m_ref)
+    u_ref, m_ref = _ref_picard(prob, grid, tg, m0, kind, term, tol=1e-10)
+    assert np.max(np.abs(pde.u - u_ref)) <= 1e-5
+    assert np.max(np.abs(pde.m - m_ref)) <= 1e-5
+    sol = (riccati.solve_mfc if kind == "MFC" else riccati.solve_mfg)(crowd_mfg, tg)
+    rep = cross_validate_lq(crowd_mfg, sol, pde)
+    ref = cross_validate_lq(crowd_mfg, sol, dataclasses.replace(pde, u=u_ref, m=m_ref))
+    assert rep.keys() == ref.keys()
+    assert all(abs(rep[k] - ref[k]) <= 1e-6 for k in rep)
+
+
+def test_anderson_iterations_crowd(crowd_pde, crowd_pde_mfc):
+    for pde, _ in (crowd_pde, crowd_pde_mfc):
+        assert pde.iterations <= 8 and len(pde.history) == pde.iterations
+        assert pde.history[-1] < 1e-6
+
+
+def test_anderson_cosine_one_sweep_pair(crowd_mfg):
+    prob, grid, tg, m0, _ = _bitwise_case(crowd_mfg, "cosine")
+    pde = picard_solve(prob, grid, tg, m0, kind="MFG")
+    assert pde.iterations == 1 and pde.history == [0.0]
+    u = solve_hjb_backward(None, prob, grid, tg)
+    m = solve_fp_forward(lambda k, xs, ms: prob.drift(xs, 0.0, np.gradient(u[k], grid.dx)),
+                         prob.sigma, m0, grid, tg)
+    assert np.array_equal(pde.u, u) and np.array_equal(pde.m, m)
+
+
+@pytest.mark.parametrize("kind", ["MFG", "MFC"])
+def test_statistics_equal_per_slice_sums(crowd_pde, crowd_pde_mfc, grid, kind):
+    pde, _ = crowd_pde if kind == "MFG" else crowd_pde_mfc
+    z = fd._statistics(pde.u, pde.m, grid.nodes(), True, kind == "MFC")
+    ref = _mean_path(pde.m, grid)
+    if kind == "MFC":
+        ref = np.concatenate([ref, _ref_mean_gradient(pde.u, pde.m, grid.dx)])
+    assert z.shape == ref.shape
+    assert np.max(np.abs(z - ref)) <= 1e-13
+
+
+def test_picard_mfc_needs_measure_term(grid):
+    with pytest.raises(ValueError, match="closed-form measure term"):
+        picard_solve(cosine_demo(), grid, riccati.TimeGrid(0.5, 500),
+                     gaussian_density(grid, 0.0, 0.7), kind="MFC")
 
 
 @pytest.mark.parametrize("neumann", [True, False], ids=["neumann", "extrapolation"])
@@ -337,9 +399,8 @@ def test_hjb_nan_raises_numerical_failure(grid, field):
     prob = dataclasses.replace(problem_from_lq(scalar_model(A=0.0, B=1.0, Q=1.0, R=1.0,
                                                             sigma=0.5, T=0.5)),
                                **{field: lambda x, y, q: np.full_like(x, np.nan)})
-    m = np.tile(gaussian_density(grid, 0.0, 1.0), (tg.K + 1, 1))
     with pytest.raises(NumericalFailure) as exc:
-        solve_hjb_backward(m, prob, grid, tg)
+        solve_hjb_backward(np.zeros(tg.K + 1), prob, grid, tg)
     assert exc.value.node == tg.K - 1
 
 

@@ -312,3 +312,19 @@ def test_master_residuals_equal_reference(request, name):
         assert residual_master_mfc(m, mfc, X, t) == _ref_residual_master_mfc(m, mfc, X, t)
         assert (residual_master_mfg_gradient(m, mfg, X, t)
                 == _ref_residual_master_mfg_gradient(m, mfg, X, t))
+
+
+@pytest.mark.parametrize("name", ["crowd_mfg", "scalar_coupled", "coupled_2x2", "asymmetric_2x2",
+                                  "dense_3x3"])
+def test_mean_drift_equals_old_lines(request, name):
+    m = _dense_3x3() if name == "dense_3x3" else request.getfixturevalue(name)
+    grid = riccati.TimeGrid(m.T, 500)
+    AAbar, BRB = m.A + m.Abar, m.BRB()
+    for sol in (riccati.solve_mfc(m, grid), riccati.solve_mfg(m, grid)):
+        for t, y in zip(time_panel(m.T) + [0.3 * m.T], seeded_state_panel(m.n, 6, 5)):
+            P, Sig = riccati._interp(sol.P, sol.grid, t), riccati._interp(sol.Sigma, sol.grid, t)
+            got = mv._mean_drift(AAbar, BRB, P, Sig, y)
+            PS = P + Sig
+            assert np.array_equal(got, (AAbar - BRB @ PS) @ y)              # mean_flow_ode
+            assert np.array_equal(got, (AAbar - BRB @ (P + Sig)) @ y)       # ydot
+            assert np.array_equal(got, (m.A + m.Abar - m.BRB() @ (P + Sig)) @ y)   # mean_flow
