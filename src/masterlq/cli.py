@@ -131,10 +131,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if summary["pass"] else EXIT_CHECK_FAILED
 
 
-def _suite_lift(args) -> tuple[list[dict], bool]:
+def _suite_lift(man: RunManifest) -> tuple[list[dict], bool]:
     reports = []
-    X = lc.seeded_ensemble(4000, args.seed)
-    Y = lc.seeded_ensemble(4000, args.seed + 1, mean=1.0)
+    X = lc.seeded_ensemble(4000, man.seed)
+    Y = lc.seeded_ensemble(4000, man.seed + 1, mean=1.0)
     measures = [lc.GaussianMeasure(0.0, 1.0), lc.GaussianMeasure(1.0, 2.0)]
     for F in lc.builtin_functionals():
         reports.append(lc.check_gradient_lift(F, X, Y).to_dict())
@@ -142,18 +142,18 @@ def _suite_lift(args) -> tuple[list[dict], bool]:
             reports.append(lc.check_second_identity(F, m).to_dict())
             reports.append(lc.check_difference_identity(F, m).to_dict())
             reports.append(lc.check_buckdahn_relation(F, m).to_dict())
-    X0 = lc.seeded_ensemble(2000, args.seed + 2)
-    Yd = lc.seeded_ensemble(2000, args.seed + 3, mean=1.0)
+    X0 = lc.seeded_ensemble(2000, man.seed + 2)
+    Yd = lc.seeded_ensemble(2000, man.seed + 3, mean=1.0)
     reports.append(lc.check_taylor_remainder(lc.CubedMeanFunctional(), X0, Yd).to_dict())
     ok = all(r["pass"] for r in reports)
     return reports, ok
 
 
-def _suite_master(args, model) -> tuple[list[dict], bool]:
-    grid = ric.TimeGrid(model.T, args.steps)
+def _suite_master(man: RunManifest, model) -> tuple[list[dict], bool]:
+    grid = ric.TimeGrid(model.T, man.steps)
     mfc = ric.solve_mfc(model, grid)
     mfg = ric.solve_mfg(model, grid)
-    panel = mv.seeded_state_panel(model.n, 64, args.seed)
+    panel = mv.seeded_state_panel(model.n, 64, man.seed)
     diag = ric.check_symmetry_conditions(model)
     reports = []
     expected_asymmetry = not diag.self_adjoint_possible
@@ -176,22 +176,22 @@ def _suite_master(args, model) -> tuple[list[dict], bool]:
     return reports, ok
 
 
-def _suite_mp(args, model) -> tuple[list[dict], bool]:
-    grid = ric.TimeGrid(model.T, args.steps)
+def _suite_mp(man: RunManifest, model) -> tuple[list[dict], bool]:
+    grid = ric.TimeGrid(model.T, man.steps)
     sol = ric.solve_mfc(model, grid)
-    X0 = mk.gaussian_ensemble(min(args.particles, 2000), model.n, args.seed)
-    cfg = mk.SimConfig(steps=args.steps, seed=args.seed)
+    X0 = mk.gaussian_ensemble(min(man.particles, 2000), model.n, man.seed)
+    cfg = mk.SimConfig(steps=man.steps, seed=man.seed)
     rep = mk.check_max_principle(model, sol, X0, cfg, mode="deterministic")
     rep["check"] = "max_principle_deterministic"
-    rep["pass"] = bool(rep["terminal_pass"])
+    rep["terminal_pass"] = rep["pass"] = bool(rep["terminal_gap"] <= man.tolerances["check_rel"])
     return [rep], rep["pass"]
 
 
-def _suite_optimality(args, model) -> tuple[list[dict], bool]:
-    grid = ric.TimeGrid(model.T, args.steps)
+def _suite_optimality(man: RunManifest, model) -> tuple[list[dict], bool]:
+    grid = ric.TimeGrid(model.T, man.steps)
     sol = ric.solve_mfc(model, grid)
-    X0 = mk.gaussian_ensemble(args.particles, model.n, args.seed)
-    cfg = mk.SimConfig(steps=args.steps, seed=args.seed)
+    X0 = mk.gaussian_ensemble(man.particles, model.n, man.seed)
+    cfg = mk.SimConfig(steps=man.steps, seed=man.seed)
     rep = mk.check_optimality_gap(model, sol, X0, cfg)
     rep["check"] = "optimality_gap"
     return [rep], bool(rep["pass"])
@@ -202,14 +202,14 @@ def cmd_verify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_{args.suite}.json")
     if args.suite == "lift":
-        reports, ok = _suite_lift(args)
+        reports, ok = _suite_lift(man)
     else:
         model = _load_model(args)
         suites = {"master": _suite_master, "mp": _suite_mp, "optimality": _suite_optimality}
         if args.suite not in suites:
             raise ValueError(f"unknown suite {args.suite!r}")
         try:
-            reports, ok = suites[args.suite](args, model)
+            reports, ok = suites[args.suite](man, model)
         except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
             return _write_failure(path, man, exc)
     payload = {"manifest": asdict(man), "reports": reports, "pass": ok}
@@ -290,17 +290,12 @@ def cmd_hjbfp(args) -> int:
 
 
 def _dump_slices(fields: hj.PDEFields, path: str, count: int = 5) -> None:
-    import csv as _csv
+    """Rows (t, x, u, m) at `count` evenly spaced time nodes, x fastest."""
     ks = np.linspace(0, fields.tgrid.K, count).astype(int)
-    x = fields.grid.nodes()
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["t", "x", "u", "m"])
-        for k in ks:
-            t = k * fields.tgrid.h
-            for j in range(fields.grid.Nx):
-                w.writerow([repr(float(t)), repr(float(x[j])),
-                            repr(float(fields.u[k, j])), repr(float(fields.m[k, j]))])
+    Nx = fields.grid.Nx
+    ric._write_csv(path, ["t", "x", "u", "m"], np.column_stack([
+        np.repeat(ks * fields.tgrid.h, Nx), np.tile(fields.grid.nodes(), count),
+        fields.u[ks].ravel(), fields.m[ks].ravel()]))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,7 @@ square-integrable random variables (evaluated on particle ensembles),
 together with closed forms for
 
     dF/dm (m)(xi),   d2F/dm2 (m)(xi, eta),
-    DF(X) sample-wise,  D2F(X)(Y, Z) as a bilinear form,
+    DF(X) sample-wise,  sum_k D2F(X)(e_k, e_k) and D2F(X)(N, N) for X ~ m,
 
 and the mixed second measure derivative d2m F(m)(x, y) obtained by
 differentiating the kernel in each slot.  The check_* routines verify the
@@ -97,9 +97,6 @@ class TestFunctional:
     def DF_lifted(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def D2F_form(self, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
-        raise NotImplementedError
-
     def d2m(self, m: GaussianMeasure, x, y, order: int = 128):
         """Mixed second measure derivative d2m F(m)(x, y)."""
         raise NotImplementedError
@@ -148,9 +145,6 @@ class LinearFunctional(TestFunctional):
     def DF_lifted(self, X):
         return self.phi.d1(X)
 
-    def D2F_form(self, X, Y, Z):
-        return float(np.mean(self.phi.d2(X) * Y * Z))
-
     def d2m(self, m, x, y, order=128):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
@@ -192,10 +186,6 @@ class SquaredMomentFunctional(TestFunctional):
     def DF_lifted(self, X):
         return 2.0 * np.mean(self.phi.f(X)) * self.phi.d1(X)
 
-    def D2F_form(self, X, Y, Z):
-        return float(2.0 * np.mean(self.phi.d1(X) * Y) * np.mean(self.phi.d1(X) * Z)
-                     + 2.0 * np.mean(self.phi.f(X)) * np.mean(self.phi.d2(X) * Y * Z))
-
     def d2m(self, m, x, y, order=128):
         return 2.0 * (self.phi.d1(np.asarray(x, dtype=float)) * self.phi.d1(np.asarray(y, dtype=float)))
 
@@ -236,9 +226,6 @@ class CubedMeanFunctional(TestFunctional):
 
     def DF_lifted(self, X):
         return np.full_like(X, 3.0 * np.mean(X) ** 2)
-
-    def D2F_form(self, X, Y, Z):
-        return float(6.0 * np.mean(X) * np.mean(Y) * np.mean(Z))
 
     def d2m(self, m, x, y, order=128):
         return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 6.0 * m.mean)
@@ -424,35 +411,6 @@ def check_taylor_remainder(F: TestFunctional, X0: np.ndarray, Y: np.ndarray,
     return Report("taylor_remainder", F.name, slope, 3.0, abs(slope - 3.0),
                   abs(slope - 3.0) / 3.0, bool(2.9 <= slope <= 3.1),
                   {"slope": slope, "remainders": remainders.tolist()})
-
-
-def check_vector_lift_chain_rule(P: np.ndarray, Sigma: np.ndarray,
-                                 X: np.ndarray, Z: np.ndarray,
-                                 theta_steps=(1e-2, 1e-4), tol=1e-9) -> Report:
-    """Directional derivative of the linear master field U(X) = PX + Sigma E X.
-
-    The map is linear, so finite differences must match PZ + Sigma E Z to
-    roundoff for every step size.
-    """
-    if X.size == 0:
-        raise ValueError("empty ensemble")
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    X = np.atleast_2d(X)
-    Z = np.atleast_2d(Z)
-
-    def U(W):
-        return W @ P.T + np.mean(W, axis=0) @ Sigma.T
-
-    exact = Z @ P.T + np.mean(Z, axis=0) @ Sigma.T
-    worst = 0.0
-    for th in theta_steps:
-        fd = (U(X + th * Z) - U(X)) / th
-        worst = max(worst, float(np.max(np.abs(fd - exact))))
-    scale = max(1.0, float(np.max(np.abs(exact))))
-    return Report("vector_lift_chain_rule", "linear-master-field",
-                  float(np.max(np.abs(exact))), worst, worst, worst / scale,
-                  bool(worst / scale < tol))
 
 
 def seeded_ensemble(N: int, seed: int, mean=0.0, std=1.0) -> np.ndarray:

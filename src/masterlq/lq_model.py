@@ -198,12 +198,6 @@ def terminal_cost(x: np.ndarray, y: np.ndarray, model: LQModelSpec):
     return _point(h, single)
 
 
-def dynamics(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec) -> np.ndarray:
-    x, y = (np.asarray(z, dtype=float).reshape(model.n) for z in (x, y))
-    v = np.asarray(v, dtype=float).reshape(model.d)
-    return model.A @ x + model.Abar @ y + model.B @ v
-
-
 def load_model(path: str) -> LQModelSpec:
     """Read a model from JSON.  Missing matrices default to zero; R is required."""
     with open(path) as fh:

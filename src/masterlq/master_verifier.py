@@ -32,13 +32,6 @@ def eval_value(sol: ric.RiccatiSolution, X: np.ndarray, t: float) -> float:
     return 0.5 * quad + 0.5 * float(yb @ ev["Sigma"] @ yb) + ev["lam"]
 
 
-def eval_master_field(sol: ric.RiccatiSolution, X: np.ndarray, t: float) -> np.ndarray:
-    """Per-particle P(t) x_i + Sigma(t) ybar (MFC field or MFG gradient)."""
-    ev = ric.eval_at(sol, t)
-    X = np.atleast_2d(X)
-    return X @ ev["P"].T + X.mean(axis=0) @ ev["Sigma"].T
-
-
 def _mean_drift(AAbar: np.ndarray, BRB: np.ndarray, P: np.ndarray, Sig: np.ndarray,
                 y: np.ndarray) -> np.ndarray:
     """The mean flow's drift (A + Abar - BRB (P + Sigma)) y, i.e. E[G] for the

@@ -88,20 +88,6 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def rk4_backward(rhs, terminal: np.ndarray, grid: TimeGrid, post_step=None) -> np.ndarray:
-    """Classical RK4, backward in time from t = T to 0 on the uniform grid.
-
-    rhs(t, M) -> dM/dt.  Returns an array of per-node values, index k
-    holding the value at t_k.  ``post_step`` (optional) maps the value
-    after each step, e.g. a symmetrizer.  Same loop as the Riccati solves,
-    so a non-finite value or one beyond BLOWUP_THRESHOLD raises.
-    """
-    step = (lambda s: (post_step(s[0]),)) if post_step is not None else (lambda s: s)
-    nodes, _ = _integrate(lambda t, s: (rhs(t, s[0]),), (np.asarray(terminal, dtype=float),),
-                          grid.T, -grid.h, grid.K, step)
-    return np.array([s[0] for s in reversed(nodes)])
-
-
 def _mfc_rhs(model: LQModelSpec):
     A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
     BRB = model.BRB()
@@ -275,25 +261,27 @@ def deriv_at(sol: RiccatiSolution, t: float) -> dict:
     return out
 
 
+def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """One header row, then one row per table row, every float as its repr
+    so that it reads back exactly.  Rows are converted one at a time: a
+    whole-table tolist() would hold a Python float per cell at once."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in table:
+            w.writerow(map(repr, row.tolist()))
+
+
 def to_csv(sol: RiccatiSolution, path: str) -> None:
     """One row per node: t, P_ij row-major, Sigma_ij, then lambda or (Gamma_ij, mu)."""
     n = sol.P.shape[1]
     ij = [(i, j) for i in range(n) for j in range(n)]
     header = ["t"] + [f"P_{i}{j}" for i, j in ij] + [f"Sigma_{i}{j}" for i, j in ij]
+    cols = [sol.grid.nodes(), sol.P, sol.Sigma]
     if sol.kind == "MFC":
         header += ["lambda"]
+        cols += [sol.lam]
     else:
         header += [f"Gamma_{i}{j}" for i, j in ij] + ["mu"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k, t in enumerate(sol.grid.nodes()):
-            row = [repr(float(t))]
-            row += [repr(float(v)) for v in sol.P[k].ravel()]
-            row += [repr(float(v)) for v in sol.Sigma[k].ravel()]
-            if sol.kind == "MFC":
-                row.append(repr(float(sol.lam[k])))
-            else:
-                row += [repr(float(v)) for v in sol.Gamma[k].ravel()]
-                row.append(repr(float(sol.mu[k])))
-            w.writerow(row)
+        cols += [sol.Gamma, sol.mu]
+    _write_csv(path, header, np.hstack([c.reshape(sol.grid.K + 1, -1) for c in cols]))

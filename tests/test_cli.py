@@ -220,6 +220,24 @@ def test_verify_mp_suite(tmp_path):
     assert rep["reports"][0]["terminal_gap"] <= 1e-8
 
 
+def test_verify_mp_gates_on_manifest_check_rel(tmp_path, monkeypatch):
+    import masterlq.cli as cli
+    orig = cli._manifest
+
+    def strict(args, command):
+        man = orig(args, command)
+        man.tolerances["check_rel"] = -1.0     # below any terminal gap
+        return man
+
+    monkeypatch.setattr(cli, "_manifest", strict)
+    code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
+                    "--steps", "100", "--particles", "200")
+    assert code == 3
+    rep = json.loads((out / "verify_mp.json").read_text())
+    assert rep["manifest"]["tolerances"]["check_rel"] == -1.0
+    assert rep["reports"][0]["terminal_pass"] is False and rep["pass"] is False
+
+
 def test_verify_optimality_suite(tmp_path):
     code, out = run(tmp_path, "verify", "--suite", "optimality",
                     "--model", COUPLED, "--steps", "400",
@@ -431,3 +449,110 @@ def test_manifest_in_every_report(tmp_path):
                 "grid", "kind", "tolerances"):
         assert key in man
     assert "out" not in man
+
+
+# ---------------------------------------------------------------------------
+# CSV artifacts: bytes against the per-row writers of the earlier code
+
+def _reference_riccati_csv(sol, path):
+    n = sol.P.shape[1]
+    ij = [(i, j) for i in range(n) for j in range(n)]
+    header = ["t"] + [f"P_{i}{j}" for i, j in ij] + [f"Sigma_{i}{j}" for i, j in ij]
+    if sol.kind == "MFC":
+        header += ["lambda"]
+    else:
+        header += [f"Gamma_{i}{j}" for i, j in ij] + ["mu"]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k, t in enumerate(sol.grid.nodes()):
+            row = [repr(float(t))]
+            row += [repr(float(v)) for v in sol.P[k].ravel()]
+            row += [repr(float(v)) for v in sol.Sigma[k].ravel()]
+            if sol.kind == "MFC":
+                row.append(repr(float(sol.lam[k])))
+            else:
+                row += [repr(float(v)) for v in sol.Gamma[k].ravel()]
+                row.append(repr(float(sol.mu[k])))
+            w.writerow(row)
+
+
+def _reference_trajectory_csv(traj, path):
+    n = traj.ybar.shape[1]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t"] + [f"ybar_{i}" for i in range(n)]
+                   + [f"m2_{i}" for i in range(n)] + ["running_cost"])
+        for k, t in enumerate(traj.times):
+            w.writerow([repr(float(t))]
+                       + [repr(float(v)) for v in traj.ybar[k]]
+                       + [repr(float(v)) for v in traj.second_moment[k]]
+                       + [repr(float(traj.running_cost_partial[k]))])
+
+
+def _reference_slices_csv(fields, path, count=5):
+    ks = np.linspace(0, fields.tgrid.K, count).astype(int)
+    x = fields.grid.nodes()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "x", "u", "m"])
+        for k in ks:
+            t = k * fields.tgrid.h
+            for j in range(fields.grid.Nx):
+                w.writerow([repr(float(t)), repr(float(x[j])),
+                            repr(float(fields.u[k, j])), repr(float(fields.m[k, j]))])
+
+
+def _spy(monkeypatch, module, name):
+    """The values module.name returns while the CLI runs, in call order."""
+    seen, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def _model_file(tmp_path, model):
+    path = tmp_path / "model.json"
+    doc = {k: getattr(v, "tolist", lambda: v)() for k, v in vars(model).items()}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _assert_same_bytes(out, name, tmp_path, write_reference, obj):
+    ref = tmp_path / f"reference_{name}"
+    write_reference(obj, ref)
+    assert (out / name).read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_riccati_csv_bytes(tmp_path, monkeypatch, coupled_2x2, kind):
+    from masterlq import riccati
+    sols = _spy(monkeypatch, riccati, f"solve_{kind}")
+    code, out = run(tmp_path, "riccati", "--model", _model_file(tmp_path, coupled_2x2),
+                    "--kind", kind, "--steps", "300")
+    assert code == 0
+    _assert_same_bytes(out, f"riccati_{kind}.csv", tmp_path, _reference_riccati_csv, sols[0])
+
+
+def test_trajectory_csv_bytes(tmp_path, monkeypatch, coupled_2x2):
+    from masterlq import mkv_simulator
+    trajs = _spy(monkeypatch, mkv_simulator, "simulate")
+    # J is compared on one common-noise path, so the check may fail (exit 3);
+    # the CSV is written either way
+    code, out = run(tmp_path, "simulate", "--model", _model_file(tmp_path, coupled_2x2),
+                    "--particles", "300", "--steps", "60", "--seed", "4")
+    assert code in (0, 3)
+    _assert_same_bytes(out, "trajectory.csv", tmp_path, _reference_trajectory_csv, trajs[0])
+
+
+def test_hjbfp_fields_csv_bytes(tmp_path, monkeypatch):
+    from masterlq import hjbfp_1d
+    solves = _spy(monkeypatch, hjbfp_1d, "picard_solve")
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, "--grid=-3,3,40,50",
+                    "--m0-mean", "0", "--m0-std", "0.7")
+    assert code == 0
+    _assert_same_bytes(out, "hjbfp_fields.csv", tmp_path, _reference_slices_csv, solves[0])

@@ -11,9 +11,7 @@ from masterlq.lift_calculus import (CubedMeanFunctional, GaussianMeasure,
                                     builtin_functionals, check_buckdahn_relation,
                                     check_difference_identity,
                                     check_gradient_lift, check_second_identity,
-                                    check_taylor_remainder,
-                                    check_vector_lift_chain_rule,
-                                    seeded_ensemble)
+                                    check_taylor_remainder, seeded_ensemble)
 
 MEASURES = [GaussianMeasure(0.0, 1.0), GaussianMeasure(1.0, 2.0)]
 
@@ -174,36 +172,6 @@ def test_taylor_zero_mean_direction_kills_remainder():
     Y = Y - Y.mean()
     r = check_taylor_remainder(CubedMeanFunctional(), X, Y)
     assert r.extra.get("below_noise_floor")
-
-
-# ---------------------------------------------------------------------------
-# vector chain rule for the linear master field
-
-def test_vector_chain_rule_p_only():
-    P = np.diag([1.0, 2.0])
-    Z = np.random.default_rng(0).normal(size=(100, 2))
-    X = np.random.default_rng(1).normal(size=(100, 2))
-    r = check_vector_lift_chain_rule(P, np.zeros((2, 2)), X, Z)
-    assert r.abs_err < 1e-9
-
-
-def test_vector_chain_rule_mean_term():
-    P = np.zeros((2, 2))
-    Sig = np.eye(2)
-    X = np.random.default_rng(2).normal(size=(50, 2))
-    Z = np.random.default_rng(3).normal(size=(50, 2))
-    r = check_vector_lift_chain_rule(P, Sig, X, Z)
-    assert r.abs_err < 1e-9
-
-
-def test_vector_chain_rule_mixed():
-    P = np.diag([1.0, 2.0])
-    Sig = np.array([[0.0, 1.0], [0.0, 0.0]])
-    X = np.random.default_rng(4).normal(size=(200, 2))
-    Z = np.random.default_rng(5).normal(size=(200, 2))
-    r = check_vector_lift_chain_rule(P, Sig, X, Z)
-    assert r.passed
-    assert r.abs_err < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,8 @@ def test_drift_consistent_with_dynamics_at_optimum():
     rng = np.random.default_rng(2)
     x, y, q = rng.normal(size=3 * 2).reshape(3, 2)
     v = optimal_feedback(x, y, q, m)
-    assert np.allclose(drift_G(x, y, q, m), lq_model.dynamics(x, y, v, m), atol=1e-12)
+    dynamics = m.A @ x + m.Abar @ y + m.B @ v     # oracle: g(x, y, v) = Ax + Abar y + Bv
+    assert np.allclose(drift_G(x, y, q, m), dynamics, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

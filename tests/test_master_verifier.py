@@ -6,8 +6,7 @@ import pytest
 
 from masterlq import lq_model, master_verifier as mv, riccati
 from masterlq.lq_model import scalar_model
-from masterlq.master_verifier import (consistency_uncoupling, corrupt_P,
-                                      eval_master_field, eval_value,
+from masterlq.master_verifier import (consistency_uncoupling, corrupt_P, eval_value,
                                       mean_flow_ode, residual_master_mfc,
                                       residual_master_mfg_gradient,
                                       residual_master_mfg_scalar,
@@ -45,18 +44,23 @@ def test_eval_value_scalar_lqr(sol_lqr):
     assert V == pytest.approx(0.5 * np.tanh(1.0) * np.mean(X ** 2), rel=1e-8)
 
 
+def _master_field(sol, X, t):
+    """Oracle: the per-particle field P(t) x_i + Sigma(t) ybar."""
+    ev = riccati.eval_at(sol, t)
+    return X @ ev["P"].T + X.mean(axis=0) @ ev["Sigma"].T
+
+
 def test_master_field_linear_form(scalar_coupled, sol_coupled_mfc, panel):
-    U = eval_master_field(sol_coupled_mfc, panel, 0.3)
-    ev = riccati.eval_at(sol_coupled_mfc, 0.3)
-    expect = panel @ ev["P"].T + panel.mean(axis=0) @ ev["Sigma"].T
-    assert np.array_equal(U, expect)
+    # the field U that the master residuals differentiate
+    U = mv._linear_field_terms(scalar_coupled, sol_coupled_mfc, panel, 0.3)[1]
+    assert np.array_equal(U, _master_field(sol_coupled_mfc, panel, 0.3))
 
 
 def test_master_field_is_lifted_value_gradient(scalar_coupled, sol_coupled_mfc):
     # finite-difference gradient of eval_value in particle i = U_i / N
     X = seeded_state_panel(1, 64, 5)
     t = 0.4
-    U = eval_master_field(sol_coupled_mfc, X, t)
+    U = _master_field(sol_coupled_mfc, X, t)
     h = 1e-6
     for i in (0, 17, 63):
         Xp, Xm = X.copy(), X.copy()

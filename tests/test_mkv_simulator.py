@@ -15,8 +15,7 @@ from masterlq.mkv_simulator import (ParticleEnsemble, SimConfig,
                                     check_max_principle, check_optimality_gap,
                                     estimate_cost,
                                     gaussian_ensemble, optimal_policy,
-                                    simulate, trajectory_to_csv,
-                                    uniform_ensemble, zero_policy)
+                                    simulate, trajectory_to_csv, zero_policy)
 
 from conftest import make_coupled_2x2
 
@@ -38,11 +37,6 @@ def test_gaussian_ensemble_reproducible():
     a = gaussian_ensemble(50, 2, seed=1)
     b = gaussian_ensemble(50, 2, seed=1)
     assert np.array_equal(a.states, b.states)
-
-
-def test_uniform_ensemble_bounds():
-    e = uniform_ensemble(1000, 1, seed=2, low=-0.5, high=0.5)
-    assert e.states.min() >= -0.5 and e.states.max() <= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +184,7 @@ def test_max_principle_stochastic_residual_order(coupled_2x2):
                              mode="stochastic")
     r2 = check_max_principle(coupled_2x2, sol, X0, SimConfig(steps=1000, seed=15),
                              mode="stochastic")
-    assert r1["terminal_pass"] and r2["terminal_pass"]
+    assert max(r1["terminal_gap"], r2["terminal_gap"]) <= 1e-8
     # mean squared residual is O(dt^2): halving dt shrinks it by ~4
     assert r1["mean_sq_residual"] / r2["mean_sq_residual"] > 2.5
 

@@ -1,37 +1,38 @@
 """Backward Riccati systems: closed forms, terminals, order, blow-up."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from masterlq import lq_model, riccati
 from masterlq.riccati import (RiccatiBlowUp, TimeGrid, check_symmetry_conditions,
-                              eval_at, rk4_backward, solve_mfc, solve_mfg, to_csv)
+                              eval_at, solve_mfc, solve_mfg, to_csv)
 from masterlq.lq_model import scalar_model
 
 from conftest import make_asymmetric_2x2, make_coupled_2x2
 
 
 # ---------------------------------------------------------------------------
-# rk4_backward
+# RK4 on scalar_lqr, where P' = P^2 - 1 and P(1) = 0 give P(t) = tanh(1 - t)
 
-def test_rk4_zero_rhs_constant():
-    M = np.array([[1.0, 2.0], [2.0, 5.0]])
-    out = rk4_backward(lambda t, P: np.zeros_like(P), M, TimeGrid(1.0, 10))
-    assert np.all(out == M)
-
-
-def test_rk4_tanh_closed_form():
-    out = rk4_backward(lambda t, P: P * P - 1.0, np.zeros((1, 1)), TimeGrid(1.0, 1000))
-    assert abs(out[0, 0, 0] - np.tanh(1.0)) < 1e-10
+def test_rk4_zero_rhs_constant(scalar_lqr):
+    # P(T) = 1 is a rest point of P' = P^2 - 1: every stage is exactly zero
+    sol = solve_mfc(dataclasses.replace(scalar_lqr, QT=1.0), TimeGrid(1.0, 10))
+    assert np.all(sol.P == 1.0) and np.all(sol.dP == 0.0)
 
 
-def test_rk4_fourth_order_on_tanh():
+def test_rk4_tanh_closed_form(scalar_lqr):
+    sol = solve_mfc(scalar_lqr, TimeGrid(1.0, 1000))
+    assert abs(sol.P[0, 0, 0] - np.tanh(1.0)) < 1e-10
+
+
+def test_rk4_fourth_order_on_tanh(scalar_lqr):
     errs = []
     for K in (50, 100, 200):
-        out = rk4_backward(lambda t, P: P * P - 1.0, np.zeros((1, 1)), TimeGrid(1.0, K))
-        t = np.linspace(0, 1, K + 1)
-        errs.append(np.max(np.abs(out[:, 0, 0] - np.tanh(1 - t))))
+        sol = solve_mfc(scalar_lqr, TimeGrid(1.0, K))
+        errs.append(np.max(np.abs(sol.P[:, 0, 0] - np.tanh(1 - sol.grid.nodes()))))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
     assert 3.8 <= order1 <= 4.2
