@@ -136,13 +136,14 @@ def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     """RK4 on dy/dt = (A + Abar - BRB (P + Sigma)) y, forward from y(0)."""
     AAbar, BRB = model.A + model.Abar, model.BRB()
 
-    def rhs(t, state):
-        return (_mean_drift(AAbar, BRB, ric._interp(sol.P, sol.grid, t),
-                            ric._interp(sol.Sigma, sol.grid, t), state[0]),)
+    def make_rhs(y, out):
+        def rhs(t):
+            out[:] = _mean_drift(AAbar, BRB, ric._interp(sol.P, sol.grid, t),
+                                 ric._interp(sol.Sigma, sol.grid, t), y)
+        return rhs
 
     y0 = np.asarray(y0, dtype=float).reshape(model.n)
-    nodes, _ = ric._integrate(rhs, (y0,), 0.0, grid.h, grid.K, lambda s: s)
-    return np.array([s[0] for s in nodes])
+    return ric._integrate(make_rhs, (y0,), 0.0, grid.h, grid.K, 0)[0]
 
 
 def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,

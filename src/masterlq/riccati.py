@@ -16,7 +16,8 @@ MFG (bivariate field U = 1/2 x*Px + x*Sigma EX + 1/2 EX*Gamma EX + mu):
            + Sigma Abar + Abar* Sigma = 0, with N = A + Abar - BRB (P + Sigma)
     mu' + (beta^2 + sigma^2)/2 tr P + beta^2/2 tr Gamma + beta^2 tr Sigma = 0
 
-Integrated by fixed-step classical RK4 on a uniform grid, with per-step
+Integrated by fixed-step classical RK4 on a uniform grid, on one packed
+state vector [P, Sigma, (Gamma,) lambda or mu] per node, with per-step
 symmetrization of P (and of Sigma in the MFC case only: MFG Sigma is
 genuinely non-symmetric unless Abar = 0 and Qbar S = S* Qbar).
 """
@@ -84,10 +85,6 @@ class RiccatiSolution:
     dmu: np.ndarray = field(default=None, repr=False)
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
-
-
 def _mfc_rhs(model: LQModelSpec):
     A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
     BRB = model.BRB()
@@ -97,18 +94,25 @@ def _mfc_rhs(model: LQModelSpec):
     STQbar = S.T @ Qbar
     STQbarS, QbarS = STQbar @ S, Qbar @ S
     ca, cb = 0.5 * model.sigma ** 2, 0.5 * model.beta ** 2
+    n = model.n
+    nn = n * n
 
-    def rhs(t, state):
-        P, Sig, _ = state
-        M = AAbar - BRB @ P
-        dP = -(P @ A + AT @ P - P @ BRB @ P + Q + Qbar)
-        dSig = -(Sig @ M + M.T @ Sig - Sig @ BRB @ Sig
-                 + STQbarS - QbarS - STQbar
-                 + P @ Abar + AbarT @ P)
-        dlam = -(ca * P.trace() + cb * (P + Sig).trace())
-        return dP, dSig, dlam
+    def make_rhs(y, out):
+        P, Sig = y[:nn].reshape(n, n), y[nn:2 * nn].reshape(n, n)
+        dP, dSig = out[:nn].reshape(n, n), out[nn:2 * nn].reshape(n, n)
+        dgP, dgS = P.diagonal(), Sig.diagonal()
 
-    return rhs
+        def rhs(t):
+            M = AAbar - BRB @ P
+            np.negative(P @ A + AT @ P - P @ BRB @ P + Q + Qbar, out=dP)
+            np.negative(Sig @ M + M.T @ Sig - Sig @ BRB @ Sig
+                        + STQbarS - QbarS - STQbar
+                        + P @ Abar + AbarT @ P, out=dSig)
+            out[-1] = -(ca * dgP.sum() + cb * (dgP + dgS).sum())
+
+        return rhs
+
+    return make_rhs
 
 
 def _mfg_rhs(model: LQModelSpec):
@@ -118,54 +122,98 @@ def _mfg_rhs(model: LQModelSpec):
     STQbarS, QbarS = (S.T @ Qbar) @ S, Qbar @ S
     a, b2 = model.sigma ** 2, model.beta ** 2
     cP, cG = 0.5 * (b2 + a), 0.5 * b2
+    n = model.n
+    nn = n * n
 
-    def rhs(t, state):
-        P, Sig, Gam, _ = state
-        PB = P @ BRB
-        SBS = Sig @ BRB @ Sig
-        M = AAbar - BRB @ P
-        N = AAbar - BRB @ (P + Sig)
-        dP = -(P @ A + AT @ P - PB @ P + Q + Qbar)
-        dSig = -(Sig @ M + (AT - PB) @ Sig - SBS - QbarS + P @ Abar)
-        dGam = -(Gam @ N + N.T @ Gam + STQbarS - SBS + Sig @ Abar + AbarT @ Sig)
-        dmu = -(cP * P.trace() + cG * Gam.trace() + b2 * Sig.trace())
-        return dP, dSig, dGam, dmu
+    def make_rhs(y, out):
+        P, Sig, Gam = (y[i * nn:(i + 1) * nn].reshape(n, n) for i in range(3))
+        dP, dSig, dGam = (out[i * nn:(i + 1) * nn].reshape(n, n) for i in range(3))
+        dgP, dgS, dgG = P.diagonal(), Sig.diagonal(), Gam.diagonal()
 
-    return rhs
+        def rhs(t):
+            PB = P @ BRB
+            SBS = Sig @ BRB @ Sig
+            M = AAbar - BRB @ P
+            N = AAbar - BRB @ (P + Sig)
+            np.negative(P @ A + AT @ P - PB @ P + Q + Qbar, out=dP)
+            np.negative(Sig @ M + (AT - PB) @ Sig - SBS - QbarS + P @ Abar, out=dSig)
+            np.negative(Gam @ N + N.T @ Gam + STQbarS - SBS + Sig @ Abar + AbarT @ Sig, out=dGam)
+            out[-1] = -(cP * dgP.sum() + cG * dgG.sum() + b2 * dgS.sum())
+
+        return rhs
+
+    return make_rhs
 
 
-def _integrate(rhs, state, t0: float, h: float, K: int, symmetrize):
-    """K classical RK4 steps of signed size h from (t0, state), over a
-    tuple-valued state, with per-step symmetrization and blow-up detection.
+def _integrate(make_rhs, y0, t0: float, h: float, K: int, sym: int):
+    """K classical RK4 steps of signed size h from (t0, y0) on one packed
+    float64 state vector, with per-step symmetrization and blow-up detection.
 
-    The steps run forward from t = 0 (h > 0) or backward from t = K|h|
-    (h < 0); a NumericalFailure names the grid node, counted from t = 0.
-    Returns the nodes and the rhs at each node, in step order.  The rhs at
-    a node is the next step's first stage, so K steps make 4K + 1 calls.
+    y0 is the tuple of state blocks (arrays or scalars), packed in order;
+    the first `sym` blocks are n x n matrices that each step symmetrizes.
+    make_rhs(y, out) returns rhs(t), which reads the state from the vector y
+    and writes its derivative into the vector out.  The steps run forward
+    from t = 0 (h > 0) or backward from t = K|h| (h < 0).  Returns the
+    (K+1, L) node array and the rhs at each node, row i at grid node i
+    counted from t = 0; a NumericalFailure names the node the same way.
+    The rhs at a node is the next step's first stage, so K steps make
+    4K + 1 calls.
     """
-    nodes = [state]
-    derivs = [rhs(t0, state)]
+    blocks = [np.asarray(b, dtype=float) for b in y0]
+    ends = np.cumsum([b.size for b in blocks]).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    Y, D = np.empty((K + 1, ends[-1])), np.empty((K + 1, ends[-1]))
+    u, f, k2, k3 = (np.empty(ends[-1]) for _ in range(4))
+    n = blocks[0].shape[0]
+    square = u[:sym * n * n].reshape(sym, n, n)
+    square_T = square.transpose(0, 2, 1)
+    rhs = make_rhs(u, f)
+    step, i = (1, 0) if h > 0 else (-1, K)
+    u[:] = np.concatenate([b.ravel() for b in blocks])
+    rhs(t0)
+    Y[i], D[i] = u, f
     t = t0
-    for k in range(K):
-        k1 = derivs[-1]
-        k2 = rhs(t + 0.5 * h, _axpy(state, k1, 0.5 * h))
-        k3 = rhs(t + 0.5 * h, _axpy(state, k2, 0.5 * h))
-        k4 = rhs(t + h, _axpy(state, k3, h))
-        state = symmetrize(tuple(s + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-                                 for s, c1, c2, c3, c4 in zip(state, k1, k2, k3, k4)))
+    for _ in range(K):
+        y, k1 = Y[i], D[i]
+        np.add(y, (0.5 * h) * k1, out=u)
+        rhs(t + 0.5 * h)
+        k2[:] = f
+        np.add(y, (0.5 * h) * k2, out=u)
+        rhs(t + 0.5 * h)
+        k3[:] = f
+        np.add(y, h * k3, out=u)
+        rhs(t + h)
+        # (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right; f holds k4
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += f
+        k2 *= h / 6.0
+        np.add(y, k2, out=u)
+        if sym:
+            np.multiply(0.5, square + square_T, out=square)
         t += h
-        for comp in state:
-            m = np.abs(comp).max()
-            if not m <= BLOWUP_THRESHOLD:    # NaN compares false
-                node = k + 1 if h > 0 else K - 1 - k
-                raise NumericalFailure(node) if not np.isfinite(m) else RiccatiBlowUp(t)
-        nodes.append(state)
-        derivs.append(rhs(t, state))
-    return nodes, derivs
+        i += step
+        if not np.abs(u).max() <= BLOWUP_THRESHOLD:    # NaN compares false
+            for a, b in bounds:                        # first failing block decides
+                m = np.abs(u[a:b]).max()
+                if not m <= BLOWUP_THRESHOLD:
+                    raise NumericalFailure(i) if not np.isfinite(m) else RiccatiBlowUp(t)
+        rhs(t)
+        Y[i], D[i] = u, f
+    return Y, D
 
 
-def _axpy(state, direction, scale):
-    return tuple(s + scale * d for s, d in zip(state, direction))
+def _split(A: np.ndarray, n: int, names: tuple) -> dict:
+    """Views of the packed (K+1, L) rows by name: (K+1, n, n) matrices, then
+    the scalar column (left out when its name is None)."""
+    nn = n * n
+    *mats, scalar = names
+    out = {name: A[:, j * nn:(j + 1) * nn].reshape(-1, n, n) for j, name in enumerate(mats)}
+    if scalar:
+        out[scalar] = A[:, -1]
+    return out
 
 
 def solve_mfc(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
@@ -173,47 +221,21 @@ def solve_mfc(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
     ST, QbT = model.ST, model.QbarT
     P_T = model.QT + QbT
     Sig_T = ST.T @ QbT @ ST - (ST.T @ QbT + QbT @ ST)
-    state = (P_T, Sig_T, 0.0)
-
-    def symmetrize(s):
-        return (_sym(s[0]), _sym(s[1]), s[2])
-
-    nodes, derivs = _integrate(_mfc_rhs(model), state, grid.T, -grid.h, grid.K, symmetrize)
-    nodes.reverse()
-    derivs.reverse()
-    return RiccatiSolution(
-        kind="MFC", grid=grid,
-        P=np.array([s[0] for s in nodes]),
-        Sigma=np.array([s[1] for s in nodes]),
-        lam=np.array([s[2] for s in nodes]),
-        dP=np.array([d[0] for d in derivs]),
-        dSigma=np.array([d[1] for d in derivs]),
-    )
+    Y, D = _integrate(_mfc_rhs(model), (P_T, Sig_T, 0.0), grid.T, -grid.h, grid.K, 2)
+    return RiccatiSolution(kind="MFC", grid=grid,
+                           **_split(Y, model.n, ("P", "Sigma", "lam")),
+                           **_split(D, model.n, ("dP", "dSigma", None)))
 
 
 def solve_mfg(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
-    """Solve the MFG system (P, Sigma, Gamma, mu) backward from t = T."""
+    """Solve the MFG system (P, Sigma, Gamma, mu) backward from t = T.
+    Only P is symmetrized: MFG Sigma asymmetry is a feature, not roundoff."""
     ST, QbT = model.ST, model.QbarT
     state = (model.QT + QbT, -QbT @ ST, ST.T @ QbT @ ST, 0.0)
-
-    def symmetrize(s):
-        # only P; MFG Sigma asymmetry is a feature, not roundoff
-        return (_sym(s[0]), s[1], s[2], s[3])
-
-    nodes, derivs = _integrate(_mfg_rhs(model), state, grid.T, -grid.h, grid.K, symmetrize)
-    nodes.reverse()
-    derivs.reverse()
-    return RiccatiSolution(
-        kind="MFG", grid=grid,
-        P=np.array([s[0] for s in nodes]),
-        Sigma=np.array([s[1] for s in nodes]),
-        Gamma=np.array([s[2] for s in nodes]),
-        mu=np.array([s[3] for s in nodes]),
-        dP=np.array([d[0] for d in derivs]),
-        dSigma=np.array([d[1] for d in derivs]),
-        dGamma=np.array([d[2] for d in derivs]),
-        dmu=np.array([d[3] for d in derivs]),
-    )
+    Y, D = _integrate(_mfg_rhs(model), state, grid.T, -grid.h, grid.K, 1)
+    return RiccatiSolution(kind="MFG", grid=grid,
+                           **_split(Y, model.n, ("P", "Sigma", "Gamma", "mu")),
+                           **_split(D, model.n, ("dP", "dSigma", "dGamma", "dmu")))
 
 
 @dataclass(frozen=True)
@@ -232,7 +254,16 @@ def check_symmetry_conditions(model: LQModelSpec) -> SymmetryDiagnosis:
     return SymmetryDiagnosis(bool(t_ok), bool(r_ok), bool(a_ok), bool(t_ok and r_ok and a_ok))
 
 
-def _interp(values: np.ndarray, grid: TimeGrid, t: float):
+def _interp(values: np.ndarray, grid: TimeGrid, t):
+    """Linear interpolation of the node values at time t, or at each time of
+    a 1-D array t (one result row per time, each with the scalar weights)."""
+    if isinstance(t, np.ndarray):
+        if not np.all((0.0 <= t) & (t <= grid.T + 1e-12)):
+            raise ValueError(f"times outside [0, {grid.T}]")
+        s = np.minimum(t, grid.T) / grid.h
+        k = np.minimum(np.floor(s).astype(int), grid.K - 1)
+        w = (s - k).reshape((-1,) + (1,) * (values.ndim - 1))
+        return (1.0 - w) * values[k] + w * values[k + 1]
     if not 0.0 <= t <= grid.T + 1e-12:
         raise ValueError(f"t = {t} outside [0, {grid.T}]")
     s = min(t, grid.T) / grid.h
@@ -263,13 +294,13 @@ def deriv_at(sol: RiccatiSolution, t: float) -> dict:
 
 def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     """One header row, then one row per table row, every float as its repr
-    so that it reads back exactly.  Rows are converted one at a time: a
-    whole-table tolist() would hold a Python float per cell at once."""
+    so that it reads back exactly.  A repr never needs csv quoting, so the
+    rows are joined by hand, in the csv module's bytes and \\r\\n line ends.
+    Rows are converted one at a time: a whole-table tolist() would hold a
+    Python float per cell at once."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in table:
-            w.writerow(map(repr, row.tolist()))
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
 
 
 def to_csv(sol: RiccatiSolution, path: str) -> None:

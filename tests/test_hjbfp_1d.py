@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrs
 
 from masterlq import hjbfp_1d as fd, lq_model, riccati
+from masterlq import master_verifier as mv
 from masterlq.hjbfp_1d import (CFLViolation, NonConvergence, SpaceGrid1D,
                                cosine_demo, cross_validate_lq, first_moment,
                                gaussian_density, picard_solve, problem_from_lq,
@@ -215,6 +216,40 @@ def test_cross_validate_zero_coupling_lqr(grid):
     sol = riccati.solve_mfg(m, tg)
     rep = cross_validate_lq(m, sol, pde)
     assert rep["sup_diff"] <= 1e-2
+
+
+def _ref_cross_validate(model, sol, pde):
+    """The per-node loop over eval_at that cross_validate_lq replaced."""
+    grid, tgrid = pde.grid, pde.tgrid
+    x, dx = grid.nodes(), grid.dx
+    mask = np.abs(x) <= 0.5 * max(abs(grid.x_min), abs(grid.x_max))
+    flow = mv.mean_flow_ode(model, sol, np.array([first_moment(pde.m[0], x, dx)]), tgrid)[:, 0]
+    sup = l2 = 0.0
+    times = tgrid.nodes()
+    for k, t in enumerate(times):
+        ev = riccati.eval_at(sol, t)
+        P = float(ev["P"][0, 0]); Sig = float(ev["Sigma"][0, 0])
+        yb = flow[k]
+        if sol.kind == "MFG":
+            Gam = float(ev["Gamma"][0, 0])
+            diff = pde.u[k] - (0.5 * P * x ** 2 + Sig * x * yb + 0.5 * Gam * yb ** 2 + ev["mu"])
+        else:
+            diff = pde.u[k] - (0.5 * P * x ** 2 + Sig * x * yb)
+            diff = diff - np.mean(diff[mask])
+        sup = max(sup, float(np.max(np.abs(diff[mask]))))
+        l2 += float(np.sum(diff[mask] ** 2) * dx) * tgrid.h
+    moment = np.array([first_moment(pde.m[k], x, dx) for k in range(len(times))])
+    return {"sup_diff": sup, "l2_diff": float(np.sqrt(l2)),
+            "mean_flow_diff": float(np.max(np.abs(moment - flow)))}
+
+
+@pytest.mark.parametrize("kind", ["MFG", "MFC"])
+def test_cross_validate_equals_per_node_loop(crowd_mfg, crowd_pde, crowd_pde_mfc, kind):
+    pde, _ = crowd_pde if kind == "MFG" else crowd_pde_mfc
+    # a Riccati grid unlike the PDE's, so that every node interpolates
+    sol = (riccati.solve_mfg if kind == "MFG" else riccati.solve_mfc)(crowd_mfg,
+                                                                      riccati.TimeGrid(crowd_mfg.T, 1300))
+    assert cross_validate_lq(crowd_mfg, sol, pde) == _ref_cross_validate(crowd_mfg, sol, pde)
 
 
 # ---------------------------------------------------------------------------

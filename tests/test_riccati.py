@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,14 +336,18 @@ def test_integrate_rhs_calls_per_solve(monkeypatch, coupled_2x2, kind):
     calls = []
 
     def counting(factory):
-        def make(model):
-            rhs = factory(model)
+        def counting_factory(model):
+            make_rhs = factory(model)
 
-            def counted(t, state):
-                calls.append(t)
-                return rhs(t, state)
-            return counted
-        return make
+            def make(y, out):
+                rhs = make_rhs(y, out)
+
+                def counted(t):
+                    calls.append(t)
+                    rhs(t)
+                return counted
+            return make
+        return counting_factory
 
     name = f"_{kind}_rhs"
     monkeypatch.setattr(riccati, name, counting(getattr(riccati, name)))
@@ -374,3 +379,57 @@ def test_numerical_failure_node_equals_reference(kind, bad):
     with pytest.raises(riccati.NumericalFailure) as ref:
         _ref_solve(kind, m, grid)
     assert new.value.node == ref.value.node
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_peak_memory_at_most_reference(seeded_n8):
+    # the packed solve holds two (K+1, L) arrays, no per-node tuples
+    grid = TimeGrid(1.0, 2000)
+    new = _traced_peak(lambda: solve_mfg(seeded_n8, grid))
+    ref = _traced_peak(lambda: _ref_solve("mfg", seeded_n8, grid))
+    assert new <= ref, (new, ref)
+
+
+# ---------------------------------------------------------------------------
+# the packed vector's one abs-max keeps the per-block failure order
+
+def _synthetic(g):
+    """The same rhs g(t) -> (d0 of shape (2,), d1) for _integrate and for
+    the tuple-state reference."""
+    def make_rhs(y, out):
+        def rhs(t):
+            d0, d1 = g(t)
+            out[:2] = d0
+            out[2] = d1
+        return rhs
+    return make_rhs, lambda t, state: g(t)
+
+
+@pytest.mark.parametrize("d0, d1, exc", [
+    (1e15, np.nan, RiccatiBlowUp),            # block 0 huge but finite, block 1 NaN
+    (np.nan, 1e15, riccati.NumericalFailure),  # the reverse: block 0 decides
+    (0.0, np.nan, riccati.NumericalFailure),   # a NaN alone
+], ids=["huge_then_nan", "nan_then_huge", "nan_alone"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_failure_precedence_equals_reference(d0, d1, exc):
+    # zero rhs until t < 0.52: the step from t = 0.6 to node 5 (t = 0.5) fails
+    g = lambda t: (np.full(2, d0), d1) if t < 0.52 else (np.zeros(2), 0.0)
+    make_rhs, rhs = _synthetic(g)
+    grid = TimeGrid(1.0, 10)
+    y0 = (np.zeros(2), 0.0)
+    with pytest.raises(exc) as new:
+        riccati._integrate(make_rhs, y0, grid.T, -grid.h, grid.K, 0)
+    with pytest.raises(exc) as ref:
+        _ref_integrate(rhs, y0, grid, lambda s: s)
+    if exc is RiccatiBlowUp:
+        assert new.value.escape_time == ref.value.escape_time
+    else:
+        assert new.value.node == ref.value.node == 5
