@@ -99,8 +99,12 @@ class Problem1D:
 
 
 def problem_from_lq(model: lq.LQModelSpec) -> Problem1D:
+    """The MFG problem of a scalar LQ model; the MFC problem replaces its
+    terminal by terminal_mfc_lq."""
     if model.n != 1 or model.d != 1:
         raise ValueError("FD solver handles scalar (n = d = 1) models only")
+    if model.beta > 0.0:
+        raise ValueError(f"FD solver has no common noise: needs beta = 0, got beta = {model.beta:g}")
     A = float(model.A[0, 0]); Ab = float(model.Abar[0, 0])
     Q = float(model.Q[0, 0]); Qb = float(model.Qbar[0, 0]); S = float(model.S[0, 0])
     QT = float(model.QT[0, 0]); QbT = float(model.QbarT[0, 0]); ST = float(model.ST[0, 0])
@@ -124,7 +128,7 @@ def problem_from_lq(model: lq.LQModelSpec) -> Problem1D:
 
 
 def terminal_mfc_lq(model: lq.LQModelSpec, x: np.ndarray, y: float) -> np.ndarray:
-    """h + measure-derivative correction, the MFC terminal slice."""
+    """h + measure-derivative correction, the MFC terminal slice at ybar(T) = y."""
     QT = float(model.QT[0, 0]); QbT = float(model.QbarT[0, 0]); ST = float(model.ST[0, 0])
     return (0.5 * (QT * x * x + QbT * (x - ST * y) ** 2)
             - (y - ST * y) * QbT * ST * x)
@@ -249,8 +253,7 @@ def solve_fp_forward(drift_fn, sigma: float, m0: np.ndarray,
 
 
 def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid1D,
-                       tgrid: ric.TimeGrid, qbar: np.ndarray | None = None,
-                       terminal_override: np.ndarray | None = None) -> np.ndarray:
+                       tgrid: ric.TimeGrid, qbar: np.ndarray | None = None) -> np.ndarray:
     """Backward HJB sweep given the mean path ybar[0..K] (read only when the
     problem uses the mean) and, for the MFC measure term, the path
     qbar[0..K-1] of the mean gradient E[D_x u].
@@ -263,7 +266,7 @@ def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid
     lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, grid.Nx, neumann=False))
     u = np.empty((tgrid.K + 1, grid.Nx))
     yT = float(ybar[tgrid.K]) if prob.uses_mean else 0.0
-    u[-1] = terminal_override if terminal_override is not None else prob.terminal(x, yT)
+    u[-1] = prob.terminal(x, yT)
     fwd, q_c, q = np.empty(grid.Nx - 1), np.empty(grid.Nx), np.empty(grid.Nx)
     for k in range(tgrid.K - 1, -1, -1):
         yb = float(ybar[k]) if prob.uses_mean else 0.0
@@ -306,8 +309,7 @@ def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray,
 
 def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
                  m0: np.ndarray, kind: str = "MFG", damping: float = 0.5,
-                 max_iter: int = 200, tol: float = 1e-6,
-                 terminal_override=None) -> PDEFields:
+                 max_iter: int = 200, tol: float = 1e-6) -> PDEFields:
     """Anderson-accelerated fixed point on the statistics z the HJB reads.
 
     z holds the mean path ybar_0..ybar_K (when the problem uses the mean)
@@ -341,8 +343,7 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
 
     for it in range(1, max_iter + 1):
         u = m = None    # free the previous iterate before the next sweep
-        u = solve_hjb_backward(z[:nY], prob, grid, tgrid, qbar=z[nY:] if mfc else None,
-                               terminal_override=terminal_override)
+        u = solve_hjb_backward(z[:nY], prob, grid, tgrid, qbar=z[nY:] if mfc else None)
         m = solve_fp_forward(drift_fn, prob.sigma, m0, grid, tgrid)
         f = _statistics(u, m, x, prob.uses_mean, mfc) - z
         delta = float(np.max(np.abs(f))) if f.size else 0.0

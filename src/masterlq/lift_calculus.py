@@ -1,10 +1,10 @@
 """Functionals of 1D probability measures with closed-form derivatives.
 
-Each built-in functional carries both representations of the same object:
-F(m) on densities (evaluated by Gauss-Hermite quadrature against a
-Gaussian reference measure) and F(X) on the Hilbert space of
-square-integrable random variables (evaluated on particle ensembles),
-together with closed forms for
+Every built-in functional has the form F(m) = g(int phi dm), g(s) = s^p,
+and is read both on Gaussian measures (moments by Gauss-Hermite
+quadrature) and on the Hilbert space of square-integrable random variables
+(F(X) evaluated on particle ensembles).  One chain rule gives the closed
+forms
 
     dF/dm (m)(xi),   d2F/dm2 (m)(xi, eta),
     DF(X) sample-wise,  sum_k D2F(X)(e_k, e_k) and D2F(X)(N, N) for X ~ m,
@@ -23,9 +23,18 @@ identities tying these together:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
+
+
+@lru_cache(maxsize=None)
+def _hermegauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """hermegauss(order), built once per order; the arrays are read-only."""
+    z, w = hermegauss(order)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 @dataclass(frozen=True)
@@ -38,8 +47,8 @@ class GaussianMeasure:
             raise ValueError("std must be positive")
 
     def quad_points(self, order: int):
-        """Nodes/weights so that E[f(X)] = sum w_i f(x_i)."""
-        z, w = hermegauss(order)
+        """Nodes/weights so that E[f(X)] = sum w_i f(x_i); fresh arrays."""
+        z, w = _hermegauss_rule(order)
         return self.mean + self.std * z, w / np.sqrt(2.0 * np.pi)
 
     # density derivative factors: Dm = dlog * m, Lap m = dlap * m
@@ -77,185 +86,70 @@ PHI_EXPQ = Phi(
 )
 
 
-class TestFunctional:
-    """Base interface; see LinearFunctional etc. for the concrete algebra."""
+class MomentFunctional:
+    """F(m) = g(int phi dm) with g(s) = s^p, p = 1, 2 or 3.
 
-    name: str
+    The measure argument m is a GaussianMeasure, whose moment
+    s = int phi dm comes by Gauss-Hermite quadrature, or an ensemble X, read
+    as its empirical measure (s = mean phi(X)); on an ensemble F is the lift
+    F(X).  Every derivative is one chain rule: g'(s) = p s^(p-1) or
+    g''(s) = p (p-1) s^(p-2) times phi, phi' or phi''.
+    """
 
-    def F_density(self, m: GaussianMeasure, order: int = 128) -> float:
-        raise NotImplementedError
+    def __init__(self, name: str, phi: Phi, p: int):
+        self.name, self.phi, self.p = name, phi, p
+
+    def moment(self, m, order: int = 128):
+        if isinstance(m, GaussianMeasure):
+            return _expect(m, self.phi.f, order)
+        return np.mean(self.phi.f(m))
+
+    def g1(self, s):
+        return self.p * s ** (self.p - 1)
+
+    def g2(self, s):
+        return self.p * (self.p - 1) * s ** max(self.p - 2, 0)   # no s^-1 at p = 1
 
     def F_lifted(self, X: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def dFdm(self, m: GaussianMeasure, xi, order: int = 128):
-        raise NotImplementedError
-
-    def d2Fdm2(self, m: GaussianMeasure, xi, eta, order: int = 128):
-        raise NotImplementedError
+        return float(self.moment(X) ** self.p)
 
     def DF_lifted(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """DF(X) = D_x dF/dm (m_X)(X), which is also partial_m F at X's
+        empirical measure evaluated at X."""
+        return self.g1(self.moment(X)) * self.phi.d1(X)
 
-    def d2m(self, m: GaussianMeasure, x, y, order: int = 128):
+    def dFdm(self, m: GaussianMeasure, xi, order: int = 128):
+        return self.g1(self.moment(m, order)) * self.phi.f(xi)
+
+    def d2Fdm2(self, m: GaussianMeasure, xi, eta, order: int = 128):
+        return self.g2(self.moment(m, order)) * (self.phi.f(xi) * self.phi.f(eta))
+
+    def d2m(self, m, x, y, order: int = 128):
         """Mixed second measure derivative d2m F(m)(x, y)."""
-        raise NotImplementedError
+        return self.g2(self.moment(m, order)) * (self.phi.d1(x) * self.phi.d1(y))
+
+    def dx_dm(self, m, x, order: int = 128):
+        """D_x partial_m F(m)(x)."""
+        return self.g1(self.moment(m, order)) * self.phi.d2(x)
 
     # analytic Gaussian evaluations of the Hilbert-space second derivative
     def sum_D2F_ek(self, m: GaussianMeasure, order: int = 128) -> float:
         """sum_k D2F(X)(e_k, e_k) for X ~ m (n = 1: single term)."""
-        raise NotImplementedError
+        s, e1 = self.moment(m, order), _expect(m, self.phi.d1, order)
+        return self.g2(s) * e1 * e1 + self.g1(s) * _expect(m, self.phi.d2, order)
 
     def D2F_indep_gauss(self, m: GaussianMeasure, order: int = 128) -> float:
-        """D2F(X)(N, N) with N standard Gaussian independent of X ~ m."""
-        raise NotImplementedError
-
-    # Taylor building blocks on an empirical base ensemble
-    def dm_emp(self, X0: np.ndarray, x):
-        """partial_m F at the empirical measure of X0, evaluated at x."""
-        raise NotImplementedError
-
-    def d2m_emp(self, X0: np.ndarray, x, y):
-        raise NotImplementedError
-
-    def dx_dm_emp(self, X0: np.ndarray, x):
-        """D_x partial_m F at the empirical measure of X0."""
-        raise NotImplementedError
+        """D2F(X)(N, N) with N standard Gaussian independent of X ~ m:
+        E[phi'(X) N] = 0 and E[phi''(X) N^2] = E[phi''(X)]."""
+        return self.g1(self.moment(m, order)) * _expect(m, self.phi.d2, order)
 
 
-class LinearFunctional(TestFunctional):
-    """F(m) = int phi dm."""
-
-    def __init__(self, phi: Phi):
-        self.phi = phi
-        self.name = f"linear[{phi.name}]"
-
-    def F_density(self, m, order=128):
-        return _expect(m, self.phi.f, order)
-
-    def F_lifted(self, X):
-        return float(np.mean(self.phi.f(X)))
-
-    def dFdm(self, m, xi, order=128):
-        return self.phi.f(np.asarray(xi, dtype=float))
-
-    def d2Fdm2(self, m, xi, eta, order=128):
-        return np.zeros(np.broadcast(np.asarray(xi), np.asarray(eta)).shape)
-
-    def DF_lifted(self, X):
-        return self.phi.d1(X)
-
-    def d2m(self, m, x, y, order=128):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-
-    def sum_D2F_ek(self, m, order=128):
-        return _expect(m, self.phi.d2, order)
-
-    def D2F_indep_gauss(self, m, order=128):
-        return _expect(m, self.phi.d2, order)  # E[phi'' N^2] = E[phi'']
-
-    def dm_emp(self, X0, x):
-        return self.phi.d1(np.asarray(x, dtype=float))
-
-    def d2m_emp(self, X0, x, y):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-
-    def dx_dm_emp(self, X0, x):
-        return self.phi.d2(np.asarray(x, dtype=float))
-
-
-class SquaredMomentFunctional(TestFunctional):
-    """F(m) = (int phi dm)^2."""
-
-    def __init__(self, phi: Phi):
-        self.phi = phi
-        self.name = f"squared-moment[{phi.name}]"
-
-    def F_density(self, m, order=128):
-        return _expect(m, self.phi.f, order) ** 2
-
-    def F_lifted(self, X):
-        return float(np.mean(self.phi.f(X)) ** 2)
-
-    def dFdm(self, m, xi, order=128):
-        return 2.0 * _expect(m, self.phi.f, order) * self.phi.f(np.asarray(xi, dtype=float))
-
-    def d2Fdm2(self, m, xi, eta, order=128):
-        return 2.0 * (self.phi.f(np.asarray(xi, dtype=float)) * self.phi.f(np.asarray(eta, dtype=float)))
-
-    def DF_lifted(self, X):
-        return 2.0 * np.mean(self.phi.f(X)) * self.phi.d1(X)
-
-    def d2m(self, m, x, y, order=128):
-        return 2.0 * (self.phi.d1(np.asarray(x, dtype=float)) * self.phi.d1(np.asarray(y, dtype=float)))
-
-    def sum_D2F_ek(self, m, order=128):
-        e1 = _expect(m, self.phi.d1, order)
-        return 2.0 * e1 * e1 + 2.0 * _expect(m, self.phi.f, order) * _expect(m, self.phi.d2, order)
-
-    def D2F_indep_gauss(self, m, order=128):
-        # E[phi'(X) N] = 0, E[phi''(X) N^2] = E[phi'']
-        return 2.0 * _expect(m, self.phi.f, order) * _expect(m, self.phi.d2, order)
-
-    def dm_emp(self, X0, x):
-        return 2.0 * np.mean(self.phi.f(X0)) * self.phi.d1(np.asarray(x, dtype=float))
-
-    def d2m_emp(self, X0, x, y):
-        return 2.0 * (self.phi.d1(np.asarray(x, dtype=float)) * self.phi.d1(np.asarray(y, dtype=float)))
-
-    def dx_dm_emp(self, X0, x):
-        return 2.0 * np.mean(self.phi.f(X0)) * self.phi.d2(np.asarray(x, dtype=float))
-
-
-class CubedMeanFunctional(TestFunctional):
-    """F(m) = (int x dm)^3; the minimal functional with nonzero third order."""
-
-    name = "cubed-mean"
-
-    def F_density(self, m, order=128):
-        return m.mean ** 3
-
-    def F_lifted(self, X):
-        return float(np.mean(X) ** 3)
-
-    def dFdm(self, m, xi, order=128):
-        return 3.0 * m.mean ** 2 * np.asarray(xi, dtype=float)
-
-    def d2Fdm2(self, m, xi, eta, order=128):
-        return 6.0 * m.mean * (np.asarray(xi, dtype=float) * np.asarray(eta, dtype=float))
-
-    def DF_lifted(self, X):
-        return np.full_like(X, 3.0 * np.mean(X) ** 2)
-
-    def d2m(self, m, x, y, order=128):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 6.0 * m.mean)
-
-    def sum_D2F_ek(self, m, order=128):
-        return 6.0 * m.mean
-
-    def D2F_indep_gauss(self, m, order=128):
-        return 0.0  # E[N] = 0 in both direction slots
-
-    def dm_emp(self, X0, x):
-        return np.full(np.asarray(x, dtype=float).shape, 3.0 * np.mean(X0) ** 2)
-
-    def d2m_emp(self, X0, x, y):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 6.0 * np.mean(X0))
-
-    def dx_dm_emp(self, X0, x):
-        return np.zeros(np.asarray(x, dtype=float).shape)
-
-
-def builtin_functionals() -> list[TestFunctional]:
-    return [
-        LinearFunctional(PHI_X),
-        LinearFunctional(PHI_X2),
-        LinearFunctional(PHI_EXPQ),
-        SquaredMomentFunctional(PHI_X),
-        SquaredMomentFunctional(PHI_X2),
-        SquaredMomentFunctional(PHI_EXPQ),
-        CubedMeanFunctional(),
-    ]
+def builtin_functionals() -> list[MomentFunctional]:
+    phis = (PHI_X, PHI_X2, PHI_EXPQ)
+    return ([MomentFunctional(f"linear[{phi.name}]", phi, 1) for phi in phis]
+            + [MomentFunctional(f"squared-moment[{phi.name}]", phi, 2) for phi in phis]
+            # the minimal functional with nonzero third order
+            + [MomentFunctional("cubed-mean", PHI_X, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +163,13 @@ class QuadratureDisagreement(RuntimeError):
     pass
 
 
-def _quad_dFdm_lap(F: TestFunctional, m: GaussianMeasure, order: int) -> float:
+def _quad_dFdm_lap(F: MomentFunctional, m: GaussianMeasure, order: int) -> float:
     # int dF/dm (xi) Lap m(xi) dxi = E[ dF/dm (X) dlap(X) ]
     x, w = m.quad_points(order)
     return float(w @ (F.dFdm(m, x, order) * m.dlap(x)))
 
 
-def _quad_d2F_DmDm(F: TestFunctional, m: GaussianMeasure, order: int) -> float:
+def _quad_d2F_DmDm(F: MomentFunctional, m: GaussianMeasure, order: int) -> float:
     # int int d2F/dm2 (xi, eta) Dm(xi) Dm(eta) = E_xi E_eta [k * dlog(xi) dlog(eta)]
     x, w = m.quad_points(order)
     K = F.d2Fdm2(m, x[:, None], x[None, :], order)
@@ -321,7 +215,7 @@ def _mk_report(check, F, lhs, rhs, tol, extra=None) -> Report:
                   bool(rel_err < tol), extra)
 
 
-def check_gradient_lift(F: TestFunctional, X: np.ndarray, Y: np.ndarray,
+def check_gradient_lift(F: MomentFunctional, X: np.ndarray, Y: np.ndarray,
                         theta_steps=(1e-3, 1e-4, 1e-5), tol=1e-6) -> Report:
     """Directional derivative of the lifted F against <DF(X), Y>."""
     if X.size == 0:
@@ -341,14 +235,14 @@ def check_gradient_lift(F: TestFunctional, X: np.ndarray, Y: np.ndarray,
                   {"theta_steps": list(theta_steps)})
 
 
-def check_second_identity(F: TestFunctional, m: GaussianMeasure, tol=1e-8) -> Report:
+def check_second_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8) -> Report:
     """sum_k D2F(e_k,e_k) vs quadrature of dF/dm Lap m + double kernel term."""
     lhs = F.sum_D2F_ek(m)
     rhs = _quad_checked(_quad_dFdm_lap, F, m) + _quad_checked(_quad_d2F_DmDm, F, m)
     return _mk_report("second_identity", F, lhs, rhs, tol)
 
 
-def check_difference_identity(F: TestFunctional, m: GaussianMeasure, tol=1e-8) -> Report:
+def check_difference_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8) -> Report:
     """sum_k D2F(e_k,e_k) - D2F(N,N) vs the double kernel quadrature.
 
     For linear functionals the difference vanishes identically.
@@ -356,13 +250,13 @@ def check_difference_identity(F: TestFunctional, m: GaussianMeasure, tol=1e-8) -
     lhs = F.sum_D2F_ek(m) - F.D2F_indep_gauss(m)
     rhs = _quad_checked(_quad_d2F_DmDm, F, m)
     rep = _mk_report("difference_identity", F, lhs, rhs, tol)
-    if isinstance(F, LinearFunctional):
+    if F.p == 1:
         rep.passed = rep.passed and abs(lhs) < 1e-10 and abs(rhs) < 1e-10
         rep.extra = {"linear_zero": abs(lhs) < 1e-10}
     return rep
 
 
-def check_buckdahn_relation(F: TestFunctional, m: GaussianMeasure,
+def check_buckdahn_relation(F: MomentFunctional, m: GaussianMeasure,
                             grid_pts=20, span=3.0, fd_step=1e-4, tol=1e-6) -> Report:
     """d2m F(m)(x,y) vs mixed central finite difference of d2F/dm2."""
     xs = np.linspace(m.mean - span * m.std, m.mean + span * m.std, grid_pts)
@@ -377,7 +271,7 @@ def check_buckdahn_relation(F: TestFunctional, m: GaussianMeasure,
                   float(np.max(np.abs(fd))), err, err / scale, bool(err / scale < tol))
 
 
-def check_taylor_remainder(F: TestFunctional, X0: np.ndarray, Y: np.ndarray,
+def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray,
                            eps_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
                            noise_floor=1e-12) -> Report:
     """Fit the order of the remainder after the second-order expansion.
@@ -389,11 +283,11 @@ def check_taylor_remainder(F: TestFunctional, X0: np.ndarray, Y: np.ndarray,
     remainders = []
     for eps in eps_list:
         D = eps * Y
-        t1 = float(np.mean(F.dm_emp(X0, X0) * D))
+        t1 = float(np.mean(F.DF_lifted(X0) * D))
         # E_(X X0) (X-X0) . E_(Y Y0) d2m(X0, Y0)(Y-Y0), copies share the ensemble
-        inner = np.array([np.mean(F.d2m_emp(X0, xi, X0) * D) for xi in X0])
+        inner = np.array([np.mean(F.d2m(X0, xi, X0) * D) for xi in X0])
         t2 = 0.5 * float(np.mean(D * inner))
-        t3 = 0.5 * float(np.mean(F.dx_dm_emp(X0, X0) * D * D))
+        t3 = 0.5 * float(np.mean(F.dx_dm(X0, X0) * D * D))
         R = F.F_lifted(X0 + D) - F0 - t1 - t2 - t3
         remainders.append(R)
     remainders = np.asarray(remainders)

@@ -84,7 +84,7 @@ def test_criterion_03_lift_identities():
             r2 = lc.check_difference_identity(F, m)
             assert r1.passed and r2.passed, (F.name, r1.rel_err, r2.rel_err)
             worst_rel = max(worst_rel, r1.rel_err, r2.rel_err)
-            if isinstance(F, lc.LinearFunctional):
+            if F.p == 1:
                 worst_zero = max(worst_zero, abs(r2.lhs), abs(r2.rhs))
     ok = worst_rel < 1e-8 and worst_zero < 1e-10
     _line(3, ok, f"worst identity rel err = {worst_rel:.3e}, "
@@ -94,10 +94,10 @@ def test_criterion_03_lift_identities():
 def test_criterion_04_taylor_remainder():
     X0 = lc.seeded_ensemble(2000, 101)
     Y = X0 + 0.5 * lc.seeded_ensemble(2000, 102)   # correlated direction
-    rc = lc.check_taylor_remainder(lc.CubedMeanFunctional(), X0, Y)
+    rc = lc.check_taylor_remainder(lc.MomentFunctional("cubed-mean", lc.PHI_X, 3), X0, Y)
     slope = rc.extra["slope"]
     rs = lc.check_taylor_remainder(
-        lc.SquaredMomentFunctional(lc.PHI_X), X0, Y)
+        lc.MomentFunctional("squared-moment[x]", lc.PHI_X, 2), X0, Y)
     sq_worst = float(np.max(np.abs(rs.extra.get("remainders", [rs.abs_err]))))
     ok = rc.passed and 2.9 <= slope <= 3.1 and rs.passed and sq_worst < 1e-12
     _line(4, ok, f"cubed-mean slope = {slope:.3f}, "

@@ -369,6 +369,28 @@ def test_hjbfp_bad_initial_density_exit_1(tmp_path, capsys, option, value):
     assert not (out / "hjbfp.json").exists()
 
 
+def test_hjbfp_common_noise_exit_1(tmp_path, capsys):
+    # the FD solver has no common-noise term: scalar_coupled (beta = 0.3) is refused
+    code, out = run(tmp_path, "hjbfp", "--model", COUPLED, "--kind", "mfg",
+                    "--grid=-4,4,40,50")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: FD solver has no common noise: needs beta = 0, got beta = 0.3"]
+    assert not (out / "hjbfp.json").exists()
+
+
+def test_hjbfp_mfc_terminal_at_final_mean(tmp_path):
+    # scalar_coupled without common noise has a nonzero MFC terminal correction,
+    # which must be taken at ybar(T); taken at ybar(0) it gives sup_diff 0.110
+    model = tmp_path / "coupled_beta0.json"
+    model.write_text(json.dumps({**json.loads(open(COUPLED).read()), "beta": 0.0}))
+    run(tmp_path, "hjbfp", "--model", str(model), "--kind", "mfc", "--grid=-4,4,200,2000")
+    rep = json.loads((tmp_path / "out" / "hjbfp.json").read_text())
+    assert rep["converged"] is True
+    assert rep["cross_validation"]["sup_diff"] < 0.03
+    assert rep["cross_validation"]["mean_flow_diff"] < 0.02
+
+
 def test_hjbfp_nonconvergence_exit_3(tmp_path, monkeypatch):
     import masterlq.hjbfp_1d as hj
     orig = hj.picard_solve

@@ -189,6 +189,11 @@ def test_problem_from_lq_rejects_matrix_models(coupled_2x2):
         problem_from_lq(coupled_2x2)
 
 
+def test_problem_from_lq_rejects_common_noise(scalar_coupled):
+    with pytest.raises(ValueError, match="no common noise: needs beta = 0, got beta = 0.3"):
+        problem_from_lq(scalar_coupled)
+
+
 # ---------------------------------------------------------------------------
 # cross-validation against the Riccati reference
 
@@ -274,12 +279,12 @@ def _ref_fp_forward(drift_fn, sigma, m0, grid, tgrid):
     return m
 
 
-def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False, terminal_override=None):
+def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False):
     x, dx, dt = grid.nodes(), grid.dx, tgrid.h
     ab = fd._diffusion_banded(0.5 * prob.sigma ** 2 * dt, dx, grid.Nx, neumann=False)
     moment = lambda ms: np.sum(x * ms) * dx / (np.sum(ms) * dx) if prob.uses_mean else 0.0
     u = np.empty_like(m)
-    u[-1] = terminal_override if terminal_override is not None else prob.terminal(x, moment(m[-1]))
+    u[-1] = prob.terminal(x, moment(m[-1]))
     for k in range(tgrid.K - 1, -1, -1):
         yb = moment(m[k])
         q_c = np.gradient(u[k + 1], dx)
@@ -297,14 +302,14 @@ def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False, terminal_override=N
     return u
 
 
-def _ref_picard(prob, grid, tgrid, m0, kind, terminal_override, tol):
+def _ref_picard(prob, grid, tgrid, m0, kind, tol):
     """Damped (0.5) Picard iteration on the whole density, until the density
     changes by less than tol."""
     x, dx = grid.nodes(), grid.dx
     m0 = m0 / (np.sum(m0) * dx)
     m = np.tile(m0, (tgrid.K + 1, 1))
     for _ in range(500):
-        u = _ref_hjb_backward(m, prob, grid, tgrid, kind == "MFC", terminal_override)
+        u = _ref_hjb_backward(m, prob, grid, tgrid, kind == "MFC")
         drift = lambda k, xs, ms: prob.drift(
             xs, np.sum(xs * ms) * dx / (np.sum(ms) * dx) if prob.uses_mean else 0.0,
             np.gradient(u[k], dx))
@@ -320,13 +325,12 @@ def _ref_picard(prob, grid, tgrid, m0, kind, terminal_override, tol):
 def _bitwise_case(crowd, name):
     if name == "cosine":
         grid = SpaceGrid1D(-3.0, 3.0, 40)
-        return (cosine_demo(), grid, riccati.TimeGrid(0.5, 50),
-                gaussian_density(grid, 0.0, 0.7), None)
+        return cosine_demo(), grid, riccati.TimeGrid(0.5, 50), gaussian_density(grid, 0.0, 0.7)
     grid = SpaceGrid1D(-4.0, 4.0, 40)
-    m0 = gaussian_density(grid, 1.0, 0.5)
-    term = (terminal_mfc_lq(crowd, grid.nodes(), first_moment(m0, grid.nodes(), grid.dx))
-            if name == "MFC" else None)
-    return problem_from_lq(crowd), grid, riccati.TimeGrid(crowd.T, 50), m0, term
+    prob = problem_from_lq(crowd)
+    if name == "MFC":
+        prob = dataclasses.replace(prob, terminal=lambda x, y: terminal_mfc_lq(crowd, x, y))
+    return prob, grid, riccati.TimeGrid(crowd.T, 50), gaussian_density(grid, 1.0, 0.5)
 
 
 def _ref_mean_gradient(u, m, dx):
@@ -337,23 +341,23 @@ def _ref_mean_gradient(u, m, dx):
 
 @pytest.mark.parametrize("name", ["MFG", "MFC", "cosine"])
 def test_sweeps_bitwise_equal_reference(crowd_mfg, name):
-    prob, grid, tg, m0, term = _bitwise_case(crowd_mfg, name)
+    prob, grid, tg, m0 = _bitwise_case(crowd_mfg, name)
     lin = lambda k, xs, ms: 0.3 - 0.5 * xs
     m = _ref_fp_forward(lin, prob.sigma, m0, grid, tg)
     assert np.array_equal(solve_fp_forward(lin, prob.sigma, m0, grid, tg), m)
     # the HJB sweep on the moments of m (and, for MFC, the reference's own
     # mean gradient path) equals the reference sweep on m itself
-    u = _ref_hjb_backward(m, prob, grid, tg, name == "MFC", term)
+    u = _ref_hjb_backward(m, prob, grid, tg, name == "MFC")
     qbar = _ref_mean_gradient(u, m, grid.dx) if name == "MFC" else None
     ybar = _mean_path(m, grid) if prob.uses_mean else None
-    assert np.array_equal(solve_hjb_backward(ybar, prob, grid, tg, qbar, term), u)
+    assert np.array_equal(solve_hjb_backward(ybar, prob, grid, tg, qbar), u)
 
 
 @pytest.mark.parametrize("kind", ["MFG", "MFC"])
 def test_anderson_matches_density_picard(crowd_mfg, kind):
-    prob, grid, tg, m0, term = _bitwise_case(crowd_mfg, kind)
-    pde = picard_solve(prob, grid, tg, m0, kind=kind, terminal_override=term)
-    u_ref, m_ref = _ref_picard(prob, grid, tg, m0, kind, term, tol=1e-10)
+    prob, grid, tg, m0 = _bitwise_case(crowd_mfg, kind)
+    pde = picard_solve(prob, grid, tg, m0, kind=kind)
+    u_ref, m_ref = _ref_picard(prob, grid, tg, m0, kind, tol=1e-10)
     assert np.max(np.abs(pde.u - u_ref)) <= 1e-5
     assert np.max(np.abs(pde.m - m_ref)) <= 1e-5
     sol = (riccati.solve_mfc if kind == "MFC" else riccati.solve_mfg)(crowd_mfg, tg)
@@ -370,7 +374,7 @@ def test_anderson_iterations_crowd(crowd_pde, crowd_pde_mfc):
 
 
 def test_anderson_cosine_one_sweep_pair(crowd_mfg):
-    prob, grid, tg, m0, _ = _bitwise_case(crowd_mfg, "cosine")
+    prob, grid, tg, m0 = _bitwise_case(crowd_mfg, "cosine")
     pde = picard_solve(prob, grid, tg, m0, kind="MFG")
     assert pde.iterations == 1 and pde.history == [0.0]
     u = solve_hjb_backward(None, prob, grid, tg)

@@ -4,16 +4,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from masterlq import cli
 from masterlq import lift_calculus as lc
-from masterlq.lift_calculus import (CubedMeanFunctional, GaussianMeasure,
-                                    LinearFunctional, PHI_X, PHI_X2,
-                                    SquaredMomentFunctional,
-                                    builtin_functionals, check_buckdahn_relation,
-                                    check_difference_identity,
+from masterlq.lift_calculus import (GaussianMeasure, builtin_functionals,
+                                    check_buckdahn_relation, check_difference_identity,
                                     check_gradient_lift, check_second_identity,
                                     check_taylor_remainder, seeded_ensemble)
 
 MEASURES = [GaussianMeasure(0.0, 1.0), GaussianMeasure(1.0, 2.0)]
+BUILTIN = {F.name: F for F in builtin_functionals()}
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +26,8 @@ def ensembles():
 # density vs lifted evaluation
 
 def test_density_lifted_agree_at_monte_carlo_rate():
-    F = SquaredMomentFunctional(PHI_X2)
-    m = GaussianMeasure(0.0, 1.0)
-    ref = F.F_density(m)
+    F = BUILTIN["squared-moment[x^2]"]
+    ref = 1.0     # (E X^2)^2 under N(0, 1)
     errs = []
     for N in (10**3, 10**4, 10**5):
         X = seeded_ensemble(N, 11)
@@ -51,8 +49,7 @@ def test_d2fdm2_kernel_symmetric():
 
 def test_gradient_lift_linear_is_exact(ensembles):
     X, Y = ensembles
-    F = LinearFunctional(PHI_X)
-    r = check_gradient_lift(F, X, Y)
+    r = check_gradient_lift(BUILTIN["linear[x]"], X, Y)
     # directional derivative of mean(X) is mean(Y) for every theta
     assert r.abs_err < 1e-11
 
@@ -66,28 +63,34 @@ def test_gradient_lift_all_builtins(ensembles):
 
 
 def test_gradient_lift_rejects_empty():
-    F = LinearFunctional(PHI_X)
     with pytest.raises(ValueError):
-        check_gradient_lift(F, np.array([]), np.array([]))
+        check_gradient_lift(BUILTIN["linear[x]"], np.array([]), np.array([]))
 
 
 # ---------------------------------------------------------------------------
 # second-derivative identities
 
-def test_second_identity_squared_moment_x_value():
-    # LHS = 2 E[phi']^2 + 2 E[phi] E[phi''] = 2 for phi = x, any Gaussian
-    F = SquaredMomentFunctional(PHI_X)
-    for m in MEASURES:
-        r = check_second_identity(F, m)
-        assert r.lhs == pytest.approx(2.0, abs=1e-10)
-        assert r.passed
+def _closed_forms(mu, var):
+    """(sum_k D2F(e_k, e_k), D2F(N, N)) at N(mu, var), derived by hand from
+    D2F(X)(Y, Y) = g''(s) E[phi'(X) Y]^2 + g'(s) E[phi''(X) Y^2]."""
+    m2 = mu * mu + var      # E X^2
+    return {"linear[x]": (0.0, 0.0),
+            "linear[x^2]": (2.0, 2.0),
+            "squared-moment[x]": (2.0, 0.0),
+            "squared-moment[x^2]": (8.0 * mu * mu + 4.0 * m2, 4.0 * m2),
+            "cubed-mean": (6.0 * mu, 0.0)}
 
 
-def test_second_identity_squared_moment_x2_value():
-    F = SquaredMomentFunctional(PHI_X2)
-    r = check_second_identity(F, GaussianMeasure(0.0, 1.0))
-    assert r.lhs == pytest.approx(4.0, abs=1e-10)
-    assert r.rhs == pytest.approx(4.0, abs=1e-8)
+@pytest.mark.parametrize("m", MEASURES, ids=["N(0,1)", "N(1,2)"])
+@pytest.mark.parametrize("name", list(_closed_forms(0.0, 1.0)))
+def test_second_derivatives_closed_form(name, m):
+    F = BUILTIN[name]
+    total, indep = _closed_forms(m.mean, m.std ** 2)[name]
+    assert F.sum_D2F_ek(m) == pytest.approx(total, abs=1e-10)
+    assert F.D2F_indep_gauss(m) == pytest.approx(indep, abs=1e-10)
+    # the quadrature sides of both identities reach the same values
+    assert check_second_identity(F, m).rhs == pytest.approx(total, abs=1e-8)
+    assert check_difference_identity(F, m).rhs == pytest.approx(total - indep, abs=1e-8)
 
 
 def test_second_identity_all_builtins():
@@ -105,26 +108,11 @@ def test_difference_identity_all_builtins():
             assert r.passed, f"{F.name} on {m}: {r.rel_err}"
 
 
-def test_difference_identity_linear_is_zero():
-    for phi in (PHI_X, PHI_X2, lc.PHI_EXPQ):
-        F = LinearFunctional(phi)
-        for m in MEASURES:
-            r = check_difference_identity(F, m)
-            assert abs(r.lhs) < 1e-10 and abs(r.rhs) < 1e-10
-
-
-def test_difference_identity_squared_moment_x_value():
-    # difference = 2 E[phi']^2 = 2 for phi = x
-    F = SquaredMomentFunctional(PHI_X)
-    r = check_difference_identity(F, GaussianMeasure(1.0, 2.0))
-    assert r.lhs == pytest.approx(2.0, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # mixed second measure derivative
 
 def test_buckdahn_squared_moment_x_constant():
-    F = SquaredMomentFunctional(PHI_X)
+    F = BUILTIN["squared-moment[x]"]
     xs = np.linspace(-2, 2, 5)
     for x in xs:
         for y in xs:
@@ -144,7 +132,7 @@ def test_buckdahn_relation_all_builtins():
 
 def test_taylor_cubed_mean_slope_three(ensembles):
     X, Y = ensembles
-    r = check_taylor_remainder(CubedMeanFunctional(), X, Y)
+    r = check_taylor_remainder(BUILTIN["cubed-mean"], X, Y)
     assert r.passed
     assert 2.9 <= r.extra["slope"] <= 3.1
 
@@ -153,15 +141,14 @@ def test_taylor_cubed_mean_remainder_exact():
     # R(eps) = eps^3 (E Y)^3 exactly for the cubed mean
     X = seeded_ensemble(2000, 3)
     Y = seeded_ensemble(2000, 4, mean=1.0)
-    F = CubedMeanFunctional()
-    r = check_taylor_remainder(F, X, Y, eps_list=(1e-1,))
+    r = check_taylor_remainder(BUILTIN["cubed-mean"], X, Y, eps_list=(1e-1,))
     Ey = float(np.mean(Y))
     assert r.extra["remainders"][0] == pytest.approx((0.1 * Ey) ** 3, rel=1e-9)
 
 
 def test_taylor_squared_moment_zero_remainder(ensembles):
     X, Y = ensembles
-    r = check_taylor_remainder(SquaredMomentFunctional(PHI_X), X, Y)
+    r = check_taylor_remainder(BUILTIN["squared-moment[x]"], X, Y)
     assert r.extra.get("below_noise_floor")
     assert r.abs_err < 1e-11
 
@@ -170,7 +157,7 @@ def test_taylor_zero_mean_direction_kills_remainder():
     X = seeded_ensemble(2000, 5)
     Y = seeded_ensemble(2000, 6)
     Y = Y - Y.mean()
-    r = check_taylor_remainder(CubedMeanFunctional(), X, Y)
+    r = check_taylor_remainder(BUILTIN["cubed-mean"], X, Y)
     assert r.extra.get("below_noise_floor")
 
 
@@ -186,7 +173,36 @@ def test_seeded_ensemble_reproducible():
 
 
 def test_report_to_dict_keys():
-    F = LinearFunctional(PHI_X)
-    d = check_second_identity(F, GaussianMeasure(0, 1)).to_dict()
+    d = check_second_identity(BUILTIN["linear[x]"], GaussianMeasure(0, 1)).to_dict()
     for key in ("check", "functional", "lhs", "rhs", "abs_err", "rel_err", "pass"):
         assert key in d
+
+
+def test_builtin_names_in_report_order():
+    assert list(BUILTIN) == ["linear[x]", "linear[x^2]", "linear[exp(-x^2/2)]",
+                             "squared-moment[x]", "squared-moment[x^2]",
+                             "squared-moment[exp(-x^2/2)]", "cubed-mean"]
+
+
+def test_quad_points_fresh_arrays():
+    m = GaussianMeasure(1.0, 2.0)
+    x, w = m.quad_points(128)
+    x0, w0 = x.copy(), w.copy()
+    x[:] = 0.0
+    w[:] = 0.0
+    x1, w1 = m.quad_points(128)
+    assert np.array_equal(x1, x0) and np.array_equal(w1, w0)
+
+
+def test_verify_lift_builds_each_rule_once(tmp_path, monkeypatch):
+    built = []
+    hermegauss = lc.hermegauss
+    monkeypatch.setattr(lc, "hermegauss", lambda order: built.append(order) or hermegauss(order))
+    lc._hermegauss_rule.cache_clear()
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["verify", "--suite", "lift", f"--out={out}"]) == 0
+    assert sorted(built) == sorted(lc.QUAD_ORDERS)
+    # the second run reads the rules built by the first: same bytes
+    a, b = ((out / "verify_lift.json").read_bytes() for out in outs)
+    assert a == b
