@@ -56,14 +56,30 @@ class LQModelSpec:
         for name in _MATRIX_KEYS:
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
 
+    # R^{-1} B* and B R^{-1} B* are built once per spec and kept, read-only,
+    # in the instance dict; dataclasses.replace makes a new spec and so a new
+    # cache.
+
     def Rinv_Bt(self) -> np.ndarray:
         """R^{-1} B*, via Cholesky."""
-        c, low = cho_factor(self.R)
-        return cho_solve((c, low), self.B.T)
+        RB = self.__dict__.get("_Rinv_Bt")
+        if RB is None:
+            c, low = cho_factor(self.R)
+            RB = _cache(self, "_Rinv_Bt", cho_solve((c, low), self.B.T))
+        return RB
 
     def BRB(self) -> np.ndarray:
         """B R^{-1} B*, the control-weight kernel of the Hamiltonian."""
-        return self.B @ self.Rinv_Bt()
+        BRB = self.__dict__.get("_BRB")
+        if BRB is None:
+            BRB = _cache(self, "_BRB", self.B @ self.Rinv_Bt())
+        return BRB
+
+
+def _cache(model: LQModelSpec, name: str, value: np.ndarray) -> np.ndarray:
+    value.flags.writeable = False
+    object.__setattr__(model, name, value)
+    return value
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
@@ -179,13 +195,32 @@ def measure_term(y: np.ndarray, qbar: np.ndarray, model: LQModelSpec) -> np.ndar
     return y @ (-S.T @ Qb + S.T @ Qb @ S).T + qbar @ model.Abar
 
 
+def _quad(a: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """a_i* M a_i for each row a_i of a (N, m), with the bits of
+    einsum("ij,jk,ik->i", a, M, a): the terms (a_j M_jk) a_k are added in
+    (j, k) order onto +0.0, so a sum of -0.0 terms gives +0.0.  The columns
+    of a are contiguous rows of a.T, and every step works in place."""
+    cols = np.ascontiguousarray(a.T)
+    out = np.multiply(cols[0], M[0, 0])
+    out *= cols[0]
+    out += 0.0
+    if len(cols) == 1:
+        return out
+    t = np.empty_like(out)
+    for j, aj in enumerate(cols):
+        for k, ak in enumerate(cols):
+            if j or k:
+                np.multiply(aj, M[j, k], out=t)
+                t *= ak
+                out += t
+    return out
+
+
 def running_cost(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec):
     """f(x, y, v) = 1/2 [ x*Qx + v*Rv + (x - Sy)* Qbar (x - Sy) ]."""
     (x, single), (v, _) = _rows(x, model.n), _rows(v, model.d)
     e = x - _mean(y, model.n) @ model.S.T
-    f = 0.5 * (np.einsum("ij,jk,ik->i", x, model.Q, x)
-               + np.einsum("ij,jk,ik->i", v, model.R, v)
-               + np.einsum("ij,jk,ik->i", e, model.Qbar, e))
+    f = 0.5 * (_quad(x, model.Q) + _quad(v, model.R) + _quad(e, model.Qbar))
     return _point(f, single)
 
 
@@ -193,8 +228,7 @@ def terminal_cost(x: np.ndarray, y: np.ndarray, model: LQModelSpec):
     """h(x, y) = 1/2 [ x*QT x + (x - ST y)* QbarT (x - ST y) ]."""
     x, single = _rows(x, model.n)
     e = x - _mean(y, model.n) @ model.ST.T
-    h = 0.5 * (np.einsum("ij,jk,ik->i", x, model.QT, x)
-               + np.einsum("ij,jk,ik->i", e, model.QbarT, e))
+    h = 0.5 * (_quad(x, model.QT) + _quad(e, model.QbarT))
     return _point(h, single)
 
 

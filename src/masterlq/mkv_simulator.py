@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,6 +159,18 @@ def _run_inline(fn, *args) -> Future:
 def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
              X0: ParticleEnsemble, cfg: SimConfig) -> Trajectory:
     """Euler-Maruyama forward pass; deterministic given (seed, N, steps)."""
+    return _simulate(model, [policy], X0, cfg)[0]
+
+
+def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
+              X0: ParticleEnsemble, cfg: SimConfig) -> list[Trajectory]:
+    """simulate for each policy, all on one noise draw per step.
+
+    Each policy's ensemble sees the same numbers as in its own simulate
+    call, so every trajectory has the same bits.  If ensembles go
+    non-finite, the NumericalFailure raised is the one of the first failing
+    policy in list order, as if the policies had run one after another.
+    """
     N, n = X0.N, X0.n
     if n != model.n:
         raise ValueError(f"ensemble dimension {n} != model dimension {model.n}")
@@ -167,14 +179,18 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
     cseed = cfg.seed if cfg.common_seed is None else cfg.common_seed
     sig_sdt, beta_sdt = model.sigma * sdt, model.beta * sdt
 
-    x = X0.states.copy()
     times = np.linspace(0.0, model.T, cfg.steps + 1)
-    ybar = np.empty((cfg.steps + 1, n))
-    m2 = np.empty((cfg.steps + 1, n))
     bpath = np.zeros((cfg.steps + 1, n))
-    run = np.zeros(N)
-    run_partial = np.zeros(cfg.steps + 1)
-    hist = np.empty((cfg.steps + 1, N, n)) if cfg.store_states else None
+    # final_states is the ensemble itself, advanced in place
+    trajs = [Trajectory(times=times, ybar=np.empty((cfg.steps + 1, n)),
+                        second_moment=np.empty((cfg.steps + 1, n)), common_path=bpath,
+                        running_cost=np.zeros(N), running_cost_partial=np.zeros(cfg.steps + 1),
+                        final_states=X0.states.copy(),
+                        states_history=(np.empty((cfg.steps + 1, N, n))
+                                        if cfg.store_states else None))
+             for _ in policies]
+    live = list(range(len(policies)))   # indices of the policies still advancing
+    failed = {}                         # policy index -> step its ensemble failed at
 
     def noise(k, buf):
         # Step k's scaled draws.  On the worker thread this calls no public
@@ -193,7 +209,8 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
     def times_t(a, M):
         return np.dot(a, np.ascontiguousarray(M.T)) if N > 1 else a @ M.T
 
-    RB = None if policy.kind == "CUSTOM_LINEAR" else model.Rinv_Bt()
+    custom = all(p.kind == "CUSTOM_LINEAR" for p in policies)
+    RB = None if custom else model.Rinv_Bt()
     bufs = [np.empty((N, n)), np.empty((N, n))] if model.sigma > 0.0 else [None, None]
     prefetch = model.sigma > 0.0 and N * n >= PREFETCH_MIN_DRAWS and _prefetch_allowed()
     with ThreadPoolExecutor(1) if prefetch else nullcontext() as pool:
@@ -201,43 +218,52 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
         pending = submit(noise, 0, bufs[0])
         for k in range(cfg.steps):
             t = times[k]
-            yb = x.mean(axis=0)
-            ybar[k] = yb
-            m2[k] = np.mean(x * x, axis=0)
-            if hist is not None:
-                hist[k] = x
-            K1, K2 = policy.gains(t, RB)
-            v = times_t(x, K1)
-            v += yb @ K2.T
-            f = lq.running_cost(x, yb, v, model)   # left-endpoint rule
-            run += f * dt
-            run_partial[k + 1] = run_partial[k] + float(np.mean(f)) * dt
-
-            drift = times_t(x, model.A)
-            drift += yb @ model.Abar.T
-            drift += times_t(v, model.B)
-            drift *= dt
-            x += drift
             z, b = pending.result()
             if k + 1 < cfg.steps:
                 pending = submit(noise, k + 1, bufs[(k + 1) % 2])
-            if z is not None:
-                x += z
-            if b is not None:
-                x += b
-                bpath[k + 1] = bpath[k] + b
-            else:
-                bpath[k + 1] = bpath[k]
-            if not np.all(np.isfinite(x)):
-                raise ric.NumericalFailure(k)
+            for i in live:
+                policy, tr = policies[i], trajs[i]
+                x = tr.final_states
+                yb = x.mean(axis=0)
+                tr.ybar[k] = yb
+                tr.second_moment[k] = np.mean(x * x, axis=0)
+                if tr.states_history is not None:
+                    tr.states_history[k] = x
+                K1, K2 = policy.gains(t, RB)
+                v = times_t(x, K1)
+                v += yb @ K2.T
+                f = lq.running_cost(x, yb, v, model)   # left-endpoint rule
+                tr.running_cost += f * dt
+                tr.running_cost_partial[k + 1] = (tr.running_cost_partial[k]
+                                                  + float(np.mean(f)) * dt)
 
-    ybar[-1] = x.mean(axis=0)
-    m2[-1] = np.mean(x * x, axis=0)
-    if hist is not None:
-        hist[-1] = x
-    return Trajectory(times=times, ybar=ybar, second_moment=m2, common_path=bpath,
-                      running_cost=run, running_cost_partial=run_partial,
-                      final_states=x, states_history=hist)
+                drift = times_t(x, model.A)
+                drift += yb @ model.Abar.T
+                drift += times_t(v, model.B)
+                drift *= dt
+                x += drift
+                if z is not None:
+                    x += z
+                if b is not None:
+                    x += b
+                if not np.all(np.isfinite(x)):
+                    failed[i] = k
+            bpath[k + 1] = bpath[k] + b if b is not None else bpath[k]
+            if failed:
+                live = [i for i in live if i not in failed]
+                first = min(failed)
+                if not live or first < live[0]:
+                    raise ric.NumericalFailure(failed[first])
+    if failed:
+        raise ric.NumericalFailure(failed[min(failed)])
+
+    for tr in trajs:
+        x = tr.final_states
+        tr.ybar[-1] = x.mean(axis=0)
+        tr.second_moment[-1] = np.mean(x * x, axis=0)
+        if tr.states_history is not None:
+            tr.states_history[-1] = x
+    return trajs
 
 
 def estimate_cost(model: lq.LQModelSpec, traj: Trajectory) -> dict:
@@ -288,16 +314,19 @@ def check_optimality_gap(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                          eps_list=(0.1, 0.2, 0.4)) -> dict:
     """Cost increase under fixed random gain perturbations of size eps.
 
-    Common random numbers (same cfg) across runs make the gaps directly
-    comparable; near the optimum they grow ~ eps^2.
+    Common random numbers make the gaps directly comparable: the optimal
+    and perturbed ensembles advance together on one draw per step.  Near
+    the optimum the gaps grow ~ eps^2.
     """
     d1, d2 = perturbation_directions(model, cfg.seed)
-    base = estimate_cost(model, simulate(model, optimal_policy(sol), X0, cfg))
+    policies = [optimal_policy(sol)] + [
+        FeedbackPolicy(kind="PERTURBED", sol=sol, eps=eps, delta1=d1, delta2=d2)
+        for eps in eps_list]
+    trajs = _simulate(model, policies, X0, replace(cfg, store_states=False))
+    base = estimate_cost(model, trajs[0])
     gaps = {}
-    for eps in eps_list:
-        pol = FeedbackPolicy(kind="PERTURBED", sol=sol, eps=eps, delta1=d1, delta2=d2)
-        est = estimate_cost(model, simulate(model, pol, X0, cfg))
-        gaps[eps] = est["J_hat"] - base["J_hat"]
+    for eps, traj in zip(eps_list, trajs[1:]):
+        gaps[eps] = estimate_cost(model, traj)["J_hat"] - base["J_hat"]
     eps_arr = np.asarray(list(gaps))
     gap_arr = np.asarray([gaps[e] for e in gaps])
     quad_coef = float(np.linalg.lstsq(eps_arr[:, None] ** 2, gap_arr, rcond=None)[0][0])
@@ -370,7 +399,6 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
 
 
 def _with_noise(model: lq.LQModelSpec, sigma: float, beta: float) -> lq.LQModelSpec:
-    from dataclasses import replace
     return replace(model, sigma=sigma, beta=beta)
 
 

@@ -161,6 +161,34 @@ def test_taylor_zero_mean_direction_kills_remainder():
     assert r.extra.get("below_noise_floor")
 
 
+def _per_particle_remainders(F, X0, Y, eps_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)):
+    """The Taylor remainders with the second-order kernel formed one particle
+    at a time, every derivative evaluated afresh."""
+    F0 = F.F_lifted(X0)
+    out = []
+    for eps in eps_list:
+        D = eps * Y
+        t1 = float(np.mean(F.DF_lifted(X0) * D))
+        inner = np.array([np.mean(F.d2m(X0, xi, X0) * D) for xi in X0])
+        t2 = 0.5 * float(np.mean(D * inner))
+        t3 = 0.5 * float(np.mean(F.dx_dm(X0, X0) * D * D))
+        out.append(F.F_lifted(X0 + D) - F0 - t1 - t2 - t3)
+    return out
+
+
+@pytest.mark.parametrize("name,N", [(name, N) for name in BUILTIN for N in (1, 63, 64, 65, 300)]
+                         + [("cubed-mean", 2000)])      # the size `verify --suite lift` uses
+def test_taylor_remainders_equal_per_particle_kernel(name, N):
+    X0 = seeded_ensemble(N, 11, mean=0.4)
+    Y = seeded_ensemble(N, 12, mean=1.0)
+    ref = _per_particle_remainders(BUILTIN[name], X0, Y)
+    r = check_taylor_remainder(BUILTIN[name], X0, Y)
+    if r.extra.get("below_noise_floor"):
+        assert r.abs_err == max(abs(x) for x in ref)
+    else:
+        assert r.extra["remainders"] == ref
+
+
 # ---------------------------------------------------------------------------
 # infrastructure
 

@@ -266,3 +266,125 @@ def test_row_kernels_match_closed_forms():
                        (m.Q + m.Qbar) @ x - m.Qbar @ m.S @ y + m.A.T @ q, rtol=1e-13)
     assert np.allclose(lq_model.measure_term(y, q, m),
                        (m.S.T @ m.Qbar @ m.S - m.S.T @ m.Qbar) @ y + m.Abar.T @ q, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms: lq_model._quad against the three-operand einsum it replaced
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _einsum_quad(a, M):
+    return np.einsum("ij,jk,ik->i", a, M, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("N", [1, 2, 7, 2000, 100_000])
+def test_quad_equals_einsum_bitwise(N, n):
+    rng = np.random.default_rng([N, n])
+    # entries from 1e-3 to 1e3 in size, both signs; M is not symmetric
+    a = rng.standard_normal((N, n)) * 10.0 ** rng.uniform(-3, 3, (N, n))
+    M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+    assert np.array_equal(_bits(lq_model._quad(a, M)), _bits(_einsum_quad(a, M)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quad_signed_zero_rows_equal_einsum(n):
+    # every term of a +-0.0 row under a negative-definite M is -0.0 or +0.0;
+    # einsum adds them onto +0.0, so no row may come out as -0.0
+    rows = np.array(np.meshgrid(*[[0.0, -0.0]] * n)).reshape(n, -1).T
+    a = np.vstack([rows, np.ones((1, n))])
+    M = -np.eye(n) - 0.1 * np.ones((n, n))
+    got = lq_model._quad(a, M)
+    assert np.array_equal(_bits(got), _bits(_einsum_quad(a, M)))
+    assert not np.any(np.signbit(got[:-1]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quad_non_finite_entries_equal_einsum(n, bad):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((6 * n, n))
+    for i in range(a.shape[0]):
+        a[i, i % n] = bad if i % 2 else a[i, i % n]
+    a[0, :] = 0.0
+    a[0, 0] = bad                       # inf * 0 makes a nan of its own
+    M = rng.standard_normal((n, n))
+    assert np.array_equal(_bits(lq_model._quad(a, M)), _bits(_einsum_quad(a, M)))
+    M[0, -1] = bad
+    assert np.array_equal(_bits(lq_model._quad(a, M)), _bits(_einsum_quad(a, M)))
+
+
+def _einsum_running_cost(x, y, v, m):
+    e = x - y @ m.S.T
+    return 0.5 * (_einsum_quad(x, m.Q) + _einsum_quad(v, m.R) + _einsum_quad(e, m.Qbar))
+
+
+def _einsum_terminal_cost(x, y, m):
+    e = x - y @ m.ST.T
+    return 0.5 * (_einsum_quad(x, m.QT) + _einsum_quad(e, m.QbarT))
+
+
+@pytest.mark.parametrize("model", [SCALAR_COUPLED, make_coupled_2x2(), _model_n3_d2()],
+                         ids=["scalar", "coupled_2x2", "n3_d2"])
+def test_cost_kernels_equal_einsum_bitwise(model):
+    # n3_d2 has d != n, so R's form has another width than Q's
+    rng = np.random.default_rng(5)
+    N, n = 300, model.n
+    x, q, v = rng.normal(size=(N, n)), rng.normal(size=(N, n)), rng.normal(size=(N, model.d))
+    y = rng.normal(size=n)
+    assert np.array_equal(_bits(running_cost(x, y, v, model)),
+                          _bits(_einsum_running_cost(x, y, v, model)))
+    assert np.array_equal(_bits(terminal_cost(x, y, model)),
+                          _bits(_einsum_terminal_cost(x, y, model)))
+
+    def einsum_hamiltonian(x, q):
+        vs = optimal_feedback(x, y, q, model)
+        return (_einsum_running_cost(x, y, vs, model)
+                + np.einsum("ij,ij->i", q, drift_G(x, y, q, model)))
+
+    assert np.array_equal(_bits(hamiltonian(x, y, q, model)), _bits(einsum_hamiltonian(x, q)))
+    for i in range(5):     # single points, which the kernels read as one row
+        xi, qi, vi = x[i:i + 1], q[i:i + 1], v[i:i + 1]
+        assert _bits(running_cost(x[i], y, v[i], model)) == _bits(
+            _einsum_running_cost(xi, y, vi, model)[0])
+        assert _bits(terminal_cost(x[i], y, model)) == _bits(
+            _einsum_terminal_cost(xi, y, model)[0])
+        assert _bits(hamiltonian(x[i], y, q[i], model)) == _bits(einsum_hamiltonian(xi, qi)[0])
+
+
+# ---------------------------------------------------------------------------
+# R^{-1} B* and B R^{-1} B*: one factorisation per spec
+
+def test_rinv_bt_and_brb_cached_read_only():
+    m = make_coupled_2x2()
+    RB, BRB = m.Rinv_Bt(), m.BRB()
+    assert m.Rinv_Bt() is RB and m.BRB() is BRB
+    assert np.array_equal(RB, np.linalg.solve(m.R, m.B.T))
+    for M in (RB, BRB):
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+    from dataclasses import replace
+    m2 = replace(m, R=2.0 * m.R)
+    assert m2.Rinv_Bt() is not RB
+    assert np.allclose(m2.Rinv_Bt(), 0.5 * RB, rtol=1e-14)
+    assert np.allclose(m2.BRB(), 0.5 * BRB, rtol=1e-14)
+
+
+def test_hamiltonian_factors_r_once_per_spec(monkeypatch):
+    m = make_coupled_2x2()
+    calls = []
+    original = lq_model.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lq_model, "cho_factor", counted)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        x, y, q = rng.normal(size=(3, 2))
+        hamiltonian(x, y, q, m)
+    assert len(calls) == 1

@@ -391,6 +391,103 @@ def test_simulate_numerical_failure_same_step_and_joins_worker(threads):
     assert threading.active_count() == before
 
 
+# ---------------------------------------------------------------------------
+# the optimality check's policies advance together on one draw per step
+
+def _sequential_optimality_gap(model, sol, X0, cfg, eps_list=(0.1, 0.2, 0.4)):
+    """check_optimality_gap as four separate simulations, one after another."""
+    d1, d2 = mkv.perturbation_directions(model, cfg.seed)
+    base = estimate_cost(model, _reference_simulate(model, optimal_policy(sol), X0, cfg))
+    gaps = {}
+    for eps in eps_list:
+        pol = mkv.FeedbackPolicy(kind="PERTURBED", sol=sol, eps=eps, delta1=d1, delta2=d2)
+        gaps[eps] = estimate_cost(model, _reference_simulate(model, pol, X0, cfg))["J_hat"] \
+            - base["J_hat"]
+    eps_arr = np.asarray(list(gaps))
+    gap_arr = np.asarray([gaps[e] for e in gaps])
+    quad_coef = float(np.linalg.lstsq(eps_arr[:, None] ** 2, gap_arr, rcond=None)[0][0])
+    monotone = bool(np.all(gap_arr >= -3.0 * base["stderr"]))
+    return {"J_optimal": base["J_hat"], "stderr": base["stderr"], "gaps": gaps,
+            "quadratic_coefficient": quad_coef,
+            "all_nonnegative": monotone, "pass": monotone and quad_coef > 0.0}
+
+
+@pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "n3_d2"])
+def test_optimality_gap_equals_sequential_runs(name, threads):
+    model, mfc, _ = _solved(name)
+    X0 = gaussian_ensemble(257, model.n, seed=22, mean=0.5)
+    cfg = SimConfig(steps=40, seed=22)
+    assert check_optimality_gap(model, mfc, X0, cfg) == _sequential_optimality_gap(
+        model, mfc, X0, cfg)
+
+
+@pytest.mark.parametrize("name", ["scalar_lqr", "scalar_coupled"])
+def test_optimality_gap_draws_once_per_step(monkeypatch, name, threads):
+    model, mfc, _ = _solved(name)
+    X0 = gaussian_ensemble(100, model.n, seed=23)
+    cfg = SimConfig(steps=30, seed=23)
+    calls = []
+    philox = mkv._philox
+
+    def counted(*args):
+        calls.append(args)
+        return philox(*args)
+
+    monkeypatch.setattr(mkv, "_philox", counted)
+    check_optimality_gap(model, mfc, X0, cfg)
+    # one idiosyncratic (and, with beta > 0, one common) draw per step, plus
+    # the one draw of the perturbation directions
+    per_step = 1 + (model.beta > 0.0)
+    assert len(calls) == cfg.steps * per_step + 1
+    assert calls.count((cfg.seed, mkv.STREAM_PERTURBATION, 0)) == 1
+
+
+def _sequential_failure(model, policies, X0, cfg):
+    """The node of the first NumericalFailure in list order, or None."""
+    for policy in policies:
+        try:
+            _reference_simulate(model, policy, X0, cfg)
+        except riccati.NumericalFailure as exc:
+            return exc.node
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_optimality_gap_failure_is_first_in_list_order(threads):
+    # the optimal policy runs through; the huge eps fail, the larger one first
+    model, mfc, _ = _solved("scalar_coupled")
+    X0 = gaussian_ensemble(300, 1, seed=24)
+    cfg = SimConfig(steps=50, seed=24)
+    eps_list = (0.1, 1e60, 1e150)
+    d1, d2 = mkv.perturbation_directions(model, cfg.seed)
+    policies = [optimal_policy(mfc)] + [
+        mkv.FeedbackPolicy(kind="PERTURBED", sol=mfc, eps=e, delta1=d1, delta2=d2)
+        for e in eps_list]
+    steps = [_sequential_failure(model, [p], X0, cfg) for p in policies]
+    assert steps[0] is None and steps[1] is None and steps[3] < steps[2]
+    before = threading.active_count()
+    with pytest.raises(riccati.NumericalFailure) as got:
+        check_optimality_gap(model, mfc, X0, cfg, eps_list=eps_list)
+    assert got.value.node == steps[2] == _sequential_failure(model, policies, X0, cfg)
+    assert threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("gains", [(1e60, 1e120), (1e120, 1e60), (0.0, 1e120), (1e120, 0.0)])
+def test_simulate_policies_failure_matches_sequential(gains, threads):
+    model = lq_model.scalar_model(A=0.5, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=1.0)
+    policies = [mkv.FeedbackPolicy(kind="CUSTOM_LINEAR", K1=np.array([[g]]),
+                                   K2=np.array([[0.0]])) for g in gains]
+    X0 = gaussian_ensemble(300, 1, seed=25)
+    cfg = SimConfig(steps=50, seed=25)
+    expected = _sequential_failure(model, policies, X0, cfg)
+    before = threading.active_count()
+    with pytest.raises(riccati.NumericalFailure) as got:
+        mkv._simulate(model, policies, X0, cfg)
+    assert got.value.node == expected
+    assert threading.active_count() == before
+
+
 class _CountingExecutor(mkv.ThreadPoolExecutor):
     created = 0
 
