@@ -28,15 +28,22 @@ def eval_value(sol: ric.RiccatiSolution, X: np.ndarray, t: float) -> float:
     ev = ric.eval_at(sol, t)
     X = np.atleast_2d(X)
     yb = X.mean(axis=0)
-    quad = float(np.mean(np.einsum("ij,jk,ik->i", X, ev["P"], X)))
+    quad = float(np.mean(lq._quad(X, ev["P"])))
     return 0.5 * quad + 0.5 * float(yb @ ev["Sigma"] @ yb) + ev["lam"]
+
+
+def _drift_matrix(AAbar: np.ndarray, BRB: np.ndarray, P: np.ndarray,
+                  Sig: np.ndarray) -> np.ndarray:
+    """A + Abar - BRB (P + Sigma), for one (P, Sigma) or for stacks of them;
+    AAbar = A + Abar and BRB = B R^{-1} B*."""
+    return AAbar - BRB @ (P + Sig)
 
 
 def _mean_drift(AAbar: np.ndarray, BRB: np.ndarray, P: np.ndarray, Sig: np.ndarray,
                 y: np.ndarray) -> np.ndarray:
     """The mean flow's drift (A + Abar - BRB (P + Sigma)) y, i.e. E[G] for the
-    linear field PX + Sigma EX; AAbar = A + Abar and BRB = B R^{-1} B*."""
-    return (AAbar - BRB @ (P + Sig)) @ y
+    linear field PX + Sigma EX."""
+    return _drift_matrix(AAbar, BRB, P, Sig) @ y
 
 
 def _linear_field_terms(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
@@ -133,17 +140,27 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
 
 def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                   y0: np.ndarray, grid: ric.TimeGrid) -> np.ndarray:
-    """RK4 on dy/dt = (A + Abar - BRB (P + Sigma)) y, forward from y(0)."""
-    AAbar, BRB = model.A + model.Abar, model.BRB()
+    """RK4 on dy/dt = (A + Abar - BRB (P + Sigma)) y, forward from y(0).
+
+    The drift matrix is formed once per stage time, all at once: the nodes,
+    accumulated by t += h as _integrate accumulates them, and the midpoints
+    t + h/2 between them."""
+    h, t, times = grid.h, 0.0, [0.0]
+    for _ in range(grid.K):
+        times += [t + 0.5 * h, t + h]
+        t += h
+    ts = np.array(times)
+    drift = _drift_matrix(model.A + model.Abar, model.BRB(),
+                          ric._interp(sol.P, sol.grid, ts), ric._interp(sol.Sigma, sol.grid, ts))
+    stage = {s: j for j, s in enumerate(times)}
 
     def make_rhs(y, out):
         def rhs(t):
-            out[:] = _mean_drift(AAbar, BRB, ric._interp(sol.P, sol.grid, t),
-                                 ric._interp(sol.Sigma, sol.grid, t), y)
+            np.matmul(drift[stage[t]], y, out=out)
         return rhs
 
     y0 = np.asarray(y0, dtype=float).reshape(model.n)
-    return ric._integrate(make_rhs, (y0,), 0.0, grid.h, grid.K, 0)[0]
+    return ric._integrate(make_rhs, (y0,), 0.0, h, grid.K, 0)[0]
 
 
 def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
@@ -173,7 +190,7 @@ def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
         yb = ric._interp(flow, flow_grid, t)
         ydot = _mean_drift(AAbar, BRB, P, Sig, yb)
         H = lq.hamiltonian(x_pts, yb, x_pts @ P.T + Sig @ yb, model)
-        du_dt = (0.5 * np.einsum("ij,jk,ik->i", x_pts, dv["dP"], x_pts)
+        du_dt = (0.5 * lq._quad(x_pts, dv["dP"])
                  + x_pts @ (dv["dSigma"] @ yb + Sig @ ydot))
         Au = -0.5 * model.sigma ** 2 * np.trace(P)
         if sol.kind == "MFG":

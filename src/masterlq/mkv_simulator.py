@@ -112,12 +112,6 @@ def optimal_policy(sol: ric.RiccatiSolution) -> FeedbackPolicy:
     return FeedbackPolicy(kind=kind, sol=sol)
 
 
-def zero_policy(model: lq.LQModelSpec) -> FeedbackPolicy:
-    return FeedbackPolicy(kind="CUSTOM_LINEAR",
-                          K1=np.zeros((model.d, model.n)),
-                          K2=np.zeros((model.d, model.n)))
-
-
 def perturbation_directions(model: lq.LQModelSpec, seed: int):
     """Fixed unit-Frobenius-norm gain perturbations drawn once from the seed."""
     z = _normals(seed, STREAM_PERTURBATION, 0, (2, model.d, model.n))

@@ -20,6 +20,10 @@ Integrated by fixed-step classical RK4 on a uniform grid, on one packed
 state vector [P, Sigma, (Gamma,) lambda or mu] per node, with per-step
 symmetrization of P (and of Sigma in the MFC case only: MFG Sigma is
 genuinely non-symmetric unless Abar = 0 and Qbar S = S* Qbar).
+
+Each system's right-hand side is written once.  At n >= 2 it runs on numpy
+matrices; at n = 1 the same formulas run on Python floats, which skips
+numpy's per-call overhead and keeps every bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -85,64 +89,90 @@ class RiccatiSolution:
     dmu: np.ndarray = field(default=None, repr=False)
 
 
-def _mfc_rhs(model: LQModelSpec):
-    A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
-    BRB = model.BRB()
-    # State-independent products, formed as the rhs expressions group them,
-    # so hoisting them leaves every result bit unchanged.
-    AAbar, AT, AbarT = A + Abar, A.T, Abar.T
-    STQbar = S.T @ Qbar
-    STQbarS, QbarS = STQbar @ S, Qbar @ S
-    ca, cb = 0.5 * model.sigma ** 2, 0.5 * model.beta ** 2
-    n = model.n
+def _algebra(n: int):
+    """Matrix product, transpose and trace for the rhs bodies: numpy on
+    n x n arrays, Python floats at n = 1.  The float forms keep numpy's
+    bits: its 1 x 1 matmul and its one-term diagonal sum add onto +0.0,
+    so -0.0 comes out +0.0, which a bare a * b would not do.  The n >= 2
+    trace is ndarray.sum's reduction without its Python-level forwarding."""
+    if n == 1:
+        return (lambda a, b: a * b + 0.0), (lambda a: a), (lambda a: a + 0.0)
+    return np.matmul, np.ndarray.transpose, lambda a: np.add.reduce(a.diagonal())
+
+
+def _coefficients(model: LQModelSpec) -> list:
+    """A, Abar, Q, Qbar, S and BRB; Python floats at n = 1."""
+    mats = [model.A, model.Abar, model.Q, model.Qbar, model.S, model.BRB()]
+    return [m.item() for m in mats] if model.n == 1 else mats
+
+
+def _bind(terms, n: int, k: int):
+    """make_rhs(y, out) for _integrate from terms(*mats), which maps the k
+    n x n blocks of the state to their negated derivatives and the negated
+    derivative of the scalar last block.  At n = 1 the blocks are read as
+    Python floats and written back in one assignment."""
+    if n == 1:
+        def make_rhs(y, out):
+            def rhs(t):
+                out[:] = [-v for v in terms(*y.tolist()[:k])]
+            return rhs
+        return make_rhs
+
     nn = n * n
 
     def make_rhs(y, out):
-        P, Sig = y[:nn].reshape(n, n), y[nn:2 * nn].reshape(n, n)
-        dP, dSig = out[:nn].reshape(n, n), out[nn:2 * nn].reshape(n, n)
-        dgP, dgS = P.diagonal(), Sig.diagonal()
+        mats = [y[i * nn:(i + 1) * nn].reshape(n, n) for i in range(k)]
+        dmats = [out[i * nn:(i + 1) * nn].reshape(n, n) for i in range(k)]
 
         def rhs(t):
-            M = AAbar - BRB @ P
-            np.negative(P @ A + AT @ P - P @ BRB @ P + Q + Qbar, out=dP)
-            np.negative(Sig @ M + M.T @ Sig - Sig @ BRB @ Sig
-                        + STQbarS - QbarS - STQbar
-                        + P @ Abar + AbarT @ P, out=dSig)
-            out[-1] = -(ca * dgP.sum() + cb * (dgP + dgS).sum())
+            ts = terms(*mats)
+            list(map(np.negative, ts, dmats))    # out=dm per block; stops at the k views
+            out[-1] = -ts[-1]
 
         return rhs
 
     return make_rhs
+
+
+def _mfc_rhs(model: LQModelSpec):
+    mm, tp, tr = _algebra(model.n)
+    A, Abar, Q, Qbar, S, BRB = _coefficients(model)
+    # State-independent products, formed as the rhs expressions group them,
+    # so hoisting them leaves every result bit unchanged.
+    AAbar, AT, AbarT = A + Abar, tp(A), tp(Abar)
+    STQbar = mm(tp(S), Qbar)
+    STQbarS, QbarS = mm(STQbar, S), mm(Qbar, S)
+    ca, cb = 0.5 * model.sigma ** 2, 0.5 * model.beta ** 2
+
+    def terms(P, Sig):
+        M = AAbar - mm(BRB, P)
+        return (mm(P, A) + mm(AT, P) - mm(mm(P, BRB), P) + Q + Qbar,
+                mm(Sig, M) + mm(tp(M), Sig) - mm(mm(Sig, BRB), Sig)
+                + STQbarS - QbarS - STQbar + mm(P, Abar) + mm(AbarT, P),
+                ca * tr(P) + cb * tr(P + Sig))
+
+    return _bind(terms, model.n, 2)
 
 
 def _mfg_rhs(model: LQModelSpec):
-    A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
-    BRB = model.BRB()
-    AAbar, AT, AbarT = A + Abar, A.T, Abar.T
-    STQbarS, QbarS = (S.T @ Qbar) @ S, Qbar @ S
+    mm, tp, tr = _algebra(model.n)
+    A, Abar, Q, Qbar, S, BRB = _coefficients(model)
+    AAbar, AT, AbarT = A + Abar, tp(A), tp(Abar)
+    STQbarS, QbarS = mm(mm(tp(S), Qbar), S), mm(Qbar, S)
     a, b2 = model.sigma ** 2, model.beta ** 2
     cP, cG = 0.5 * (b2 + a), 0.5 * b2
-    n = model.n
-    nn = n * n
 
-    def make_rhs(y, out):
-        P, Sig, Gam = (y[i * nn:(i + 1) * nn].reshape(n, n) for i in range(3))
-        dP, dSig, dGam = (out[i * nn:(i + 1) * nn].reshape(n, n) for i in range(3))
-        dgP, dgS, dgG = P.diagonal(), Sig.diagonal(), Gam.diagonal()
+    def terms(P, Sig, Gam):
+        PB = mm(P, BRB)
+        SBS = mm(mm(Sig, BRB), Sig)
+        M = AAbar - mm(BRB, P)
+        N = AAbar - mm(BRB, P + Sig)
+        return (mm(P, A) + mm(AT, P) - mm(PB, P) + Q + Qbar,
+                mm(Sig, M) + mm(AT - PB, Sig) - SBS - QbarS + mm(P, Abar),
+                mm(Gam, N) + mm(tp(N), Gam) + STQbarS - SBS + mm(Sig, Abar) + mm(AbarT, Sig),
+                cP * tr(P) + cG * tr(Gam) + b2 * tr(Sig))
 
-        def rhs(t):
-            PB = P @ BRB
-            SBS = Sig @ BRB @ Sig
-            M = AAbar - BRB @ P
-            N = AAbar - BRB @ (P + Sig)
-            np.negative(P @ A + AT @ P - PB @ P + Q + Qbar, out=dP)
-            np.negative(Sig @ M + (AT - PB) @ Sig - SBS - QbarS + P @ Abar, out=dSig)
-            np.negative(Gam @ N + N.T @ Gam + STQbarS - SBS + Sig @ Abar + AbarT @ Sig, out=dGam)
-            out[-1] = -(cP * dgP.sum() + cG * dgG.sum() + b2 * dgS.sum())
-
-        return rhs
-
-    return make_rhs
+    return _bind(terms, model.n, 3)
 
 
 def _integrate(make_rhs, y0, t0: float, h: float, K: int, sym: int):

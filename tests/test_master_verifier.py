@@ -1,6 +1,8 @@
 """Master-equation residuals and consistency checks."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,40 @@ def _dense_3x3():
     return lq_model.LQModelSpec(n=3, d=3, T=1.0, A=small(), Abar=small(), B=np.eye(3) + small(),
                                 Q=psd() + np.eye(3), Qbar=psd(), S=small(), R=psd() + np.eye(3),
                                 QT=psd(), QbarT=psd(), ST=small(), sigma=0.3, beta=0.1)
+
+
+def _per_stage_mean_flow_ode(model, sol, y0, grid):
+    """The mean flow on _integrate with P and Sigma interpolated separately
+    at every rhs call, as mean_flow_ode formed its drift before it formed
+    the drift matrices for all stage times at once."""
+    AAbar, BRB = model.A + model.Abar, model.BRB()
+
+    def make_rhs(y, out):
+        def rhs(t):
+            P, Sig = riccati._interp(sol.P, sol.grid, t), riccati._interp(sol.Sigma, sol.grid, t)
+            out[:] = (AAbar - BRB @ (P + Sig)) @ y
+        return rhs
+
+    y0 = np.asarray(y0, dtype=float).reshape(model.n)
+    return riccati._integrate(make_rhs, (y0,), 0.0, grid.h, grid.K, 0)[0]
+
+
+@pytest.mark.parametrize("K", [3, 50, 2000])
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+@pytest.mark.parametrize("name", ["crowd_mfg", "scalar_coupled", "coupled_2x2", "dense_3x3",
+                                  "dense_3x3_T07"])
+def test_mean_flow_ode_bitwise_equal_per_stage(request, name, kind, K):
+    if name.startswith("dense_3x3"):
+        m = _dense_3x3()
+        m = dataclasses.replace(m, T=0.7) if name.endswith("T07") else m
+    else:
+        m = request.getfixturevalue(name)
+    solve = riccati.solve_mfc if kind == "mfc" else riccati.solve_mfg
+    sol = solve(m, riccati.TimeGrid(m.T, 333))
+    y0 = np.linspace(1.0, -0.5, m.n)
+    grid = riccati.TimeGrid(m.T, K)
+    got, ref = mean_flow_ode(m, sol, y0, grid), _per_stage_mean_flow_ode(m, sol, y0, grid)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "asymmetric_2x2", "dense_3x3"])

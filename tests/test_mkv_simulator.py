@@ -10,14 +10,21 @@ import pytest
 
 from masterlq import lq_model, master_verifier as mv, mkv_simulator as mkv, riccati
 from masterlq.lq_model import scalar_model
-from masterlq.mkv_simulator import (ParticleEnsemble, SimConfig,
+from masterlq.mkv_simulator import (FeedbackPolicy, ParticleEnsemble, SimConfig,
                                     check_cost_matches_value,
                                     check_max_principle, check_optimality_gap,
                                     estimate_cost,
                                     gaussian_ensemble, optimal_policy,
-                                    simulate, trajectory_to_csv, zero_policy)
+                                    simulate, trajectory_to_csv)
 
 from conftest import make_coupled_2x2
+
+
+def zero_policy(model: lq_model.LQModelSpec) -> FeedbackPolicy:
+    """The uncontrolled policy: both gains zero."""
+    return FeedbackPolicy(kind="CUSTOM_LINEAR",
+                          K1=np.zeros((model.d, model.n)),
+                          K2=np.zeros((model.d, model.n)))
 
 
 # ---------------------------------------------------------------------------

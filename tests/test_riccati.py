@@ -318,21 +318,74 @@ def seeded_n8():
         sigma=0.5, beta=0.2, convex=True)
 
 
-@pytest.mark.parametrize("name", ["scalar_coupled", "asymmetric_2x2", "coupled_2x2", "seeded_n8"])
+def _seeded_n1(seed: int) -> lq_model.LQModelSpec:
+    """n = 1, d = 2 model with about a third of its entries zero, half of
+    those -0.0, so that products and traces meet signed zeros; beta = 0.3
+    at odd seeds, 0 at even ones.  The cost weights are kept nonnegative."""
+    rng = np.random.default_rng(seed)
+
+    def entry(shape, sign=True):
+        a = rng.standard_normal(shape)
+        a = a if sign else np.abs(a)
+        zero = rng.random(shape) < 0.35
+        return np.where(zero, np.copysign(0.0, rng.standard_normal(shape)), a)
+
+    G = rng.standard_normal((2, 2))
+    return lq_model.LQModelSpec(
+        n=1, d=2, T=1.0, A=entry((1, 1)), Abar=entry((1, 1)), B=entry((1, 2)),
+        Q=entry((1, 1), False), Qbar=entry((1, 1), False), S=entry((1, 1)),
+        R=G @ G.T + np.eye(2), QT=entry((1, 1), False), QbarT=entry((1, 1), False),
+        ST=entry((1, 1)), sigma=float(rng.random()), beta=0.3 * (seed % 2))
+
+
+SEEDED_N1 = [f"seeded_n1_{seed}" for seed in range(8)]
+
+
+def _bits(a) -> np.ndarray:
+    """The float64 bit patterns: unlike ==, they tell -0.0 from +0.0."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", ["scalar_lqr", "scalar_coupled", "crowd_mfg", "asymmetric_2x2",
+                                  "coupled_2x2", "seeded_n8"] + SEEDED_N1)
 @pytest.mark.parametrize("kind", ["mfc", "mfg"])
 def test_integrate_bitwise_equal_reference(request, kind, name):
-    m = request.getfixturevalue(name)
+    if name in SEEDED_N1:
+        m = _seeded_n1(int(name.rsplit("_", 1)[1]))
+    else:
+        m = request.getfixturevalue(name)
     grid = TimeGrid(m.T, 300)
     sol = (solve_mfc if kind == "mfc" else solve_mfg)(m, grid)
     ref = _ref_solve(kind, m, grid)
     for field, arr in ref.items():
-        assert np.array_equal(getattr(sol, field), arr), field
+        assert np.array_equal(_bits(getattr(sol, field)), _bits(arr)), field
     if kind == "mfg" and name == "asymmetric_2x2":
         assert np.max(np.abs(sol.Sigma - np.swapaxes(sol.Sigma, 1, 2))) > 1e-6
 
 
+@pytest.mark.parametrize("name", SEEDED_N1)
 @pytest.mark.parametrize("kind", ["mfc", "mfg"])
-def test_integrate_rhs_calls_per_solve(monkeypatch, coupled_2x2, kind):
+def test_scalar_rhs_bitwise_equal_numpy(kind, name):
+    # the float binding against the 1 x 1 numpy reference on states whose
+    # blocks are often +0.0 or -0.0, where a bare a * b, or a trace without
+    # its + 0.0, changes the sign of a zero
+    m = _seeded_n1(int(name.rsplit("_", 1)[1]))
+    k = 2 if kind == "mfc" else 3
+    ref_rhs = (_ref_mfc_rhs if kind == "mfc" else _ref_mfg_rhs)(m)
+    y, out = np.empty(k + 1), np.empty(k + 1)
+    rhs = getattr(riccati, f"_{kind}_rhs")(m)(y, out)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        y[:] = rng.choice([-0.0, 0.0, 1.0], k + 1) * rng.standard_normal(k + 1)
+        rhs(0.5)
+        ref = ref_rhs(0.5, [b.reshape(1, 1) for b in y[:k]] + [y[k]])
+        assert np.array_equal(_bits(out), _bits(np.hstack([np.ravel(r) for r in ref]))), y
+
+
+@pytest.mark.parametrize("kind, name", [("mfc", "coupled_2x2"), ("mfg", "coupled_2x2"),
+                                        ("mfc", "scalar_coupled"), ("mfg", "scalar_coupled")],
+                         ids=["mfc", "mfg", "mfc-scalar_coupled", "mfg-scalar_coupled"])
+def test_integrate_rhs_calls_per_solve(request, monkeypatch, kind, name):
     calls = []
 
     def counting(factory):
@@ -349,10 +402,10 @@ def test_integrate_rhs_calls_per_solve(monkeypatch, coupled_2x2, kind):
             return make
         return counting_factory
 
-    name = f"_{kind}_rhs"
-    monkeypatch.setattr(riccati, name, counting(getattr(riccati, name)))
+    factory = f"_{kind}_rhs"
+    monkeypatch.setattr(riccati, factory, counting(getattr(riccati, factory)))
     K = 37
-    (solve_mfc if kind == "mfc" else solve_mfg)(coupled_2x2, TimeGrid(1.0, K))
+    (solve_mfc if kind == "mfc" else solve_mfg)(request.getfixturevalue(name), TimeGrid(1.0, K))
     assert len(calls) == 4 * K + 1
 
 
