@@ -116,7 +116,7 @@ def cmd_simulate(args) -> int:
     path = os.path.join(args.out, "simulate.json")
     try:
         sol = ric.solve_mfc(model, grid)
-        traj = mk.simulate(model, mk.optimal_policy(sol), X0, cfg)
+        traj = mk.simulate(model, mk.FeedbackPolicy(sol), X0, cfg)
     except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
         return _write_failure(path, man, exc)
     est = mk.estimate_cost(model, traj)

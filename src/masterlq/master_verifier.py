@@ -39,13 +39,6 @@ def _drift_matrix(AAbar: np.ndarray, BRB: np.ndarray, P: np.ndarray,
     return AAbar - BRB @ (P + Sig)
 
 
-def _mean_drift(AAbar: np.ndarray, BRB: np.ndarray, P: np.ndarray, Sig: np.ndarray,
-                y: np.ndarray) -> np.ndarray:
-    """The mean flow's drift (A + Abar - BRB (P + Sigma)) y, i.e. E[G] for the
-    linear field PX + Sigma EX."""
-    return _drift_matrix(AAbar, BRB, P, Sig) @ y
-
-
 def _linear_field_terms(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                         X: np.ndarray, t: float):
     """For the field U(X) = PX + Sigma EX on the rows of X: the mean ybar,
@@ -125,7 +118,7 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     ek_sum = 0.5 * b2 * np.trace(Gam)
     div_term = b2 * np.trace(Sig)
     DXU = Sig.T @ x + Gam @ yb
-    mean_flow = _mean_drift(model.A + model.Abar, model.BRB(), P, Sig, yb)
+    mean_flow = _drift_matrix(model.A + model.Abar, model.BRB(), P, Sig) @ yb
     inner = float(DXU @ mean_flow)
     quad = lq.hamiltonian(x, yb, P @ x + Sig @ yb, model)
     terms = {
@@ -188,7 +181,7 @@ def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
         ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
         P, Sig = ev["P"], ev["Sigma"]
         yb = ric._interp(flow, flow_grid, t)
-        ydot = _mean_drift(AAbar, BRB, P, Sig, yb)
+        ydot = _drift_matrix(AAbar, BRB, P, Sig) @ yb
         H = lq.hamiltonian(x_pts, yb, x_pts @ P.T + Sig @ yb, model)
         du_dt = (0.5 * lq._quad(x_pts, dv["dP"])
                  + x_pts @ (dv["dSigma"] @ yb + Sig @ ydot))

@@ -6,10 +6,13 @@ Euler-Maruyama on an N-particle ensemble:
 
 with xi_i per-particle Gaussians, eta one shared Gaussian per step (common
 noise), and ybar the empirical mean, which stands in for the conditional
-law given the common-noise path.  All noise comes from a counter-based
-generator keyed on (seed, stream, step), so trajectories are bit-identical
-regardless of scheduling or worker count: simulate draws step k+1's noise
-on one worker thread while step k runs (MASTERLQ_THREADS=1 draws inline).
+law given the common-noise path.  Every policy is the one linear feedback
+v = (-R^{-1}B* P(t) + K1) x + (-R^{-1}B* Sigma(t) + K2) ybar, its gains
+interpolated once per run into one row per step.  All noise comes from a
+counter-based generator keyed on (seed, stream, step), so trajectories are
+bit-identical regardless of scheduling or worker count: simulate draws step
+k+1's noise on one worker thread while step k runs (MASTERLQ_THREADS=1
+draws inline).
 """
 
 from __future__ import annotations
@@ -79,37 +82,29 @@ class SimConfig:
 
 @dataclass
 class FeedbackPolicy:
-    """Linear feedback v = K1(t) x + K2(t) ybar.
+    """Linear feedback v = (-R^{-1}B* P(t) + K1) x + (-R^{-1}B* Sigma(t) + K2) ybar.
 
-    OPTIMAL_MFC / OPTIMAL_MFG use the Riccati gains
-    K1 = -R^{-1}B* P(t), K2 = -R^{-1}B* Sigma(t); PERTURBED adds eps*Delta
-    to those gains; CUSTOM_LINEAR uses constant user gains.
+    The Riccati part is present when sol is set, and each constant offset
+    K1, K2 only when given: sol alone is the optimal control of its MFC or
+    MFG solution, sol with offsets a perturbed one, offsets alone constant
+    user gains.
     """
 
-    kind: str                              # OPTIMAL_MFC | OPTIMAL_MFG | PERTURBED | CUSTOM_LINEAR
     sol: ric.RiccatiSolution | None = None
     K1: np.ndarray | None = None
     K2: np.ndarray | None = None
-    eps: float = 0.0
-    delta1: np.ndarray | None = None
-    delta2: np.ndarray | None = None
 
-    def gains(self, t: float, RB: np.ndarray | None):
-        """(K1, K2) at time t, given RB = model.Rinv_Bt() (None for CUSTOM_LINEAR)."""
-        if self.kind == "CUSTOM_LINEAR":
-            return self.K1, self.K2
-        ev = ric.eval_at(self.sol, t)
-        K1 = -RB @ ev["P"]
-        K2 = -RB @ ev["Sigma"]
-        if self.kind == "PERTURBED":
-            K1 = K1 + self.eps * self.delta1
-            K2 = K2 + self.eps * self.delta2
-        return K1, K2
-
-
-def optimal_policy(sol: ric.RiccatiSolution) -> FeedbackPolicy:
-    kind = "OPTIMAL_MFC" if sol.kind == "MFC" else "OPTIMAL_MFG"
-    return FeedbackPolicy(kind=kind, sol=sol)
+    def gains(self, times: np.ndarray, RB: np.ndarray | None):
+        """(K1, K2) stacks of shape (len(times), d, n), row j at times[j],
+        given RB = model.Rinv_Bt() (None when sol is not set)."""
+        tables = []
+        for name, K in (("P", self.K1), ("Sigma", self.K2)):
+            G = (None if self.sol is None
+                 else -RB @ ric._interp(getattr(self.sol, name), self.sol.grid, times))
+            if K is not None:
+                G = np.broadcast_to(K, (len(times),) + K.shape) if G is None else G + K
+            tables.append(G)
+        return tables
 
 
 def perturbation_directions(model: lq.LQModelSpec, seed: int):
@@ -203,29 +198,28 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
     def times_t(a, M):
         return np.dot(a, np.ascontiguousarray(M.T)) if N > 1 else a @ M.T
 
-    custom = all(p.kind == "CUSTOM_LINEAR" for p in policies)
-    RB = None if custom else model.Rinv_Bt()
+    RB = model.Rinv_Bt() if any(p.sol is not None for p in policies) else None
+    gains = [p.gains(times[:-1], RB) for p in policies]
     bufs = [np.empty((N, n)), np.empty((N, n))] if model.sigma > 0.0 else [None, None]
     prefetch = model.sigma > 0.0 and N * n >= PREFETCH_MIN_DRAWS and _prefetch_allowed()
     with ThreadPoolExecutor(1) if prefetch else nullcontext() as pool:
         submit = pool.submit if prefetch else _run_inline
         pending = submit(noise, 0, bufs[0])
         for k in range(cfg.steps):
-            t = times[k]
             z, b = pending.result()
             if k + 1 < cfg.steps:
                 pending = submit(noise, k + 1, bufs[(k + 1) % 2])
             for i in live:
-                policy, tr = policies[i], trajs[i]
+                tr = trajs[i]
                 x = tr.final_states
                 yb = x.mean(axis=0)
                 tr.ybar[k] = yb
                 tr.second_moment[k] = np.mean(x * x, axis=0)
                 if tr.states_history is not None:
                     tr.states_history[k] = x
-                K1, K2 = policy.gains(t, RB)
-                v = times_t(x, K1)
-                v += yb @ K2.T
+                K1, K2 = gains[i]
+                v = times_t(x, K1[k])
+                v += yb @ K2[k].T
                 f = lq.running_cost(x, yb, v, model)   # left-endpoint rule
                 tr.running_cost += f * dt
                 tr.running_cost_partial[k + 1] = (tr.running_cost_partial[k]
@@ -281,13 +275,11 @@ def check_cost_matches_value(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     if sol.kind != "MFC":
         raise ValueError("cost matching requires an MFC solution")
     common_replicas = 8 if model.beta > 0.0 else 1
-    policy = optimal_policy(sol)
+    policy = FeedbackPolicy(sol)
     Js, errs = [], []
     base_common = cfg.seed if cfg.common_seed is None else cfg.common_seed
     for r in range(common_replicas):
-        c = SimConfig(steps=cfg.steps, seed=cfg.seed,
-                      common_seed=base_common + 7919 * r,
-                      store_states=cfg.store_states)
+        c = replace(cfg, common_seed=base_common + 7919 * r)
         est = estimate_cost(model, simulate(model, policy, X0, c))
         Js.append(est["J_hat"])
         errs.append(est["stderr"])
@@ -313,9 +305,8 @@ def check_optimality_gap(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     the optimum the gaps grow ~ eps^2.
     """
     d1, d2 = perturbation_directions(model, cfg.seed)
-    policies = [optimal_policy(sol)] + [
-        FeedbackPolicy(kind="PERTURBED", sol=sol, eps=eps, delta1=d1, delta2=d2)
-        for eps in eps_list]
+    policies = [FeedbackPolicy(sol)] + [
+        FeedbackPolicy(sol, K1=eps * d1, K2=eps * d2) for eps in eps_list]
     trajs = _simulate(model, policies, X0, replace(cfg, store_states=False))
     base = estimate_cost(model, trajs[0])
     gaps = {}
@@ -343,22 +334,22 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     if sol.kind != "MFC":
         raise ValueError("maximum-principle check requires an MFC solution")
     if mode == "deterministic":
-        model = _with_noise(model, 0.0, 0.0)
+        model = replace(model, sigma=0.0, beta=0.0)
     elif mode == "stochastic":
-        model = _with_noise(model, model.sigma, 0.0)
+        model = replace(model, beta=0.0)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    cfg = SimConfig(steps=cfg.steps, seed=cfg.seed, common_seed=cfg.common_seed,
-                    store_states=True)
-    traj = simulate(model, optimal_policy(sol), X0, cfg)
+    cfg = replace(cfg, store_states=True)
+    traj = simulate(model, FeedbackPolicy(sol), X0, cfg)
     dt = cfg.dt(model.T)
     sdt = np.sqrt(dt)
 
+    P = ric._interp(sol.P, sol.grid, traj.times)
+    Sig = ric._interp(sol.Sigma, sol.grid, traj.times)
     Z = np.empty_like(traj.states_history)
-    for k, t in enumerate(traj.times):
-        ev = ric.eval_at(sol, t)
-        Z[k] = traj.states_history[k] @ ev["P"].T + traj.ybar[k] @ ev["Sigma"].T
+    for k in range(cfg.steps + 1):
+        Z[k] = traj.states_history[k] @ P[k].T + traj.ybar[k] @ Sig[k].T
 
     worst = 0.0
     stats = []
@@ -370,8 +361,7 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
         resid = dZ + dt * g
         if mode == "stochastic" and model.sigma > 0.0:
             dw = sdt * _normals(cfg.seed, STREAM_IDIOSYNCRATIC, k, traj.states_history[k].shape)
-            ev = ric.eval_at(sol, traj.times[k])
-            resid = resid - model.sigma * (dw @ ev["P"].T + dw.mean(axis=0) @ ev["Sigma"].T)
+            resid = resid - model.sigma * (dw @ P[k].T + dw.mean(axis=0) @ Sig[k].T)
             stats.append(float(np.mean(np.sum(resid ** 2, axis=1))))
         else:
             worst = max(worst, float(np.max(np.abs(resid))) / dt)
@@ -390,10 +380,6 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     else:
         out["mean_sq_residual"] = float(np.max(stats)) if stats else 0.0
     return out
-
-
-def _with_noise(model: lq.LQModelSpec, sigma: float, beta: float) -> lq.LQModelSpec:
-    return replace(model, sigma=sigma, beta=beta)
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:

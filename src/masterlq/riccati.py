@@ -287,19 +287,14 @@ def check_symmetry_conditions(model: LQModelSpec) -> SymmetryDiagnosis:
 def _interp(values: np.ndarray, grid: TimeGrid, t):
     """Linear interpolation of the node values at time t, or at each time of
     a 1-D array t (one result row per time, each with the scalar weights)."""
-    if isinstance(t, np.ndarray):
-        if not np.all((0.0 <= t) & (t <= grid.T + 1e-12)):
-            raise ValueError(f"times outside [0, {grid.T}]")
-        s = np.minimum(t, grid.T) / grid.h
-        k = np.minimum(np.floor(s).astype(int), grid.K - 1)
-        w = (s - k).reshape((-1,) + (1,) * (values.ndim - 1))
-        return (1.0 - w) * values[k] + w * values[k + 1]
-    if not 0.0 <= t <= grid.T + 1e-12:
-        raise ValueError(f"t = {t} outside [0, {grid.T}]")
-    s = min(t, grid.T) / grid.h
-    k = min(int(np.floor(s)), grid.K - 1)
-    w = s - k
-    return (1.0 - w) * values[k] + w * values[k + 1]
+    ts = np.atleast_1d(t)
+    if not np.all((0.0 <= ts) & (ts <= grid.T + 1e-12)):
+        raise ValueError(f"times outside [0, {grid.T}]")
+    s = np.minimum(ts, grid.T) / grid.h
+    k = np.minimum(np.floor(s).astype(int), grid.K - 1)
+    w = (s - k).reshape((-1,) + (1,) * (values.ndim - 1))
+    out = (1.0 - w) * values[k] + w * values[k + 1]
+    return out if np.ndim(t) else out[0]
 
 
 def eval_at(sol: RiccatiSolution, t: float) -> dict:

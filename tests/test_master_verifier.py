@@ -363,7 +363,7 @@ def test_mean_drift_equals_old_lines(request, name):
     for sol in (riccati.solve_mfc(m, grid), riccati.solve_mfg(m, grid)):
         for t, y in zip(time_panel(m.T) + [0.3 * m.T], seeded_state_panel(m.n, 6, 5)):
             P, Sig = riccati._interp(sol.P, sol.grid, t), riccati._interp(sol.Sigma, sol.grid, t)
-            got = mv._mean_drift(AAbar, BRB, P, Sig, y)
+            got = mv._drift_matrix(AAbar, BRB, P, Sig) @ y
             PS = P + Sig
             assert np.array_equal(got, (AAbar - BRB @ PS) @ y)              # mean_flow_ode
             assert np.array_equal(got, (AAbar - BRB @ (P + Sig)) @ y)       # ydot

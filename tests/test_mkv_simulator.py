@@ -14,7 +14,7 @@ from masterlq.mkv_simulator import (FeedbackPolicy, ParticleEnsemble, SimConfig,
                                     check_cost_matches_value,
                                     check_max_principle, check_optimality_gap,
                                     estimate_cost,
-                                    gaussian_ensemble, optimal_policy,
+                                    gaussian_ensemble,
                                     simulate, trajectory_to_csv)
 
 from conftest import make_coupled_2x2
@@ -22,8 +22,7 @@ from conftest import make_coupled_2x2
 
 def zero_policy(model: lq_model.LQModelSpec) -> FeedbackPolicy:
     """The uncontrolled policy: both gains zero."""
-    return FeedbackPolicy(kind="CUSTOM_LINEAR",
-                          K1=np.zeros((model.d, model.n)),
+    return FeedbackPolicy(K1=np.zeros((model.d, model.n)),
                           K2=np.zeros((model.d, model.n)))
 
 
@@ -78,8 +77,8 @@ def test_common_noise_translates_preserves_spread():
 def test_simulation_bit_reproducible(scalar_coupled, sol_coupled_mfc):
     X0 = gaussian_ensemble(300, 1, seed=5)
     cfg = SimConfig(steps=100, seed=5)
-    a = simulate(scalar_coupled, optimal_policy(sol_coupled_mfc), X0, cfg)
-    b = simulate(scalar_coupled, optimal_policy(sol_coupled_mfc), X0, cfg)
+    a = simulate(scalar_coupled, FeedbackPolicy(sol_coupled_mfc), X0, cfg)
+    b = simulate(scalar_coupled, FeedbackPolicy(sol_coupled_mfc), X0, cfg)
     assert np.array_equal(a.final_states, b.final_states)
     assert np.array_equal(a.running_cost, b.running_cost)
 
@@ -89,8 +88,8 @@ def test_centered_ensemble_invariant_to_common_noise(scalar_coupled, sol_coupled
     m = dc_replace(scalar_coupled, sigma=0.0)
     sol = riccati.solve_mfc(m, riccati.TimeGrid(m.T, 500))
     X0 = gaussian_ensemble(200, 1, seed=6)
-    t1 = simulate(m, optimal_policy(sol), X0, SimConfig(steps=250, seed=6, common_seed=100))
-    t2 = simulate(m, optimal_policy(sol), X0, SimConfig(steps=250, seed=6, common_seed=200))
+    t1 = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=250, seed=6, common_seed=100))
+    t2 = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=250, seed=6, common_seed=200))
     c1 = t1.final_states - t1.final_states.mean(axis=0)
     c2 = t2.final_states - t2.final_states.mean(axis=0)
     assert np.allclose(c1, c2, atol=1e-10)
@@ -109,7 +108,7 @@ def test_mean_matches_mean_flow_ode(crowd_mfg):
     from dataclasses import replace as dc_replace
     m0 = dc_replace(crowd_mfg, sigma=0.0)
     X0 = gaussian_ensemble(4000, 1, seed=7, mean=1.0, std=0.5)
-    traj = simulate(m0, optimal_policy(sol), X0, SimConfig(steps=1000, seed=7))
+    traj = simulate(m0, FeedbackPolicy(sol), X0, SimConfig(steps=1000, seed=7))
     flow = mv.mean_flow_ode(m0, sol, traj.ybar[0], riccati.TimeGrid(m0.T, 1000))
     assert np.max(np.abs(traj.ybar - flow)) < 5e-3
 
@@ -127,7 +126,7 @@ def test_zero_cost_model():
 
 def test_lqr_optimal_cost_value(scalar_lqr, sol_lqr):
     X0 = gaussian_ensemble(20000, 1, seed=9)
-    traj = simulate(scalar_lqr, optimal_policy(sol_lqr), X0, SimConfig(steps=500, seed=9))
+    traj = simulate(scalar_lqr, FeedbackPolicy(sol_lqr), X0, SimConfig(steps=500, seed=9))
     est = estimate_cost(scalar_lqr, traj)
     ref = 0.5 * np.tanh(1.0) * np.mean(X0.states ** 2)
     assert abs(est["J_hat"] - ref) < 3 * est["stderr"] + 0.02
@@ -216,7 +215,7 @@ def test_max_principle_requires_mfc(scalar_coupled, sol_coupled_mfg):
 
 def test_trajectory_csv(tmp_path, scalar_coupled, sol_coupled_mfc):
     X0 = gaussian_ensemble(100, 1, seed=18)
-    traj = simulate(scalar_coupled, optimal_policy(sol_coupled_mfc), X0,
+    traj = simulate(scalar_coupled, FeedbackPolicy(sol_coupled_mfc), X0,
                     SimConfig(steps=20, seed=18))
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, str(path))
@@ -251,16 +250,16 @@ def _reference_simulate(model, policy, X0, cfg):
         m2[k] = np.mean(x * x, axis=0)
         if hist is not None:
             hist[k] = x
-        if policy.kind == "CUSTOM_LINEAR":
+        if policy.sol is None:
             K1, K2 = policy.K1, policy.K2
         else:
             ev = riccati.eval_at(policy.sol, t)
             RB = model.Rinv_Bt()
             K1 = -RB @ ev["P"]
             K2 = -RB @ ev["Sigma"]
-            if policy.kind == "PERTURBED":
-                K1 = K1 + policy.eps * policy.delta1
-                K2 = K2 + policy.eps * policy.delta2
+            if policy.K1 is not None:
+                K1 = K1 + policy.K1
+                K2 = K2 + policy.K2
         v = x @ K1.T + yb @ K2.T
         e = x - yb @ S.T
         f = 0.5 * (np.einsum("ij,jk,ik->i", x, Q, x)
@@ -313,21 +312,77 @@ SIM_MODELS = {
 
 
 @functools.cache
-def _solved(name):
+def _solved(name, K=200):
     m = SIM_MODELS[name]()
-    grid = riccati.TimeGrid(m.T, 200)
+    grid = riccati.TimeGrid(m.T, K)
     return m, riccati.solve_mfc(m, grid), riccati.solve_mfg(m, grid)
 
 
 def _policy(kind, model, mfc, mfg):
     if kind == "OPTIMAL_MFC":
-        return optimal_policy(mfc)
+        return FeedbackPolicy(mfc)
     if kind == "OPTIMAL_MFG":
-        return optimal_policy(mfg)
+        return FeedbackPolicy(mfg)
     if kind == "PERTURBED":
         d1, d2 = mkv.perturbation_directions(model, 3)
-        return mkv.FeedbackPolicy(kind="PERTURBED", sol=mfc, eps=0.3, delta1=d1, delta2=d2)
+        return mkv.FeedbackPolicy(mfc, K1=0.3 * d1, K2=0.3 * d2)
     return zero_policy(model)
+
+
+@pytest.mark.parametrize("steps,K", [(40, 200), (1000, 1000), (250, 1000), (1000, 300)])
+@pytest.mark.parametrize("name", list(SIM_MODELS))
+def test_gain_tables_equal_per_step_formula(name, steps, K):
+    model, mfc, mfg = _solved(name, K)
+    RB = model.Rinv_Bt()
+    times = np.linspace(0.0, model.T, steps + 1)[:-1]
+    d1, d2 = mkv.perturbation_directions(model, 3)
+    rng = np.random.default_rng(K + steps)
+    C1, C2 = rng.standard_normal((2, model.d, model.n))
+    policies = [FeedbackPolicy(mfc), FeedbackPolicy(mfg),
+                FeedbackPolicy(mfc, K1=0.3 * d1, K2=0.3 * d2),
+                FeedbackPolicy(mfg, K1=0.3 * d1, K2=0.3 * d2),
+                FeedbackPolicy(K1=C1, K2=C2)]
+    for policy in policies:
+        K1s, K2s = policy.gains(times, RB if policy.sol is not None else None)
+        assert K1s.shape == K2s.shape == (steps, model.d, model.n)
+        for k, t in enumerate(times):
+            if policy.sol is None:
+                K1, K2 = C1, C2
+            else:
+                ev = riccati.eval_at(policy.sol, t)
+                K1, K2 = -RB @ ev["P"], -RB @ ev["Sigma"]
+                if policy.K1 is not None:
+                    K1, K2 = K1 + policy.K1, K2 + policy.K2
+            assert K1s[k].tobytes() == K1.tobytes(), (k, t)
+            assert K2s[k].tobytes() == K2.tobytes(), (k, t)
+
+
+def test_particle_layer_interpolates_once_per_run(monkeypatch):
+    model, mfc, _ = _solved("coupled_2x2")
+    evals, interps = [], []
+    eval_at, interp = riccati.eval_at, riccati._interp
+
+    def counted_eval(*args):
+        evals.append(args)
+        return eval_at(*args)
+
+    def counted_interp(*args):
+        interps.append(args)
+        return interp(*args)
+
+    monkeypatch.setattr(riccati, "eval_at", counted_eval)
+    monkeypatch.setattr(riccati, "_interp", counted_interp)
+    counts = []
+    for steps in (50, 500):
+        interps.clear()
+        X0, cfg = gaussian_ensemble(20, model.n, seed=26), SimConfig(steps=steps, seed=26)
+        simulate(model, FeedbackPolicy(mfc), X0, cfg)
+        check_optimality_gap(model, mfc, X0, cfg)
+        for mode in ("deterministic", "stochastic"):
+            check_max_principle(model, mfc, X0, cfg, mode=mode)
+        counts.append(len(interps))
+    assert evals == []
+    assert counts[0] == counts[1]
 
 
 @pytest.fixture(params=["unset", "1"])
@@ -361,8 +416,8 @@ def test_simulate_single_particle_equals_reference(name, threads):
     model, mfc, _ = _solved(name)
     X0 = ParticleEnsemble(np.full((1, model.n), 0.7))
     cfg = SimConfig(steps=30, seed=2)
-    got = simulate(model, optimal_policy(mfc), X0, cfg)
-    ref = _reference_simulate(model, optimal_policy(mfc), X0, cfg)
+    got = simulate(model, FeedbackPolicy(mfc), X0, cfg)
+    ref = _reference_simulate(model, FeedbackPolicy(mfc), X0, cfg)
     assert np.array_equal(got.final_states, ref.final_states)
     assert np.array_equal(got.running_cost_partial, ref.running_cost_partial)
 
@@ -377,7 +432,7 @@ def test_simulate_one_rinv_bt_per_call(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(lq_model.LQModelSpec, "Rinv_Bt", counted)
-    simulate(model, optimal_policy(mfc), gaussian_ensemble(50, 2, seed=1),
+    simulate(model, FeedbackPolicy(mfc), gaussian_ensemble(50, 2, seed=1),
              SimConfig(steps=25, seed=1))
     assert len(calls) == 1
 
@@ -385,8 +440,7 @@ def test_simulate_one_rinv_bt_per_call(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_numerical_failure_same_step_and_joins_worker(threads):
     model = lq_model.scalar_model(A=0.5, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=1.0)
-    policy = mkv.FeedbackPolicy(kind="CUSTOM_LINEAR", K1=np.array([[1e120]]),
-                                K2=np.array([[0.0]]))
+    policy = mkv.FeedbackPolicy(K1=np.array([[1e120]]), K2=np.array([[0.0]]))
     X0 = gaussian_ensemble(300, 1, seed=20)
     cfg = SimConfig(steps=50, seed=20)
     with pytest.raises(riccati.NumericalFailure) as ref:
@@ -404,10 +458,10 @@ def test_simulate_numerical_failure_same_step_and_joins_worker(threads):
 def _sequential_optimality_gap(model, sol, X0, cfg, eps_list=(0.1, 0.2, 0.4)):
     """check_optimality_gap as four separate simulations, one after another."""
     d1, d2 = mkv.perturbation_directions(model, cfg.seed)
-    base = estimate_cost(model, _reference_simulate(model, optimal_policy(sol), X0, cfg))
+    base = estimate_cost(model, _reference_simulate(model, FeedbackPolicy(sol), X0, cfg))
     gaps = {}
     for eps in eps_list:
-        pol = mkv.FeedbackPolicy(kind="PERTURBED", sol=sol, eps=eps, delta1=d1, delta2=d2)
+        pol = mkv.FeedbackPolicy(sol, K1=eps * d1, K2=eps * d2)
         gaps[eps] = estimate_cost(model, _reference_simulate(model, pol, X0, cfg))["J_hat"] \
             - base["J_hat"]
     eps_arr = np.asarray(list(gaps))
@@ -467,9 +521,8 @@ def test_optimality_gap_failure_is_first_in_list_order(threads):
     cfg = SimConfig(steps=50, seed=24)
     eps_list = (0.1, 1e60, 1e150)
     d1, d2 = mkv.perturbation_directions(model, cfg.seed)
-    policies = [optimal_policy(mfc)] + [
-        mkv.FeedbackPolicy(kind="PERTURBED", sol=mfc, eps=e, delta1=d1, delta2=d2)
-        for e in eps_list]
+    policies = [FeedbackPolicy(mfc)] + [
+        mkv.FeedbackPolicy(mfc, K1=e * d1, K2=e * d2) for e in eps_list]
     steps = [_sequential_failure(model, [p], X0, cfg) for p in policies]
     assert steps[0] is None and steps[1] is None and steps[3] < steps[2]
     before = threading.active_count()
@@ -483,8 +536,7 @@ def test_optimality_gap_failure_is_first_in_list_order(threads):
 @pytest.mark.parametrize("gains", [(1e60, 1e120), (1e120, 1e60), (0.0, 1e120), (1e120, 0.0)])
 def test_simulate_policies_failure_matches_sequential(gains, threads):
     model = lq_model.scalar_model(A=0.5, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=1.0)
-    policies = [mkv.FeedbackPolicy(kind="CUSTOM_LINEAR", K1=np.array([[g]]),
-                                   K2=np.array([[0.0]])) for g in gains]
+    policies = [mkv.FeedbackPolicy(K1=np.array([[g]]), K2=np.array([[0.0]])) for g in gains]
     X0 = gaussian_ensemble(300, 1, seed=25)
     cfg = SimConfig(steps=50, seed=25)
     expected = _sequential_failure(model, policies, X0, cfg)
@@ -560,7 +612,7 @@ def _ref_max_principle(model, sol, X0, cfg, mode):
     model = dataclasses.replace(model, sigma=model.sigma if mode == "stochastic" else 0.0,
                                 beta=0.0)
     cfg = SimConfig(steps=cfg.steps, seed=cfg.seed, store_states=True)
-    traj = simulate(model, optimal_policy(sol), X0, cfg)
+    traj = simulate(model, FeedbackPolicy(sol), X0, cfg)
     dt = cfg.dt(model.T)
     S, Qb = model.S, model.Qbar
     Z = np.empty_like(traj.states_history)
@@ -595,7 +647,7 @@ def _ref_max_principle(model, sol, X0, cfg, mode):
 def test_estimate_cost_equals_reference(name):
     model, mfc, mfg = _solved(name)
     for sol in (mfc, mfg):
-        traj = simulate(model, optimal_policy(sol), gaussian_ensemble(300, model.n, seed=5),
+        traj = simulate(model, FeedbackPolicy(sol), gaussian_ensemble(300, model.n, seed=5),
                         SimConfig(steps=40, seed=5))
         assert estimate_cost(model, traj) == _ref_estimate_cost(model, traj)
 
