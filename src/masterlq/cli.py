@@ -14,8 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
-from functools import partial
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -233,8 +232,11 @@ def _load_demo_problem(args):
         return None
     if doc["demo"] != "cosine":
         raise ValueError(f"unknown demo problem {doc['demo']!r}")
-    return hj.cosine_demo(sigma=doc.get("sigma", 0.5), T=doc.get("T", 0.5),
-                          kappa=doc.get("kappa", 0.5))
+    kappa = lq._number(doc, "kappa", 0.5)
+    if not np.isfinite(kappa):
+        raise ValueError(f"model key 'kappa' must be finite, got {kappa}")
+    return hj.cosine_demo(sigma=lq._number(doc, "sigma", 0.5), T=lq._number(doc, "T", 0.5),
+                          kappa=kappa)
 
 
 def _parse_grid(text: str) -> tuple[float, float, int, int]:
@@ -254,11 +256,8 @@ def cmd_hjbfp(args) -> int:
     m0 = hj.gaussian_density(grid, args.m0_mean, args.m0_std)
     prob, model, kind = _load_demo_problem(args), None, "MFG"
     if prob is None:
-        model = _load_model(args)
-        prob = hj.problem_from_lq(model)
-        kind = args.kind.upper()
-        if kind == "MFC":
-            prob = replace(prob, terminal=partial(hj.terminal_mfc_lq, model))
+        model, kind = _load_model(args), args.kind.upper()
+        prob = hj.problem_from_lq(model, kind)
     man.kind = kind.lower()    # a demo problem is always solved as an MFG
     tgrid = ric.TimeGrid(prob.T, Nt)
     path = os.path.join(args.out, "hjbfp.json")

@@ -98,9 +98,9 @@ class Problem1D:
                              f"FD solver, got {self.sigma}")
 
 
-def problem_from_lq(model: lq.LQModelSpec) -> Problem1D:
-    """The MFG problem of a scalar LQ model; the MFC problem replaces its
-    terminal by terminal_mfc_lq."""
+def problem_from_lq(model: lq.LQModelSpec, kind: str = "MFG") -> Problem1D:
+    """The MFG or MFC problem of a scalar LQ model.  The MFC terminal adds
+    the measure-derivative correction of h at ybar(T) = y."""
     if model.n != 1 or model.d != 1:
         raise ValueError("FD solver handles scalar (n = d = 1) models only")
     if model.beta > 0.0:
@@ -120,18 +120,15 @@ def problem_from_lq(model: lq.LQModelSpec) -> Problem1D:
     def terminal(x, y):
         return 0.5 * (QT * x * x + QbT * (x - ST * y) ** 2)
 
+    def terminal_mfc(x, y):
+        return terminal(x, y) - (y - ST * y) * QbT * ST * x
+
     def dHdm_coeff(y, qbar):
         return -y * Qb * S + y * S * Qb * S + qbar * Ab
 
-    return Problem1D(hamiltonian=ham, drift=drift, terminal=terminal,
+    return Problem1D(hamiltonian=ham, drift=drift,
+                     terminal=terminal_mfc if kind == "MFC" else terminal,
                      sigma=model.sigma, T=model.T, dHdm_coeff=dHdm_coeff)
-
-
-def terminal_mfc_lq(model: lq.LQModelSpec, x: np.ndarray, y: float) -> np.ndarray:
-    """h + measure-derivative correction, the MFC terminal slice at ybar(T) = y."""
-    QT = float(model.QT[0, 0]); QbT = float(model.QbarT[0, 0]); ST = float(model.ST[0, 0])
-    return (0.5 * (QT * x * x + QbT * (x - ST * y) ** 2)
-            - (y - ST * y) * QbT * ST * x)
 
 
 def cosine_demo(sigma: float = 0.5, T: float = 0.5, kappa: float = 0.5) -> Problem1D:

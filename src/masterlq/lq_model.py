@@ -82,6 +82,11 @@ def _cache(model: LQModelSpec, name: str, value: np.ndarray) -> np.ndarray:
     return value
 
 
+def _shapes(n: int, d: int) -> dict[str, tuple[int, int]]:
+    return {"A": (n, n), "Abar": (n, n), "B": (n, d), "Q": (n, n), "Qbar": (n, n),
+            "S": (n, n), "R": (d, d), "QT": (n, n), "QbarT": (n, n), "ST": (n, n)}
+
+
 def _is_symmetric(M: np.ndarray) -> bool:
     return np.max(np.abs(M - M.T)) <= SYM_TOL if M.size else True
 
@@ -104,11 +109,7 @@ def validate(model: LQModelSpec) -> ValidationReport:
             v.append(f"noise coefficient {name} must be finite and nonnegative, "
                      f"got {getattr(model, name)}")
 
-    shapes = {
-        "A": (n, n), "Abar": (n, n), "B": (n, d), "Q": (n, n), "Qbar": (n, n),
-        "S": (n, n), "R": (d, d), "QT": (n, n), "QbarT": (n, n), "ST": (n, n),
-    }
-    for name, shape in shapes.items():
+    for name, shape in _shapes(n, d).items():
         M = getattr(model, name)
         if M.shape != shape:
             v.append(f"dimension mismatch: {name} has shape {M.shape}, expected {shape}")
@@ -133,64 +134,38 @@ def validate(model: LQModelSpec) -> ValidationReport:
     return ValidationReport(v)
 
 
-def _rows(z, width: int):
-    """(rows, single): z as (N, width) rows, a single point being one row."""
-    z = np.asarray(z, dtype=float)
-    return (z, False) if z.ndim == 2 else (z.reshape(1, width), True)
+# The kernels below take x (and q, v) as N rows (N, n), N >= 1, and the
+# population mean y as one (n,) vector shared by every row: X and E[X] on
+# the lift.  They return one value per row: (N,) for H, f and h, (N, .) for
+# v*, G and D_x H.
 
-
-def _mean(y, n: int) -> np.ndarray:
-    """The population mean (n,), or one mean per row (N, n)."""
-    y = np.asarray(y, dtype=float)
-    return y if y.ndim == 2 else y.reshape(n)
-
-
-def _point(vals: np.ndarray, single: bool):
-    """A kernel's rows, or its value at the single point it was given."""
-    if not single:
-        return vals
-    return float(vals[0]) if vals.ndim == 1 else vals[0]
-
-
-# The kernels below take one point (n,) or rows (N, n) of x (and q, v); the
-# mean y is one (n,) vector shared by all rows, or one per row.  A point
-# gives a float (a vector for v*, D_q H and D_x H), rows give one value per row.
-
-def hamiltonian(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec):
+def hamiltonian(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec) -> np.ndarray:
     """H(x, y, q) = inf_v [ f(x,y,v) + q.g(x,y,v) ] = f(x, y, v*) + q.G(x, y, q),
     attained at v* = -R^{-1} B* q."""
-    (x, single), (q, _) = _rows(x, model.n), _rows(q, model.n)
     v = optimal_feedback(x, y, q, model)
-    H = running_cost(x, y, v, model) + np.einsum("ij,ij->i", q, drift_G(x, y, q, model))
-    return _point(H, single)
+    return running_cost(x, y, v, model) + np.einsum("ij,ij->i", q, drift_G(x, y, q, model))
 
 
 def optimal_feedback(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec) -> np.ndarray:
     """Unique minimizer v* = -R^{-1} B* q of v -> f(x,y,v) + q.g(x,y,v); linear in q."""
-    q, single = _rows(q, model.n)
-    return _point(-(q @ model.Rinv_Bt().T), single)
+    return -(q @ model.Rinv_Bt().T)
 
 
 def drift_G(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec) -> np.ndarray:
     """Optimal drift G(x, y, q) = Ax + Abar y - B R^{-1} B* q = D_q H."""
-    (x, single), (q, _) = _rows(x, model.n), _rows(q, model.n)
-    G = x @ model.A.T + _mean(y, model.n) @ model.Abar.T - q @ model.BRB().T
-    return _point(G, single)
+    return x @ model.A.T + y @ model.Abar.T - q @ model.BRB().T
 
 
 def dx_hamiltonian(x: np.ndarray, y: np.ndarray, q: np.ndarray, model: LQModelSpec) -> np.ndarray:
     """D_x H(x, y, q) = (Q + Qbar) x - Qbar S y + A* q."""
-    (x, single), (q, _) = _rows(x, model.n), _rows(q, model.n)
     Qb, S = model.Qbar, model.S
-    DxH = x @ (model.Q + Qb).T - _mean(y, model.n) @ (Qb @ S).T + q @ model.A
-    return _point(DxH, single)
+    return x @ (model.Q + Qb).T - y @ (Qb @ S).T + q @ model.A
 
 
 def measure_term(y: np.ndarray, qbar: np.ndarray, model: LQModelSpec) -> np.ndarray:
     """Coefficient c of the term int D_m H(xi, m, Du(xi))(x) m(dxi) = c.x that
     the control problem adds, for the mean y and the mean gradient qbar:
     c = (S*Qbar S - S*Qbar) y + Abar* qbar."""
-    y, qbar = np.asarray(y, dtype=float), np.asarray(qbar, dtype=float)
     S, Qb = model.S, model.Qbar
     return y @ (-S.T @ Qb + S.T @ Qb @ S).T + qbar @ model.Abar
 
@@ -216,20 +191,16 @@ def _quad(a: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def running_cost(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec):
+def running_cost(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec) -> np.ndarray:
     """f(x, y, v) = 1/2 [ x*Qx + v*Rv + (x - Sy)* Qbar (x - Sy) ]."""
-    (x, single), (v, _) = _rows(x, model.n), _rows(v, model.d)
-    e = x - _mean(y, model.n) @ model.S.T
-    f = 0.5 * (_quad(x, model.Q) + _quad(v, model.R) + _quad(e, model.Qbar))
-    return _point(f, single)
+    e = x - y @ model.S.T
+    return 0.5 * (_quad(x, model.Q) + _quad(v, model.R) + _quad(e, model.Qbar))
 
 
-def terminal_cost(x: np.ndarray, y: np.ndarray, model: LQModelSpec):
+def terminal_cost(x: np.ndarray, y: np.ndarray, model: LQModelSpec) -> np.ndarray:
     """h(x, y) = 1/2 [ x*QT x + (x - ST y)* QbarT (x - ST y) ]."""
-    x, single = _rows(x, model.n)
-    e = x - _mean(y, model.n) @ model.ST.T
-    h = 0.5 * (_quad(x, model.QT) + _quad(e, model.QbarT))
-    return _point(h, single)
+    e = x - y @ model.ST.T
+    return 0.5 * (_quad(x, model.QT) + _quad(e, model.QbarT))
 
 
 def load_model(path: str) -> LQModelSpec:
@@ -243,22 +214,21 @@ def model_from_dict(doc: dict) -> LQModelSpec:
     for key in ("n", "d", "T", "R"):
         if key not in doc:
             raise KeyError(f"model file missing required key '{key}'")
-    n, d = int(doc["n"]), int(doc["d"])
-    shapes = {
-        "A": (n, n), "Abar": (n, n), "B": (n, d), "Q": (n, n), "Qbar": (n, n),
-        "S": (n, n), "QT": (n, n), "QbarT": (n, n), "ST": (n, n),
-    }
-    mats = {}
-    for name, shape in shapes.items():
-        mats[name] = np.asarray(doc[name], dtype=float) if name in doc else np.zeros(shape)
-    return LQModelSpec(
-        n=n, d=d, T=float(doc["T"]),
-        R=np.asarray(doc["R"], dtype=float),
-        sigma=float(doc.get("sigma", 0.0)),
-        beta=float(doc.get("beta", 0.0)),
-        convex=bool(doc.get("convex", False)),
-        **mats,
-    )
+    n, d = _number(doc, "n", kind=int), _number(doc, "d", kind=int)
+    mats = {name: np.asarray(doc[name], dtype=float) if name in doc else np.zeros(shape)
+            for name, shape in _shapes(n, d).items()}
+    return LQModelSpec(n=n, d=d, T=_number(doc, "T"), sigma=_number(doc, "sigma", 0.0),
+                       beta=_number(doc, "beta", 0.0), convex=bool(doc.get("convex", False)),
+                       **mats)
+
+
+def _number(doc: dict, key: str, default=None, kind=float):
+    """doc[key] (default when the key is absent) converted by kind, or a
+    ValueError naming the key when it is not a number."""
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"model key '{key}' must be a number, got {doc[key]!r}") from None
 
 
 def scalar_model(A=0.0, Abar=0.0, B=1.0, Q=0.0, Qbar=0.0, S=0.0, R=1.0,

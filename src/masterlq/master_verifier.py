@@ -120,7 +120,7 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     DXU = Sig.T @ x + Gam @ yb
     mean_flow = _drift_matrix(model.A + model.Abar, model.BRB(), P, Sig) @ yb
     inner = float(DXU @ mean_flow)
-    quad = lq.hamiltonian(x, yb, P @ x + Sig @ yb, model)
+    quad = lq.hamiltonian(x[None], yb, (P @ x + Sig @ yb)[None], model)[0]
     terms = {
         "dU_dt": float(dU), "laplacian_x": float(lap_x),
         "D2X_gaussian": float(d2X_gauss), "ek_sum": float(ek_sum),

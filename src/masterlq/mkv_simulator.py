@@ -94,6 +94,13 @@ class FeedbackPolicy:
     K1: np.ndarray | None = None
     K2: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.sol is None:
+            for name in ("K1", "K2"):
+                if getattr(self, name) is None:
+                    raise ValueError(f"a feedback policy without sol needs both gains: "
+                                     f"{name} is missing")
+
     def gains(self, times: np.ndarray, RB: np.ndarray | None):
         """(K1, K2) stacks of shape (len(times), d, n), row j at times[j],
         given RB = model.Rinv_Bt() (None when sol is not set)."""

@@ -337,6 +337,20 @@ def test_lq_non_finite_field_exit_1(tmp_path, capsys, command, field, value):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("base,field,value", [
+    ("crowd", "T", None), ("crowd", "sigma", None), ("cosine", "kappa", "abc"),
+    ("cosine", "sigma", "abc"), ("cosine", "T", None), ("cosine", "kappa", float("nan"))])
+def test_non_numeric_model_value_exit_1(tmp_path, capsys, base, field, value):
+    model = tmp_path / "bad.json"
+    doc = json.loads(open(CROWD if base == "crowd" else COSINE).read())
+    model.write_text(json.dumps({**doc, field: value}))
+    code, out = run(tmp_path, "hjbfp", "--model", str(model), "--grid=-3,3,40,50")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"'{field}'" in err[0]
+    assert not (out / "hjbfp.json").exists()
+
+
 @pytest.mark.parametrize("grid", ["-3,3,40", "-3,3,forty,50", "-3,3,40,50,7", "-3,3,40.5,50"])
 def test_hjbfp_malformed_grid_exit_1(tmp_path, capsys, grid):
     code, out = run(tmp_path, "hjbfp", "--model", COSINE, f"--grid={grid}")

@@ -13,8 +13,7 @@ from masterlq import master_verifier as mv
 from masterlq.hjbfp_1d import (CFLViolation, NonConvergence, SpaceGrid1D,
                                cosine_demo, cross_validate_lq, first_moment,
                                gaussian_density, picard_solve, problem_from_lq,
-                               solve_fp_forward, solve_hjb_backward,
-                               terminal_mfc_lq)
+                               solve_fp_forward, solve_hjb_backward)
 from masterlq.lq_model import scalar_model
 from masterlq.riccati import NumericalFailure
 
@@ -327,10 +326,8 @@ def _bitwise_case(crowd, name):
         grid = SpaceGrid1D(-3.0, 3.0, 40)
         return cosine_demo(), grid, riccati.TimeGrid(0.5, 50), gaussian_density(grid, 0.0, 0.7)
     grid = SpaceGrid1D(-4.0, 4.0, 40)
-    prob = problem_from_lq(crowd)
-    if name == "MFC":
-        prob = dataclasses.replace(prob, terminal=lambda x, y: terminal_mfc_lq(crowd, x, y))
-    return prob, grid, riccati.TimeGrid(crowd.T, 50), gaussian_density(grid, 1.0, 0.5)
+    return (problem_from_lq(crowd, name), grid, riccati.TimeGrid(crowd.T, 50),
+            gaussian_density(grid, 1.0, 0.5))
 
 
 def _ref_mean_gradient(u, m, dx):

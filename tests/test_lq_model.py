@@ -79,33 +79,35 @@ def test_convex_flag_checks_psd():
 
 def test_hamiltonian_pure_state_cost():
     m = scalar_model(Q=1.0, R=1.0)
-    x, y, q = np.array([2.0]), np.zeros(1), np.zeros(1)
-    assert hamiltonian(x, y, q, m) == pytest.approx(2.0)
+    x, y, q = np.array([[2.0]]), np.zeros(1), np.zeros((1, 1))
+    assert hamiltonian(x, y, q, m)[0] == pytest.approx(2.0)
 
 
 def test_hamiltonian_pure_control_term():
     m = scalar_model(B=1.0, R=1.0)
-    assert hamiltonian(np.zeros(1), np.zeros(1), np.array([2.0]), m) == pytest.approx(-2.0)
+    H = hamiltonian(np.zeros((1, 1)), np.zeros(1), np.array([[2.0]]), m)
+    assert H[0] == pytest.approx(-2.0)
 
 
 def test_hamiltonian_full_scalar_by_hand():
     # 1/2*2 - 1 + 1/2 - 1/2 + 1 = 1
     m = scalar_model(A=1.0, B=1.0, Q=1.0, Qbar=1.0, S=1.0, R=1.0)
     one = np.ones(1)
-    assert hamiltonian(one, one, one, m) == pytest.approx(1.0)
+    assert hamiltonian(one[None], one, one[None], m)[0] == pytest.approx(1.0)
 
 
 def test_hamiltonian_is_infimum_over_control_grid():
     m = make_coupled_2x2()
     rng = np.random.default_rng(0)
     x, y, q = rng.normal(size=3 * 2).reshape(3, 2)
-    H = hamiltonian(x, y, q, m)
+    H = hamiltonian(x[None], y, q[None], m)[0]
     for v in rng.normal(scale=2.0, size=(200, 2)):
-        val = running_cost(x, y, v, m) + q @ (m.A @ x + m.Abar @ y + m.B @ v)
+        val = running_cost(x[None], y, v[None], m)[0] + q @ (m.A @ x + m.Abar @ y + m.B @ v)
     # the optimal control itself attains the infimum
         assert H <= val + 1e-12
-    v_hat = optimal_feedback(x, y, q, m)
-    attained = running_cost(x, y, v_hat, m) + q @ (m.A @ x + m.Abar @ y + m.B @ v_hat)
+    v_hat = optimal_feedback(x[None], y, q[None], m)[0]
+    attained = (running_cost(x[None], y, v_hat[None], m)[0]
+                + q @ (m.A @ x + m.Abar @ y + m.B @ v_hat))
     assert attained == pytest.approx(H, abs=1e-12)
 
 
@@ -114,12 +116,12 @@ def test_hamiltonian_is_infimum_over_control_grid():
 
 def test_feedback_zero_gradient():
     m = make_coupled_2x2()
-    assert np.allclose(optimal_feedback(np.ones(2), np.ones(2), np.zeros(2), m), 0.0)
+    assert np.allclose(optimal_feedback(np.ones((1, 2)), np.ones(2), np.zeros((1, 2)), m)[0], 0.0)
 
 
 def test_feedback_scalar_by_hand():
     m = scalar_model(B=2.0, R=4.0)
-    v = optimal_feedback(np.zeros(1), np.zeros(1), np.ones(1), m)
+    v = optimal_feedback(np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)), m)[0]
     assert v == pytest.approx(-0.5)
 
 
@@ -128,14 +130,14 @@ def test_feedback_scalar_by_hand():
 def test_feedback_linear_in_q(alpha):
     m = make_coupled_2x2()
     q = np.array([0.7, -1.3])
-    base = optimal_feedback(np.zeros(2), np.zeros(2), q, m)
-    scaled = optimal_feedback(np.zeros(2), np.zeros(2), alpha * q, m)
+    base = optimal_feedback(np.zeros((1, 2)), np.zeros(2), q[None], m)[0]
+    scaled = optimal_feedback(np.zeros((1, 2)), np.zeros(2), alpha * q[None], m)[0]
     assert np.allclose(scaled, alpha * base, rtol=0, atol=1e-12 * (1 + abs(alpha)))
 
 
 def test_drift_scalar_by_hand():
     m = scalar_model(A=1.0, Abar=1.0, B=1.0, R=1.0)
-    g = drift_G(np.array([1.0]), np.array([2.0]), np.array([3.0]), m)
+    g = drift_G(np.array([[1.0]]), np.array([2.0]), np.array([[3.0]]), m)[0]
     assert g == pytest.approx(0.0)
 
 
@@ -143,12 +145,13 @@ def test_drift_equals_q_gradient_of_hamiltonian():
     m = make_coupled_2x2()
     rng = np.random.default_rng(1)
     x, y, q = rng.normal(size=3 * 2).reshape(3, 2)
-    g = drift_G(x, y, q, m)
+    g = drift_G(x[None], y, q[None], m)[0]
     h = 1e-5
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
-        fd = (hamiltonian(x, y, q + e, m) - hamiltonian(x, y, q - e, m)) / (2 * h)
+        fd = (hamiltonian(x[None], y, (q + e)[None], m)[0]
+              - hamiltonian(x[None], y, (q - e)[None], m)[0]) / (2 * h)
         assert abs(fd - g[k]) / max(1.0, abs(g[k])) < 1e-6
 
 
@@ -156,9 +159,9 @@ def test_drift_consistent_with_dynamics_at_optimum():
     m = make_coupled_2x2()
     rng = np.random.default_rng(2)
     x, y, q = rng.normal(size=3 * 2).reshape(3, 2)
-    v = optimal_feedback(x, y, q, m)
+    v = optimal_feedback(x[None], y, q[None], m)[0]
     dynamics = m.A @ x + m.Abar @ y + m.B @ v     # oracle: g(x, y, v) = Ax + Abar y + Bv
-    assert np.allclose(drift_G(x, y, q, m), dynamics, atol=1e-12)
+    assert np.allclose(drift_G(x[None], y, q[None], m)[0], dynamics, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +169,14 @@ def test_drift_consistent_with_dynamics_at_optimum():
 
 def test_terminal_cost_zero_matrices():
     m = scalar_model(Q=1.0, R=1.0)
-    assert terminal_cost(np.array([3.0]), np.array([1.0]), m) == 0.0
+    assert terminal_cost(np.array([[3.0]]), np.array([1.0]), m)[0] == 0.0
 
 
 def test_running_cost_quadratic_scaling():
     m = make_coupled_2x2()
     x, y, v = np.ones(2), 0.5 * np.ones(2), np.array([1.0, -1.0])
-    assert running_cost(2 * x, 2 * y, 2 * v, m) == pytest.approx(
-        4.0 * running_cost(x, y, v, m))
+    assert running_cost(2 * x[None], 2 * y, 2 * v[None], m)[0] == pytest.approx(
+        4.0 * running_cost(x[None], y, v[None], m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +232,24 @@ ROW_KERNELS = {
 SCALAR_KERNELS = ("hamiltonian", "running_cost", "terminal_cost")
 
 
-@pytest.mark.parametrize("shared_mean", [True, False], ids=["mean", "mean_per_row"])
+@pytest.mark.parametrize("mean", ["mean", "ensemble_mean"])
 @pytest.mark.parametrize("model", [SCALAR_COUPLED, make_coupled_2x2(), _model_n3_d2()],
                          ids=["scalar", "coupled_2x2", "n3_d2"])
 @pytest.mark.parametrize("name", list(ROW_KERNELS))
-def test_row_kernel_equals_pointwise(name, model, shared_mean):
+def test_row_kernel_equals_pointwise(name, model, mean):
+    # the shared mean is a free (n,) vector, or E[X] of the rows themselves
     rng = np.random.default_rng(3)
     N, n = 17, model.n
     x, q, v = rng.normal(size=(N, n)), rng.normal(size=(N, n)), rng.normal(size=(N, model.d))
-    y = rng.normal(size=n) if shared_mean else rng.normal(size=(N, n))
+    y = rng.normal(size=n) if mean == "mean" else x.mean(axis=0)
     kernel = ROW_KERNELS[name]
     rows = kernel(x, y, q, v, model)
     width = model.d if name == "optimal_feedback" else n
     assert rows.shape == ((N,) if name in SCALAR_KERNELS else (N, width))
     for i in range(N):
-        point = kernel(x[i], y if shared_mean else y[i], q[i], v[i], model)
-        assert isinstance(point, float) == (name in SCALAR_KERNELS)
-        assert np.shape(point) == rows[i].shape
-        assert np.allclose(rows[i], point, rtol=1e-13, atol=1e-13)
+        one = kernel(x[i:i + 1], y, q[i:i + 1], v[i:i + 1], model)
+        assert one.shape == (1,) + rows[i].shape
+        assert np.allclose(rows[i], one[0], rtol=1e-13, atol=1e-13)
 
 
 def test_row_kernels_match_closed_forms():
@@ -258,11 +261,11 @@ def test_row_kernels_match_closed_forms():
     f = 0.5 * (x @ m.Q @ x + v @ m.R @ v + e @ m.Qbar @ e)
     H = (0.5 * x @ (m.Q + m.Qbar) @ x - x @ m.Qbar @ m.S @ y
          + 0.5 * y @ m.S.T @ m.Qbar @ m.S @ y - 0.5 * q @ BRB @ q + q @ (m.A @ x + m.Abar @ y))
-    assert running_cost(x, y, v, m) == pytest.approx(f, rel=1e-13)
-    assert terminal_cost(x, y, m) == pytest.approx(0.5 * (x @ m.QT @ x + eT @ m.QbarT @ eT),
-                                                   rel=1e-13)
-    assert hamiltonian(x, y, q, m) == pytest.approx(H, rel=1e-13)
-    assert np.allclose(lq_model.dx_hamiltonian(x, y, q, m),
+    assert running_cost(x[None], y, v[None], m)[0] == pytest.approx(f, rel=1e-13)
+    assert terminal_cost(x[None], y, m)[0] == pytest.approx(
+        0.5 * (x @ m.QT @ x + eT @ m.QbarT @ eT), rel=1e-13)
+    assert hamiltonian(x[None], y, q[None], m)[0] == pytest.approx(H, rel=1e-13)
+    assert np.allclose(lq_model.dx_hamiltonian(x[None], y, q[None], m)[0],
                        (m.Q + m.Qbar) @ x - m.Qbar @ m.S @ y + m.A.T @ q, rtol=1e-13)
     assert np.allclose(lq_model.measure_term(y, q, m),
                        (m.S.T @ m.Qbar @ m.S - m.S.T @ m.Qbar) @ y + m.Abar.T @ q, rtol=1e-13)
@@ -346,13 +349,13 @@ def test_cost_kernels_equal_einsum_bitwise(model):
                 + np.einsum("ij,ij->i", q, drift_G(x, y, q, model)))
 
     assert np.array_equal(_bits(hamiltonian(x, y, q, model)), _bits(einsum_hamiltonian(x, q)))
-    for i in range(5):     # single points, which the kernels read as one row
+    for i in range(5):     # single rows
         xi, qi, vi = x[i:i + 1], q[i:i + 1], v[i:i + 1]
-        assert _bits(running_cost(x[i], y, v[i], model)) == _bits(
+        assert _bits(running_cost(xi, y, vi, model)[0]) == _bits(
             _einsum_running_cost(xi, y, vi, model)[0])
-        assert _bits(terminal_cost(x[i], y, model)) == _bits(
+        assert _bits(terminal_cost(xi, y, model)[0]) == _bits(
             _einsum_terminal_cost(xi, y, model)[0])
-        assert _bits(hamiltonian(x[i], y, q[i], model)) == _bits(einsum_hamiltonian(xi, qi)[0])
+        assert _bits(hamiltonian(xi, y, qi, model)[0]) == _bits(einsum_hamiltonian(xi, qi)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -386,5 +389,5 @@ def test_hamiltonian_factors_r_once_per_spec(monkeypatch):
     rng = np.random.default_rng(6)
     for _ in range(3):
         x, y, q = rng.normal(size=(3, 2))
-        hamiltonian(x, y, q, m)
+        hamiltonian(x[None], y, q[None], m)
     assert len(calls) == 1

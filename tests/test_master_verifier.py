@@ -29,7 +29,7 @@ def test_eval_value_terminal_equals_terminal_cost(scalar_coupled, sol_coupled_mf
     X = seeded_state_panel(1, 32, 1)
     V = eval_value(sol_coupled_mfc, X, scalar_coupled.T)
     yb = X.mean(axis=0)
-    h = np.mean([lq_model.terminal_cost(x, yb, scalar_coupled) for x in X])
+    h = np.mean(lq_model.terminal_cost(X, yb, scalar_coupled))
     assert V == pytest.approx(h, abs=1e-10)
 
 

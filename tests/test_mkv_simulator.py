@@ -26,6 +26,13 @@ def zero_policy(model: lq_model.LQModelSpec) -> FeedbackPolicy:
                           K2=np.zeros((model.d, model.n)))
 
 
+@pytest.mark.parametrize("gains,missing", [({}, "K1"), ({"K1": np.zeros((1, 1))}, "K2"),
+                                           ({"K2": np.zeros((1, 1))}, "K1")])
+def test_policy_without_solution_needs_both_gains(gains, missing):
+    with pytest.raises(ValueError, match=f"{missing} is missing"):
+        FeedbackPolicy(**gains)
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -151,7 +158,7 @@ def test_value_terminal_slice(scalar_coupled, sol_coupled_mfc):
     X0 = gaussian_ensemble(5000, 1, seed=12, mean=0.4)
     V = mv.eval_value(sol_coupled_mfc, X0.states, scalar_coupled.T)
     yb = X0.states.mean(axis=0)
-    h = np.mean([lq_model.terminal_cost(x, yb, scalar_coupled) for x in X0.states])
+    h = np.mean(lq_model.terminal_cost(X0.states, yb, scalar_coupled))
     assert V == pytest.approx(h, abs=1e-10)
 
 
