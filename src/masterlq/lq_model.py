@@ -215,20 +215,37 @@ def model_from_dict(doc: dict) -> LQModelSpec:
         if key not in doc:
             raise KeyError(f"model file missing required key '{key}'")
     n, d = _number(doc, "n", kind=int), _number(doc, "d", kind=int)
-    mats = {name: np.asarray(doc[name], dtype=float) if name in doc else np.zeros(shape)
+    mats = {name: _matrix(doc, name) if name in doc else np.zeros(shape)
             for name, shape in _shapes(n, d).items()}
+    convex = doc.get("convex", False)
+    if not isinstance(convex, bool):
+        raise ValueError(f"model key 'convex' must be true or false, got {convex!r}")
     return LQModelSpec(n=n, d=d, T=_number(doc, "T"), sigma=_number(doc, "sigma", 0.0),
-                       beta=_number(doc, "beta", 0.0), convex=bool(doc.get("convex", False)),
-                       **mats)
+                       beta=_number(doc, "beta", 0.0), convex=convex, **mats)
 
 
 def _number(doc: dict, key: str, default=None, kind=float):
     """doc[key] (default when the key is absent) converted by kind, or a
-    ValueError naming the key when it is not a number."""
+    ValueError naming the key when it is not a number.  With kind=int the
+    value must be an integer: 1.5 is not truncated, and a boolean is not
+    taken for 0 or 1."""
+    value = doc.get(key, default)
     try:
-        return kind(doc.get(key, default))
+        if kind is int and (isinstance(value, bool) or value != int(value)):
+            raise ValueError
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"model key '{key}' must be a number, got {doc[key]!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"model key '{key}' must be {what}, got {value!r}") from None
+
+
+def _matrix(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array, or a ValueError naming the key when it is
+    not numeric or its rows differ in length."""
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"model key '{key}' must be a numeric matrix, got {doc[key]!r}") from None
 
 
 def scalar_model(A=0.0, Abar=0.0, B=1.0, Q=0.0, Qbar=0.0, S=0.0, R=1.0,

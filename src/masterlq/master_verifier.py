@@ -137,7 +137,8 @@ def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
 
     The drift matrix is formed once per stage time, all at once: the nodes,
     accumulated by t += h as _integrate accumulates them, and the midpoints
-    t + h/2 between them."""
+    t + h/2 between them.  At n = 1 the drifts are Python floats and the
+    product adds onto +0.0, as numpy's 1 x 1 matmul does."""
     h, t, times = grid.h, 0.0, [0.0]
     for _ in range(grid.K):
         times += [t + 0.5 * h, t + h]
@@ -146,11 +147,18 @@ def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     drift = _drift_matrix(model.A + model.Abar, model.BRB(),
                           ric._interp(sol.P, sol.grid, ts), ric._interp(sol.Sigma, sol.grid, ts))
     stage = {s: j for j, s in enumerate(times)}
+    if model.n == 1:
+        d = drift.ravel().tolist()
 
-    def make_rhs(y, out):
-        def rhs(t):
-            np.matmul(drift[stage[t]], y, out=out)
-        return rhs
+        def make_rhs(y, out):
+            def rhs(t):
+                out[0] = d[stage[t]] * y[0] + 0.0
+            return rhs
+    else:
+        def make_rhs(y, out):
+            def rhs(t):
+                np.matmul(drift[stage[t]], y, out=out)
+            return rhs
 
     y0 = np.asarray(y0, dtype=float).reshape(model.n)
     return ric._integrate(make_rhs, (y0,), 0.0, h, grid.K, 0)[0]

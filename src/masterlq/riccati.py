@@ -21,9 +21,11 @@ state vector [P, Sigma, (Gamma,) lambda or mu] per node, with per-step
 symmetrization of P (and of Sigma in the MFC case only: MFG Sigma is
 genuinely non-symmetric unless Abar = 0 and Qbar S = S* Qbar).
 
-Each system's right-hand side is written once.  At n >= 2 it runs on numpy
-matrices; at n = 1 the same formulas run on Python floats, which skips
-numpy's per-call overhead and keeps every bit, signed zeros included.
+Each system's right-hand side is written once, and so is the RK4 loop.  At
+n >= 2 both run on numpy, with np.dot for the matrix products; at n = 1 the
+loop's state, stages and stage sums and the rhs formulas run on Python
+floats, which skips numpy's per-call overhead and keeps every bit, signed
+zeros included.
 """
 
 from __future__ import annotations
@@ -94,10 +96,12 @@ def _algebra(n: int):
     n x n arrays, Python floats at n = 1.  The float forms keep numpy's
     bits: its 1 x 1 matmul and its one-term diagonal sum add onto +0.0,
     so -0.0 comes out +0.0, which a bare a * b would not do.  The n >= 2
-    trace is ndarray.sum's reduction without its Python-level forwarding."""
+    product is np.dot, the same BLAS call as np.matmul at a lower cost per
+    call; the trace is ndarray.sum's reduction without its Python-level
+    forwarding."""
     if n == 1:
         return (lambda a, b: a * b + 0.0), (lambda a: a), (lambda a: a + 0.0)
-    return np.matmul, np.ndarray.transpose, lambda a: np.add.reduce(a.diagonal())
+    return np.dot, np.ndarray.transpose, lambda a: np.add.reduce(a.diagonal())
 
 
 def _coefficients(model: LQModelSpec) -> list:
@@ -109,12 +113,13 @@ def _coefficients(model: LQModelSpec) -> list:
 def _bind(terms, n: int, k: int):
     """make_rhs(y, out) for _integrate from terms(*mats), which maps the k
     n x n blocks of the state to their negated derivatives and the negated
-    derivative of the scalar last block.  At n = 1 the blocks are read as
-    Python floats and written back in one assignment."""
+    derivative of the scalar last block.  At n = 1 the state and out are
+    the Python float lists of _integrate, and out is written in one
+    assignment."""
     if n == 1:
         def make_rhs(y, out):
             def rhs(t):
-                out[:] = [-v for v in terms(*y.tolist()[:k])]
+                out[:] = [-v for v in terms(*y[:k])]
             return rhs
         return make_rhs
 
@@ -175,6 +180,67 @@ def _mfg_rhs(model: LQModelSpec):
     return _bind(terms, model.n, 3)
 
 
+def _vector_steps(n: int, sym: int, Y: np.ndarray, D: np.ndarray):
+    """The state u, the stage rows R = (k1, k2, k3, k4) and the vector steps
+    of _integrate over them: Python lists of floats at n = 1, where numpy's
+    cost per call exceeds the arithmetic, numpy vectors otherwise.  Both
+    forms make the same floating-point operations in the same order.
+
+    stage(y, k, c) sets u = y + c k.  advance(y, c) sets
+    u = y + c (k1 + 2 k2 + 2 k3 + k4), summed left to right, then makes the
+    first `sym` n x n blocks of u symmetric as (M + M*) / 2.  bounded()
+    tells whether every entry of u is at most BLOWUP_THRESHOLD in absolute
+    value; NaN is not.  store(i) writes u and k1 to row i of Y and D and
+    returns the state to step from.
+    """
+    L = Y.shape[1]
+    if n == 1:
+        u, R = [0.0] * L, [[0.0] * L for _ in range(4)]
+
+        def stage(y, k, c):
+            u[:] = [a + c * b for a, b in zip(y, k)]
+
+        def advance(y, c):
+            u[:] = [a + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * c for a, k1, k2, k3, k4 in zip(y, *R)]
+            if sym:
+                u[:sym] = [0.5 * (v + v) for v in u[:sym]]
+
+        def bounded():
+            return all(abs(v) <= BLOWUP_THRESHOLD for v in u)    # max() would skip a NaN
+
+        def store(i):
+            Y[i], D[i] = u, R[0]
+            return u[:]
+
+        return u, R, stage, advance, bounded, store
+
+    u, R = np.empty(L), np.empty((4, L))
+    square = u[:sym * n * n].reshape(sym, n, n)
+    square_T = square.transpose(0, 2, 1)
+
+    def stage(y, k, c):
+        np.add(y, c * k, out=u)
+
+    def advance(y, c):
+        R[1:3] *= 2.0
+        # row by row onto -0.0, the additive identity that keeps a sum of
+        # -0.0 terms -0.0; the default start, +0.0, would not
+        s = np.add.reduce(R, axis=0, initial=-0.0)
+        s *= c
+        np.add(y, s, out=u)
+        if sym:
+            np.multiply(0.5, square + square_T, out=square)
+
+    def bounded():
+        return np.abs(u).max() <= BLOWUP_THRESHOLD    # NaN compares false
+
+    def store(i):
+        Y[i], D[i] = u, R[0]
+        return Y[i]
+
+    return u, R, stage, advance, bounded, store
+
+
 def _integrate(make_rhs, y0, t0: float, h: float, K: int, sym: int):
     """K classical RK4 steps of signed size h from (t0, y0) on one packed
     float64 state vector, with per-step symmetrization and blow-up detection.
@@ -182,56 +248,42 @@ def _integrate(make_rhs, y0, t0: float, h: float, K: int, sym: int):
     y0 is the tuple of state blocks (arrays or scalars), packed in order;
     the first `sym` blocks are n x n matrices that each step symmetrizes.
     make_rhs(y, out) returns rhs(t), which reads the state from the vector y
-    and writes its derivative into the vector out.  The steps run forward
-    from t = 0 (h > 0) or backward from t = K|h| (h < 0).  Returns the
-    (K+1, L) node array and the rhs at each node, row i at grid node i
-    counted from t = 0; a NumericalFailure names the node the same way.
-    The rhs at a node is the next step's first stage, so K steps make
-    4K + 1 calls.
+    and writes its derivative into the vector out; both are Python lists of
+    floats when the first block has n = 1 rows, numpy vectors otherwise.
+    The steps run forward from t = 0 (h > 0) or backward from t = K|h|
+    (h < 0).  Returns the (K+1, L) node array and the rhs at each node, row
+    i at grid node i counted from t = 0; a NumericalFailure names the node
+    the same way.  The rhs at a node is the next step's first stage, so K
+    steps make 4K + 1 calls.
     """
     blocks = [np.asarray(b, dtype=float) for b in y0]
     ends = np.cumsum([b.size for b in blocks]).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
     Y, D = np.empty((K + 1, ends[-1])), np.empty((K + 1, ends[-1]))
-    u, f, k2, k3 = (np.empty(ends[-1]) for _ in range(4))
-    n = blocks[0].shape[0]
-    square = u[:sym * n * n].reshape(sym, n, n)
-    square_T = square.transpose(0, 2, 1)
-    rhs = make_rhs(u, f)
+    u, R, stage, advance, bounded, store = _vector_steps(blocks[0].shape[0], sym, Y, D)
+    node, rhs2, rhs3, rhs4 = (make_rhs(u, k) for k in R)
+    k1, k2, k3 = R[:3]
     step, i = (1, 0) if h > 0 else (-1, K)
-    u[:] = np.concatenate([b.ravel() for b in blocks])
-    rhs(t0)
-    Y[i], D[i] = u, f
-    t = t0
+    u[:] = np.concatenate([b.ravel() for b in blocks]).tolist()
+    node(t0)
+    y = store(i)
+    t, half = t0, 0.5 * h
     for _ in range(K):
-        y, k1 = Y[i], D[i]
-        np.add(y, (0.5 * h) * k1, out=u)
-        rhs(t + 0.5 * h)
-        k2[:] = f
-        np.add(y, (0.5 * h) * k2, out=u)
-        rhs(t + 0.5 * h)
-        k3[:] = f
-        np.add(y, h * k3, out=u)
-        rhs(t + h)
-        # (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right; f holds k4
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += f
-        k2 *= h / 6.0
-        np.add(y, k2, out=u)
-        if sym:
-            np.multiply(0.5, square + square_T, out=square)
+        stage(y, k1, half)
+        rhs2(t + half)
+        stage(y, k2, half)
+        rhs3(t + half)
+        stage(y, k3, h)
+        rhs4(t + h)
+        advance(y, h / 6.0)
         t += h
         i += step
-        if not np.abs(u).max() <= BLOWUP_THRESHOLD:    # NaN compares false
-            for a, b in bounds:                        # first failing block decides
-                m = np.abs(u[a:b]).max()
+        if not bounded():
+            for a, b in zip([0] + ends[:-1], ends):    # first failing block decides
+                m = np.abs(np.asarray(u[a:b])).max()
                 if not m <= BLOWUP_THRESHOLD:
                     raise NumericalFailure(i) if not np.isfinite(m) else RiccatiBlowUp(t)
-        rhs(t)
-        Y[i], D[i] = u, f
+        node(t)
+        y = store(i)
     return Y, D
 
 

@@ -339,7 +339,10 @@ def test_lq_non_finite_field_exit_1(tmp_path, capsys, command, field, value):
 
 @pytest.mark.parametrize("base,field,value", [
     ("crowd", "T", None), ("crowd", "sigma", None), ("cosine", "kappa", "abc"),
-    ("cosine", "sigma", "abc"), ("cosine", "T", None), ("cosine", "kappa", float("nan"))])
+    ("cosine", "sigma", "abc"), ("cosine", "T", None), ("cosine", "kappa", float("nan")),
+    ("crowd", "n", 1.5), ("crowd", "n", True), ("crowd", "d", "1"), ("crowd", "convex", "false"),
+    ("crowd", "A", "abc"), ("crowd", "A", [[1.0], [2.0, 3.0]]), ("crowd", "R", [["x"]])],
+    ids=lambda v: "list" if isinstance(v, list) else None)
 def test_non_numeric_model_value_exit_1(tmp_path, capsys, base, field, value):
     model = tmp_path / "bad.json"
     doc = json.loads(open(CROWD if base == "crowd" else COSINE).read())

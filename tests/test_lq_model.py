@@ -193,6 +193,18 @@ def test_model_from_dict_requires_R():
         model_from_dict({"n": 1, "d": 1, "T": 1.0})
 
 
+@pytest.mark.parametrize("convex", [True, False])
+def test_model_from_dict_convex_json_boolean(convex):
+    assert model_from_dict({"n": 1, "d": 1, "T": 1.0, "R": 1.0, "convex": convex}).convex is convex
+
+
+@pytest.mark.parametrize("convex", ["false", "true", 0, 1, None])
+def test_model_from_dict_convex_rejects_non_boolean(convex):
+    # bool("false") is True: only a JSON true or false is taken
+    with pytest.raises(ValueError, match="'convex'"):
+        model_from_dict({"n": 1, "d": 1, "T": 1.0, "R": 1.0, "convex": convex})
+
+
 def test_load_model_round_trip(tmp_path):
     doc = {"n": 2, "d": 2, "T": 0.7, "R": [[2.0, 0.0], [0.0, 2.0]],
            "A": [[0.1, 0.2], [0.0, 0.3]], "sigma": 0.4, "beta": 0.1}

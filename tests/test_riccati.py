@@ -443,41 +443,47 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_solve_peak_memory_at_most_reference(seeded_n8):
-    # the packed solve holds two (K+1, L) arrays, no per-node tuples
+def test_solve_peak_memory_at_most_reference(seeded_n8, scalar_coupled):
+    # the packed solve holds two (K+1, L) arrays, no per-node tuples; at
+    # n = 1 the float loop writes each node into them and keeps no lists
     grid = TimeGrid(1.0, 2000)
-    new = _traced_peak(lambda: solve_mfg(seeded_n8, grid))
-    ref = _traced_peak(lambda: _ref_solve("mfg", seeded_n8, grid))
-    assert new <= ref, (new, ref)
+    for m in (seeded_n8, scalar_coupled):
+        new = _traced_peak(lambda: solve_mfg(m, grid))
+        ref = _traced_peak(lambda: _ref_solve("mfg", m, grid))
+        assert new <= ref, (m.n, new, ref)
 
 
 # ---------------------------------------------------------------------------
 # the packed vector's one abs-max keeps the per-block failure order
 
-def _synthetic(g):
-    """The same rhs g(t) -> (d0 of shape (2,), d1) for _integrate and for
-    the tuple-state reference."""
+def _synthetic(g, size):
+    """The same rhs g(t) -> (d0 of shape (size,), d1) for _integrate and
+    for the tuple-state reference."""
     def make_rhs(y, out):
         def rhs(t):
             d0, d1 = g(t)
-            out[:2] = d0
-            out[2] = d1
+            out[:size] = d0.tolist()
+            out[size] = d1
         return rhs
     return make_rhs, lambda t, state: g(t)
 
 
-@pytest.mark.parametrize("d0, d1, exc", [
-    (1e15, np.nan, RiccatiBlowUp),            # block 0 huge but finite, block 1 NaN
-    (np.nan, 1e15, riccati.NumericalFailure),  # the reverse: block 0 decides
-    (0.0, np.nan, riccati.NumericalFailure),   # a NaN alone
-], ids=["huge_then_nan", "nan_then_huge", "nan_alone"])
+@pytest.mark.parametrize("size, d0, d1, exc", [
+    (2, 1e15, np.nan, RiccatiBlowUp),            # block 0 huge but finite, block 1 NaN
+    (2, np.nan, 1e15, riccati.NumericalFailure),  # the reverse: block 0 decides
+    (2, 0.0, np.nan, riccati.NumericalFailure),   # a NaN alone
+    (1, 1e15, np.nan, RiccatiBlowUp),            # the same three on the n = 1 float loop
+    (1, np.nan, 1e15, riccati.NumericalFailure),
+    (1, 0.0, np.nan, riccati.NumericalFailure),
+], ids=["huge_then_nan", "nan_then_huge", "nan_alone",
+        "n1-huge_then_nan", "n1-nan_then_huge", "n1-nan_alone"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_integrate_failure_precedence_equals_reference(d0, d1, exc):
+def test_integrate_failure_precedence_equals_reference(size, d0, d1, exc):
     # zero rhs until t < 0.52: the step from t = 0.6 to node 5 (t = 0.5) fails
-    g = lambda t: (np.full(2, d0), d1) if t < 0.52 else (np.zeros(2), 0.0)
-    make_rhs, rhs = _synthetic(g)
+    g = lambda t: (np.full(size, d0), d1) if t < 0.52 else (np.zeros(size), 0.0)
+    make_rhs, rhs = _synthetic(g, size)
     grid = TimeGrid(1.0, 10)
-    y0 = (np.zeros(2), 0.0)
+    y0 = (np.zeros(size), 0.0)
     with pytest.raises(exc) as new:
         riccati._integrate(make_rhs, y0, grid.T, -grid.h, grid.K, 0)
     with pytest.raises(exc) as ref:
@@ -486,3 +492,18 @@ def test_integrate_failure_precedence_equals_reference(d0, d1, exc):
         assert new.value.escape_time == ref.value.escape_time
     else:
         assert new.value.node == ref.value.node == 5
+
+
+@pytest.mark.parametrize("size", [2, 1], ids=["numpy", "n1"])
+def test_integrate_signed_zero_sum_equals_reference(size):
+    # a -0.0 state under a -0.0 rhs: the stage sum of four -0.0 terms must
+    # stay -0.0, so that the step gives (-0.0) + (-h/6)(-0.0) = +0.0 as the
+    # reference does; a sum that starts from +0.0 would give -0.0
+    g = lambda t: (np.full(size, -0.0), -0.0)
+    make_rhs, rhs = _synthetic(g, size)
+    grid = TimeGrid(1.0, 4)
+    y0 = (np.full(size, -0.0), -0.0)
+    Y, D = riccati._integrate(make_rhs, y0, grid.T, -grid.h, grid.K, 0)
+    nodes, derivs = _ref_integrate(rhs, y0, grid, lambda s: s)
+    assert np.array_equal(_bits(Y), _bits([np.hstack(s) for s in nodes]))
+    assert np.array_equal(_bits(D), _bits([np.hstack(d) for d in derivs]))
