@@ -224,14 +224,22 @@ def model_from_dict(doc: dict) -> LQModelSpec:
                        beta=_number(doc, "beta", 0.0), convex=convex, **mats)
 
 
+def _numeric(value) -> bool:
+    """True for a JSON number (an int or a float, not a boolean) and for a
+    list whose leaves all are."""
+    if isinstance(value, list):
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(doc: dict, key: str, default=None, kind=float):
     """doc[key] (default when the key is absent) converted by kind, or a
-    ValueError naming the key when it is not a number.  With kind=int the
-    value must be an integer: 1.5 is not truncated, and a boolean is not
-    taken for 0 or 1."""
+    ValueError naming the key when it is not a JSON number: a boolean, a
+    string or null is not taken for one.  With kind=int the value must be
+    an integer: 1.5 is not truncated."""
     value = doc.get(key, default)
     try:
-        if kind is int and (isinstance(value, bool) or value != int(value)):
+        if not _numeric(value) or (kind is int and value != int(value)):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -240,11 +248,13 @@ def _number(doc: dict, key: str, default=None, kind=float):
 
 
 def _matrix(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as a float array, or a ValueError naming the key when it is
-    not numeric or its rows differ in length."""
+    """doc[key] as a float array, or a ValueError naming the key when a
+    leaf is not a JSON number or its rows differ in length."""
     try:
+        if not _numeric(doc[key]):
+            raise ValueError
         return np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):
         raise ValueError(f"model key '{key}' must be a numeric matrix, got {doc[key]!r}") from None
 
 

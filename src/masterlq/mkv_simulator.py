@@ -12,7 +12,8 @@ interpolated once per run into one row per step.  All noise comes from a
 counter-based generator keyed on (seed, stream, step), so trajectories are
 bit-identical regardless of scheduling or worker count: simulate draws step
 k+1's noise on one worker thread while step k runs (MASTERLQ_THREADS=1
-draws inline).
+draws inline).  check_cost_matches_value compares one path's cost, less its
+common-noise martingale, with the Riccati value.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ def gaussian_ensemble(N: int, n: int, seed: int, mean=0.0, std=1.0) -> ParticleE
 class SimConfig:
     steps: int
     seed: int = 0
-    common_seed: int | None = None   # defaults to seed; split for invariance tests
     store_states: bool = False
 
     def dt(self, T: float) -> float:
@@ -172,7 +172,6 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
         raise ValueError(f"ensemble dimension {n} != model dimension {model.n}")
     dt = cfg.dt(model.T)
     sdt = np.sqrt(dt)
-    cseed = cfg.seed if cfg.common_seed is None else cfg.common_seed
     sig_sdt, beta_sdt = model.sigma * sdt, model.beta * sdt
 
     times = np.linspace(0.0, model.T, cfg.steps + 1)
@@ -195,7 +194,7 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
             _philox(cfg.seed, STREAM_IDIOSYNCRATIC, k).standard_normal(out=buf)
             buf *= sig_sdt
         if model.beta > 0.0:
-            return buf, beta_sdt * _normals(cseed, STREAM_COMMON, k, (n,))
+            return buf, beta_sdt * _normals(cfg.seed, STREAM_COMMON, k, (n,))
         return buf, None
 
     # a @ M.T takes a slow path on (N, n) operands, and so does adding a row
@@ -271,34 +270,28 @@ def estimate_cost(model: lq.LQModelSpec, traj: Trajectory) -> dict:
 
 
 def check_cost_matches_value(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
-                             X0: ParticleEnsemble, cfg: SimConfig,
+                             X0: ParticleEnsemble, traj: Trajectory,
                              dt_const: float = 10.0) -> dict:
-    """Simulated optimal cost vs the Riccati value V(X0, 0).
+    """Cost of traj, simulated under sol's feedback from X0, vs V(X0, 0).
 
-    With common noise the realized b-path does not average out over
-    particles, so J is additionally averaged over several common-noise
-    replicas (8 when beta > 0) and the replica scatter enters the standard error.
+    By Ito's formula on the lifted value V(t, X_t), J - V(0, X0) is a
+    martingale up to O(dt).  Its common-noise part M = sum_k (P_k + Sigma_k)
+    ybar_k . (b_{k+1} - b_k), with E[D_X V] = (P + Sigma) ybar at the left
+    step ends, does not average out over particles: J_hat = J_path - M.
     """
     if sol.kind != "MFC":
         raise ValueError("cost matching requires an MFC solution")
-    common_replicas = 8 if model.beta > 0.0 else 1
-    policy = FeedbackPolicy(sol)
-    Js, errs = [], []
-    base_common = cfg.seed if cfg.common_seed is None else cfg.common_seed
-    for r in range(common_replicas):
-        c = replace(cfg, common_seed=base_common + 7919 * r)
-        est = estimate_cost(model, simulate(model, policy, X0, c))
-        Js.append(est["J_hat"])
-        errs.append(est["stderr"])
-    J_hat = float(np.mean(Js))
-    R = len(Js)
-    scatter = float(np.std(Js, ddof=1)) / np.sqrt(R) if R > 1 else 0.0
-    stderr = float(np.hypot(np.mean(errs) / np.sqrt(R), scatter))
+    est = estimate_cost(model, traj)
+    t = traj.times[:-1]
+    PS = ric._interp(sol.P, sol.grid, t) + ric._interp(sol.Sigma, sol.grid, t)
+    db = np.diff(traj.common_path, axis=0)
+    M = float(np.einsum("kij,kj,ki->", PS, traj.ybar[:-1], db)) if model.beta > 0.0 else 0.0
+    J_hat = est["J_hat"] - M
     V = mv.eval_value(sol, X0.states, 0.0)
-    tol = 3.0 * stderr + dt_const * cfg.dt(model.T)
+    tol = 3.0 * est["stderr"] + dt_const * model.T / (len(traj.times) - 1)
     gap = abs(J_hat - V)
-    return {"J_hat": J_hat, "stderr": stderr, "V_reference": V,
-            "common_replicas": R,
+    return {"J_hat": J_hat, "J_path": est["J_hat"], "common_noise_martingale": M,
+            "stderr": est["stderr"], "V_reference": V,
             "gap": gap, "tolerance": tol, "pass": bool(gap <= tol)}
 
 

@@ -113,8 +113,8 @@ def test_criterion_05_bellman_cost_matching():
         if sigma == 1.0:
             assert sol.lam[0] == pytest.approx(0.5 * np.log(np.cosh(1.0)), abs=1e-8)
         X0 = mkv.gaussian_ensemble(100_000, 1, seed=5)
-        rep = mkv.check_cost_matches_value(m, sol, X0,
-                                           mkv.SimConfig(steps=1000, seed=5))
+        traj = mkv.simulate(m, mkv.FeedbackPolicy(sol), X0, mkv.SimConfig(steps=1000, seed=5))
+        rep = mkv.check_cost_matches_value(m, sol, X0, traj)
         ok = ok and rep["pass"] and rep["gap"] <= 3 * rep["stderr"] + 0.01
         details.append(f"sigma={sigma:g}: |J-V| = {rep['gap']:.4f} "
                        f"(3 stderr + 0.01 = {3 * rep['stderr'] + 0.01:.4f})")

@@ -125,6 +125,18 @@ def test_simulate_passes_and_writes_artifacts(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_simulate_readme_command_passes(tmp_path):
+    # One common-noise path: the martingale correction, not replicas, makes
+    # the single path's cost comparable with V.
+    code, out = run(tmp_path, "simulate", "--model", COUPLED, "--particles", "20000")
+    assert code == 0
+    rep = json.loads((out / "simulate.json").read_text())
+    assert rep["pass"] is True
+    assert rep["J_hat"] == rep["J_path"] - rep["common_noise_martingale"]
+    assert rep["gap"] == abs(rep["J_hat"] - rep["V_reference"]) <= rep["tolerance"]
+    assert rep["tolerance"] == 3.0 * rep["stderr"] + 10.0 * 1.0 / 1000
+
+
 def test_simulate_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -341,7 +353,9 @@ def test_lq_non_finite_field_exit_1(tmp_path, capsys, command, field, value):
     ("crowd", "T", None), ("crowd", "sigma", None), ("cosine", "kappa", "abc"),
     ("cosine", "sigma", "abc"), ("cosine", "T", None), ("cosine", "kappa", float("nan")),
     ("crowd", "n", 1.5), ("crowd", "n", True), ("crowd", "d", "1"), ("crowd", "convex", "false"),
-    ("crowd", "A", "abc"), ("crowd", "A", [[1.0], [2.0, 3.0]]), ("crowd", "R", [["x"]])],
+    ("crowd", "A", "abc"), ("crowd", "A", [[1.0], [2.0, 3.0]]), ("crowd", "R", [["x"]]),
+    ("crowd", "T", True), ("crowd", "sigma", "0.5"), ("crowd", "A", "1.5"), ("crowd", "A", True),
+    ("crowd", "Q", [[True]]), ("crowd", "A", None), ("cosine", "kappa", False)],
     ids=lambda v: "list" if isinstance(v, list) else None)
 def test_non_numeric_model_value_exit_1(tmp_path, capsys, base, field, value):
     model = tmp_path / "bad.json"
@@ -462,6 +476,41 @@ def test_pde_tolerance_only_in_hjbfp_manifest(tmp_path, argv, name):
     assert code == 0
     tol = json.loads((out / name).read_text())["manifest"]["tolerances"]
     assert tol == {"check_rel": 1e-8, "cost_dt_const": 10.0}
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+@pytest.mark.parametrize("argv,name", [
+    (("simulate", "--model", COUPLED, "--steps", "abc"), "--steps"),
+    (("simulate", "--model", COUPLED, "--kind", "xyz"), "--kind"),
+    (("verify",), "--suite"),
+    (("simulate", "--model", COUPLED, "--seed", "-1"), "--seed"),
+    (("simulate", "--model", COUPLED, "--seed", str(2 ** 64)), "--seed"),
+    (("verify", "--suite", "lift", "--seed", "-1"), "--seed"),
+    (("verify", "--suite", "lift", "--seed", str(2 ** 64)), "--seed")],
+    ids=["steps-abc", "kind-xyz", "verify-no-suite", "simulate-seed-neg",
+         "simulate-seed-2**64", "lift-seed-neg", "lift-seed-2**64"])
+def test_usage_error_exit_1(tmp_path, capsys, argv, name):
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+    assert not out.exists()
+
+
+def test_largest_seed_accepted(tmp_path):
+    code, out = run(tmp_path, "simulate", "--model", COUPLED, "--particles", "50",
+                    "--steps", "20", "--seed", str(2 ** 64 - 1))
+    assert code in (0, 3)
+    assert json.loads((out / "simulate.json").read_text())["manifest"]["seed"] == 2 ** 64 - 1
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

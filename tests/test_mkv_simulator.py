@@ -95,8 +95,9 @@ def test_centered_ensemble_invariant_to_common_noise(scalar_coupled, sol_coupled
     m = dc_replace(scalar_coupled, sigma=0.0)
     sol = riccati.solve_mfc(m, riccati.TimeGrid(m.T, 500))
     X0 = gaussian_ensemble(200, 1, seed=6)
-    t1 = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=250, seed=6, common_seed=100))
-    t2 = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=250, seed=6, common_seed=200))
+    # sigma = 0: the seed moves only the common-noise path
+    t1 = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=250, seed=100))
+    t2 = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=250, seed=200))
     c1 = t1.final_states - t1.final_states.mean(axis=0)
     c2 = t2.final_states - t2.final_states.mean(axis=0)
     assert np.allclose(c1, c2, atol=1e-10)
@@ -149,8 +150,36 @@ def test_lqr_zero_policy_cost(scalar_lqr):
 
 def test_cost_matches_value_coupled(scalar_coupled, sol_coupled_mfc):
     X0 = gaussian_ensemble(20000, 1, seed=11, mean=0.5)
-    rep = check_cost_matches_value(scalar_coupled, sol_coupled_mfc, X0,
-                                   SimConfig(steps=500, seed=11))
+    traj = simulate(scalar_coupled, FeedbackPolicy(sol_coupled_mfc), X0,
+                    SimConfig(steps=500, seed=11))
+    rep = check_cost_matches_value(scalar_coupled, sol_coupled_mfc, X0, traj)
+    assert rep["pass"], rep
+    assert rep["J_hat"] == rep["J_path"] - rep["common_noise_martingale"]
+    # the martingale step by step: (P + Sigma)(t_k) ybar_k . (b_{k+1} - b_k)
+    M = 0.0
+    for k, t in enumerate(traj.times[:-1]):
+        ev = riccati.eval_at(sol_coupled_mfc, t)
+        db = traj.common_path[k + 1] - traj.common_path[k]
+        M += float((ev["P"] + ev["Sigma"]) @ traj.ybar[k] @ db)
+    assert M != 0.0
+    assert rep["common_noise_martingale"] == pytest.approx(M, rel=1e-12)
+    # the correction cannot hide a wrong value
+    wrong = dataclasses.replace(sol_coupled_mfc, lam=sol_coupled_mfc.lam + 0.05)
+    bad = check_cost_matches_value(scalar_coupled, wrong, X0, traj)
+    assert bad["J_hat"] == rep["J_hat"] and not bad["pass"], bad
+
+
+def test_cost_check_without_common_noise_is_the_plain_estimate(scalar_coupled, monkeypatch):
+    m = dataclasses.replace(scalar_coupled, beta=0.0)
+    sol = riccati.solve_mfc(m, riccati.TimeGrid(m.T, 500))
+    X0 = gaussian_ensemble(5000, 1, seed=11, mean=0.5)
+    traj = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=500, seed=11))
+    monkeypatch.setattr(mkv, "_simulate", None)     # the check runs no simulation
+    rep = check_cost_matches_value(m, sol, X0, traj)
+    est = estimate_cost(m, traj)
+    assert rep["common_noise_martingale"] == 0.0
+    assert rep["J_hat"] == rep["J_path"] == est["J_hat"]
+    assert rep["stderr"] == est["stderr"]
     assert rep["pass"], rep
 
 
@@ -240,7 +269,6 @@ def _reference_simulate(model, policy, X0, cfg):
     N, n = X0.N, X0.n
     dt = cfg.dt(model.T)
     sdt = np.sqrt(dt)
-    cseed = cfg.seed if cfg.common_seed is None else cfg.common_seed
     x = X0.states.copy()
     times = np.linspace(0.0, model.T, cfg.steps + 1)
     ybar = np.empty((cfg.steps + 1, n))
@@ -279,7 +307,7 @@ def _reference_simulate(model, policy, X0, cfg):
         if model.sigma > 0.0:
             x = x + model.sigma * sdt * mkv._normals(cfg.seed, mkv.STREAM_IDIOSYNCRATIC, k, (N, n))
         if model.beta > 0.0:
-            eta = mkv._normals(cseed, mkv.STREAM_COMMON, k, (n,))
+            eta = mkv._normals(cfg.seed, mkv.STREAM_COMMON, k, (n,))
             x = x + model.beta * sdt * eta
             bpath[k + 1] = bpath[k] + model.beta * sdt * eta
         else:
