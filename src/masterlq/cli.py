@@ -117,7 +117,11 @@ def cmd_simulate(args) -> int:
     rep = mk.check_cost_matches_value(model, sol, X0, traj, man.tolerances["cost_dt_const"])
     mk.trajectory_to_csv(traj, os.path.join(args.out, "trajectory.csv"))
     _write_json(path, {"manifest": asdict(man), **rep})
-    return EXIT_OK if rep["pass"] else EXIT_CHECK_FAILED
+    if not rep["pass"]:
+        print(f"simulate: cost check gap = {rep['gap']:.3e} > tolerance = "
+              f"{rep['tolerance']:.3e}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def _suite_lift(man: RunManifest) -> tuple[list[dict], bool]:
@@ -195,8 +199,6 @@ def cmd_verify(args) -> int:
     else:
         model = _load_model(args)
         suites = {"master": _suite_master, "mp": _suite_mp, "optimality": _suite_optimality}
-        if args.suite not in suites:
-            raise ValueError(f"unknown suite {args.suite!r}")
         try:
             reports, ok = suites[args.suite](man, model)
         except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
@@ -328,14 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # MASTERLQ_THREADS caps internal parallelism.  Only simulate uses a
-    # second thread, to draw the next step's normals; 1 draws them inline.
-    # The draws are keyed on (seed, stream, step), so results never depend
-    # on the value.
-    threads = os.environ.get("MASTERLQ_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print("error: MASTERLQ_THREADS must be a positive integer", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         args = build_parser().parse_args(argv)
         if not 0 <= args.seed < 2 ** 64:   # it keys the Philox generators

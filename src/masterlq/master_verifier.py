@@ -205,13 +205,6 @@ def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     return {"max_residual": worst}
 
 
-def corrupt_P(sol: ric.RiccatiSolution, delta: float = 1e-3) -> ric.RiccatiSolution:
-    """Copy of the solution with P shifted; stored derivatives untouched.
-    Used to demonstrate residual detector sensitivity."""
-    from dataclasses import replace
-    return replace(sol, P=sol.P + delta)
-
-
 def seeded_state_panel(n: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=seed))
     return rng.standard_normal((count, n))

@@ -10,15 +10,15 @@ law given the common-noise path.  Every policy is the one linear feedback
 v = (-R^{-1}B* P(t) + K1) x + (-R^{-1}B* Sigma(t) + K2) ybar, its gains
 interpolated once per run into one row per step.  All noise comes from a
 counter-based generator keyed on (seed, stream, step), so trajectories are
-bit-identical regardless of scheduling or worker count: simulate draws step
-k+1's noise on one worker thread while step k runs (MASTERLQ_THREADS=1
-draws inline).  check_cost_matches_value compares one path's cost, less its
-common-noise martingale, with the Riccati value.
+bit-identical regardless of scheduling: with sigma > 0 and at least
+PREFETCH_MIN_DRAWS draws per step, simulate draws step k+1's noise on one
+worker thread while step k runs, and otherwise inline.
+check_cost_matches_value compares one path's cost, less its common-noise
+martingale, with the Riccati value.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -140,12 +140,6 @@ class Trajectory:
 PREFETCH_MIN_DRAWS = 16384
 
 
-def _prefetch_allowed() -> bool:
-    """MASTERLQ_THREADS=1 keeps simulate on the calling thread."""
-    threads = os.environ.get("MASTERLQ_THREADS", "")
-    return not (threads.isdigit() and int(threads) <= 1)
-
-
 def _run_inline(fn, *args) -> Future:
     done = Future()
     done.set_result(fn(*args))
@@ -207,7 +201,7 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
     RB = model.Rinv_Bt() if any(p.sol is not None for p in policies) else None
     gains = [p.gains(times[:-1], RB) for p in policies]
     bufs = [np.empty((N, n)), np.empty((N, n))] if model.sigma > 0.0 else [None, None]
-    prefetch = model.sigma > 0.0 and N * n >= PREFETCH_MIN_DRAWS and _prefetch_allowed()
+    prefetch = model.sigma > 0.0 and N * n >= PREFETCH_MIN_DRAWS
     with ThreadPoolExecutor(1) if prefetch else nullcontext() as pool:
         submit = pool.submit if prefetch else _run_inline
         pending = submit(noise, 0, bufs[0])
@@ -345,33 +339,33 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     dt = cfg.dt(model.T)
     sdt = np.sqrt(dt)
 
+    X, ybar = traj.states_history, traj.ybar
     P = ric._interp(sol.P, sol.grid, traj.times)
     Sig = ric._interp(sol.Sigma, sol.grid, traj.times)
-    Z = np.empty_like(traj.states_history)
-    for k in range(cfg.steps + 1):
-        Z[k] = traj.states_history[k] @ P[k].T + traj.ybar[k] @ Sig[k].T
+    Z = X[0] @ P[0].T + ybar[0] @ Sig[0].T
 
     worst = 0.0
     stats = []
     for k in range(cfg.steps):
-        dZ = Z[k + 1] - Z[k]
+        Z_next = X[k + 1] @ P[k + 1].T + ybar[k + 1] @ Sig[k + 1].T
         # D_X L = D_x H(x, ybar, Z) + the measure term at (ybar, E Z)
-        g = (lq.dx_hamiltonian(traj.states_history[k], traj.ybar[k], Z[k], model)
-             + lq.measure_term(traj.ybar[k], Z[k].mean(axis=0), model))
-        resid = dZ + dt * g
+        g = (lq.dx_hamiltonian(X[k], ybar[k], Z, model)
+             + lq.measure_term(ybar[k], Z.mean(axis=0), model))
+        resid = Z_next - Z + dt * g
         if mode == "stochastic" and model.sigma > 0.0:
-            dw = sdt * _normals(cfg.seed, STREAM_IDIOSYNCRATIC, k, traj.states_history[k].shape)
+            dw = sdt * _normals(cfg.seed, STREAM_IDIOSYNCRATIC, k, X[k].shape)
             resid = resid - model.sigma * (dw @ P[k].T + dw.mean(axis=0) @ Sig[k].T)
             stats.append(float(np.mean(np.sum(resid ** 2, axis=1))))
         else:
             worst = max(worst, float(np.max(np.abs(resid))) / dt)
+        Z = Z_next
 
-    # terminal co-state against the terminal cost gradient
-    xT, ybT = traj.final_states, traj.ybar[-1]
+    # the last co-state, at T, against the terminal cost gradient
+    xT, ybT = traj.final_states, ybar[-1]
     ST, QbT = model.ST, model.QbarT
     DXh = (xT @ (model.QT + QbT).T
            + ybT @ (ST.T @ QbT @ ST - ST.T @ QbT - QbT @ ST).T)
-    terminal_gap = float(np.max(np.abs(Z[-1] - DXh)))
+    terminal_gap = float(np.max(np.abs(Z - DXh)))
 
     out = {"mode": mode, "dt": dt, "terminal_gap": terminal_gap}
     if mode == "deterministic":

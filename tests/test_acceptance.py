@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_criterion_07_master_residuals():
             worst = max(worst,
                         mv.residual_master_mfc(model, mfc, X, t)["residual_norm"],
                         mv.residual_master_mfg_gradient(model, mfg, X, t)["residual_norm"])
-        bad = mv.corrupt_P(mfc, 1e-3)
+        bad = replace(mfc, P=mfc.P + 1e-3)
         corrupted_min = min(corrupted_min,
                             mv.residual_master_mfc(model, bad, X, 0.5 * model.T)["residual_norm"])
     ok = worst <= 1e-6 and corrupted_min > 1e-4
@@ -167,7 +168,6 @@ def test_criterion_08_symmetry_obstruction():
     sol = riccati.solve_mfg(asym, riccati.TimeGrid(1.0, 1000))
     viol = float(np.max(np.abs(sol.Sigma - np.transpose(sol.Sigma, (0, 2, 1)))))
 
-    from dataclasses import replace
     sym = replace(asym, Abar=np.zeros((2, 2)), S=np.zeros((2, 2)),
                   ST=np.zeros((2, 2)))
     diag2 = riccati.check_symmetry_conditions(sym)
@@ -217,17 +217,22 @@ def test_criterion_10_hjbfp_cross_validation():
 
 
 def test_criterion_11_determinism(tmp_path, monkeypatch):
+    # 16384 particles at n = 1 reach PREFETCH_MIN_DRAWS, so simulate draws
+    # on its worker thread unless the threshold is raised above N n.
     argv = ["simulate", "--model", os.path.join(MODELS, "scalar_coupled.json"),
-            "--particles", "2000", "--steps", "200", "--seed", "7"]
+            "--particles", "16384", "--steps", "200", "--seed", "7"]
+    worker_at = mkv.PREFETCH_MIN_DRAWS
+    workers = []
+    pool = mkv.ThreadPoolExecutor
+    monkeypatch.setattr(mkv, "ThreadPoolExecutor", lambda *a: workers.append(1) or pool(*a))
     dirs = []
-    for i, threads in enumerate((None, None, "1", "8")):
-        if threads is None:
-            monkeypatch.delenv("MASTERLQ_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MASTERLQ_THREADS", threads)
+    for i, min_draws in enumerate((worker_at, worker_at, 16385)):
+        monkeypatch.setattr(mkv, "PREFETCH_MIN_DRAWS", min_draws)
         out = tmp_path / f"run{i}"
         assert cli.main(argv + [f"--out={out}"]) == 0
         dirs.append(out)
-    ok = all((d / name).read_bytes() == (dirs[0] / name).read_bytes()
-             for d in dirs[1:] for name in ("simulate.json", "trajectory.csv"))
-    _line(11, ok, "4 runs (2 repeats, worker counts 1 and 8) byte-identical")
+    ok = (16384 >= worker_at and len(workers) == 2
+          and all((d / name).read_bytes() == (dirs[0] / name).read_bytes()
+                  for d in dirs[1:] for name in ("simulate.json", "trajectory.csv")))
+    _line(11, ok, f"3 runs (2 repeats on the draw worker, 1 inline) byte-identical, "
+                  f"{len(workers)} workers started")

@@ -149,26 +149,40 @@ def test_simulate_byte_identical(tmp_path):
 
 
 def test_simulate_byte_identical_across_threads(tmp_path, monkeypatch):
-    # N n = 16384 draws per step reaches PREFETCH_MIN_DRAWS, so unless
-    # MASTERLQ_THREADS=1 the draws run on the worker thread.
+    # N n = 16384 draws per step reaches PREFETCH_MIN_DRAWS, so the draws run
+    # on the worker thread unless the threshold is raised above N n.
     import masterlq.mkv_simulator as mk
-    assert 16384 >= mk.PREFETCH_MIN_DRAWS
+    worker_at = mk.PREFETCH_MIN_DRAWS
+    assert 16384 >= worker_at
     pools = []
     orig = mk.ThreadPoolExecutor
     monkeypatch.setattr(mk, "ThreadPoolExecutor", lambda *a: pools.append(1) or orig(*a))
     argv = ["simulate", "--model", LQR, "--particles", "16384", "--steps", "20", "--seed", "2"]
-    outs = {}
-    for threads in (None, "1", "2"):
-        if threads is None:
-            monkeypatch.delenv("MASTERLQ_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MASTERLQ_THREADS", threads)
-        outs[threads] = tmp_path / f"threads_{threads}"
-        assert main(argv + [f"--out={outs[threads]}"]) == 0
-    assert len(pools) == 2      # unset and 2 use the worker, 1 draws inline
+    outs = []
+    for i, min_draws in enumerate((worker_at, worker_at, 16385)):
+        monkeypatch.setattr(mk, "PREFETCH_MIN_DRAWS", min_draws)
+        outs.append(tmp_path / f"run{i}")
+        assert main(argv + [f"--out={outs[-1]}"]) == 0
+    assert len(pools) == 2      # a run and its repeat use the worker, the third draws inline
     for name in ("simulate.json", "trajectory.csv"):
-        first = (outs[None] / name).read_bytes()
-        assert all((out / name).read_bytes() == first for out in outs.values())
+        first = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs[1:])
+
+
+def test_simulate_cost_check_miss_exit_3(tmp_path, capsys, monkeypatch):
+    # the real check, with a dt constant that makes its tolerance negative
+    import masterlq.mkv_simulator as mk
+    check = mk.check_cost_matches_value
+    monkeypatch.setattr(mk, "check_cost_matches_value",
+                        lambda *args: check(*args[:4], dt_const=-1e6))
+    code, out = run(tmp_path, "simulate", "--model", COUPLED, "--particles", "500",
+                    "--steps", "50")
+    assert code == 3
+    rep = json.loads((out / "simulate.json").read_text())
+    assert rep["pass"] is False and rep["tolerance"] < 0.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"simulate: cost check gap = {rep['gap']:.3e} > tolerance = "
+                   f"{rep['tolerance']:.3e}"]
 
 
 def test_simulate_zero_particles_exit_1(tmp_path):
@@ -485,12 +499,13 @@ def test_pde_tolerance_only_in_hjbfp_manifest(tmp_path, argv, name):
     (("simulate", "--model", COUPLED, "--steps", "abc"), "--steps"),
     (("simulate", "--model", COUPLED, "--kind", "xyz"), "--kind"),
     (("verify",), "--suite"),
+    (("verify", "--suite", "nope", "--model", COUPLED), "--suite"),
     (("simulate", "--model", COUPLED, "--seed", "-1"), "--seed"),
     (("simulate", "--model", COUPLED, "--seed", str(2 ** 64)), "--seed"),
     (("verify", "--suite", "lift", "--seed", "-1"), "--seed"),
     (("verify", "--suite", "lift", "--seed", str(2 ** 64)), "--seed")],
-    ids=["steps-abc", "kind-xyz", "verify-no-suite", "simulate-seed-neg",
-         "simulate-seed-2**64", "lift-seed-neg", "lift-seed-2**64"])
+    ids=["steps-abc", "kind-xyz", "verify-no-suite", "verify-unknown-suite",
+         "simulate-seed-neg", "simulate-seed-2**64", "lift-seed-neg", "lift-seed-2**64"])
 def test_usage_error_exit_1(tmp_path, capsys, argv, name):
     code, out = run(tmp_path, *argv)
     assert code == 1
@@ -514,19 +529,7 @@ def test_help_exit_0(capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment / manifest
-
-def test_threads_env_rejected(tmp_path, monkeypatch):
-    monkeypatch.setenv("MASTERLQ_THREADS", "zero")
-    code, _ = run(tmp_path, "riccati", "--model", LQR)
-    assert code == 1
-
-
-def test_threads_env_accepted(tmp_path, monkeypatch):
-    monkeypatch.setenv("MASTERLQ_THREADS", "4")
-    code, _ = run(tmp_path, "riccati", "--model", LQR)
-    assert code == 0
-
+# manifest
 
 def test_manifest_in_every_report(tmp_path):
     code, out = run(tmp_path, "riccati", "--model", LQR)

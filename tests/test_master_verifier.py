@@ -8,7 +8,7 @@ import pytest
 
 from masterlq import lq_model, master_verifier as mv, riccati
 from masterlq.lq_model import scalar_model
-from masterlq.master_verifier import (consistency_uncoupling, corrupt_P, eval_value,
+from masterlq.master_verifier import (consistency_uncoupling, eval_value,
                                       mean_flow_ode, residual_master_mfc,
                                       residual_master_mfg_gradient,
                                       residual_master_mfg_scalar,
@@ -94,7 +94,7 @@ def test_mfc_second_derivative_terms_identically_zero(scalar_coupled, sol_couple
 
 
 def test_mfc_residual_detects_corruption(scalar_coupled, sol_coupled_mfc, panel):
-    bad = corrupt_P(sol_coupled_mfc, 1e-3)
+    bad = dataclasses.replace(sol_coupled_mfc, P=sol_coupled_mfc.P + 1e-3)
     r = residual_master_mfc(scalar_coupled, bad, panel, 0.5)
     assert r["residual_norm"] > 1e-4
 

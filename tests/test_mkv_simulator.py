@@ -422,12 +422,10 @@ def test_particle_layer_interpolates_once_per_run(monkeypatch):
 
 @pytest.fixture(params=["unset", "1"])
 def threads(request, monkeypatch):
-    """MASTERLQ_THREADS unset, with the worker used whatever N is, or 1."""
-    if request.param == "unset":
-        monkeypatch.delenv("MASTERLQ_THREADS", raising=False)
+    """PREFETCH_MIN_DRAWS unset, so these small ensembles draw inline, or 1,
+    so every ensemble with sigma > 0 draws on the worker thread."""
+    if request.param == "1":
         monkeypatch.setattr(mkv, "PREFETCH_MIN_DRAWS", 1)
-    else:
-        monkeypatch.setenv("MASTERLQ_THREADS", "1")
     return request.param
 
 
@@ -590,14 +588,15 @@ class _CountingExecutor(mkv.ThreadPoolExecutor):
         super().__init__(*args, **kwargs)
 
 
-@pytest.mark.parametrize("sigma,threads_env,workers", [
-    (0.0, None, 0), (0.5, "1", 0), (0.5, None, 1), (0.5, "8", 1)])
-def test_simulate_worker_thread(monkeypatch, sigma, threads_env, workers):
-    if threads_env is None:
-        monkeypatch.delenv("MASTERLQ_THREADS", raising=False)
+@pytest.mark.parametrize("sigma,particles,workers", [
+    (0.0, None, 0), (0.5, 1, 0), (0.5, None, 1), (0.5, 8, 1)])
+def test_simulate_worker_thread(monkeypatch, sigma, particles, workers):
+    # None: an ensemble of exactly the shipped PREFETCH_MIN_DRAWS particles;
+    # otherwise the threshold is 8 draws per step.
+    if particles is None:
+        particles = mkv.PREFETCH_MIN_DRAWS
     else:
-        monkeypatch.setenv("MASTERLQ_THREADS", threads_env)
-    monkeypatch.setattr(mkv, "PREFETCH_MIN_DRAWS", 1)
+        monkeypatch.setattr(mkv, "PREFETCH_MIN_DRAWS", 8)
     monkeypatch.setattr(_CountingExecutor, "created", 0)
     monkeypatch.setattr(mkv, "ThreadPoolExecutor", _CountingExecutor)
     drawn_on = set()
@@ -609,7 +608,7 @@ def test_simulate_worker_thread(monkeypatch, sigma, threads_env, workers):
 
     monkeypatch.setattr(mkv, "_philox", recorded)
     model = lq_model.scalar_model(B=1.0, Q=1.0, R=1.0, sigma=sigma, beta=0.2, T=1.0)
-    simulate(model, zero_policy(model), gaussian_ensemble(40, 1, seed=21),
+    simulate(model, zero_policy(model), gaussian_ensemble(particles, 1, seed=21),
              SimConfig(steps=10, seed=21))
     assert _CountingExecutor.created == workers
     if sigma > 0.0:
