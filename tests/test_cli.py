@@ -34,6 +34,22 @@ def test_riccati_csv_first_row(tmp_path):
     assert float(rows[0]["P_00"]) == pytest.approx(np.tanh(1.0), abs=1e-8)
 
 
+def test_riccati_json_records_scalar_parts(tmp_path):
+    # scalar_lqr: P = tanh(1 - t) and lambda(0) = 1/2 int_0^1 P dt = 1/2 ln cosh 1
+    code, out = run(tmp_path, "riccati", "--model", LQR, "--steps", "2000")
+    assert code == 0
+    rep = json.loads((out / "riccati_mfc.json").read_text())
+    assert abs(rep["lam0"] - 0.5 * np.log(np.cosh(1.0))) <= 1e-12
+    assert "Gamma0" not in rep and "mu0" not in rep
+    code, out = run(tmp_path, "riccati", "--model", COUPLED, "--kind", "mfg", "--steps", "100")
+    assert code == 0
+    rep = json.loads((out / "riccati_mfg.json").read_text())
+    with open(out / "riccati_mfg.csv") as fh:
+        first = next(csv.DictReader(fh))
+    assert rep["Gamma0"] == [[float(first["Gamma_00"])]] and rep["mu0"] == float(first["mu"])
+    assert "lam0" not in rep
+
+
 def test_riccati_blowup_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -244,18 +260,38 @@ def test_verify_mp_suite(tmp_path):
     assert code == 0
     rep = json.loads((out / "verify_mp.json").read_text())
     assert rep["reports"][0]["terminal_gap"] <= 1e-8
+    assert rep["reports"][0]["particles"] == 500
+
+
+def test_verify_mp_records_particle_cap(tmp_path):
+    code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
+                    "--steps", "50", "--particles", "5000")
+    assert code == 0
+    rep = json.loads((out / "verify_mp.json").read_text())
+    assert rep["reports"][0]["particles"] == 2000
+    assert rep["manifest"]["particles"] == 5000
+
+
+@pytest.mark.parametrize("model,bound", [(COUPLED, "master_residual"),
+                                         (LQR, "master_symmetry")], ids=["residual", "symmetry"])
+def test_verify_master_gates_on_manifest_bounds(tmp_path, monkeypatch, model, bound):
+    # scalar_lqr has no mean-field coupling, so its symmetry is gated too
+    import masterlq.cli as cli
+    monkeypatch.setitem(cli.TOLERANCES["verify"], bound, -1.0)   # below any residual
+    code, out = run(tmp_path, "verify", "--suite", "master", "--model", model,
+                    "--steps", "200")
+    assert code == 3
+    rep = json.loads((out / "verify_master.json").read_text())
+    assert rep["manifest"]["tolerances"][bound] == -1.0 and rep["pass"] is False
+    failed = {r["check"] for r in rep["reports"] if not r["pass"]}
+    gated = {"master_mfc", "master_mfg_gradient"} if bound == "master_residual" else {
+        "master_mfg_gradient"}
+    assert failed == gated
 
 
 def test_verify_mp_gates_on_manifest_check_rel(tmp_path, monkeypatch):
     import masterlq.cli as cli
-    orig = cli._manifest
-
-    def strict(args, command):
-        man = orig(args, command)
-        man.tolerances["check_rel"] = -1.0     # below any terminal gap
-        return man
-
-    monkeypatch.setattr(cli, "_manifest", strict)
+    monkeypatch.setitem(cli.TOLERANCES["verify"], "check_rel", -1.0)   # below any gap
     code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
                     "--steps", "100", "--particles", "200")
     assert code == 3
@@ -350,12 +386,12 @@ def test_hjbfp_demo_bad_sigma_exit_1(tmp_path, capsys, sigma):
 
 @pytest.mark.parametrize("field,value", [("sigma", float("nan")), ("beta", float("inf")),
                                          ("A", float("nan")), ("Qbar", float("-inf"))])
-@pytest.mark.parametrize("command", ["hjbfp", "riccati"])
-def test_lq_non_finite_field_exit_1(tmp_path, capsys, command, field, value):
+@pytest.mark.parametrize("command,size", [("hjbfp", "--grid=-4,4,40,50"),
+                                          ("riccati", "--steps=50")], ids=["hjbfp", "riccati"])
+def test_lq_non_finite_field_exit_1(tmp_path, capsys, command, size, field, value):
     model = tmp_path / "crowd_bad.json"
     model.write_text(json.dumps({**json.loads(open(CROWD).read()), field: value}))
-    code, out = run(tmp_path, command, "--model", str(model), "--grid=-4,4,40,50",
-                    "--steps", "50")
+    code, out = run(tmp_path, command, "--model", str(model), size)
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid model: ")
@@ -483,21 +519,12 @@ def test_hjbfp_cross_validation_gate_exit_3(tmp_path, monkeypatch, capsys, bad):
     assert len(err) == 1 and err[0].startswith("hjbfp: cross-validation sup_diff = ")
 
 
-@pytest.mark.parametrize("argv,name", [(("riccati", "--model", LQR), "riccati_mfc.json"),
-                                       (("verify", "--suite", "lift"), "verify_lift.json")])
-def test_pde_tolerance_only_in_hjbfp_manifest(tmp_path, argv, name):
-    code, out = run(tmp_path, *argv)
-    assert code == 0
-    tol = json.loads((out / name).read_text())["manifest"]["tolerances"]
-    assert tol == {"check_rel": 1e-8, "cost_dt_const": 10.0}
-
-
 # ---------------------------------------------------------------------------
 # command line
 
 @pytest.mark.parametrize("argv,name", [
     (("simulate", "--model", COUPLED, "--steps", "abc"), "--steps"),
-    (("simulate", "--model", COUPLED, "--kind", "xyz"), "--kind"),
+    (("riccati", "--model", COUPLED, "--kind", "xyz"), "--kind"),
     (("verify",), "--suite"),
     (("verify", "--suite", "nope", "--model", COUPLED), "--suite"),
     (("simulate", "--model", COUPLED, "--seed", "-1"), "--seed"),
@@ -529,17 +556,80 @@ def test_help_exit_0(capsys):
 
 
 # ---------------------------------------------------------------------------
-# manifest
+# options and manifest
 
-def test_manifest_in_every_report(tmp_path):
-    code, out = run(tmp_path, "riccati", "--model", LQR)
-    assert code == 0
-    rep = json.loads((out / "riccati_mfc.json").read_text())
-    man = rep["manifest"]
-    for key in ("command", "model", "seed", "steps", "particles",
-                "grid", "kind", "tolerances"):
-        assert key in man
-    assert "out" not in man
+# The options each command reads; it must refuse every other one.
+READS = {
+    "riccati": ("--steps", "--kind"),
+    "simulate": ("--steps", "--particles"),
+    "verify": ("--suite", "--steps", "--particles"),
+    "hjbfp": ("--grid", "--kind", "--damping", "--m0-mean", "--m0-std"),
+}
+VALUES = {"--steps": "20", "--particles": "50", "--kind": "mfg", "--suite": "lift",
+          "--grid": "-3,3,40,50", "--damping": "0.5", "--m0-mean": "0", "--m0-std": "0.7"}
+# a small run of each command that reads nothing but its own options
+SMALL = {
+    "riccati": ("riccati", "--model", LQR, "--steps", "20"),
+    "simulate": ("simulate", "--model", LQR, "--particles", "50", "--steps", "20"),
+    "verify": ("verify", "--suite", "lift"),
+    "hjbfp": ("hjbfp", "--model", COSINE, "--grid=-3,3,40,50"),
+}
+ARTIFACT = {"riccati": "riccati_mfc.json", "simulate": "simulate.json",
+            "verify": "verify_lift.json", "hjbfp": "hjbfp.json"}
+TOLERANCES = {
+    "riccati": {},
+    "simulate": {"cost_dt_const": 10.0},
+    "verify": {"check_rel": 1e-8, "master_residual": 1e-6, "master_symmetry": 1e-9},
+    "hjbfp": {"pde_diff": 1e-2},
+}
+
+
+def _subcommands():
+    import argparse
+    from masterlq.cli import build_parser
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command in READS for option in VALUES
+    if option not in READS[command]])
+def test_unread_option_exit_1(tmp_path, capsys, command, option):
+    code, out = run(tmp_path, *SMALL[command], f"{option}={VALUES[option]}")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: unrecognized arguments: {option}={VALUES[option]}"]
+    assert not out.exists()
+
+
+def test_each_command_takes_only_its_options():
+    taken = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, sp in _subcommands().items()}
+    assert taken == {c: {"--model", "--out", "--seed", *READS[c]} for c in READS}
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_manifest_is_the_parsed_options(tmp_path, command):
+    # the guard that keeps the manifest from drifting from the parser
+    dests = {a.dest for a in _subcommands()[command]._actions} - {"help", "out"}
+    code, out = run(tmp_path, *SMALL[command])
+    assert code in (0, 3)
+    man = json.loads((out / ARTIFACT[command]).read_text())["manifest"]
+    assert set(man) == dests | {"command", "tolerances"}
+    assert man["command"] == command and man["tolerances"] == TOLERANCES[command]
+
+
+@pytest.mark.parametrize("option,values", [("--m0-mean", ("0", "1")),
+                                           ("--damping", ("0.5", "0.9"))])
+def test_hjbfp_manifest_records_density_and_damping(tmp_path, option, values):
+    manifests = []
+    for v in values:
+        code, out = run(tmp_path / v, *SMALL["hjbfp"], f"{option}={v}")
+        assert code == 0
+        manifests.append(json.loads((out / "hjbfp.json").read_text())["manifest"])
+    assert manifests[0] != manifests[1]
+    assert {k for k in manifests[0] if manifests[0][k] != manifests[1][k]} == {
+        option[2:].replace("-", "_")}
 
 
 # ---------------------------------------------------------------------------

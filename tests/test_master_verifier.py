@@ -88,11 +88,6 @@ def test_mfc_residual_zero_model(panel):
     assert r["residual_norm"] == 0.0
 
 
-def test_mfc_second_derivative_terms_identically_zero(scalar_coupled, sol_coupled_mfc, panel):
-    r = residual_master_mfc(scalar_coupled, sol_coupled_mfc, panel, 0.25)
-    assert r["term_breakdown"]["second_derivative_terms"] == 0.0
-
-
 def test_mfc_residual_detects_corruption(scalar_coupled, sol_coupled_mfc, panel):
     bad = dataclasses.replace(sol_coupled_mfc, P=sol_coupled_mfc.P + 1e-3)
     r = residual_master_mfc(scalar_coupled, bad, panel, 0.5)
@@ -259,13 +254,11 @@ def _ref_residual_terms(model, sol, X, t):
 
 def _ref_residual_master_mfc(model, sol, X, t):
     dU, DU_G, DxH, copy = _ref_residual_terms(model, sol, X, t)
-    second = np.zeros_like(dU)
-    resid = dU + second + DU_G + DxH + copy
+    resid = dU + DU_G + DxH + copy
     return {
         "residual_norm": float(np.max(np.linalg.norm(resid, axis=1))),
         "term_breakdown": {
             "dU_dt": float(np.max(np.abs(dU))),
-            "second_derivative_terms": float(np.max(np.abs(second))),
             "DU_times_G": float(np.max(np.abs(DU_G))),
             "Dx_H": float(np.max(np.abs(DxH))),
             "measure_copy_term": float(np.max(np.abs(copy))),
