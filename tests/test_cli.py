@@ -619,6 +619,28 @@ def test_manifest_is_the_parsed_options(tmp_path, command):
     assert man["command"] == command and man["tolerances"] == TOLERANCES[command]
 
 
+def test_manifest_in_every_report(tmp_path):
+    code, out = run(tmp_path, "riccati", "--model", LQR)
+    assert code == 0
+    rep = json.loads((out / "riccati_mfc.json").read_text())
+    man = rep["manifest"]
+    for key in ("command", "model", "seed", "steps", "kind", "tolerances"):
+        assert key in man
+    # riccati reads neither --particles nor --grid, so its manifest records neither
+    assert "particles" not in man and "grid" not in man
+    assert "out" not in man
+
+
+@pytest.mark.parametrize("argv,name", [(("riccati", "--model", LQR), "riccati_mfc.json"),
+                                       (("verify", "--suite", "lift"), "verify_lift.json")])
+def test_pde_tolerance_only_in_hjbfp_manifest(tmp_path, argv, name):
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    tol = json.loads((out / name).read_text())["manifest"]["tolerances"]
+    assert "pde_diff" not in tol
+    assert tol == TOLERANCES[argv[0]]
+
+
 @pytest.mark.parametrize("option,values", [("--m0-mean", ("0", "1")),
                                            ("--damping", ("0.5", "0.9"))])
 def test_hjbfp_manifest_records_density_and_damping(tmp_path, option, values):
