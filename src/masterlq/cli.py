@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -60,10 +59,15 @@ def _write_failure(path: str, man: dict, exc: Exception, **extra) -> int:
     return EXIT_NUMERICAL
 
 
-def _load_model(args) -> lq.LQModelSpec:
+def _model_path(args) -> str:
     if not args.model:
         raise FileNotFoundError("--model is required for this command")
-    model = lq.load_model(args.model)
+    return args.model
+
+
+def _load_model(args, doc=None) -> lq.LQModelSpec:
+    """The validated model of --model, or of `doc`, the file already parsed."""
+    model = lq.load_model(_model_path(args)) if doc is None else lq.model_from_dict(doc)
     report = lq.validate(model)
     if not report.valid:
         raise ValueError("invalid model: " + "; ".join(report.violations))
@@ -91,7 +95,7 @@ def cmd_riccati(args) -> int:
                else {"Gamma0": sol.Gamma[0].tolist(), "mu0": float(sol.mu[0])})
     _write_json(path, {"manifest": man, "P0": sol.P[0].tolist(),
                        "Sigma0": sol.Sigma[0].tolist(), **scalars,
-                       "symmetry": asdict(ric.check_symmetry_conditions(model))})
+                       "symmetry": ric.check_symmetry_conditions(model)})
     return EXIT_OK
 
 
@@ -119,35 +123,33 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _suite_lift(man: dict) -> tuple[list[dict], bool]:
+def _suite_lift(man: dict) -> list[dict]:
     reports = []
     X = lc.seeded_ensemble(4000, man["seed"])
     Y = lc.seeded_ensemble(4000, man["seed"] + 1, mean=1.0)
     measures = [lc.GaussianMeasure(0.0, 1.0), lc.GaussianMeasure(1.0, 2.0)]
     functionals = lc.builtin_functionals()
     for F in functionals:
-        reports.append(lc.check_gradient_lift(F, X, Y).to_dict())
+        reports.append(lc.check_gradient_lift(F, X, Y))
         for m in measures:
-            reports.append(lc.check_second_identity(F, m).to_dict())
-            reports.append(lc.check_difference_identity(F, m).to_dict())
-            reports.append(lc.check_buckdahn_relation(F, m).to_dict())
+            reports.append(lc.check_second_identity(F, m))
+            reports.append(lc.check_difference_identity(F, m))
+            reports.append(lc.check_buckdahn_relation(F, m))
     X0 = lc.seeded_ensemble(2000, man["seed"] + 2)
     Yd = lc.seeded_ensemble(2000, man["seed"] + 3, mean=1.0)
     cubed_mean = functionals[-1]
-    reports.append(lc.check_taylor_remainder(cubed_mean, X0, Yd).to_dict())
-    ok = all(r["pass"] for r in reports)
-    return reports, ok
+    reports.append(lc.check_taylor_remainder(cubed_mean, X0, Yd))
+    return reports
 
 
-def _suite_master(man: dict, model) -> tuple[list[dict], bool]:
+def _suite_master(man: dict, model) -> list[dict]:
     grid = ric.TimeGrid(model.T, man["steps"])
     mfc = ric.solve_mfc(model, grid)
     mfg = ric.solve_mfg(model, grid)
     panel = mv.seeded_state_panel(model.n, 64, man["seed"])
     diag = ric.check_symmetry_conditions(model)
     reports = []
-    expected_asymmetry = not diag.self_adjoint_possible
-    ok = True
+    expected_asymmetry = not diag["self_adjoint_possible"]
     tol = man["tolerances"]
     for t in mv.time_panel(model.T):
         r1 = mv.residual_master_mfc(model, mfc, panel, t)
@@ -160,12 +162,11 @@ def _suite_master(man: dict, model) -> tuple[list[dict], bool]:
         if expected_asymmetry:
             entry["expected_asymmetry"] = True
         reports.append(entry)
-        ok = ok and reports[-1]["pass"] and reports[-2]["pass"]
-    reports.append({"check": "symmetry_conditions", **asdict(diag), "pass": True})
-    return reports, ok
+    reports.append({"check": "symmetry_conditions", **diag, "pass": True})
+    return reports
 
 
-def _suite_mp(man: dict, model) -> tuple[list[dict], bool]:
+def _suite_mp(man: dict, model) -> list[dict]:
     sol = ric.solve_mfc(model, ric.TimeGrid(model.T, man["steps"]))
     N = min(man["particles"], 2000)    # the co-state check stores every state
     X0 = mk.gaussian_ensemble(N, model.n, man["seed"])
@@ -174,16 +175,16 @@ def _suite_mp(man: dict, model) -> tuple[list[dict], bool]:
     rep["check"] = "max_principle_deterministic"
     rep["particles"] = N
     rep["terminal_pass"] = rep["pass"] = bool(rep["terminal_gap"] <= man["tolerances"]["check_rel"])
-    return [rep], rep["pass"]
+    return [rep]
 
 
-def _suite_optimality(man: dict, model) -> tuple[list[dict], bool]:
+def _suite_optimality(man: dict, model) -> list[dict]:
     sol = ric.solve_mfc(model, ric.TimeGrid(model.T, man["steps"]))
     X0 = mk.gaussian_ensemble(man["particles"], model.n, man["seed"])
     cfg = mk.SimConfig(steps=man["steps"], seed=man["seed"])
     rep = mk.check_optimality_gap(model, sol, X0, cfg)
     rep["check"] = "optimality_gap"
-    return [rep], bool(rep["pass"])
+    return [rep]
 
 
 def cmd_verify(args) -> int:
@@ -191,36 +192,37 @@ def cmd_verify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_{args.suite}.json")
     if args.suite == "lift":
-        reports, ok = _suite_lift(man)
+        reports = _suite_lift(man)
     else:
         model = _load_model(args)
         suites = {"master": _suite_master, "mp": _suite_mp, "optimality": _suite_optimality}
         try:
-            reports, ok = suites[args.suite](man, model)
+            reports = suites[args.suite](man, model)
         except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
             return _write_failure(path, man, exc)
+    ok = all(r["pass"] for r in reports)
     _write_json(path, {"manifest": man, "reports": reports, "pass": ok})
     for r in reports:
-        status = "PASS" if r.get("pass") else "FAIL"
-        print(f"[{status}] {r.get('check', '?')}")
+        print(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['check']}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _load_demo_problem(args):
-    """A model file with a "demo" key selects a built-in non-LQ problem."""
-    if not args.model:
-        return None
-    with open(args.model) as fh:
+def _load_problem(args):
+    """(problem, LQ model, kind) from --model, parsed once.  A model file
+    with a "demo" key selects a built-in non-LQ problem, which has no LQ
+    model and is always solved as an MFG."""
+    with open(_model_path(args)) as fh:
         doc = json.load(fh)
-    if "demo" not in doc:
-        return None
+    if not (isinstance(doc, dict) and "demo" in doc):
+        model, kind = _load_model(args, doc), args.kind.upper()
+        return hj.problem_from_lq(model, kind), model, kind
     if doc["demo"] != "cosine":
         raise ValueError(f"unknown demo problem {doc['demo']!r}")
     kappa = lq._number(doc, "kappa", 0.5)
     if not np.isfinite(kappa):
         raise ValueError(f"model key 'kappa' must be finite, got {kappa}")
     return hj.cosine_demo(sigma=lq._number(doc, "sigma", 0.5), T=lq._number(doc, "T", 0.5),
-                          kappa=kappa)
+                          kappa=kappa), None, "MFG"
 
 
 def _parse_grid(text: str) -> tuple[float, float, int, int]:
@@ -238,11 +240,8 @@ def cmd_hjbfp(args) -> int:
     xmin, xmax, Nx, Nt = _parse_grid(args.grid)
     grid = hj.SpaceGrid1D(xmin, xmax, Nx)
     m0 = hj.gaussian_density(grid, args.m0_mean, args.m0_std)
-    prob, model, kind = _load_demo_problem(args), None, "MFG"
-    if prob is None:
-        model, kind = _load_model(args), args.kind.upper()
-        prob = hj.problem_from_lq(model, kind)
-    man["kind"] = kind.lower()    # a demo problem is always solved as an MFG
+    prob, model, kind = _load_problem(args)
+    man["kind"] = kind.lower()
     tgrid = ric.TimeGrid(prob.T, Nt)
     path = os.path.join(args.out, "hjbfp.json")
     try:
@@ -328,7 +327,7 @@ def main(argv=None) -> int:
         if not 0 <= args.seed < 2 ** 64:   # it keys the Philox generators
             raise ValueError(f"argument --seed: must be in [0, 2**64), got {args.seed}")
         return args.func(args)
-    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ric.RiccatiBlowUp, ric.NumericalFailure, hj.CFLViolation) as exc:

@@ -11,7 +11,7 @@ forms
 
 and the mixed second measure derivative d2m F(m)(x, y) obtained by
 differentiating the kernel in each slot.  The check_* routines verify the
-identities tying these together:
+identities tying these together, each returning one report dict:
 
     DF(X) = D_x dF/dm (m)(X)                              (gradient lift)
     sum_k D2F(e_k, e_k) = int dF/dm Lap(m) + int int d2F/dm2 Dm Dm
@@ -188,35 +188,22 @@ def _quad_checked(fn, F, m) -> float:
 # ---------------------------------------------------------------------------
 # identity checks
 
-@dataclass
-class Report:
-    check: str
-    functional: str
-    lhs: float
-    rhs: float
-    abs_err: float
-    rel_err: float
-    passed: bool
-    extra: dict | None = None
-
-    def to_dict(self) -> dict:
-        d = {"check": self.check, "functional": self.functional,
-             "lhs": self.lhs, "rhs": self.rhs,
-             "abs_err": self.abs_err, "rel_err": self.rel_err, "pass": self.passed}
-        if self.extra:
-            d.update(self.extra)
-        return d
+def _report(check, F, lhs, rhs, abs_err, rel_err, passed, **extra) -> dict:
+    """A check's result: its name, the functional, the two sides, their
+    errors and the verdict, then the check's own extras."""
+    return {"check": check, "functional": F.name, "lhs": lhs, "rhs": rhs,
+            "abs_err": abs_err, "rel_err": rel_err, "pass": passed, **extra}
 
 
-def _mk_report(check, F, lhs, rhs, tol, extra=None) -> Report:
+def _mk_report(check, F, lhs, rhs, tol) -> dict:
+    """lhs against rhs: the check passes when the relative error is below tol."""
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(1.0, abs(lhs), abs(rhs))
-    return Report(check, F.name, float(lhs), float(rhs), abs_err, rel_err,
-                  bool(rel_err < tol), extra)
+    return _report(check, F, float(lhs), float(rhs), abs_err, rel_err, bool(rel_err < tol))
 
 
 def check_gradient_lift(F: MomentFunctional, X: np.ndarray, Y: np.ndarray,
-                        theta_steps=(1e-3, 1e-4, 1e-5), tol=1e-6) -> Report:
+                        theta_steps=(1e-3, 1e-4, 1e-5), tol=1e-6) -> dict:
     """Directional derivative of the lifted F against <DF(X), Y>."""
     if X.size == 0:
         raise ValueError("empty ensemble")
@@ -230,19 +217,19 @@ def check_gradient_lift(F: MomentFunctional, X: np.ndarray, Y: np.ndarray,
         slopes[th] = rich
         errs.append(abs(rich - exact) / max(1.0, abs(exact)))
     best = min(errs)
-    return Report("gradient_lift", F.name, exact, slopes[min(theta_steps)],
-                  abs(slopes[min(theta_steps)] - exact), best, bool(best < tol),
-                  {"theta_steps": list(theta_steps)})
+    return _report("gradient_lift", F, exact, slopes[min(theta_steps)],
+                   abs(slopes[min(theta_steps)] - exact), best, bool(best < tol),
+                   theta_steps=list(theta_steps))
 
 
-def check_second_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8) -> Report:
+def check_second_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8) -> dict:
     """sum_k D2F(e_k,e_k) vs quadrature of dF/dm Lap m + double kernel term."""
     lhs = F.sum_D2F_ek(m)
     rhs = _quad_checked(_quad_dFdm_lap, F, m) + _quad_checked(_quad_d2F_DmDm, F, m)
     return _mk_report("second_identity", F, lhs, rhs, tol)
 
 
-def check_difference_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8) -> Report:
+def check_difference_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8) -> dict:
     """sum_k D2F(e_k,e_k) - D2F(N,N) vs the double kernel quadrature.
 
     For linear functionals the difference vanishes identically.
@@ -251,13 +238,13 @@ def check_difference_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8)
     rhs = _quad_checked(_quad_d2F_DmDm, F, m)
     rep = _mk_report("difference_identity", F, lhs, rhs, tol)
     if F.p == 1:
-        rep.passed = rep.passed and abs(lhs) < 1e-10 and abs(rhs) < 1e-10
-        rep.extra = {"linear_zero": abs(lhs) < 1e-10}
+        rep["pass"] = rep["pass"] and abs(lhs) < 1e-10 and abs(rhs) < 1e-10
+        rep["linear_zero"] = abs(lhs) < 1e-10
     return rep
 
 
 def check_buckdahn_relation(F: MomentFunctional, m: GaussianMeasure,
-                            grid_pts=20, span=3.0, fd_step=1e-4, tol=1e-6) -> Report:
+                            grid_pts=20, span=3.0, fd_step=1e-4, tol=1e-6) -> dict:
     """d2m F(m)(x,y) vs mixed central finite difference of d2F/dm2."""
     xs = np.linspace(m.mean - span * m.std, m.mean + span * m.std, grid_pts)
     Xg, Yg = np.meshgrid(xs, xs, indexing="ij")
@@ -267,8 +254,8 @@ def check_buckdahn_relation(F: MomentFunctional, m: GaussianMeasure,
           - F.d2Fdm2(m, Xg - h, Yg + h) + F.d2Fdm2(m, Xg - h, Yg - h)) / (4.0 * h * h)
     err = float(np.max(np.abs(direct - fd)))
     scale = max(1.0, float(np.max(np.abs(direct))))
-    return Report("buckdahn_relation", F.name, float(np.max(np.abs(direct))),
-                  float(np.max(np.abs(fd))), err, err / scale, bool(err / scale < tol))
+    return _report("buckdahn_relation", F, float(np.max(np.abs(direct))),
+                   float(np.max(np.abs(fd))), err, err / scale, bool(err / scale < tol))
 
 
 TAYLOR_BLOCK = 64   # particles per block of the N x N second-order kernel
@@ -276,7 +263,7 @@ TAYLOR_BLOCK = 64   # particles per block of the N x N second-order kernel
 
 def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray,
                            eps_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-                           noise_floor=1e-12) -> Report:
+                           noise_floor=1e-12) -> dict:
     """Fit the order of the remainder after the second-order expansion.
 
     Remainder R(eps) = F(X0 + eps Y) - [F(X0) + first + two second-order
@@ -301,19 +288,16 @@ def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray,
         remainders.append(R)
     remainders = np.asarray(remainders)
     if np.max(np.abs(remainders)) < noise_floor:
-        return Report("taylor_remainder", F.name, 0.0, 0.0,
-                      float(np.max(np.abs(remainders))), 0.0, True,
-                      {"slope": None, "below_noise_floor": True})
+        return _report("taylor_remainder", F, 0.0, 0.0, float(np.max(np.abs(remainders))),
+                       0.0, True, slope=None, below_noise_floor=True)
     mask = np.abs(remainders) > noise_floor
     if int(np.sum(mask)) < 2:
-        return Report("taylor_remainder", F.name, 0.0, 3.0, 0.0, 0.0, True,
-                      {"slope": None, "remainders": remainders.tolist(),
-                       "too_few_points_for_fit": True})
+        return _report("taylor_remainder", F, 0.0, 3.0, 0.0, 0.0, True, slope=None,
+                       remainders=remainders.tolist(), too_few_points_for_fit=True)
     slope = float(np.polyfit(np.log(np.asarray(eps_list)[mask]),
                              np.log(np.abs(remainders[mask])), 1)[0])
-    return Report("taylor_remainder", F.name, slope, 3.0, abs(slope - 3.0),
-                  abs(slope - 3.0) / 3.0, bool(2.9 <= slope <= 3.1),
-                  {"slope": slope, "remainders": remainders.tolist()})
+    return _report("taylor_remainder", F, slope, 3.0, abs(slope - 3.0), abs(slope - 3.0) / 3.0,
+                   bool(2.9 <= slope <= 3.1), slope=slope, remainders=remainders.tolist())
 
 
 def seeded_ensemble(N: int, seed: int, mean=0.0, std=1.0) -> np.ndarray:

@@ -211,9 +211,13 @@ def load_model(path: str) -> LQModelSpec:
 
 
 def model_from_dict(doc: dict) -> LQModelSpec:
+    """A model from a parsed model file, or a ValueError when the file does
+    not hold a JSON object or lacks one of n, d, T and R."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     for key in ("n", "d", "T", "R"):
         if key not in doc:
-            raise KeyError(f"model file missing required key '{key}'")
+            raise ValueError(f"model file missing required key '{key}'")
     n, d = _number(doc, "n", kind=int), _number(doc, "d", kind=int)
     mats = {name: _matrix(doc, name) if name in doc else np.zeros(shape)
             for name, shape in _shapes(n, d).items()}

@@ -320,20 +320,16 @@ def solve_mfg(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
                            **_split(D, model.n, ("dP", "dSigma", "dGamma", "dmu")))
 
 
-@dataclass(frozen=True)
-class SymmetryDiagnosis:
-    terminal_commutes: bool    # QbarT ST = ST* QbarT
-    running_commutes: bool     # Qbar S = S* Qbar
-    abar_zero: bool
-    self_adjoint_possible: bool
-
-
-def check_symmetry_conditions(model: LQModelSpec) -> SymmetryDiagnosis:
-    """Diagnose whether a self-adjoint MFG master field can exist."""
+def check_symmetry_conditions(model: LQModelSpec) -> dict:
+    """Diagnose whether a self-adjoint MFG master field can exist: the three
+    conditions below and their conjunction, each a bool."""
     t_ok = np.max(np.abs(model.QbarT @ model.ST - model.ST.T @ model.QbarT)) <= SYM_TOL
     r_ok = np.max(np.abs(model.Qbar @ model.S - model.S.T @ model.Qbar)) <= SYM_TOL
     a_ok = np.max(np.abs(model.Abar)) <= SYM_TOL
-    return SymmetryDiagnosis(bool(t_ok), bool(r_ok), bool(a_ok), bool(t_ok and r_ok and a_ok))
+    return {"terminal_commutes": bool(t_ok),    # QbarT ST = ST* QbarT
+            "running_commutes": bool(r_ok),     # Qbar S = S* Qbar
+            "abar_zero": bool(a_ok),
+            "self_adjoint_possible": bool(t_ok and r_ok and a_ok)}
 
 
 def _interp(values: np.ndarray, grid: TimeGrid, t):

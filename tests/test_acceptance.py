@@ -83,10 +83,10 @@ def test_criterion_03_lift_identities():
         for m in measures:
             r1 = lc.check_second_identity(F, m)
             r2 = lc.check_difference_identity(F, m)
-            assert r1.passed and r2.passed, (F.name, r1.rel_err, r2.rel_err)
-            worst_rel = max(worst_rel, r1.rel_err, r2.rel_err)
+            assert r1["pass"] and r2["pass"], (F.name, r1["rel_err"], r2["rel_err"])
+            worst_rel = max(worst_rel, r1["rel_err"], r2["rel_err"])
             if F.p == 1:
-                worst_zero = max(worst_zero, abs(r2.lhs), abs(r2.rhs))
+                worst_zero = max(worst_zero, abs(r2["lhs"]), abs(r2["rhs"]))
     ok = worst_rel < 1e-8 and worst_zero < 1e-10
     _line(3, ok, f"worst identity rel err = {worst_rel:.3e}, "
                  f"worst linear-case difference = {worst_zero:.3e}")
@@ -96,11 +96,11 @@ def test_criterion_04_taylor_remainder():
     X0 = lc.seeded_ensemble(2000, 101)
     Y = X0 + 0.5 * lc.seeded_ensemble(2000, 102)   # correlated direction
     rc = lc.check_taylor_remainder(lc.MomentFunctional("cubed-mean", lc.PHI_X, 3), X0, Y)
-    slope = rc.extra["slope"]
+    slope = rc["slope"]
     rs = lc.check_taylor_remainder(
         lc.MomentFunctional("squared-moment[x]", lc.PHI_X, 2), X0, Y)
-    sq_worst = float(np.max(np.abs(rs.extra.get("remainders", [rs.abs_err]))))
-    ok = rc.passed and 2.9 <= slope <= 3.1 and rs.passed and sq_worst < 1e-12
+    sq_worst = float(np.max(np.abs(rs.get("remainders", [rs["abs_err"]]))))
+    ok = rc["pass"] and 2.9 <= slope <= 3.1 and rs["pass"] and sq_worst < 1e-12
     _line(4, ok, f"cubed-mean slope = {slope:.3f}, "
                  f"squared-moment remainder = {sq_worst:.3e}")
 
@@ -174,8 +174,8 @@ def test_criterion_08_symmetry_obstruction():
     sol2 = riccati.solve_mfg(sym, riccati.TimeGrid(1.0, 1000))
     viol2 = float(np.max(np.abs(sol2.Sigma - np.transpose(sol2.Sigma, (0, 2, 1)))))
 
-    ok = (not diag.self_adjoint_possible and viol > 1e-6
-          and diag2.self_adjoint_possible and viol2 <= 1e-9)
+    ok = (not diag["self_adjoint_possible"] and viol > 1e-6
+          and diag2["self_adjoint_possible"] and viol2 <= 1e-9)
     _line(8, ok, f"obstructed model violation = {viol:.3e}, "
                  f"clean model violation = {viol2:.3e}")
 

@@ -120,6 +120,29 @@ def test_riccati_missing_model_exit_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["riccati", "hjbfp"])
+@pytest.mark.parametrize("text,message", [
+    ("3", "model file must hold a JSON object, got int"),
+    ('["n", "d", "T", "R"]', "model file must hold a JSON object, got list"),
+    ('"nTdR"', "model file must hold a JSON object, got str"),
+    ('{"n": 1, "d": 1, "T": 1.0}', "model file missing required key 'R'")],
+    ids=["number", "array", "string", "missing-R"])
+def test_model_file_shape_exit_1(tmp_path, capsys, command, text, message):
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    code, out = run(tmp_path, command, "--model", str(model))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_key_error_is_a_fault_not_bad_input(tmp_path, monkeypatch):
+    import masterlq.cli as cli
+    monkeypatch.setattr(cli.lq, "validate", lambda model: {}["valid"])
+    with pytest.raises(KeyError):
+        run(tmp_path, "riccati", "--model", LQR)
+
+
 def test_riccati_invalid_model_exit_1(tmp_path):
     bad = tmp_path / "norisk.json"
     bad.write_text(json.dumps({"n": 1, "T": 1.0, "A": 0.0, "B": 1.0,
@@ -219,12 +242,23 @@ def test_simulate_no_steps_exit_1(tmp_path, capsys, steps):
 # ---------------------------------------------------------------------------
 # verify
 
+def _verify_payload(out, suite) -> dict:
+    """verify_<suite>.json, whose reports each name their check and give a
+    bool verdict, and whose verdict is theirs together."""
+    rep = json.loads((out / f"verify_{suite}.json").read_text())
+    assert rep["reports"]
+    for r in rep["reports"]:
+        assert isinstance(r["check"], str) and isinstance(r["pass"], bool)
+    assert rep["pass"] is all(r["pass"] for r in rep["reports"])
+    return rep
+
+
 def test_verify_lift_suite(tmp_path, capsys):
     code, out = run(tmp_path, "verify", "--suite", "lift", "--seed", "1")
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines and all(l.startswith("[PASS]") for l in lines)
-    rep = json.loads((out / "verify_lift.json").read_text())
+    rep = _verify_payload(out, "lift")
+    assert lines == [f"[PASS] {r['check']}" for r in rep["reports"]]
     assert rep["pass"] is True
 
 
@@ -232,7 +266,7 @@ def test_verify_master_suite(tmp_path):
     code, out = run(tmp_path, "verify", "--suite", "master",
                     "--model", COUPLED, "--steps", "2000")
     assert code == 0
-    rep = json.loads((out / "verify_master.json").read_text())
+    rep = _verify_payload(out, "master")
     assert rep["pass"] is True
 
 
@@ -249,7 +283,7 @@ def test_verify_master_asymmetric_model(tmp_path):
     code, out = run(tmp_path, "verify", "--suite", "master",
                     "--model", str(asym), "--steps", "2000")
     assert code == 0
-    rep = json.loads((out / "verify_master.json").read_text())
+    rep = _verify_payload(out, "master")
     flagged = [r for r in rep["reports"] if r.get("expected_asymmetry")]
     assert flagged and all(r["symmetry_violation"] > 1e-6 for r in flagged)
 
@@ -258,7 +292,7 @@ def test_verify_mp_suite(tmp_path):
     code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
                     "--steps", "500", "--particles", "500")
     assert code == 0
-    rep = json.loads((out / "verify_mp.json").read_text())
+    rep = _verify_payload(out, "mp")
     assert rep["reports"][0]["terminal_gap"] <= 1e-8
     assert rep["reports"][0]["particles"] == 500
 
@@ -281,7 +315,7 @@ def test_verify_master_gates_on_manifest_bounds(tmp_path, monkeypatch, model, bo
     code, out = run(tmp_path, "verify", "--suite", "master", "--model", model,
                     "--steps", "200")
     assert code == 3
-    rep = json.loads((out / "verify_master.json").read_text())
+    rep = _verify_payload(out, "master")
     assert rep["manifest"]["tolerances"][bound] == -1.0 and rep["pass"] is False
     failed = {r["check"] for r in rep["reports"] if not r["pass"]}
     gated = {"master_mfc", "master_mfg_gradient"} if bound == "master_residual" else {
@@ -295,7 +329,7 @@ def test_verify_mp_gates_on_manifest_check_rel(tmp_path, monkeypatch):
     code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
                     "--steps", "100", "--particles", "200")
     assert code == 3
-    rep = json.loads((out / "verify_mp.json").read_text())
+    rep = _verify_payload(out, "mp")
     assert rep["manifest"]["tolerances"]["check_rel"] == -1.0
     assert rep["reports"][0]["terminal_pass"] is False and rep["pass"] is False
 
@@ -305,7 +339,7 @@ def test_verify_optimality_suite(tmp_path):
                     "--model", COUPLED, "--steps", "400",
                     "--particles", "4000", "--seed", "2")
     assert code == 0
-    rep = json.loads((out / "verify_optimality.json").read_text())
+    rep = _verify_payload(out, "optimality")
     assert all(g >= 0 for g in rep["reports"][0]["gaps"].values())
 
 

@@ -51,15 +51,15 @@ def test_gradient_lift_linear_is_exact(ensembles):
     X, Y = ensembles
     r = check_gradient_lift(BUILTIN["linear[x]"], X, Y)
     # directional derivative of mean(X) is mean(Y) for every theta
-    assert r.abs_err < 1e-11
+    assert r["abs_err"] < 1e-11
 
 
 def test_gradient_lift_all_builtins(ensembles):
     X, Y = ensembles
     for F in builtin_functionals():
         r = check_gradient_lift(F, X, Y)
-        assert r.passed, f"{F.name}: rel err {r.rel_err}"
-        assert r.rel_err < 1e-6
+        assert r["pass"], f"{F.name}: rel err {r['rel_err']}"
+        assert r["rel_err"] < 1e-6
 
 
 def test_gradient_lift_rejects_empty():
@@ -89,23 +89,23 @@ def test_second_derivatives_closed_form(name, m):
     assert F.sum_D2F_ek(m) == pytest.approx(total, abs=1e-10)
     assert F.D2F_indep_gauss(m) == pytest.approx(indep, abs=1e-10)
     # the quadrature sides of both identities reach the same values
-    assert check_second_identity(F, m).rhs == pytest.approx(total, abs=1e-8)
-    assert check_difference_identity(F, m).rhs == pytest.approx(total - indep, abs=1e-8)
+    assert check_second_identity(F, m)["rhs"] == pytest.approx(total, abs=1e-8)
+    assert check_difference_identity(F, m)["rhs"] == pytest.approx(total - indep, abs=1e-8)
 
 
 def test_second_identity_all_builtins():
     for F in builtin_functionals():
         for m in MEASURES:
             r = check_second_identity(F, m)
-            assert r.passed, f"{F.name} on {m}: {r.rel_err}"
-            assert r.rel_err < 1e-8
+            assert r["pass"], f"{F.name} on {m}: {r['rel_err']}"
+            assert r["rel_err"] < 1e-8
 
 
 def test_difference_identity_all_builtins():
     for F in builtin_functionals():
         for m in MEASURES:
             r = check_difference_identity(F, m)
-            assert r.passed, f"{F.name} on {m}: {r.rel_err}"
+            assert r["pass"], f"{F.name} on {m}: {r['rel_err']}"
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +123,8 @@ def test_buckdahn_relation_all_builtins():
     for F in builtin_functionals():
         for m in MEASURES:
             r = check_buckdahn_relation(F, m)
-            assert r.passed, f"{F.name}: {r.rel_err}"
-            assert r.rel_err < 1e-6
+            assert r["pass"], f"{F.name}: {r['rel_err']}"
+            assert r["rel_err"] < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,8 @@ def test_buckdahn_relation_all_builtins():
 def test_taylor_cubed_mean_slope_three(ensembles):
     X, Y = ensembles
     r = check_taylor_remainder(BUILTIN["cubed-mean"], X, Y)
-    assert r.passed
-    assert 2.9 <= r.extra["slope"] <= 3.1
+    assert r["pass"]
+    assert 2.9 <= r["slope"] <= 3.1
 
 
 def test_taylor_cubed_mean_remainder_exact():
@@ -143,14 +143,14 @@ def test_taylor_cubed_mean_remainder_exact():
     Y = seeded_ensemble(2000, 4, mean=1.0)
     r = check_taylor_remainder(BUILTIN["cubed-mean"], X, Y, eps_list=(1e-1,))
     Ey = float(np.mean(Y))
-    assert r.extra["remainders"][0] == pytest.approx((0.1 * Ey) ** 3, rel=1e-9)
+    assert r["remainders"][0] == pytest.approx((0.1 * Ey) ** 3, rel=1e-9)
 
 
 def test_taylor_squared_moment_zero_remainder(ensembles):
     X, Y = ensembles
     r = check_taylor_remainder(BUILTIN["squared-moment[x]"], X, Y)
-    assert r.extra.get("below_noise_floor")
-    assert r.abs_err < 1e-11
+    assert r.get("below_noise_floor")
+    assert r["abs_err"] < 1e-11
 
 
 def test_taylor_zero_mean_direction_kills_remainder():
@@ -158,7 +158,7 @@ def test_taylor_zero_mean_direction_kills_remainder():
     Y = seeded_ensemble(2000, 6)
     Y = Y - Y.mean()
     r = check_taylor_remainder(BUILTIN["cubed-mean"], X, Y)
-    assert r.extra.get("below_noise_floor")
+    assert r.get("below_noise_floor")
 
 
 def _per_particle_remainders(F, X0, Y, eps_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)):
@@ -183,10 +183,10 @@ def test_taylor_remainders_equal_per_particle_kernel(name, N):
     Y = seeded_ensemble(N, 12, mean=1.0)
     ref = _per_particle_remainders(BUILTIN[name], X0, Y)
     r = check_taylor_remainder(BUILTIN[name], X0, Y)
-    if r.extra.get("below_noise_floor"):
-        assert r.abs_err == max(abs(x) for x in ref)
+    if r.get("below_noise_floor"):
+        assert r["abs_err"] == max(abs(x) for x in ref)
     else:
-        assert r.extra["remainders"] == ref
+        assert r["remainders"] == ref
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +200,8 @@ def test_seeded_ensemble_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_report_to_dict_keys():
-    d = check_second_identity(BUILTIN["linear[x]"], GaussianMeasure(0, 1)).to_dict()
+def test_report_keys():
+    d = check_second_identity(BUILTIN["linear[x]"], GaussianMeasure(0, 1))
     for key in ("check", "functional", "lhs", "rhs", "abs_err", "rel_err", "pass"):
         assert key in d
 

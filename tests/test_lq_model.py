@@ -189,7 +189,7 @@ def test_model_from_dict_defaults_missing_to_zero():
 
 
 def test_model_from_dict_requires_R():
-    with pytest.raises((KeyError, ValueError)):
+    with pytest.raises(ValueError, match="^model file missing required key 'R'$"):
         model_from_dict({"n": 1, "d": 1, "T": 1.0})
 
 

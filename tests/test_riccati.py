@@ -151,19 +151,19 @@ def test_mu_lambda_vanish_without_noise(scalar_coupled):
 def test_symmetry_conditions_trivially_satisfied():
     m = scalar_model(Q=1.0, R=1.0, Qbar=1.0)
     d = check_symmetry_conditions(m)
-    assert d.self_adjoint_possible
+    assert d["self_adjoint_possible"]
 
 
 def test_symmetry_conditions_2x2_obstruction(asymmetric_2x2):
     d = check_symmetry_conditions(asymmetric_2x2)
-    assert not d.running_commutes
-    assert not d.terminal_commutes
-    assert not d.self_adjoint_possible
+    assert not d["running_commutes"]
+    assert not d["terminal_commutes"]
+    assert not d["self_adjoint_possible"]
 
 
 def test_symmetry_conditions_abar_nonzero():
     m = scalar_model(Abar=1.0, Q=1.0, R=1.0)
-    assert not check_symmetry_conditions(m).self_adjoint_possible
+    assert not check_symmetry_conditions(m)["self_adjoint_possible"]
 
 
 def test_mfg_sigma_asymmetry_on_obstructed_model(asymmetric_2x2):
