@@ -59,15 +59,10 @@ def _write_failure(path: str, man: dict, exc: Exception, **extra) -> int:
     return EXIT_NUMERICAL
 
 
-def _model_path(args) -> str:
+def _load_model(args) -> lq.LQModelSpec:
     if not args.model:
         raise FileNotFoundError("--model is required for this command")
-    return args.model
-
-
-def _load_model(args, doc=None) -> lq.LQModelSpec:
-    """The validated model of --model, or of `doc`, the file already parsed."""
-    model = lq.load_model(_model_path(args)) if doc is None else lq.model_from_dict(doc)
+    model = lq.load_model(args.model)
     report = lq.validate(model)
     if not report.valid:
         raise ValueError("invalid model: " + "; ".join(report.violations))
@@ -208,13 +203,15 @@ def cmd_verify(args) -> int:
 
 
 def _load_problem(args):
-    """(problem, LQ model, kind) from --model, parsed once.  A model file
-    with a "demo" key selects a built-in non-LQ problem, which has no LQ
-    model and is always solved as an MFG."""
-    with open(_model_path(args)) as fh:
-        doc = json.load(fh)
+    """(problem, LQ model, kind) from --model.  A model file holding an
+    object with a "demo" key selects a built-in non-LQ problem, which has
+    no LQ model and is always solved as an MFG."""
+    doc = None
+    if args.model:
+        with open(args.model) as fh:
+            doc = json.load(fh)
     if not (isinstance(doc, dict) and "demo" in doc):
-        model, kind = _load_model(args, doc), args.kind.upper()
+        model, kind = _load_model(args), args.kind.upper()
         return hj.problem_from_lq(model, kind), model, kind
     if doc["demo"] != "cosine":
         raise ValueError(f"unknown demo problem {doc['demo']!r}")
