@@ -78,8 +78,8 @@ def _manifest(args) -> dict:
 def cmd_riccati(args) -> int:
     model = _load_model(args)
     man = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
     grid = ric.TimeGrid(model.T, args.steps)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"riccati_{args.kind}.json")
     try:
         sol = (ric.solve_mfc if args.kind == "mfc" else ric.solve_mfg)(model, grid)
@@ -97,9 +97,9 @@ def cmd_riccati(args) -> int:
 def cmd_simulate(args) -> int:
     model = _load_model(args)
     man = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
     if args.particles < 1 or args.steps < 1:
         raise ValueError("need at least one particle and one time step")
+    os.makedirs(args.out, exist_ok=True)
     X0 = mk.gaussian_ensemble(args.particles, model.n, args.seed)
     cfg = mk.SimConfig(steps=args.steps, seed=args.seed)
     path = os.path.join(args.out, "simulate.json")
@@ -184,12 +184,12 @@ def _suite_optimality(man: dict, model) -> list[dict]:
 
 def cmd_verify(args) -> int:
     man = _manifest(args)
+    model = None if args.suite == "lift" else _load_model(args)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_{args.suite}.json")
     if args.suite == "lift":
         reports = _suite_lift(man)
     else:
-        model = _load_model(args)
         suites = {"master": _suite_master, "mp": _suite_mp, "optimality": _suite_optimality}
         try:
             reports = suites[args.suite](man, model)
@@ -233,13 +233,13 @@ def _parse_grid(text: str) -> tuple[float, float, int, int]:
 
 def cmd_hjbfp(args) -> int:
     man = _manifest(args)
-    os.makedirs(args.out, exist_ok=True)
     xmin, xmax, Nx, Nt = _parse_grid(args.grid)
     grid = hj.SpaceGrid1D(xmin, xmax, Nx)
     m0 = hj.gaussian_density(grid, args.m0_mean, args.m0_std)
     prob, model, kind = _load_problem(args)
     man["kind"] = kind.lower()
     tgrid = ric.TimeGrid(prob.T, Nt)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "hjbfp.json")
     try:
         fields = hj.picard_solve(prob, grid, tgrid, m0, kind=kind, damping=args.damping)

@@ -12,6 +12,16 @@ Scheme: diffusion implicit (LU-factored once per sweep, one tridiagonal
 solve per step), advection / Hamiltonian gradient explicit with sign-of-
 velocity upwinding.  Boundaries: zero-flux (reflecting) for m, one-sided
 differences for u.  Each density slice is renormalized to unit mass.
+
+The sweeps check their steps a block of SWEEP_BLOCK time steps at a time:
+the Courant number of each step's velocity, and for the HJB whether each
+new slice is finite (the FP's mass check stays per step, since the
+normalization needs that mass).  They raise the first failure in sweep
+order, as a check after every step would, and compute with floating-point
+warnings off, so the steps run past a failure inside its block print
+nothing.  The FP reads the central differences of u a block of rows at a
+time, and problem_from_lq and cosine_demo compute their x-only terms once
+per node array.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from . import master_verifier as mv
 
 ANDERSON_DEPTH = 5     # Anderson history depth of picard_solve
 CROSSVAL_ROWS = 64     # time nodes per block of cross_validate_lq: small temporaries
+SWEEP_BLOCK = 16       # time steps per block of sweep checks: buffers of a few tens of KB
 
 
 class CFLViolation(RuntimeError):
@@ -82,7 +93,9 @@ class Problem1D:
     hamiltonian(x, ybar, q) and drift(x, ybar, q) are vectorized over x, q;
     terminal(x, ybar) gives u(x, T).  dHdm_coeff, when set, returns the
     linear-in-x coefficient of the measure-derivative term (LQ closed form,
-    used for the MFC variant): term(x) = dHdm_coeff(ybar, qbar) * x.
+    used for the MFC variant): term(x) = dHdm_coeff(ybar, qbar) * x.  The
+    hamiltonian and drift of problem_from_lq and cosine_demo keep their
+    x-only terms for the last node array they were given (see _per_grid).
     """
     hamiltonian: callable
     drift: callable
@@ -98,6 +111,21 @@ class Problem1D:
                              f"FD solver, got {self.sigma}")
 
 
+def _per_grid(fn):
+    """fn(x), computed again only when x is not the node array of the last
+    call.  The entry holds that array itself, so its id cannot be reused;
+    the sweeps pass one array at every step and never write to it."""
+    last = (None, None)
+
+    def terms(x):
+        nonlocal last
+        hit = last
+        if hit[0] is not x:
+            hit = last = (x, fn(x))
+        return hit[1]
+    return terms
+
+
 def problem_from_lq(model: lq.LQModelSpec, kind: str = "MFG") -> Problem1D:
     """The MFG or MFC problem of a scalar LQ model.  The MFC terminal adds
     the measure-derivative correction of h at ybar(T) = y."""
@@ -110,12 +138,15 @@ def problem_from_lq(model: lq.LQModelSpec, kind: str = "MFG") -> Problem1D:
     QT = float(model.QT[0, 0]); QbT = float(model.QbarT[0, 0]); ST = float(model.ST[0, 0])
     BRB = float(model.BRB()[0, 0])
 
+    x_terms = _per_grid(lambda x: (0.5 * (Q + Qb) * x * x, Qb * S * x, A * x))
+
     def ham(x, y, q):
-        return (0.5 * (Q + Qb) * x * x - Qb * S * x * y + 0.5 * S * Qb * S * y * y
-                - 0.5 * BRB * q * q + q * (A * x + Ab * y))
+        xx, sx, ax = x_terms(x)
+        return (xx - sx * y + 0.5 * S * Qb * S * y * y
+                - 0.5 * BRB * q * q + q * (ax + Ab * y))
 
     def drift(x, y, q):
-        return A * x + Ab * y - BRB * q
+        return x_terms(x)[2] + Ab * y - BRB * q
 
     def terminal(x, y):
         return 0.5 * (QT * x * x + QbT * (x - ST * y) ** 2)
@@ -133,11 +164,14 @@ def problem_from_lq(model: lq.LQModelSpec, kind: str = "MFG") -> Problem1D:
 
 def cosine_demo(sigma: float = 0.5, T: float = 0.5, kappa: float = 0.5) -> Problem1D:
     """Non-LQ demonstration: quadratic control cost with a cosine potential."""
+    x_terms = _per_grid(lambda x: (kappa * (1.0 - np.cos(x)), np.zeros_like(x)))
+
     def ham(x, y, q):
-        return -0.5 * q * q + kappa * (1.0 - np.cos(x)) + np.zeros_like(x) * y
+        potential, zero = x_terms(x)
+        return -0.5 * q * q + potential + zero * y
 
     def drift(x, y, q):
-        return -q + np.zeros_like(x)
+        return -q + x_terms(x)[1]
 
     def terminal(x, y):
         return np.zeros_like(x)
@@ -179,41 +213,43 @@ def _diffusion_lu(ab: np.ndarray) -> tuple:
 
 
 def _mass(m: np.ndarray, dx: float) -> float:
-    return float(m.sum() * dx)
+    return float(np.add.reduce(m) * dx)
 
 
-def _check_cfl(vel: np.ndarray, dt: float, dx: float, k: int) -> None:
-    courant = float(np.abs(vel).max()) * dt / dx
-    if courant > 1.0:
-        raise CFLViolation(courant, dt, dx)
-    if not courant <= 1.0:      # NaN velocity
-        raise ric.NumericalFailure(k)
-
-
-def _upwind_divergence(G: np.ndarray, m: np.ndarray, dx: float) -> np.ndarray:
-    """(G m)_x with donor-cell upwind fluxes and zero boundary flux."""
-    Gf = 0.5 * (G[:-1] + G[1:])
-    flux = np.where(Gf > 0.0, Gf * m[:-1], Gf * m[1:])
-    div = np.zeros_like(m)
-    div[0] = flux[0] / dx
-    div[1:-1] = (flux[1:] - flux[:-1]) / dx
-    div[-1] = -flux[-1] / dx
-    return div
+def _check_block(vel: np.ndarray, dt: float, dx: float, nodes: range,
+                 finite: np.ndarray | None = None) -> None:
+    """The checks of a block of sweep steps, in sweep order: row i of vel is
+    step i's velocity, nodes[i] its time node and finite[i] whether its new
+    slice is finite.  Raises the first failure a check after every step
+    would have raised: within a step, CFLViolation (Courant > 1) or
+    NumericalFailure (NaN velocity) before NumericalFailure (non-finite
+    slice)."""
+    courant = np.abs(vel).max(axis=1) * dt / dx
+    ok = courant <= 1.0
+    if finite is not None:
+        ok &= finite
+    if ok.all():
+        return
+    i = int(ok.argmin())
+    if courant[i] > 1.0:
+        raise CFLViolation(float(courant[i]), dt, dx)
+    raise ric.NumericalFailure(nodes[i])
 
 
 def _differences(u: np.ndarray, dx: float, fwd: np.ndarray, central: np.ndarray) -> None:
-    """Forward differences (u[j+1] - u[j]) / dx into fwd, and np.gradient(u, dx)
-    into central: second order inside, the one-sided fwd values at the ends."""
-    np.subtract(u[1:], u[:-1], out=fwd)
+    """Along the last axis of u (one slice or a block of rows): forward
+    differences (u[j+1] - u[j]) / dx into fwd, and np.gradient(u, dx) into
+    central: second order inside, the one-sided fwd values at the ends."""
+    np.subtract(u[..., 1:], u[..., :-1], out=fwd)
     fwd /= dx
-    np.subtract(u[2:], u[:-2], out=central[1:-1])
-    central[1:-1] /= 2.0 * dx
-    central[0] = fwd[0]
-    central[-1] = fwd[-1]
+    np.subtract(u[..., 2:], u[..., :-2], out=central[..., 1:-1])
+    central[..., 1:-1] /= 2.0 * dx
+    central[..., 0] = fwd[..., 0]
+    central[..., -1] = fwd[..., -1]
 
 
 def first_moment(m: np.ndarray, x: np.ndarray, dx: float) -> float:
-    return float((x * m).sum() * dx / max(_mass(m, dx), 1e-300))
+    return float(np.add.reduce(x * m) * dx / max(_mass(m, dx), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +257,52 @@ def first_moment(m: np.ndarray, x: np.ndarray, dx: float) -> float:
 
 def solve_fp_forward(drift_fn, sigma: float, m0: np.ndarray,
                      grid: SpaceGrid1D, tgrid: ric.TimeGrid) -> np.ndarray:
-    """Forward FP sweep.  drift_fn(k, x, m_slice) -> G at time node k.
+    """Forward FP sweep.  drift_fn(k, x, m_slice) -> G at time node k, called
+    for k = 0, 1, ..., K-1 in order.
 
     Semi-implicit: diffusion implicit with reflecting boundaries, advection
     explicit donor-cell upwind.  Each slice is renormalized to unit mass.
-    Raises CFLViolation (Courant > 1) or NumericalFailure (non-finite value).
+    Raises CFLViolation (Courant > 1) or NumericalFailure (non-finite value),
+    the first in sweep order; the Courant numbers are checked per block of
+    SWEEP_BLOCK steps, and at a slice whose mass fails.
     """
     if sigma <= 0.0:
         raise ValueError("sigma > 0 required")
-    x, dx, dt = grid.nodes(), grid.dx, tgrid.h
+    x, dx, dt, K, Nx = grid.nodes(), grid.dx, tgrid.h, tgrid.K, grid.Nx
     nu = 0.5 * sigma ** 2
-    lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, grid.Nx, neumann=True))
-    m = np.empty((tgrid.K + 1, grid.Nx))
+    lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, Nx, neumann=True))
+    m = np.empty((K + 1, Nx))
     m[0] = np.maximum(m0, 0.0)
     m[0] /= _mass(m[0], dx)
-    for k in range(tgrid.K):
-        G = drift_fn(k, x, m[k])
-        _check_cfl(G, dt, dx, k)
-        nxt = m[k + 1]
-        np.subtract(m[k], dt * _upwind_divergence(G, m[k], dx), out=nxt)
-        dgttrs(*lu, nxt, overwrite_b=1)
-        np.maximum(nxt, 0.0, out=nxt)
-        mass = _mass(nxt, dx)
-        if not 0.0 < mass < np.inf:     # a NaN, infinite or all-zero slice
-            raise ric.NumericalFailure(k + 1)
-        nxt /= mass
+    vel = np.empty((SWEEP_BLOCK, Nx))
+    Gf, flux, div = np.empty(Nx - 1), np.empty(Nx - 1), np.empty(Nx)
+    right = np.empty(Nx - 1, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(K):
+            i = k % SWEEP_BLOCK
+            G, mk, nxt = vel[i], m[k], m[k + 1]
+            G[...] = drift_fn(k, x, mk)
+            # (G m)_x with donor-cell upwind fluxes and zero boundary flux
+            np.add(G[:-1], G[1:], out=Gf)
+            Gf *= 0.5
+            np.greater(Gf, 0.0, out=right)
+            np.multiply(Gf, mk[1:], out=flux)
+            np.multiply(Gf, mk[:-1], out=flux, where=right)
+            np.subtract(flux[1:], flux[:-1], out=div[1:-1])
+            div[0] = flux[0]
+            div[-1] = -flux[-1]
+            div /= dx
+            div *= dt
+            np.subtract(mk, div, out=nxt)
+            dgttrs(*lu, nxt, overwrite_b=1)
+            np.maximum(nxt, 0.0, out=nxt)
+            mass = _mass(nxt, dx)
+            if not 0.0 < mass < np.inf:     # a NaN, infinite or all-zero slice
+                _check_block(vel[:i + 1], dt, dx, range(k - i, k + 1))
+                raise ric.NumericalFailure(k + 1)
+            nxt /= mass
+            if i == SWEEP_BLOCK - 1 or k == K - 1:
+                _check_block(vel[:i + 1], dt, dx, range(k - i, k + 1))
     return m
 
 
@@ -254,34 +311,44 @@ def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid
     """Backward HJB sweep given the mean path ybar[0..K] (read only when the
     problem uses the mean) and, for the MFC measure term, the path
     qbar[0..K-1] of the mean gradient E[D_x u].
-    Raises CFLViolation (Courant > 1) or NumericalFailure (non-finite value)."""
+    Raises CFLViolation (Courant > 1) or NumericalFailure (non-finite value),
+    the first in sweep order; both are checked per block of SWEEP_BLOCK steps."""
     if qbar is not None and prob.dHdm_coeff is None:
         raise ValueError("MFC variant needs the closed-form measure term")
-    x, dx, dt = grid.nodes(), grid.dx, tgrid.h
+    x, dx, dt, K, Nx = grid.nodes(), grid.dx, tgrid.h, tgrid.K, grid.Nx
     nu = 0.5 * prob.sigma ** 2
     # boundary rows carry u_xx = 0 (linear extrapolation)
-    lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, grid.Nx, neumann=False))
-    u = np.empty((tgrid.K + 1, grid.Nx))
-    yT = float(ybar[tgrid.K]) if prob.uses_mean else 0.0
-    u[-1] = prob.terminal(x, yT)
-    fwd, q_c, q = np.empty(grid.Nx - 1), np.empty(grid.Nx), np.empty(grid.Nx)
-    for k in range(tgrid.K - 1, -1, -1):
-        yb = float(ybar[k]) if prob.uses_mean else 0.0
-        _differences(u[k + 1], dx, fwd, q_c)
-        vel = prob.drift(x, yb, q_c)
-        _check_cfl(vel, dt, dx, k)
-        # upwind u_x: backward difference where vel > 0, forward elsewhere
-        q[0] = fwd[0]
-        q[1:-1] = np.where(vel[1:-1] > 0.0, fwd[:-1], fwd[1:])
-        q[-1] = fwd[-1]
-        H = prob.hamiltonian(x, yb, q)
-        if qbar is not None:
-            H = H + prob.dHdm_coeff(yb, float(qbar[k])) * x
-        nxt = u[k]
-        np.add(u[k + 1], dt * H, out=nxt)
-        dgttrs(*lu, nxt, overwrite_b=1)
-        if not np.isfinite(nxt).all():
-            raise ric.NumericalFailure(k)
+    lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, Nx, neumann=False))
+    ys = np.asarray(ybar, dtype=float).tolist() if prob.uses_mean else [0.0] * (K + 1)
+    qs = None if qbar is None else np.asarray(qbar, dtype=float).tolist()
+    u = np.empty((K + 1, Nx))
+    u[-1] = prob.terminal(x, ys[K])
+    vel = np.empty((SWEEP_BLOCK, Nx))
+    fwd, q_c, q, H_dt = np.empty(Nx - 1), np.empty(Nx), np.empty(Nx), np.empty(Nx)
+    bwd = np.empty(Nx - 2, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(K - 1, -1, -1):
+            i = (K - 1 - k) % SWEEP_BLOCK
+            yb, v, nxt = ys[k], vel[i], u[k]
+            _differences(u[k + 1], dx, fwd, q_c)
+            v[...] = prob.drift(x, yb, q_c)
+            # upwind u_x: backward difference where v > 0, forward elsewhere
+            q[:-1] = fwd
+            q[-1] = fwd[-1]
+            np.greater(v[1:-1], 0.0, out=bwd)
+            np.copyto(q[1:-1], fwd[:-1], where=bwd)
+            H = prob.hamiltonian(x, yb, q)
+            if qs is None:
+                np.multiply(H, dt, out=H_dt)
+            else:
+                np.multiply(x, prob.dHdm_coeff(yb, qs[k]), out=H_dt)
+                np.add(H, H_dt, out=H_dt)
+                H_dt *= dt
+            np.add(u[k + 1], H_dt, out=nxt)
+            dgttrs(*lu, nxt, overwrite_b=1)
+            if i == SWEEP_BLOCK - 1 or k == 0:
+                _check_block(vel[:i + 1], dt, dx, range(k + i, k - 1, -1),
+                             np.isfinite(u[k:k + i + 1]).all(axis=1)[::-1])
     return u
 
 
@@ -331,12 +398,17 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
     dZ: deque = deque(maxlen=ANDERSON_DEPTH)
     dF: deque = deque(maxlen=ANDERSON_DEPTH)
     z_prev = f_prev = None
-    fwd, q = np.empty(grid.Nx - 1), np.empty(grid.Nx)
+    fwd, q = np.empty((SWEEP_BLOCK, grid.Nx - 1)), np.empty((SWEEP_BLOCK, grid.Nx))
 
     def drift_fn(k, xs, m_slice):
+        # the FP sweep asks for k = 0, 1, ... in order: the central differences
+        # of u come a block of rows at a time
+        i = k % SWEEP_BLOCK
+        if i == 0:
+            rows = u[k:k + SWEEP_BLOCK]
+            _differences(rows, dx, fwd[:len(rows)], q[:len(rows)])
         yb = first_moment(m_slice, xs, dx) if prob.uses_mean else 0.0
-        _differences(u[k], dx, fwd, q)
-        return prob.drift(xs, yb, q)
+        return prob.drift(xs, yb, q[i])
 
     for it in range(1, max_iter + 1):
         u = m = None    # free the previous iterate before the next sweep

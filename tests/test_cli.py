@@ -136,6 +136,23 @@ def test_model_file_shape_exit_1(tmp_path, capsys, command, text, message):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("bad", ["model", "grid"])
+@pytest.mark.parametrize("command", [("riccati",), ("simulate",), ("verify", "--suite", "master"),
+                                     ("verify", "--suite", "mp"), ("hjbfp",)],
+                         ids=["riccati", "simulate", "verify-master", "verify-mp", "hjbfp"])
+def test_bad_input_leaves_no_out(tmp_path, capsys, command, bad):
+    # the inputs load before --out is created; a bad --grid is a usage error
+    # for the commands that take no --grid
+    model = tmp_path / "m.json"
+    model.write_text("3")
+    argv = (("--model", str(model)) if bad == "model" else
+            ("--model", COSINE if command[0] == "hjbfp" else LQR, "--grid=-3,3,40"))
+    code, out = run(tmp_path, *command, *argv)
+    assert code == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_key_error_is_a_fault_not_bad_input(tmp_path, monkeypatch):
     import masterlq.cli as cli
     monkeypatch.setattr(cli.lq, "validate", lambda model: {}["valid"])
@@ -364,6 +381,34 @@ def test_hjbfp_cfl_exit_2(tmp_path):
     assert rep["converged"] is False and rep["manifest"]["command"] == "hjbfp"
     assert rep["error"].startswith("advective Courant number")
     assert not (out / "hjbfp_fields.csv").exists()
+
+
+def test_hjbfp_cfl_failure_bytes(tmp_path, capsys):
+    # the HJB sweep's Courant number passes 1 at node 13, inside its first
+    # block: the JSON and stderr bytes are those of a check after every step
+    code, out = run(tmp_path, "hjbfp", "--model", CROWD, "--grid=-4,4,200,20")
+    assert code == 2
+    error = "advective Courant number 1.123 > 1 (dt = 2.500e-02, dx = 4.020e-02); reduce dt"
+    assert capsys.readouterr().err == f"hjbfp: {error}\n"
+    assert (out / "hjbfp.json").read_text() == f"""{{
+  "converged": false,
+  "error": "{error}",
+  "manifest": {{
+    "command": "hjbfp",
+    "damping": 0.5,
+    "grid": "-4,4,200,20",
+    "kind": "mfc",
+    "m0_mean": 1.0,
+    "m0_std": 0.5,
+    "model": {json.dumps(CROWD)},
+    "seed": 0,
+    "tolerances": {{
+      "pde_diff": 0.01
+    }}
+  }}
+}}
+"""
+    assert sorted(os.listdir(out)) == ["hjbfp.json"]
 
 
 def test_hjbfp_non_finite_exit_2(tmp_path, monkeypatch):

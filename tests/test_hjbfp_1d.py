@@ -257,7 +257,16 @@ def test_cross_validate_equals_per_node_loop(crowd_mfg, crowd_pde, crowd_pde_mfc
 
 
 # ---------------------------------------------------------------------------
-# bitwise reference: the per-step solve_banded / np.gradient formulation
+# bitwise reference: the per-step solve_banded / np.gradient formulation,
+# with the checks after every step
+
+def _ref_check_cfl(vel, dt, dx, k):
+    courant = float(np.max(np.abs(vel))) * dt / dx
+    if courant > 1.0:
+        raise CFLViolation(courant, dt, dx)
+    if not courant <= 1.0:
+        raise NumericalFailure(k)
+
 
 def _ref_fp_forward(drift_fn, sigma, m0, grid, tgrid):
     x, dx, dt = grid.nodes(), grid.dx, tgrid.h
@@ -267,27 +276,34 @@ def _ref_fp_forward(drift_fn, sigma, m0, grid, tgrid):
     m[0] /= np.sum(m[0]) * dx
     for k in range(tgrid.K):
         G = drift_fn(k, x, m[k])
+        _ref_check_cfl(G, dt, dx, k)
         Gf = 0.5 * (G[:-1] + G[1:])
         flux = np.where(Gf > 0.0, Gf * m[k][:-1], Gf * m[k][1:])
         div = np.zeros_like(m[k])
         div[0] = flux[0] / dx
         div[1:-1] = (flux[1:] - flux[:-1]) / dx
         div[-1] = -flux[-1] / dx
-        nxt = np.maximum(solve_banded((1, 1), ab, m[k] - dt * div), 0.0)
-        m[k + 1] = nxt / (np.sum(nxt) * dx)
+        nxt = np.maximum(solve_banded((1, 1), ab, m[k] - dt * div, check_finite=False), 0.0)
+        mass = np.sum(nxt) * dx
+        if not 0.0 < mass < np.inf:
+            raise NumericalFailure(k + 1)
+        m[k + 1] = nxt / mass
     return m
 
 
-def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False):
+def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False, ybar=None):
+    """On the moments of m, or on the mean path ybar when it is given."""
     x, dx, dt = grid.nodes(), grid.dx, tgrid.h
     ab = fd._diffusion_banded(0.5 * prob.sigma ** 2 * dt, dx, grid.Nx, neumann=False)
-    moment = lambda ms: np.sum(x * ms) * dx / (np.sum(ms) * dx) if prob.uses_mean else 0.0
-    u = np.empty_like(m)
-    u[-1] = prob.terminal(x, moment(m[-1]))
+    moment = lambda k: (ybar[k] if ybar is not None else
+                        np.sum(x * m[k]) * dx / (np.sum(m[k]) * dx) if prob.uses_mean else 0.0)
+    u = np.empty((tgrid.K + 1, grid.Nx))
+    u[-1] = prob.terminal(x, moment(tgrid.K))
     for k in range(tgrid.K - 1, -1, -1):
-        yb = moment(m[k])
+        yb = moment(k)
         q_c = np.gradient(u[k + 1], dx)
         vel = prob.drift(x, yb, q_c)
+        _ref_check_cfl(vel, dt, dx, k)
         fwd = np.empty_like(u[k + 1])
         bwd = np.empty_like(u[k + 1])
         fwd[:-1] = (u[k + 1][1:] - u[k + 1][:-1]) / dx
@@ -297,7 +313,9 @@ def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False):
         H = prob.hamiltonian(x, yb, np.where(vel > 0.0, bwd, fwd))
         if mfc_extra:
             H = H + prob.dHdm_coeff(yb, float(np.sum(q_c * m[k]) * dx)) * x
-        u[k] = solve_banded((1, 1), ab, u[k + 1] + dt * H)
+        u[k] = solve_banded((1, 1), ab, u[k + 1] + dt * H, check_finite=False)
+        if not np.isfinite(u[k]).all():
+            raise NumericalFailure(k)
     return u
 
 
@@ -321,12 +339,12 @@ def _ref_picard(prob, grid, tgrid, m0, kind, tol):
     raise AssertionError("reference Picard iteration did not converge")
 
 
-def _bitwise_case(crowd, name):
+def _bitwise_case(crowd, name, steps=50):
     if name == "cosine":
         grid = SpaceGrid1D(-3.0, 3.0, 40)
-        return cosine_demo(), grid, riccati.TimeGrid(0.5, 50), gaussian_density(grid, 0.0, 0.7)
+        return cosine_demo(), grid, riccati.TimeGrid(0.5, steps), gaussian_density(grid, 0.0, 0.7)
     grid = SpaceGrid1D(-4.0, 4.0, 40)
-    return (problem_from_lq(crowd, name), grid, riccati.TimeGrid(crowd.T, 50),
+    return (problem_from_lq(crowd, name), grid, riccati.TimeGrid(crowd.T, steps),
             gaussian_density(grid, 1.0, 0.5))
 
 
@@ -336,9 +354,12 @@ def _ref_mean_gradient(u, m, dx):
                      for k in range(len(m) - 1)])
 
 
-@pytest.mark.parametrize("name", ["MFG", "MFC", "cosine"])
-def test_sweeps_bitwise_equal_reference(crowd_mfg, name):
-    prob, grid, tg, m0 = _bitwise_case(crowd_mfg, name)
+# K = 50, and three full blocks and a partial block of 5 steps
+@pytest.mark.parametrize("name,steps", [(name, steps) for steps in (50, 3 * fd.SWEEP_BLOCK + 5)
+                                        for name in ("MFG", "MFC", "cosine")],
+                         ids=["MFG", "MFC", "cosine", "MFG-blocks", "MFC-blocks", "cosine-blocks"])
+def test_sweeps_bitwise_equal_reference(crowd_mfg, name, steps):
+    prob, grid, tg, m0 = _bitwise_case(crowd_mfg, name, steps)
     lin = lambda k, xs, ms: 0.3 - 0.5 * xs
     m = _ref_fp_forward(lin, prob.sigma, m0, grid, tg)
     assert np.array_equal(solve_fp_forward(lin, prob.sigma, m0, grid, tg), m)
@@ -438,6 +459,133 @@ def test_hjb_nan_raises_numerical_failure(grid, field):
     with pytest.raises(NumericalFailure) as exc:
         solve_hjb_backward(np.zeros(tg.K + 1), prob, grid, tg)
     assert exc.value.node == tg.K - 1
+
+
+# ---------------------------------------------------------------------------
+# checks per block of SWEEP_BLOCK steps: the failure a per-step check raises
+
+B = fd.SWEEP_BLOCK
+K_BLOCKS = 3 * B + 5     # three full blocks and a partial one
+
+
+def _failing_hjb(cfl=(), nan_vel=(), nan_ham=()):
+    """An LQ problem whose velocity is 1e3 (Courant about 90) or NaN, or
+    whose Hamiltonian is NaN, at the listed nodes: the mean path is
+    ybar_k = k, so y names the node."""
+    base = problem_from_lq(scalar_model(A=0.0, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=0.5))
+
+    def drift(x, y, q):
+        if y in cfl:
+            return np.full_like(x, 1e3)
+        return np.full_like(x, np.nan) if y in nan_vel else base.drift(x, 0.0, q)
+
+    def ham(x, y, q):
+        return np.full_like(x, np.nan) if y in nan_ham else base.hamiltonian(x, 0.0, q)
+    return dataclasses.replace(base, drift=drift, hamiltonian=ham)
+
+
+def _failing_fp(cfl=(), nan_vel=(), nan_slice=()):
+    """A linear drift, 1e3 or NaN at the listed nodes; at a nan_slice node it
+    sets the slice it reads to NaN, so that the step's mass check fails."""
+    def drift_fn(k, x, ms):
+        if k in nan_slice:
+            ms[...] = np.nan
+        if k in cfl:
+            return np.full_like(x, 1e3)
+        return np.full_like(x, np.nan) if k in nan_vel else 0.3 - 0.5 * x
+    return drift_fn
+
+
+def _raised(fn):
+    with pytest.raises((CFLViolation, NumericalFailure)) as exc:
+        fn()
+    return type(exc.value), getattr(exc.value, "node", None), str(exc.value)
+
+
+HJB_CASES = {   # the sweep runs k = K-1, ..., 0
+    "cfl-then-nan-same-block": dict(cfl={K_BLOCKS - 2}, nan_ham={K_BLOCKS - 4}),
+    "nan-then-cfl-same-block": dict(nan_ham={K_BLOCKS - 2}, cfl={K_BLOCKS - 4}),
+    "cfl-and-nan-same-step": dict(cfl={K_BLOCKS - 3}, nan_ham={K_BLOCKS - 3}),
+    "nan-velocity-then-cfl": dict(nan_vel={K_BLOCKS - 6}, cfl={K_BLOCKS - 7}),
+    "first-step": dict(nan_ham={K_BLOCKS - 1}, cfl={K_BLOCKS - 2}),
+    "last-step": dict(cfl={0}),
+    "block-end": dict(cfl={K_BLOCKS - B}, nan_ham={K_BLOCKS - B - 1}),
+    "block-start": dict(nan_ham={K_BLOCKS - B - 1}, cfl={K_BLOCKS - B - 2}),
+    "partial-block": dict(nan_ham={3}, cfl={1}),
+}
+
+
+@pytest.mark.parametrize("case", HJB_CASES.values(), ids=HJB_CASES.keys())
+def test_hjb_failure_precedence_equals_reference(case):
+    grid, tg = SpaceGrid1D(-2.0, 2.0, 40), riccati.TimeGrid(0.5, K_BLOCKS)
+    prob, ybar = _failing_hjb(**case), np.arange(K_BLOCKS + 1.0)
+    new = _raised(lambda: solve_hjb_backward(ybar, prob, grid, tg))
+    assert new == _raised(lambda: _ref_hjb_backward(None, prob, grid, tg, ybar=ybar))
+
+
+FP_CASES = {    # the sweep runs k = 0, ..., K-1
+    "cfl-then-mass-same-block": dict(cfl={3}, nan_slice={6}),
+    "mass-then-cfl-same-block": dict(nan_slice={3}, cfl={6}),
+    "cfl-then-nan-velocity": dict(cfl={2}, nan_vel={5}),
+    "nan-velocity-then-cfl": dict(nan_vel={2}, cfl={5}),
+    "first-step": dict(cfl={0}),
+    "last-step": dict(nan_slice={K_BLOCKS - 1}),
+    "block-end": dict(cfl={B - 1}, nan_slice={B}),
+    "block-start": dict(nan_slice={B}, cfl={B + 1}),
+    "partial-block": dict(nan_vel={3 * B + 3}, cfl={3 * B + 4}),
+}
+
+
+@pytest.mark.parametrize("case", FP_CASES.values(), ids=FP_CASES.keys())
+def test_fp_failure_precedence_equals_reference(grid, case):
+    tg, m0 = riccati.TimeGrid(0.5, K_BLOCKS), gaussian_density(grid, 0.0, 0.5)
+    new = _raised(lambda: solve_fp_forward(_failing_fp(**case), 0.5, m0, grid, tg))
+    assert new == _raised(lambda: _ref_fp_forward(_failing_fp(**case), 0.5, m0, grid, tg))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("last,exc", [
+    (lambda x: np.full_like(x, np.nan), NumericalFailure),     # fails at node K-1
+    (lambda x: 1e300 * x, CFLViolation)],                      # finite, but the velocity
+    ids=["nan", "huge"])                                        # at K-2 overflows q * q
+def test_failing_sweeps_warn_nothing(grid, last, exc):
+    # the steps computed past the failure, to the end of its block, print nothing
+    tg = riccati.TimeGrid(0.5, K_BLOCKS)
+    base = _failing_hjb()
+    prob = dataclasses.replace(base, hamiltonian=lambda x, y, q: (
+        last(x) if y == K_BLOCKS - 1 else base.hamiltonian(x, y, q)))
+    with pytest.raises(exc) as raised:
+        solve_hjb_backward(np.arange(K_BLOCKS + 1.0), prob, grid, tg)
+    assert getattr(raised.value, "node", K_BLOCKS - 1) == K_BLOCKS - 1
+    with pytest.raises(CFLViolation):     # G[:-1] + G[1:] overflows
+        solve_fp_forward(lambda k, x, ms: np.full_like(x, 1e308 if k == 0 else 0.0), 0.5,
+                         gaussian_density(grid, 0.0, 0.5), grid, tg)
+
+
+@pytest.mark.parametrize("name", ["MFG", "MFC", "cosine"])
+def test_x_terms_equal_the_written_formulas(crowd_mfg, name):
+    # the closures keep their x-only terms per node array; each value must
+    # equal the formula written out in one expression, on a second call with
+    # the same array and after a call with another array
+    prob, grid, _, _ = _bitwise_case(crowd_mfg, name)
+    x, y, q = grid.nodes(), 0.37, np.linspace(-2.0, 3.0, grid.Nx)
+    if name == "cosine":
+        kappa = 0.5
+        ham = -0.5 * q * q + kappa * (1.0 - np.cos(x)) + np.zeros_like(x) * y
+        drift = -q + np.zeros_like(x)
+    else:
+        f = lambda M: float(M[0, 0])
+        A, Ab, Q, Qb, S = (f(crowd_mfg.A), f(crowd_mfg.Abar), f(crowd_mfg.Q),
+                           f(crowd_mfg.Qbar), f(crowd_mfg.S))
+        BRB = f(crowd_mfg.BRB())
+        ham = (0.5 * (Q + Qb) * x * x - Qb * S * x * y + 0.5 * S * Qb * S * y * y
+               - 0.5 * BRB * q * q + q * (A * x + Ab * y))
+        drift = A * x + Ab * y - BRB * q
+    for xs in (x, x, grid.nodes(), x.copy()):
+        assert np.array_equal(prob.hamiltonian(xs, y, q), ham)
+        assert np.array_equal(prob.drift(xs, y, q), drift)
+    shifted = x + 0.5
+    assert not np.array_equal(prob.hamiltonian(shifted, y, q), ham)
 
 
 # ---------------------------------------------------------------------------
