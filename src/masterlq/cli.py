@@ -137,8 +137,7 @@ def _suite_lift(man: dict) -> list[dict]:
     return reports
 
 
-def _suite_master(man: dict, model) -> list[dict]:
-    grid = ric.TimeGrid(model.T, man["steps"])
+def _suite_master(man: dict, model, grid) -> list[dict]:
     mfc = ric.solve_mfc(model, grid)
     mfg = ric.solve_mfg(model, grid)
     panel = mv.seeded_state_panel(model.n, 64, man["seed"])
@@ -161,9 +160,11 @@ def _suite_master(man: dict, model) -> list[dict]:
     return reports
 
 
-def _suite_mp(man: dict, model) -> list[dict]:
-    sol = ric.solve_mfc(model, ric.TimeGrid(model.T, man["steps"]))
-    N = min(man["particles"], 2000)    # the co-state check stores every state
+def _suite_mp(man: dict, model, grid) -> list[dict]:
+    sol = ric.solve_mfc(model, grid)
+    # the co-state check streams in O(N n) memory; the cap stays so that
+    # verify_mp.json keeps its bytes and its run time
+    N = min(man["particles"], 2000)
     X0 = mk.gaussian_ensemble(N, model.n, man["seed"])
     cfg = mk.SimConfig(steps=man["steps"], seed=man["seed"])
     rep = mk.check_max_principle(model, sol, X0, cfg, mode="deterministic")
@@ -173,8 +174,8 @@ def _suite_mp(man: dict, model) -> list[dict]:
     return [rep]
 
 
-def _suite_optimality(man: dict, model) -> list[dict]:
-    sol = ric.solve_mfc(model, ric.TimeGrid(model.T, man["steps"]))
+def _suite_optimality(man: dict, model, grid) -> list[dict]:
+    sol = ric.solve_mfc(model, grid)
     X0 = mk.gaussian_ensemble(man["particles"], model.n, man["seed"])
     cfg = mk.SimConfig(steps=man["steps"], seed=man["seed"])
     rep = mk.check_optimality_gap(model, sol, X0, cfg)
@@ -184,7 +185,12 @@ def _suite_optimality(man: dict, model) -> list[dict]:
 
 def cmd_verify(args) -> int:
     man = _manifest(args)
-    model = None if args.suite == "lift" else _load_model(args)
+    if args.suite != "lift":
+        # bad --steps or --particles is bad input, found before --out exists
+        model = _load_model(args)
+        grid = ric.TimeGrid(model.T, args.steps)
+        if args.suite != "master" and args.particles < 1:
+            raise ValueError("need at least one particle")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_{args.suite}.json")
     if args.suite == "lift":
@@ -192,7 +198,7 @@ def cmd_verify(args) -> int:
     else:
         suites = {"master": _suite_master, "mp": _suite_mp, "optimality": _suite_optimality}
         try:
-            reports = suites[args.suite](man, model)
+            reports = suites[args.suite](man, model, grid)
         except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
             return _write_failure(path, man, exc)
     ok = all(r["pass"] for r in reports)
@@ -239,6 +245,8 @@ def cmd_hjbfp(args) -> int:
     prob, model, kind = _load_problem(args)
     man["kind"] = kind.lower()
     tgrid = ric.TimeGrid(prob.T, Nt)
+    if not 0.0 < args.damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "hjbfp.json")
     try:

@@ -74,7 +74,6 @@ def gaussian_ensemble(N: int, n: int, seed: int, mean=0.0, std=1.0) -> ParticleE
 class SimConfig:
     steps: int
     seed: int = 0
-    store_states: bool = False
 
     def dt(self, T: float) -> float:
         return T / self.steps
@@ -124,6 +123,10 @@ def perturbation_directions(model: lq.LQModelSpec, seed: int):
 
 @dataclass
 class Trajectory:
+    """Per-node ensemble statistics of one simulation.  It keeps no particle
+    states but the last: a caller that needs each node's ensemble passes
+    simulate an observer."""
+
     times: np.ndarray                 # (steps+1,)
     ybar: np.ndarray                  # (steps+1, n)
     second_moment: np.ndarray         # (steps+1, n) diagonal E[x_k^2]
@@ -131,7 +134,6 @@ class Trajectory:
     running_cost: np.ndarray          # (N,) accumulated integral of f per particle
     running_cost_partial: np.ndarray  # (steps+1,) mean partial sums for CSV
     final_states: np.ndarray          # (N, n)
-    states_history: np.ndarray | None = None   # (steps+1, N, n) if requested
 
 
 # simulate draws a step's normals on its worker thread only from this many
@@ -147,19 +149,26 @@ def _run_inline(fn, *args) -> Future:
 
 
 def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
-             X0: ParticleEnsemble, cfg: SimConfig) -> Trajectory:
-    """Euler-Maruyama forward pass; deterministic given (seed, N, steps)."""
-    return _simulate(model, [policy], X0, cfg)[0]
+             X0: ParticleEnsemble, cfg: SimConfig, observe=None) -> Trajectory:
+    """Euler-Maruyama forward pass; deterministic given (seed, N, steps).
+
+    observe, if given, is called as observe(k, x, ybar_k) at each node
+    k = 0..steps in order, with the ensemble x before step k moves it (at
+    k = steps, the final one) and its mean ybar_k.  x is then updated in
+    place, so an observer copies what it keeps.
+    """
+    return _simulate(model, [policy], X0, cfg, observe)[0]
 
 
 def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
-              X0: ParticleEnsemble, cfg: SimConfig) -> list[Trajectory]:
+              X0: ParticleEnsemble, cfg: SimConfig, observe=None) -> list[Trajectory]:
     """simulate for each policy, all on one noise draw per step.
 
     Each policy's ensemble sees the same numbers as in its own simulate
     call, so every trajectory has the same bits.  If ensembles go
     non-finite, the NumericalFailure raised is the one of the first failing
     policy in list order, as if the policies had run one after another.
+    observe sees every advancing ensemble at each node, in list order.
     """
     N, n = X0.N, X0.n
     if n != model.n:
@@ -174,9 +183,7 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
     trajs = [Trajectory(times=times, ybar=np.empty((cfg.steps + 1, n)),
                         second_moment=np.empty((cfg.steps + 1, n)), common_path=bpath,
                         running_cost=np.zeros(N), running_cost_partial=np.zeros(cfg.steps + 1),
-                        final_states=X0.states.copy(),
-                        states_history=(np.empty((cfg.steps + 1, N, n))
-                                        if cfg.store_states else None))
+                        final_states=X0.states.copy())
              for _ in policies]
     live = list(range(len(policies)))   # indices of the policies still advancing
     failed = {}                         # policy index -> step its ensemble failed at
@@ -215,8 +222,8 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
                 yb = x.mean(axis=0)
                 tr.ybar[k] = yb
                 tr.second_moment[k] = np.mean(x * x, axis=0)
-                if tr.states_history is not None:
-                    tr.states_history[k] = x
+                if observe is not None:
+                    observe(k, x, yb)
                 K1, K2 = gains[i]
                 v = times_t(x, K1[k])
                 v += yb @ K2[k].T
@@ -247,10 +254,10 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
 
     for tr in trajs:
         x = tr.final_states
-        tr.ybar[-1] = x.mean(axis=0)
+        yb = tr.ybar[-1] = x.mean(axis=0)
         tr.second_moment[-1] = np.mean(x * x, axis=0)
-        if tr.states_history is not None:
-            tr.states_history[-1] = x
+        if observe is not None:
+            observe(cfg.steps, x, yb)
     return trajs
 
 
@@ -301,7 +308,7 @@ def check_optimality_gap(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     d1, d2 = perturbation_directions(model, cfg.seed)
     policies = [FeedbackPolicy(sol)] + [
         FeedbackPolicy(sol, K1=eps * d1, K2=eps * d2) for eps in eps_list]
-    trajs = _simulate(model, policies, X0, replace(cfg, store_states=False))
+    trajs = _simulate(model, policies, X0, cfg)
     base = estimate_cost(model, trajs[0])
     gaps = {}
     for eps, traj in zip(eps_list, trajs[1:]):
@@ -323,7 +330,9 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     Z(t) = P(t)X(t) + Sigma(t) ybar(t).  Deterministic mode (sigma, beta
     forced to 0) checks max_i |dZ + D_X L dt| / dt = O(dt); stochastic mode
     (beta forced to 0) checks mean_i |dZ + D_X L dt - K dw|^2 = O(dt^2)
-    with K dw = sigma (P dw_i + Sigma mean(dw)).
+    with K dw = sigma (P dw_i + Sigma mean(dw)).  The residuals are formed
+    while the ensemble moves, so the check holds two (N, n) arrays, not the
+    path of every particle.
     """
     if sol.kind != "MFC":
         raise ValueError("maximum-principle check requires an MFC solution")
@@ -334,34 +343,37 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    cfg = replace(cfg, store_states=True)
-    traj = simulate(model, FeedbackPolicy(sol), X0, cfg)
     dt = cfg.dt(model.T)
     sdt = np.sqrt(dt)
-
-    X, ybar = traj.states_history, traj.ybar
-    P = ric._interp(sol.P, sol.grid, traj.times)
-    Sig = ric._interp(sol.Sigma, sol.grid, traj.times)
-    Z = X[0] @ P[0].T + ybar[0] @ Sig[0].T
-
+    noisy = mode == "stochastic" and model.sigma > 0.0
+    times = np.linspace(0.0, model.T, cfg.steps + 1)
+    P = ric._interp(sol.P, sol.grid, times)
+    Sig = ric._interp(sol.Sigma, sol.grid, times)
     worst = 0.0
     stats = []
-    for k in range(cfg.steps):
-        Z_next = X[k + 1] @ P[k + 1].T + ybar[k + 1] @ Sig[k + 1].T
-        # D_X L = D_x H(x, ybar, Z) + the measure term at (ybar, E Z)
-        g = (lq.dx_hamiltonian(X[k], ybar[k], Z, model)
-             + lq.measure_term(ybar[k], Z.mean(axis=0), model))
-        resid = Z_next - Z + dt * g
-        if mode == "stochastic" and model.sigma > 0.0:
-            dw = sdt * _normals(cfg.seed, STREAM_IDIOSYNCRATIC, k, X[k].shape)
-            resid = resid - model.sigma * (dw @ P[k].T + dw.mean(axis=0) @ Sig[k].T)
-            stats.append(float(np.mean(np.sum(resid ** 2, axis=1))))
-        else:
-            worst = max(worst, float(np.max(np.abs(resid))) / dt)
+    Z = g = None     # the co-state and D_X L at the last node seen
+
+    def observe(k, x, yb):
+        nonlocal worst, Z, g
+        Z_next = x @ P[k].T + yb @ Sig[k].T
+        if k > 0:
+            resid = Z_next - Z + dt * g
+            if noisy:
+                dw = sdt * _normals(cfg.seed, STREAM_IDIOSYNCRATIC, k - 1, x.shape)
+                resid = resid - model.sigma * (dw @ P[k - 1].T + dw.mean(axis=0) @ Sig[k - 1].T)
+                stats.append(float(np.mean(np.sum(resid ** 2, axis=1))))
+            else:
+                worst = max(worst, float(np.max(np.abs(resid))) / dt)
         Z = Z_next
+        if k < cfg.steps:
+            # D_X L = D_x H(x, ybar, Z) + the measure term at (ybar, E Z)
+            g = (lq.dx_hamiltonian(x, yb, Z, model)
+                 + lq.measure_term(yb, Z.mean(axis=0), model))
+
+    traj = simulate(model, FeedbackPolicy(sol), X0, cfg, observe)
 
     # the last co-state, at T, against the terminal cost gradient
-    xT, ybT = traj.final_states, ybar[-1]
+    xT, ybT = traj.final_states, traj.ybar[-1]
     ST, QbT = model.ST, model.QbarT
     DXh = (xT @ (model.QT + QbT).T
            + ybT @ (ST.T @ QbT @ ST - ST.T @ QbT - QbT @ ST).T)

@@ -136,17 +136,27 @@ def test_model_file_shape_exit_1(tmp_path, capsys, command, text, message):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("bad", ["model", "grid"])
+# per command, an option value that is bad input
+BAD_VALUE = {"riccati": ("--steps", "0"), "simulate": ("--particles", "0"),
+             "master": ("--steps", "0"), "mp": ("--particles", "0"),
+             "optimality": ("--steps", "-1"), "hjbfp": ("--damping", "0")}
+
+
+@pytest.mark.parametrize("bad", ["model", "grid", "value"])
 @pytest.mark.parametrize("command", [("riccati",), ("simulate",), ("verify", "--suite", "master"),
-                                     ("verify", "--suite", "mp"), ("hjbfp",)],
-                         ids=["riccati", "simulate", "verify-master", "verify-mp", "hjbfp"])
+                                     ("verify", "--suite", "mp"),
+                                     ("verify", "--suite", "optimality"), ("hjbfp",)],
+                         ids=["riccati", "simulate", "verify-master", "verify-mp",
+                              "verify-optimality", "hjbfp"])
 def test_bad_input_leaves_no_out(tmp_path, capsys, command, bad):
-    # the inputs load before --out is created; a bad --grid is a usage error
-    # for the commands that take no --grid
+    # the inputs load and the option values are checked before --out is
+    # created; a bad --grid is a usage error for the commands that take no --grid
     model = tmp_path / "m.json"
     model.write_text("3")
-    argv = (("--model", str(model)) if bad == "model" else
-            ("--model", COSINE if command[0] == "hjbfp" else LQR, "--grid=-3,3,40"))
+    good = ("--model", COSINE, "--grid=-3,3,40,50") if command[0] == "hjbfp" else ("--model", LQR)
+    argv = {"model": ("--model", str(model)),
+            "grid": ("--model", COSINE if command[0] == "hjbfp" else LQR, "--grid=-3,3,40"),
+            "value": good + BAD_VALUE[command[-1]]}[bad]
     code, out = run(tmp_path, *command, *argv)
     assert code == 1
     assert len(capsys.readouterr().err.splitlines()) == 1

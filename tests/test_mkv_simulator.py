@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,9 +264,10 @@ def test_trajectory_csv(tmp_path, scalar_coupled, sol_coupled_mfc):
 # ---------------------------------------------------------------------------
 # simulate against the per-step reference formulation
 
-def _reference_simulate(model, policy, X0, cfg):
+def _reference_simulate(model, policy, X0, cfg, keep_states=False):
     """The Euler loop as first written: a fresh draw per step, x @ M.T, and
-    R^{-1} B* re-factored at every step."""
+    R^{-1} B* re-factored at every step.  With keep_states it returns the
+    (steps+1, N, n) ensemble path beside the trajectory."""
     N, n = X0.N, X0.n
     dt = cfg.dt(model.T)
     sdt = np.sqrt(dt)
@@ -276,7 +278,7 @@ def _reference_simulate(model, policy, X0, cfg):
     bpath = np.zeros((cfg.steps + 1, n))
     run = np.zeros(N)
     run_partial = np.zeros(cfg.steps + 1)
-    hist = np.empty((cfg.steps + 1, N, n)) if cfg.store_states else None
+    hist = np.empty((cfg.steps + 1, N, n)) if keep_states else None
     S, Qb, Q, R = model.S, model.Qbar, model.Q, model.R
     for k in range(cfg.steps):
         t = times[k]
@@ -318,9 +320,9 @@ def _reference_simulate(model, policy, X0, cfg):
     m2[-1] = np.mean(x * x, axis=0)
     if hist is not None:
         hist[-1] = x
-    return mkv.Trajectory(times=times, ybar=ybar, second_moment=m2, common_path=bpath,
-                          running_cost=run, running_cost_partial=run_partial,
-                          final_states=x, states_history=hist)
+    traj = mkv.Trajectory(times=times, ybar=ybar, second_moment=m2, common_path=bpath,
+                          running_cost=run, running_cost_partial=run_partial, final_states=x)
+    return (traj, hist) if keep_states else traj
 
 
 def _model_n3_d2():
@@ -429,6 +431,7 @@ def threads(request, monkeypatch):
     return request.param
 
 
+# "store": an observer stores every node's ensemble and mean
 @pytest.mark.parametrize("store", [False, True], ids=["plain", "store"])
 @pytest.mark.parametrize("kind", ["OPTIMAL_MFC", "OPTIMAL_MFG", "PERTURBED", "zero"])
 @pytest.mark.parametrize("name", list(SIM_MODELS))
@@ -436,12 +439,18 @@ def test_simulate_bitwise_equal_reference(name, kind, store, threads):
     model, mfc, mfg = _solved(name)
     policy = _policy(kind, model, mfc, mfg)
     X0 = gaussian_ensemble(257, model.n, seed=19, mean=0.4)
-    cfg = SimConfig(steps=40, seed=19, store_states=store)
-    got = simulate(model, policy, X0, cfg)
-    ref = _reference_simulate(model, policy, X0, cfg)
+    cfg = SimConfig(steps=40, seed=19)
+    seen = []
+    observe = (lambda k, x, yb: seen.append((k, x.copy(), yb.copy()))) if store else None
+    got = simulate(model, policy, X0, cfg, observe)
+    ref, states = _reference_simulate(model, policy, X0, cfg, keep_states=True)
     for fld in dataclasses.fields(mkv.Trajectory):
-        a, b = getattr(got, fld.name), getattr(ref, fld.name)
-        assert (a is None and b is None) or np.array_equal(a, b), fld.name
+        assert np.array_equal(getattr(got, fld.name), getattr(ref, fld.name)), fld.name
+    if store:
+        assert [k for k, _, _ in seen] == list(range(cfg.steps + 1))
+        for k, x, yb in seen:
+            assert np.array_equal(x, states[k]), k
+            assert np.array_equal(yb, ref.ybar[k]), k
 
 
 @pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2"])
@@ -645,17 +654,16 @@ def _ref_max_principle(model, sol, X0, cfg, mode):
     """The co-state residual with the Lagrangian gradient written out."""
     model = dataclasses.replace(model, sigma=model.sigma if mode == "stochastic" else 0.0,
                                 beta=0.0)
-    cfg = SimConfig(steps=cfg.steps, seed=cfg.seed, store_states=True)
-    traj = simulate(model, FeedbackPolicy(sol), X0, cfg)
+    traj, states = _reference_simulate(model, FeedbackPolicy(sol), X0, cfg, keep_states=True)
     dt = cfg.dt(model.T)
     S, Qb = model.S, model.Qbar
-    Z = np.empty_like(traj.states_history)
+    Z = np.empty_like(states)
     for k, t in enumerate(traj.times):
         ev = riccati.eval_at(sol, t)
-        Z[k] = traj.states_history[k] @ ev["P"].T + traj.ybar[k] @ ev["Sigma"].T
+        Z[k] = states[k] @ ev["P"].T + traj.ybar[k] @ ev["Sigma"].T
     worst, stats = 0.0, []
     for k in range(cfg.steps):
-        x, yb = traj.states_history[k], traj.ybar[k]
+        x, yb = states[k], traj.ybar[k]
         ymix = (-Qb @ S + S.T @ Qb @ S - S.T @ Qb) @ yb
         g = x @ (model.Q + Qb).T + ymix + Z[k] @ model.A + Z[k].mean(axis=0) @ model.Abar
         resid = Z[k + 1] - Z[k] + dt * g
@@ -704,3 +712,19 @@ def test_max_principle_equals_reference(name, N, steps, seed, mode):
     floor = {"residual": 1e-15, "C": 1e-15 / dt, "mean_sq_residual": 0.0}
     for key in ref.keys() - {"terminal_gap"}:
         assert got[key] == pytest.approx(ref[key], rel=1e-10, abs=floor[key]), key
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_max_principle_peak_memory(coupled_2x2, mode):
+    # `verify --suite mp` on an n = 2 model: a stored ensemble path would be
+    # (steps+1) N n floats, 32 MB; the check streams and keeps O(N n)
+    N, steps = 2000, 1000
+    sol = riccati.solve_mfc(coupled_2x2, riccati.TimeGrid(coupled_2x2.T, steps))
+    X0, cfg = gaussian_ensemble(N, 2, seed=1), SimConfig(steps=steps, seed=1)
+    tracemalloc.start()
+    try:
+        check_max_principle(coupled_2x2, sol, X0, cfg, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * (steps + 1) * N * 2 * 8, peak
