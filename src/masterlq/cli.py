@@ -97,8 +97,9 @@ def cmd_riccati(args) -> int:
 def cmd_simulate(args) -> int:
     model = _load_model(args)
     man = _manifest(args)
-    if args.particles < 1 or args.steps < 1:
-        raise ValueError("need at least one particle and one time step")
+    # the cost check's gate needs a standard error, which one particle lacks
+    if args.particles < 2 or args.steps < 1:
+        raise ValueError("need at least two particles and one time step")
     os.makedirs(args.out, exist_ok=True)
     X0 = mk.gaussian_ensemble(args.particles, model.n, args.seed)
     cfg = mk.SimConfig(steps=args.steps, seed=args.seed)
@@ -189,8 +190,10 @@ def cmd_verify(args) -> int:
         # bad --steps or --particles is bad input, found before --out exists
         model = _load_model(args)
         grid = ric.TimeGrid(model.T, args.steps)
-        if args.suite != "master" and args.particles < 1:
-            raise ValueError("need at least one particle")
+        # the optimality gaps need a standard error; the co-state check does not
+        least = {"mp": 1, "optimality": 2}.get(args.suite)
+        if least and args.particles < least:
+            raise ValueError(f"--suite {args.suite} needs --particles {least} or more")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_{args.suite}.json")
     if args.suite == "lift":

@@ -170,18 +170,29 @@ def measure_term(y: np.ndarray, qbar: np.ndarray, model: LQModelSpec) -> np.ndar
     return y @ (-S.T @ Qb + S.T @ Qb @ S).T + qbar @ model.Abar
 
 
-def _quad(a: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _quad(a: np.ndarray, M: np.ndarray, out=None, t=None, cols=None) -> np.ndarray:
     """a_i* M a_i for each row a_i of a (N, m), with the bits of
     einsum("ij,jk,ik->i", a, M, a): the terms (a_j M_jk) a_k are added in
     (j, k) order onto +0.0, so a sum of -0.0 terms gives +0.0.  The columns
-    of a are contiguous rows of a.T, and every step works in place."""
-    cols = np.ascontiguousarray(a.T)
-    out = np.multiply(cols[0], M[0, 0])
+    of a are contiguous rows of a.T, and every step works in place.
+
+    out and t, (N,) arrays, receive the result and each later term, and
+    cols, an array of at least m rows of N, the columns of a when m >= 2
+    (at m = 1 the column is a.T itself); fresh arrays stand in for those
+    not given."""
+    m = a.shape[1]
+    if m == 1 or cols is None:
+        cols = np.ascontiguousarray(a.T)
+    else:
+        cols = cols[:m]
+        np.copyto(cols, a.T)
+    out = np.multiply(cols[0], M[0, 0], out=out)
     out *= cols[0]
     out += 0.0
-    if len(cols) == 1:
+    if m == 1:
         return out
-    t = np.empty_like(out)
+    if t is None:
+        t = np.empty_like(out)
     for j, aj in enumerate(cols):
         for k, ak in enumerate(cols):
             if j or k:
@@ -191,10 +202,21 @@ def _quad(a: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def running_cost(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec) -> np.ndarray:
-    """f(x, y, v) = 1/2 [ x*Qx + v*Rv + (x - Sy)* Qbar (x - Sy) ]."""
-    e = x - y @ model.S.T
-    return 0.5 * (_quad(x, model.Q) + _quad(v, model.R) + _quad(e, model.Qbar))
+def running_cost(x: np.ndarray, y: np.ndarray, v: np.ndarray, model: LQModelSpec,
+                 out=None, scratch=None) -> np.ndarray:
+    """f(x, y, v) = 1/2 [ x*Qx + v*Rv + (x - Sy)* Qbar (x - Sy) ].
+
+    out, an (N,) array, receives f.  scratch, if given, is (e, q, t, cols):
+    an (N, n) array for x - Sy, an (N,) array for each later quadratic form,
+    and _quad's t and cols (either may be None).  A caller that evaluates f
+    at every step passes the same arrays each time and allocates nothing."""
+    e, q, t, cols = scratch or (None, None, None, None)
+    e = np.subtract(x, y @ model.S.T, out=e)
+    out = _quad(x, model.Q, out, t, cols)
+    out += _quad(v, model.R, q, t, cols)
+    out += _quad(e, model.Qbar, q, t, cols)
+    out *= 0.5
+    return out
 
 
 def terminal_cost(x: np.ndarray, y: np.ndarray, model: LQModelSpec) -> np.ndarray:

@@ -198,16 +198,30 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
             return buf, beta_sdt * _normals(cfg.seed, STREAM_COMMON, k, (n,))
         return buf, None
 
-    # a @ M.T takes a slow path on (N, n) operands, and so does adding a row
-    # vector to a temporary.  np.dot with a contiguous transpose and in-place
-    # updates give the same bits in the same order, except that np.dot's
-    # bits differ for a single particle, which keeps @.
-    def times_t(a, M):
-        return np.dot(a, np.ascontiguousarray(M.T)) if N > 1 else a @ M.T
-
     RB = model.Rinv_Bt() if any(p.sol is not None for p in policies) else None
     gains = [p.gains(times[:-1], RB) for p in policies]
     bufs = [np.empty((N, n)), np.empty((N, n))] if model.sigma > 0.0 else [None, None]
+    # Every (N, .) quantity of a step is written into these arrays, made
+    # once per run and shared by the policies, which advance one after
+    # another: the control v, the cost f, the drift w (first x * x, then
+    # x - Sy), the product p, whose first N entries serve the running cost
+    # as its scratch q before p is written, and the finiteness mask.  Above
+    # n = d = 1, _quad also takes an (N,) scratch and the columns it reads.
+    v, w, p = np.empty((N, model.d)), np.empty((N, n)), np.empty((N, n))
+    f, q, finite = np.empty(N), p.reshape(-1)[:N], np.empty((N, n), dtype=bool)
+    m = max(n, model.d)
+    scratch = (w, q) + ((np.empty(N), np.empty((m, N))) if m > 1 else (None, None))
+
+    def moments(tr, k):
+        # x.mean(axis=0) and np.mean(x * x, axis=0), the same reductions
+        # and divisions without ndarray.mean's Python layer
+        x = tr.final_states
+        yb = tr.ybar[k] = np.add.reduce(x, axis=0) / N
+        tr.second_moment[k] = np.add.reduce(np.multiply(x, x, out=w), axis=0) / N
+        if observe is not None:
+            observe(k, x, yb)
+        return yb
+
     prefetch = model.sigma > 0.0 and N * n >= PREFETCH_MIN_DRAWS
     with ThreadPoolExecutor(1) if prefetch else nullcontext() as pool:
         submit = pool.submit if prefetch else _run_inline
@@ -219,29 +233,25 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
             for i in live:
                 tr = trajs[i]
                 x = tr.final_states
-                yb = x.mean(axis=0)
-                tr.ybar[k] = yb
-                tr.second_moment[k] = np.mean(x * x, axis=0)
-                if observe is not None:
-                    observe(k, x, yb)
+                yb = moments(tr, k)
                 K1, K2 = gains[i]
-                v = times_t(x, K1[k])
+                _times_t(x, K1[k], v)
                 v += yb @ K2[k].T
-                f = lq.running_cost(x, yb, v, model)   # left-endpoint rule
-                tr.running_cost += f * dt
+                lq.running_cost(x, yb, v, model, f, scratch)   # left-endpoint rule
+                tr.running_cost += np.multiply(f, dt, out=q)
                 tr.running_cost_partial[k + 1] = (tr.running_cost_partial[k]
-                                                  + float(np.mean(f)) * dt)
+                                                  + float(np.add.reduce(f) / N) * dt)
 
-                drift = times_t(x, model.A)
-                drift += yb @ model.Abar.T
-                drift += times_t(v, model.B)
-                drift *= dt
-                x += drift
+                _times_t(x, model.A, w)
+                w += yb @ model.Abar.T
+                w += _times_t(v, model.B, p)
+                w *= dt
+                x += w
                 if z is not None:
                     x += z
                 if b is not None:
                     x += b
-                if not np.all(np.isfinite(x)):
+                if not np.logical_and.reduce(np.isfinite(x, out=finite), axis=None):
                     failed[i] = k
             bpath[k + 1] = bpath[k] + b if b is not None else bpath[k]
             if failed:
@@ -253,12 +263,29 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
         raise ric.NumericalFailure(failed[min(failed)])
 
     for tr in trajs:
-        x = tr.final_states
-        yb = tr.ybar[-1] = x.mean(axis=0)
-        tr.second_moment[-1] = np.mean(x * x, axis=0)
-        if observe is not None:
-            observe(cfg.steps, x, yb)
+        moments(tr, cfg.steps)
     return trajs
+
+
+def _times_t(a: np.ndarray, M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ M.T for an (N, m) operand a and a (p, m) matrix M.
+
+    a @ M.T takes a slow path on (N, m) operands; np.dot with a contiguous
+    transpose gives the same bits, except for a single particle, which
+    keeps @.  A 1 x 1 M needs no BLAS call: a * M[0, 0] + 0.0 adds onto
+    +0.0 as numpy's 1 x 1 products do, so -0.0 comes out +0.0.  It differs
+    from np.dot only where BLAS takes shortcuts: a product that underflows
+    to zero (a fused multiply-add keeps the sign of the exact product), and
+    a zero M against an infinite or NaN entry (BLAS skips a zero
+    multiplier; the product gives NaN, as @ does)."""
+    if M.shape == (1, 1):
+        np.multiply(a, M[0, 0], out=out)
+        out += 0.0
+    elif len(a) > 1:
+        np.dot(a, np.ascontiguousarray(M.T), out=out)
+    else:
+        out[...] = a @ M.T
+    return out
 
 
 def estimate_cost(model: lq.LQModelSpec, traj: Trajectory) -> dict:

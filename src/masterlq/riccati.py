@@ -96,12 +96,12 @@ def _algebra(n: int):
     n x n arrays, Python floats at n = 1.  The float forms keep numpy's
     bits: its 1 x 1 matmul and its one-term diagonal sum add onto +0.0,
     so -0.0 comes out +0.0, which a bare a * b would not do.  The n >= 2
-    product is np.dot, the same BLAS call as np.matmul at a lower cost per
-    call; the trace is ndarray.sum's reduction without its Python-level
-    forwarding."""
+    product is np.dot's C function without its array-function dispatcher,
+    the same BLAS call as np.matmul at a lower cost per call; the trace is
+    ndarray.sum's reduction without its Python-level forwarding."""
     if n == 1:
         return (lambda a, b: a * b + 0.0), (lambda a: a), (lambda a: a + 0.0)
-    return np.dot, np.ndarray.transpose, lambda a: np.add.reduce(a.diagonal())
+    return np.dot.__wrapped__, np.ndarray.transpose, lambda a: np.add.reduce(a.diagonal())
 
 
 def _coefficients(model: LQModelSpec) -> list:
@@ -232,7 +232,8 @@ def _vector_steps(n: int, sym: int, Y: np.ndarray, D: np.ndarray):
             np.multiply(0.5, square + square_T, out=square)
 
     def bounded():
-        return np.abs(u).max() <= BLOWUP_THRESHOLD    # NaN compares false
+        # ndarray.max's reduction without its Python layer; NaN compares false
+        return np.maximum.reduce(np.abs(u)) <= BLOWUP_THRESHOLD
 
     def store(i):
         Y[i], D[i] = u, R[0]

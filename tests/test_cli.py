@@ -163,6 +163,26 @@ def test_bad_input_leaves_no_out(tmp_path, capsys, command, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [("simulate",), ("verify", "--suite", "optimality")],
+                         ids=["simulate", "verify-optimality"])
+def test_one_particle_leaves_no_out(tmp_path, capsys, command):
+    # one particle has no standard error, so these gates would lose their
+    # 3 stderr term: bad input, found before --out exists
+    code, out = run(tmp_path, *command, "--model", COUPLED, "--particles", "1",
+                    "--steps", "10")
+    assert code == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_mp_runs_on_one_particle(tmp_path):
+    # the co-state check needs no standard error
+    code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
+                    "--particles", "1", "--steps", "10")
+    assert code == 0
+    assert json.loads((out / "verify_mp.json").read_text())["reports"][0]["particles"] == 1
+
+
 def test_key_error_is_a_fault_not_bad_input(tmp_path, monkeypatch):
     import masterlq.cli as cli
     monkeypatch.setattr(cli.lq, "validate", lambda model: {}["valid"])
@@ -262,7 +282,7 @@ def test_simulate_no_steps_exit_1(tmp_path, capsys, steps):
                     "--steps", steps)
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: need at least one particle and one time step"]
+    assert err == ["error: need at least two particles and one time step"]
     assert not (out / "simulate.json").exists()
 
 

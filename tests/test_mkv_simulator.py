@@ -634,6 +634,64 @@ def test_dot_contiguous_transpose_equals_matmul(N, n):
     for d in sorted({1, 2, n}):
         M = rng.standard_normal((d, n))
         assert np.array_equal(np.dot(x, np.ascontiguousarray(M.T)), x @ M.T)
+        assert np.array_equal(mkv._times_t(x, M, np.empty((N, d))), x @ M.T)
+
+
+# finite entries of every kind: signed zeros, subnormals, normals, and
+# values whose products overflow
+SPECIAL = [0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1.0, -3.5, 1e200, -1e308]
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 2000])
+def test_scalar_product_equals_dot_and_matmul(N):
+    # at n = d = 1 simulate's a * M[0, 0] + 0.0 stands in for np.dot (N > 1)
+    # and for @ (N = 1).  Left out are products that underflow to zero:
+    # np.dot's BLAS kernel may fuse the multiply and the add, and so keep
+    # the sign of the exact product, while the separate add gives +0.0.
+    with np.errstate(over="ignore"):
+        for m in SPECIAL:
+            M = np.array([[m]])
+            ok = [a for a in SPECIAL if a * m != 0.0 or a == 0.0 or m == 0.0]
+            rows = [np.array([[a]]) for a in ok] if N == 1 else [np.resize(ok, (N, 1))]
+            for x in rows:
+                got = mkv._times_t(x, M, np.empty((N, 1)))
+                ref = x @ M.T if N == 1 else np.dot(x, np.ascontiguousarray(M.T))
+                assert got.tobytes() == ref.tobytes(), (m, x.ravel())
+
+
+@pytest.mark.parametrize("N", [1, 300])
+@pytest.mark.parametrize("name", ["scalar_lqr", "scalar_coupled"])
+def test_scalar_step_makes_no_dot_call(monkeypatch, name, N, threads):
+    # at n = d = 1 every product of the Euler step is elementwise
+    model, mfc, mfg = _solved(name)
+    policies = [FeedbackPolicy(mfc), _policy("PERTURBED", model, mfc, mfg)]
+    X0, cfg = gaussian_ensemble(N, 1, seed=27), SimConfig(steps=20, seed=27)
+    refs = [_reference_simulate(model, p, X0, cfg) for p in policies]
+
+    def no_dot(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    for got, ref in zip(mkv._simulate(model, policies, X0, cfg), refs):
+        for fld in dataclasses.fields(mkv.Trajectory):
+            assert np.array_equal(getattr(got, fld.name), getattr(ref, fld.name)), fld.name
+
+
+def test_simulate_peak_memory():
+    # `simulate` on scalar_lqr at N = 10^5: its own arrays (the ensemble,
+    # the per-particle cost and two draw buffers) are 4 N floats, and the
+    # step's scratch 4 N floats and an N-byte mask; fresh temporaries at
+    # every step took the peak to 10 N floats
+    model, mfc, _ = _solved("scalar_lqr")
+    N = 100_000
+    X0, cfg = gaussian_ensemble(N, 1, seed=1), SimConfig(steps=20, seed=1)
+    tracemalloc.start()
+    try:
+        simulate(model, FeedbackPolicy(mfc), X0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * N * 8, peak
 
 
 # ---------------------------------------------------------------------------
