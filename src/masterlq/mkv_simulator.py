@@ -289,11 +289,15 @@ def _times_t(a: np.ndarray, M: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def estimate_cost(model: lq.LQModelSpec, traj: Trajectory) -> dict:
-    """Empirical cost J_hat = mean(total per-particle cost), with stderr."""
+    """Empirical cost J_hat = mean(total per-particle cost), with stderr.
+    A stderr needs at least two particles: one would give 0.0, and every
+    gate on 3 stderr would then fail on the time-step bias alone."""
+    N = traj.final_states.shape[0]
+    if N < 2:
+        raise ValueError(f"a cost estimate needs at least two particles, got {N}")
     h = lq.terminal_cost(traj.final_states, traj.ybar[-1], model)
     total = traj.running_cost + h
-    N = total.size
-    stderr = float(np.std(total, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+    stderr = float(np.std(total, ddof=1) / np.sqrt(N))
     return {"J_hat": float(np.mean(total)), "stderr": stderr}
 
 

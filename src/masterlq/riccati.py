@@ -31,13 +31,16 @@ zeros included.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .lq_model import SYM_TOL, LQModelSpec
 
 BLOWUP_THRESHOLD = 1e12
+CSV_BLOCK_ROWS = 8                # rows per orjson call in _write_csv
 
 
 class RiccatiBlowUp(RuntimeError):
@@ -366,15 +369,36 @@ def deriv_at(sol: RiccatiSolution, t: float) -> dict:
     return out
 
 
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The rows of a C-contiguous float64 block, each `",".join` of its
+    cells' reprs plus \\r\\n.  orjson writes the same shortest round-trip
+    digits as repr, and in the same layout for 0.0 and for finite |v| in
+    [1e-4, 1e16); it writes other values differently (1e-05 as 0.00001,
+    1e16 as 1e16, NaN and inf as null).  Those cells go to orjson as NaN,
+    and each null is replaced by the cell's repr, in C order."""
+    mag = np.abs(block)
+    odd = ~(((mag >= 1e-4) & (mag < 1e16)) | (block == 0.0))
+    parts = orjson.dumps(np.where(odd, np.nan, block),
+                         option=orjson.OPT_SERIALIZE_NUMPY).split(b"null")
+    text = [b""] * (2 * len(parts) - 1)
+    text[::2] = parts
+    text[1::2] = [repr(v).encode() for v in block[odd].tolist()]
+    return b"".join(text)[2:-2].replace(b"],[", b"\r\n") + b"\r\n"
+
+
 def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     """One header row, then one row per table row, every float as its repr
-    so that it reads back exactly.  A repr never needs csv quoting, so the
-    rows are joined by hand, in the csv module's bytes and \\r\\n line ends.
-    Rows are converted one at a time: a whole-table tolist() would hold a
-    Python float per cell at once."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
+    so that it reads back exactly.  The header goes through csv.writer; a
+    repr never needs csv quoting, so the rows are formatted by _csv_rows in
+    the csv module's bytes and \\r\\n line ends.  The table is formatted
+    CSV_BLOCK_ROWS rows at a time, so the text of only one block is held
+    at once."""
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode())
+        for i in range(0, len(table), CSV_BLOCK_ROWS):
+            fh.write(_csv_rows(np.ascontiguousarray(table[i:i + CSV_BLOCK_ROWS])))
 
 
 def to_csv(sol: RiccatiSolution, path: str) -> None:

@@ -149,6 +149,20 @@ def test_lqr_zero_policy_cost(scalar_lqr):
     assert est["J_hat"] == pytest.approx(0.5 * np.mean(X0.states ** 2), rel=1e-10)
 
 
+def test_estimate_cost_needs_two_particles(scalar_lqr, sol_lqr):
+    X0 = ParticleEnsemble(np.array([[0.7]]))
+    traj = simulate(scalar_lqr, FeedbackPolicy(sol_lqr), X0, SimConfig(steps=20, seed=0))
+    with pytest.raises(ValueError, match="at least two particles"):
+        estimate_cost(scalar_lqr, traj)
+    with pytest.raises(ValueError, match="at least two particles"):
+        check_cost_matches_value(scalar_lqr, sol_lqr, X0, traj)
+    with pytest.raises(ValueError, match="at least two particles"):
+        check_optimality_gap(scalar_lqr, sol_lqr, X0, SimConfig(steps=20, seed=0))
+    two = ParticleEnsemble(np.array([[0.7], [-0.2]]))
+    traj = simulate(scalar_lqr, FeedbackPolicy(sol_lqr), two, SimConfig(steps=20, seed=0))
+    assert estimate_cost(scalar_lqr, traj)["stderr"] > 0.0
+
+
 def test_cost_matches_value_coupled(scalar_coupled, sol_coupled_mfc):
     X0 = gaussian_ensemble(20000, 1, seed=11, mean=0.5)
     traj = simulate(scalar_coupled, FeedbackPolicy(sol_coupled_mfc), X0,
@@ -703,8 +717,7 @@ def _ref_estimate_cost(model, traj):
     h = 0.5 * (np.einsum("ij,jk,ik->i", x, model.QT, x)
                + np.einsum("ij,jk,ik->i", e, model.QbarT, e))
     total = traj.running_cost + h
-    N = total.size
-    stderr = float(np.std(total, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+    stderr = float(np.std(total, ddof=1) / np.sqrt(total.size))
     return {"J_hat": float(np.mean(total)), "stderr": stderr}
 
 

@@ -208,6 +208,82 @@ def test_csv_round_trip(tmp_path, sol_coupled_mfg):
 
 
 # ---------------------------------------------------------------------------
+# _write_csv: every cell's repr, whichever digits writer produced it
+
+def _repr_rows(table) -> bytes:
+    return "".join(",".join(map(repr, row.tolist())) + "\r\n" for row in table).encode()
+
+
+def _written(tmp_path, table) -> bytes:
+    path = tmp_path / "table.csv"
+    riccati._write_csv(str(path), [f"c{j}" for j in range(table.shape[1])], table)
+    head, _, rows = path.read_bytes().partition(b"\r\n")
+    assert head == ",".join(f"c{j}" for j in range(table.shape[1])).encode()
+    return rows
+
+
+def _bits(patterns) -> np.ndarray:
+    return np.asarray(patterns, dtype=np.uint64).view(np.float64)
+
+
+def test_csv_rows_random_bit_patterns(tmp_path):
+    rng = np.random.default_rng(20)
+    table = rng.integers(0, 2**64, size=(1001, 97), dtype=np.uint64).view(np.float64)
+    special = _bits([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                     0x7FF0000000000001, 0xFFF7FFFFFFFFFFFF,       # NaN payloads
+                     0x7FF0000000000000, 0xFFF0000000000000,       # +-inf
+                     0x0000000000000000, 0x8000000000000000,       # +-0.0
+                     0x0000000000000001, 0x800FFFFFFFFFFFFF,       # subnormals
+                     0x000FFFFFFFFFFFFF, 0x0010000000000000,
+                     0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF])      # +-max
+    table[::7, :special.size] = special
+    assert _written(tmp_path, table) == _repr_rows(table)
+    assert riccati._csv_rows(table) == _repr_rows(table)     # one block of all rows
+
+
+def test_csv_rows_powers_of_ten_and_neighbours():
+    p = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    near = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf),
+                           np.nextafter(np.nextafter(p, np.inf), np.inf)])
+    table = np.concatenate([near, -near]).reshape(-1, 8)
+    assert riccati._csv_rows(table) == _repr_rows(table)
+
+
+def test_csv_rows_at_the_layout_boundaries():
+    edges = []
+    for b in (1e-4, 1e16, 1e15, 2.0 ** 53):
+        lo, hi = np.nextafter(b, 0.0), np.nextafter(b, np.inf)
+        edges += [np.nextafter(lo, 0.0), lo, b, hi, np.nextafter(hi, np.inf),
+                  b * 1.5, b * 9.87654321, b / 3.0]
+    edges = np.array(edges + [1.2345e-4, 9.999e-5, 1234567890123456.7, 9999999999999998.0])
+    table = np.concatenate([edges, -edges]).reshape(2, -1)
+    assert riccati._csv_rows(table) == _repr_rows(table)
+    # the boundary cells alone, where every cell of a block is written by repr or none is
+    for row in table.reshape(-1, 1):
+        assert riccati._csv_rows(row[None, :]) == _repr_rows(row[None, :])
+
+
+def test_write_csv_shapes_and_views(tmp_path):
+    rng = np.random.default_rng(21)
+    big = rng.standard_normal((41, 30)) * np.logspace(-8, 18, 30)
+    big[3, 4], big[5, :] = np.nan, np.inf
+    for table in (big[:1], big[:, :1], big[:1, :1], big[::3, 1::4], big.T,
+                  np.asfortranarray(big), big[::-1], big[:0]):
+        assert _written(tmp_path, table) == _repr_rows(table), table.shape
+
+
+def test_write_csv_peak_memory_is_one_block(tmp_path):
+    # 2001 x 194 is the n = 8 MFG table: about 7.7 MB of text, written a
+    # few rows at a time; a whole-table dump would hold all of it at once
+    table = np.random.default_rng(22).standard_normal((2001, 194))
+    path = str(tmp_path / "n8.csv")
+    header = [f"c{j}" for j in range(194)]
+    peak = _traced_peak(lambda: riccati._write_csv(path, header, table))
+    assert (tmp_path / "n8.csv").stat().st_size > 7_000_000
+    assert peak < 1 << 20, peak
+
+
+# ---------------------------------------------------------------------------
 # _integrate against the five-call reference formulation
 
 def _ref_mfc_rhs(model):
