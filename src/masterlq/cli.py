@@ -1,19 +1,20 @@
 """Batch command-line front end.
 
-Subcommands: riccati, simulate, verify, hjbfp.  COMMANDS gives each
-command only the options it reads; any other option is bad input.  Every
-run writes a JSON summary embedding its manifest: the parsed options but
---out, plus the bounds the command gates on (TOLERANCES).  Identical
-manifests produce byte-identical artifacts.  Exit codes: 0 success, 1 bad
-input, 2 numerical failure (Riccati blow-up or non-finite value, CFL,
-non-finite PDE slice), 3 at least one check failed (for hjbfp: the LQ
-cross-validation exceeds the manifest's pde_diff) or the HJB-FP iteration
-did not converge.
+Subcommands: riccati, simulate, verify, hjbfp.  COMMANDS gives each command,
+and SUITES each verify suite, only the options it reads; any other option is
+bad input.  Every run writes a JSON summary embedding its manifest: the parsed
+options but --out, the SHA-256 of the --model file, and the bounds the command
+or suite gates on (TOLERANCES).  Identical manifests produce byte-identical
+artifacts.  Exit codes: 0 success, 1 bad input, 2 numerical failure (Riccati
+blow-up or non-finite value, CFL, non-finite PDE slice), 3 at least one check
+failed (for hjbfp: the LQ cross-validation exceeds the manifest's pde_diff) or
+the HJB-FP iteration did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -33,11 +34,14 @@ EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
 
-# The bounds each command gates on; a run's manifest records its command's.
+# The bounds each command or verify suite gates on; a run's manifest records its own.
 TOLERANCES = {
     "riccati": {},
     "simulate": {"cost_dt_const": 10.0},
-    "verify": {"check_rel": 1e-8, "master_residual": 1e-6, "master_symmetry": 1e-9},
+    "lift": {},
+    "master": {"master_residual": 1e-6, "master_symmetry": 1e-9},
+    "mp": {"check_rel": 1e-8},
+    "optimality": {},
     "hjbfp": {"pde_diff": 1e-2},   # bound on sup_diff and mean_flow_diff
 }
 
@@ -60,8 +64,6 @@ def _write_failure(path: str, man: dict, exc: Exception, **extra) -> int:
 
 
 def _load_model(args) -> lq.LQModelSpec:
-    if not args.model:
-        raise FileNotFoundError("--model is required for this command")
     model = lq.load_model(args.model)
     report = lq.validate(model)
     if not report.valid:
@@ -70,9 +72,12 @@ def _load_model(args) -> lq.LQModelSpec:
 
 
 def _manifest(args) -> dict:
-    """The run's inputs: every parsed option but --out, and the command's bounds."""
+    """The run's inputs: every parsed option but --out, the model's SHA-256, and the bounds."""
     man = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    return {**man, "tolerances": dict(TOLERANCES[args.command])}
+    if "model" in man:
+        with open(args.model, "rb") as fh:
+            man["model_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    return {**man, "tolerances": dict(TOLERANCES[man.get("suite", args.command)])}
 
 
 def cmd_riccati(args) -> int:
@@ -119,7 +124,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _suite_lift(man: dict) -> list[dict]:
+def _suite_lift(man: dict, *_) -> list[dict]:
     reports = []
     X = lc.seeded_ensemble(4000, man["seed"])
     Y = lc.seeded_ensemble(4000, man["seed"] + 1, mean=1.0)
@@ -185,25 +190,19 @@ def _suite_optimality(man: dict, model, grid) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    run, options, least = SUITES[args.suite]
     man = _manifest(args)
-    if args.suite != "lift":
-        # bad --steps or --particles is bad input, found before --out exists
-        model = _load_model(args)
-        grid = ric.TimeGrid(model.T, args.steps)
-        # the optimality gaps need a standard error; the co-state check does not
-        least = {"mp": 1, "optimality": 2}.get(args.suite)
-        if least and args.particles < least:
-            raise ValueError(f"--suite {args.suite} needs --particles {least} or more")
+    # the suite's inputs load, and bad --steps or --particles is found, before --out exists
+    model = _load_model(args) if "--model" in options else None
+    grid = ric.TimeGrid(model.T, args.steps) if "--steps" in options else None
+    if least and args.particles < least:
+        raise ValueError(f"--suite {args.suite} needs --particles {least} or more")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_{args.suite}.json")
-    if args.suite == "lift":
-        reports = _suite_lift(man)
-    else:
-        suites = {"master": _suite_master, "mp": _suite_mp, "optimality": _suite_optimality}
-        try:
-            reports = suites[args.suite](man, model, grid)
-        except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
-            return _write_failure(path, man, exc)
+    try:
+        reports = run(man, model, grid)
+    except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
+        return _write_failure(path, man, exc)
     ok = all(r["pass"] for r in reports)
     _write_json(path, {"manifest": man, "reports": reports, "pass": ok})
     for r in reports:
@@ -215,10 +214,8 @@ def _load_problem(args):
     """(problem, LQ model, kind) from --model.  A model file holding an
     object with a "demo" key selects a built-in non-LQ problem, which has
     no LQ model and is always solved as an MFG."""
-    doc = None
-    if args.model:
-        with open(args.model) as fh:
-            doc = json.load(fh)
+    with open(args.model) as fh:
+        doc = json.load(fh)
     if not (isinstance(doc, dict) and "demo" in doc):
         model, kind = _load_model(args), args.kind.upper()
         return hj.problem_from_lq(model, kind), model, kind
@@ -294,15 +291,24 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# Every option of any command.  Each command takes --model, --out and
-# --seed, and the options COMMANDS lists for it.
+# Each verify suite: (run, the options it reads but --out and --seed, least
+# --particles); the optimality gaps need a standard error, the co-state check does not.
+SUITES = {
+    "lift": (_suite_lift, (), 0),
+    "master": (_suite_master, ("--model", "--steps"), 0),
+    "mp": (_suite_mp, ("--model", "--steps", "--particles"), 1),
+    "optimality": (_suite_optimality, ("--model", "--steps", "--particles"), 2),
+}
+# Every option of any command.  Each command takes --out and --seed, and
+# the options COMMANDS (and for verify, SUITES) lists for it.
 OPTIONS = {
-    "--model": dict(default=None, help="model JSON file"),
+    "--model": dict(required=True, help="model JSON file"),
     "--out": dict(default="out", help="output directory"),
     "--seed": dict(type=int, default=0),
     "--steps": dict(type=int, default=1000),
     "--particles": dict(type=int, default=10000),
-    "--suite": dict(choices=["lift", "master", "mp", "optimality"], required=True),
+    "--suite": dict(choices=list(SUITES), required=True, help="; ".join(
+        f"{name} reads {' '.join(row[1]) or 'no other option'}" for name, row in SUITES.items())),
     "--kind": dict(choices=["mfc", "mfg"], default="mfc"),
     "--grid": dict(default="-4,4,200,2000", help="xmin,xmax,Nx,Nt"),
     "--damping": dict(type=float, default=0.5, help="Anderson mixing parameter in (0, 1]"),
@@ -310,28 +316,32 @@ OPTIONS = {
     "--m0-std": dict(type=float, default=0.5),
 }
 COMMANDS = {
-    "riccati": (cmd_riccati, "solve the backward Riccati system, write CSV", ("--steps", "--kind")),
-    "simulate": (cmd_simulate, "particle simulation + cost summary", ("--steps", "--particles")),
-    "verify": (cmd_verify, "run a verification suite", ("--suite", "--steps", "--particles")),
+    "riccati": (cmd_riccati, "backward Riccati solve, write CSV", ("--model", "--steps", "--kind")),
+    "simulate": (cmd_simulate, "particle simulation + cost summary",
+                 ("--model", "--steps", "--particles")),
+    "verify": (cmd_verify, "run a verification suite", ("--suite",)),
     "hjbfp": (cmd_hjbfp, "1D HJB-FP fixed-point solve + LQ cross-validation",
-              ("--grid", "--kind", "--damping", "--m0-mean", "--m0-std")),
+              ("--model", "--grid", "--kind", "--damping", "--m0-mean", "--m0-std")),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(suite: str | None = None) -> argparse.ArgumentParser:
     p = _Parser(prog="masterlq", description="LQ mean-field control/games toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (func, summary, options) in COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
-        for opt in ("--model", "--out", "--seed", *options):
+        for opt in ("--out", "--seed", *options):
             sp.add_argument(opt, **OPTIONS[opt])
         sp.set_defaults(func=func)
+    for opt in SUITES[suite][1] if suite else ():
+        sub.choices["verify"].add_argument(opt, **OPTIONS[opt])
     return p
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        known, _ = build_parser().parse_known_args(argv)   # learns verify's --suite
+        args = build_parser(getattr(known, "suite", None)).parse_args(argv)
         if not 0 <= args.seed < 2 ** 64:   # it keys the Philox generators
             raise ValueError(f"argument --seed: must be in [0, 2**64), got {args.seed}")
         return args.func(args)

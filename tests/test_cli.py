@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 
@@ -353,34 +354,6 @@ def test_verify_mp_records_particle_cap(tmp_path):
     assert rep["manifest"]["particles"] == 5000
 
 
-@pytest.mark.parametrize("model,bound", [(COUPLED, "master_residual"),
-                                         (LQR, "master_symmetry")], ids=["residual", "symmetry"])
-def test_verify_master_gates_on_manifest_bounds(tmp_path, monkeypatch, model, bound):
-    # scalar_lqr has no mean-field coupling, so its symmetry is gated too
-    import masterlq.cli as cli
-    monkeypatch.setitem(cli.TOLERANCES["verify"], bound, -1.0)   # below any residual
-    code, out = run(tmp_path, "verify", "--suite", "master", "--model", model,
-                    "--steps", "200")
-    assert code == 3
-    rep = _verify_payload(out, "master")
-    assert rep["manifest"]["tolerances"][bound] == -1.0 and rep["pass"] is False
-    failed = {r["check"] for r in rep["reports"] if not r["pass"]}
-    gated = {"master_mfc", "master_mfg_gradient"} if bound == "master_residual" else {
-        "master_mfg_gradient"}
-    assert failed == gated
-
-
-def test_verify_mp_gates_on_manifest_check_rel(tmp_path, monkeypatch):
-    import masterlq.cli as cli
-    monkeypatch.setitem(cli.TOLERANCES["verify"], "check_rel", -1.0)   # below any gap
-    code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
-                    "--steps", "100", "--particles", "200")
-    assert code == 3
-    rep = _verify_payload(out, "mp")
-    assert rep["manifest"]["tolerances"]["check_rel"] == -1.0
-    assert rep["reports"][0]["terminal_pass"] is False and rep["pass"] is False
-
-
 def test_verify_optimality_suite(tmp_path):
     code, out = run(tmp_path, "verify", "--suite", "optimality",
                     "--model", COUPLED, "--steps", "400",
@@ -431,6 +404,7 @@ def test_hjbfp_cfl_failure_bytes(tmp_path, capsys):
     "m0_mean": 1.0,
     "m0_std": 0.5,
     "model": {json.dumps(CROWD)},
+    "model_sha256": "{hashlib.sha256(open(CROWD, "rb").read()).hexdigest()}",
     "seed": 0,
     "tolerances": {{
       "pde_diff": 0.01
@@ -664,40 +638,83 @@ def test_help_exit_0(capsys):
     assert "--seed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [("verify", "--help"), ("verify", "--suite", "master", "--help")],
+                         ids=["verify", "master"])
+def test_verify_help_names_each_suites_options(capsys, argv):
+    # the first parse exits on --help before a suite's options join, so the
+    # text of --suite itself names what each suite reads
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for suite in ("lift", "master", "mp", "optimality"):
+        reads = " ".join(o for o in READS[suite] if o != "--suite") or "no other option"
+        assert f"{suite} reads {reads}" in text
+
+
 # ---------------------------------------------------------------------------
 # options and manifest
 
-# The options each command reads; it must refuse every other one.
+# The options each command, and each verify suite, reads beyond --out and
+# --seed; it must refuse every other one.
 READS = {
-    "riccati": ("--steps", "--kind"),
-    "simulate": ("--steps", "--particles"),
-    "verify": ("--suite", "--steps", "--particles"),
-    "hjbfp": ("--grid", "--kind", "--damping", "--m0-mean", "--m0-std"),
+    "riccati": ("--model", "--steps", "--kind"),
+    "simulate": ("--model", "--steps", "--particles"),
+    "lift": ("--suite",),
+    "master": ("--suite", "--model", "--steps"),
+    "mp": ("--suite", "--model", "--steps", "--particles"),
+    "optimality": ("--suite", "--model", "--steps", "--particles"),
+    "hjbfp": ("--model", "--grid", "--kind", "--damping", "--m0-mean", "--m0-std"),
 }
-VALUES = {"--steps": "20", "--particles": "50", "--kind": "mfg", "--suite": "lift",
-          "--grid": "-3,3,40,50", "--damping": "0.5", "--m0-mean": "0", "--m0-std": "0.7"}
-# a small run of each command that reads nothing but its own options
+VALUES = {"--model": LQR, "--steps": "20", "--particles": "0", "--kind": "mfg",
+          "--suite": "lift", "--grid": "-3,3,40,50", "--damping": "0.5", "--m0-mean": "0",
+          "--m0-std": "0.7"}
+# a small run of each command or suite that reads nothing but its own options
 SMALL = {
     "riccati": ("riccati", "--model", LQR, "--steps", "20"),
     "simulate": ("simulate", "--model", LQR, "--particles", "50", "--steps", "20"),
-    "verify": ("verify", "--suite", "lift"),
+    "lift": ("verify", "--suite", "lift"),
+    "master": ("verify", "--suite", "master", "--model", LQR, "--steps", "20"),
+    "mp": ("verify", "--suite", "mp", "--model", LQR, "--steps", "20", "--particles", "50"),
+    "optimality": ("verify", "--suite", "optimality", "--model", LQR, "--steps", "20",
+                   "--particles", "50"),
     "hjbfp": ("hjbfp", "--model", COSINE, "--grid=-3,3,40,50"),
 }
 ARTIFACT = {"riccati": "riccati_mfc.json", "simulate": "simulate.json",
-            "verify": "verify_lift.json", "hjbfp": "hjbfp.json"}
+            "lift": "verify_lift.json", "master": "verify_master.json", "mp": "verify_mp.json",
+            "optimality": "verify_optimality.json", "hjbfp": "hjbfp.json"}
 TOLERANCES = {
     "riccati": {},
     "simulate": {"cost_dt_const": 10.0},
-    "verify": {"check_rel": 1e-8, "master_residual": 1e-6, "master_symmetry": 1e-9},
+    "lift": {},
+    "master": {"master_residual": 1e-6, "master_symmetry": 1e-9},
+    "mp": {"check_rel": 1e-8},
+    "optimality": {},
     "hjbfp": {"pde_diff": 1e-2},
 }
+# a small run of each row with bounds that passes, and fails its check when
+# any one of its bounds is below every gap; scalar_lqr has no mean-field
+# coupling, so its master run gates on the symmetry too
+GATED = {
+    "simulate": ("simulate", "--model", LQR, "--particles", "50", "--steps", "2"),
+    "master": ("verify", "--suite", "master", "--model", LQR, "--steps", "200"),
+    "mp": ("verify", "--suite", "mp", "--model", LQR, "--steps", "20", "--particles", "50"),
+    "hjbfp": ("hjbfp", "--model", CROWD, "--grid=-4,4,120,400"),
+}
+# the verify reports each bound gates
+FAILED_CHECKS = {("master", "master_residual"): {"master_mfc", "master_mfg_gradient"},
+                 ("master", "master_symmetry"): {"master_mfg_gradient"},
+                 ("mp", "check_rel"): {"max_principle_deterministic"}}
 
 
-def _subcommands():
+def _parser(row):
+    """The subparser that parses SMALL[row]; verify's has its suite's options."""
     import argparse
     from masterlq.cli import build_parser
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
+    command = SMALL[row][0]
+    p = build_parser(row if command == "verify" else None)
+    (sub,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
 
 
 @pytest.mark.parametrize("command,option", [
@@ -711,21 +728,64 @@ def test_unread_option_exit_1(tmp_path, capsys, command, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", [row for row in READS if "--model" in READS[row]])
+def test_missing_model_exit_1(tmp_path, capsys, row):
+    at = SMALL[row].index("--model")
+    code, out = run(tmp_path, *SMALL[row][:at], *SMALL[row][at + 2:])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: the following arguments are required: --model"]
+    assert not out.exists()
+
+
 def test_each_command_takes_only_its_options():
-    taken = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
-             for name, sp in _subcommands().items()}
-    assert taken == {c: {"--model", "--out", "--seed", *READS[c]} for c in READS}
+    from masterlq.cli import COMMANDS, SUITES
+    assert set(READS) == set(COMMANDS) - {"verify"} | set(SUITES)
+    taken = {row: {o for a in _parser(row)._actions for o in a.option_strings} - {"-h", "--help"}
+             for row in READS}
+    assert taken == {row: {"--out", "--seed", *READS[row]} for row in READS}
 
 
 @pytest.mark.parametrize("command", list(READS))
 def test_manifest_is_the_parsed_options(tmp_path, command):
     # the guard that keeps the manifest from drifting from the parser
-    dests = {a.dest for a in _subcommands()[command]._actions} - {"help", "out"}
+    dests = {a.dest for a in _parser(command)._actions} - {"help", "out"}
     code, out = run(tmp_path, *SMALL[command])
     assert code in (0, 3)
     man = json.loads((out / ARTIFACT[command]).read_text())["manifest"]
-    assert set(man) == dests | {"command", "tolerances"}
-    assert man["command"] == command and man["tolerances"] == TOLERANCES[command]
+    content = {"model_sha256"} if "model" in dests else set()
+    assert set(man) == dests | content | {"command", "tolerances"}
+    assert man["command"] == SMALL[command][0] and man["tolerances"] == TOLERANCES[command]
+    if content:
+        with open(man["model"], "rb") as fh:
+            assert man["model_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("row,bound", [(row, bound) for row in TOLERANCES
+                                       for bound in TOLERANCES[row]])
+def test_run_gates_on_manifest_bound(tmp_path, monkeypatch, row, bound):
+    import masterlq.cli as cli
+    code, out = run(tmp_path / "as-is", *GATED[row])
+    assert code == 0
+    monkeypatch.setitem(cli.TOLERANCES[row], bound, -1.0)   # below any gap or residual
+    code, out = run(tmp_path / "patched", *GATED[row])
+    assert code == 3
+    rep = json.loads((out / ARTIFACT[row]).read_text())
+    assert rep["manifest"]["tolerances"][bound] == -1.0 and rep["pass"] is False
+    if "reports" in rep:
+        assert {r["check"] for r in rep["reports"] if not r["pass"]} == FAILED_CHECKS[row, bound]
+
+
+def test_manifest_records_model_content(tmp_path):
+    # a model file edited in place is another input, so its manifest differs
+    model = tmp_path / "m.json"
+    manifests = []
+    for Q in (1.0, 2.0, 2.0):
+        model.write_text(json.dumps({"n": 1, "d": 1, "T": 1.0, "B": 1.0, "Q": Q, "R": 1.0}))
+        code, out = run(tmp_path, "riccati", "--model", str(model), "--steps", "50")
+        assert code == 0
+        manifests.append(json.loads((out / "riccati_mfc.json").read_text())["manifest"])
+    assert manifests[0] != manifests[1] and manifests[1] == manifests[2]
 
 
 def test_manifest_in_every_report(tmp_path):
@@ -733,7 +793,7 @@ def test_manifest_in_every_report(tmp_path):
     assert code == 0
     rep = json.loads((out / "riccati_mfc.json").read_text())
     man = rep["manifest"]
-    for key in ("command", "model", "seed", "steps", "kind", "tolerances"):
+    for key in ("command", "model", "model_sha256", "seed", "steps", "kind", "tolerances"):
         assert key in man
     # riccati reads neither --particles nor --grid, so its manifest records neither
     assert "particles" not in man and "grid" not in man
@@ -747,7 +807,7 @@ def test_pde_tolerance_only_in_hjbfp_manifest(tmp_path, argv, name):
     assert code == 0
     tol = json.loads((out / name).read_text())["manifest"]["tolerances"]
     assert "pde_diff" not in tol
-    assert tol == TOLERANCES[argv[0]]
+    assert tol == TOLERANCES[argv[2] if argv[0] == "verify" else argv[0]]
 
 
 @pytest.mark.parametrize("option,values", [("--m0-mean", ("0", "1")),
