@@ -5,10 +5,12 @@ and SUITES each verify suite, only the options it reads; any other option is
 bad input.  Every run writes a JSON summary embedding its manifest: the parsed
 options but --out, the SHA-256 of the --model file, and the bounds the command
 or suite gates on (TOLERANCES).  Identical manifests produce byte-identical
-artifacts.  Exit codes: 0 success, 1 bad input, 2 numerical failure (Riccati
-blow-up or non-finite value, CFL, non-finite PDE slice), 3 at least one check
-failed (for hjbfp: the LQ cross-validation exceeds the manifest's pde_diff) or
-the HJB-FP iteration did not converge.
+artifacts on one machine; at n >= 2 the matrix products go through the
+host's BLAS, whose rounding may differ on another CPU.  Exit codes: 0
+success, 1 bad input (an unreadable --model included), 2 numerical failure
+(Riccati blow-up or non-finite value, CFL, non-finite PDE slice), 3 at least
+one check failed (for hjbfp: the LQ cross-validation exceeds the manifest's
+pde_diff) or the HJB-FP iteration did not converge.
 """
 
 from __future__ import annotations
@@ -345,7 +347,7 @@ def main(argv=None) -> int:
         if not 0 <= args.seed < 2 ** 64:   # it keys the Philox generators
             raise ValueError(f"argument --seed: must be in [0, 2**64), got {args.seed}")
         return args.func(args)
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:   # e.g. an unreadable --model
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ric.RiccatiBlowUp, ric.NumericalFailure, hj.CFLViolation) as exc:

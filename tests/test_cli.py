@@ -738,6 +738,22 @@ def test_missing_model_exit_1(tmp_path, capsys, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path", ["dir", "file/model.json"], ids=["directory", "under-a-file"])
+@pytest.mark.parametrize("row", [row for row in READS if "--model" in READS[row]])
+def test_unreadable_model_exit_1(tmp_path, capsys, row, path):
+    # an OSError other than a missing file (IsADirectoryError, NotADirectoryError),
+    # in lq_model.load_model or in the manifest's SHA-256 read
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("{}")
+    model = str(tmp_path / path)
+    at = SMALL[row].index("--model")
+    code, out = run(tmp_path, *SMALL[row][:at + 1], model, *SMALL[row][at + 2:])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno ") and model in err[0]
+    assert not out.exists()
+
+
 def test_each_command_takes_only_its_options():
     from masterlq.cli import COMMANDS, SUITES
     assert set(READS) == set(COMMANDS) - {"verify"} | set(SUITES)

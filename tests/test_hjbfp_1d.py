@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -562,30 +563,102 @@ def test_failing_sweeps_warn_nothing(grid, last, exc):
                          gaussian_density(grid, 0.0, 0.5), grid, tg)
 
 
-@pytest.mark.parametrize("name", ["MFG", "MFC", "cosine"])
-def test_x_terms_equal_the_written_formulas(crowd_mfg, name):
-    # the closures keep their x-only terms per node array; each value must
-    # equal the formula written out in one expression, on a second call with
-    # the same array and after a call with another array
-    prob, grid, _, _ = _bitwise_case(crowd_mfg, name)
-    x, y, q = grid.nodes(), 0.37, np.linspace(-2.0, 3.0, grid.Nx)
+def _same_bits(a, b):
+    """Equal arrays, bit for bit: a -0.0 against a +0.0 is a difference."""
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+# coefficients with no exact products, so that a change in the order of
+# the operations changes bits
+ROUGH = scalar_model(A=0.3, Abar=0.7, B=1.3, Q=0.9, Qbar=1.1, S=0.45, R=0.8, sigma=0.5, T=0.5)
+
+
+def _callable_case(name):
     if name == "cosine":
-        kappa = 0.5
-        ham = -0.5 * q * q + kappa * (1.0 - np.cos(x)) + np.zeros_like(x) * y
-        drift = -q + np.zeros_like(x)
-    else:
-        f = lambda M: float(M[0, 0])
-        A, Ab, Q, Qb, S = (f(crowd_mfg.A), f(crowd_mfg.Abar), f(crowd_mfg.Q),
-                           f(crowd_mfg.Qbar), f(crowd_mfg.S))
-        BRB = f(crowd_mfg.BRB())
-        ham = (0.5 * (Q + Qb) * x * x - Qb * S * x * y + 0.5 * S * Qb * S * y * y
-               - 0.5 * BRB * q * q + q * (A * x + Ab * y))
-        drift = A * x + Ab * y - BRB * q
-    for xs in (x, x, grid.nodes(), x.copy()):
-        assert np.array_equal(prob.hamiltonian(xs, y, q), ham)
-        assert np.array_equal(prob.drift(xs, y, q), drift)
-    shifted = x + 0.5
-    assert not np.array_equal(prob.hamiltonian(shifted, y, q), ham)
+        return cosine_demo(), SpaceGrid1D(-3.0, 3.0, 40)
+    return problem_from_lq(ROUGH, name), SpaceGrid1D(-4.0, 4.0, 40)
+
+
+@pytest.mark.parametrize("name", ["MFG", "MFC", "cosine"])
+def test_x_terms_equal_the_written_formulas(name):
+    # the closures keep their x-only terms per node array and build each
+    # value in place; it must equal the formula written out in one
+    # expression, signed zeros included, on a second call with the same
+    # array and after a call with another array
+    prob, grid = _callable_case(name)
+    x, q = grid.nodes(), np.linspace(-2.0, 3.0, grid.Nx)
+    q[:3] = 0.0, -0.0, 1e-300
+    f = lambda M: float(M[0, 0])
+    A, Ab, Q, Qb, S = (f(ROUGH.A), f(ROUGH.Abar), f(ROUGH.Q), f(ROUGH.Qbar), f(ROUGH.S))
+    BRB, kappa = f(ROUGH.BRB()), 0.5
+    for y in (0.37, 0.0, -0.0, -1.25):
+        if name == "cosine":
+            ham = -0.5 * q * q + kappa * (1.0 - np.cos(x)) + np.zeros_like(x) * y
+            drift = -q + np.zeros_like(x)
+        else:
+            ham = (0.5 * (Q + Qb) * x * x - Qb * S * x * y + 0.5 * S * Qb * S * y * y
+                   - 0.5 * BRB * q * q + q * (A * x + Ab * y))
+            drift = A * x + Ab * y - BRB * q
+        for xs in (x, x, grid.nodes(), x.copy()):
+            assert _same_bits(prob.hamiltonian(xs, y, q), ham)
+            assert _same_bits(prob.drift(xs, y, q), drift)
+        shifted = x + 0.5
+        assert not np.array_equal(prob.hamiltonian(shifted, y, q), ham)
+
+
+@pytest.mark.parametrize("name", ["MFG", "MFC", "cosine"])
+def test_callables_return_fresh_arrays(name):
+    # each call returns an array of its own; a later call, with the same or
+    # another node array, leaves an earlier result and the inputs unchanged
+    prob, grid = _callable_case(name)
+    x, q = grid.nodes(), np.linspace(-2.0, 3.0, grid.Nx)
+    x_in, q_in = x.copy(), q.copy()
+    for fn in (prob.hamiltonian, prob.drift):
+        first = fn(x, 0.37, q)
+        kept = first.copy()
+        for later in (fn(x, -1.25, 2.0 * q), fn(x + 0.5, 0.37, q)):
+            assert first.flags.owndata and later.flags.owndata
+            assert not np.shares_memory(first, later)
+        assert _same_bits(first, kept)
+        assert not np.shares_memory(first, x) and not np.shares_memory(first, q)
+    assert _same_bits(x, x_in) and _same_bits(q, q_in)
+
+
+@pytest.mark.parametrize("kind", ["MFG", "MFC"])
+def test_fp_inline_mean_equals_first_moment(crowd_mfg, crowd_pde, crowd_pde_mfc, grid, kind):
+    # the FP drift computes the slice mean inline; the last iteration's FP
+    # sweep reads the returned m, so its K means equal first_moment's on
+    # every slice, bit for bit
+    pde, tg = crowd_pde if kind == "MFG" else crowd_pde_mfc
+    base = problem_from_lq(crowd_mfg, kind)
+    means = []
+
+    def drift(x, y, q):
+        means.append(y)
+        return base.drift(x, y, q)
+    prob = dataclasses.replace(base, drift=drift)
+    again = picard_solve(prob, grid, tg, gaussian_density(grid, 1.0, 0.5), kind=kind)
+    assert np.array_equal(again.u, pde.u) and np.array_equal(again.m, pde.m)
+    # each iteration: K drift calls of the HJB sweep, then K of the FP sweep
+    assert len(means) == 2 * tg.K * again.iterations
+    fp_means = np.array(means[-tg.K:])
+    ref = np.array([first_moment(mk, grid.nodes(), grid.dx) for mk in pde.m[:-1]])
+    assert _same_bits(fp_means, ref)
+
+
+def test_cross_validate_peak_memory(crowd_mfg, crowd_pde, crowd_pde_mfc):
+    # the per-node first moments come a block of CROSSVAL_ROWS rows at a
+    # time: no temporary the size of the (K+1) x Nx density
+    for kind, (pde, tg) in (("MFG", crowd_pde), ("MFC", crowd_pde_mfc)):
+        sol = (riccati.solve_mfg if kind == "MFG" else riccati.solve_mfc)(crowd_mfg, tg)
+        tracemalloc.start()
+        try:
+            cross_validate_lq(crowd_mfg, sol, pde)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pde.m.nbytes // 2, (kind, peak, pde.m.nbytes)
 
 
 # ---------------------------------------------------------------------------
