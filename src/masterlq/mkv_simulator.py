@@ -75,9 +75,6 @@ class SimConfig:
     steps: int
     seed: int = 0
 
-    def dt(self, T: float) -> float:
-        return T / self.steps
-
 
 @dataclass
 class FeedbackPolicy:
@@ -152,10 +149,12 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
              X0: ParticleEnsemble, cfg: SimConfig, observe=None) -> Trajectory:
     """Euler-Maruyama forward pass; deterministic given (seed, N, steps).
 
-    observe, if given, is called as observe(k, x, ybar_k) at each node
-    k = 0..steps in order, with the ensemble x before step k moves it (at
-    k = steps, the final one) and its mean ybar_k.  x is then updated in
-    place, so an observer copies what it keeps.
+    observe, if given, is called as observe(k, x, ybar_k, z_k) at each
+    node k = 0..steps in order, with the ensemble x before step k moves it
+    (at k = steps, the final one), its mean ybar_k and z_k, the scaled draw
+    sigma sqrt(dt) xi_k that step k adds to x (None at k = steps or if
+    sigma = 0).  x is updated in place and z_k's buffer refilled two steps
+    later, so an observer copies what it keeps.
     """
     return _simulate(model, [policy], X0, cfg, observe)[0]
 
@@ -173,11 +172,11 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
     N, n = X0.N, X0.n
     if n != model.n:
         raise ValueError(f"ensemble dimension {n} != model dimension {model.n}")
-    dt = cfg.dt(model.T)
+    grid = ric.TimeGrid(model.T, cfg.steps)
+    dt, times = grid.h, grid.nodes()
     sdt = np.sqrt(dt)
     sig_sdt, beta_sdt = model.sigma * sdt, model.beta * sdt
 
-    times = np.linspace(0.0, model.T, cfg.steps + 1)
     bpath = np.zeros((cfg.steps + 1, n))
     # final_states is the ensemble itself, advanced in place
     trajs = [Trajectory(times=times, ybar=np.empty((cfg.steps + 1, n)),
@@ -212,14 +211,14 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
     m = max(n, model.d)
     scratch = (w, q) + ((np.empty(N), np.empty((m, N))) if m > 1 else (None, None))
 
-    def moments(tr, k):
+    def moments(tr, k, z):
         # x.mean(axis=0) and np.mean(x * x, axis=0), the same reductions
         # and divisions without ndarray.mean's Python layer
         x = tr.final_states
         yb = tr.ybar[k] = np.add.reduce(x, axis=0) / N
         tr.second_moment[k] = np.add.reduce(np.multiply(x, x, out=w), axis=0) / N
         if observe is not None:
-            observe(k, x, yb)
+            observe(k, x, yb, z)
         return yb
 
     prefetch = model.sigma > 0.0 and N * n >= PREFETCH_MIN_DRAWS
@@ -233,7 +232,7 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
             for i in live:
                 tr = trajs[i]
                 x = tr.final_states
-                yb = moments(tr, k)
+                yb = moments(tr, k, z)
                 K1, K2 = gains[i]
                 _times_t(x, K1[k], v)
                 v += yb @ K2[k].T
@@ -263,7 +262,7 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
         raise ric.NumericalFailure(failed[min(failed)])
 
     for tr in trajs:
-        moments(tr, cfg.steps)
+        moments(tr, cfg.steps, None)
     return trajs
 
 
@@ -358,48 +357,47 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                         mode: str = "deterministic") -> dict:
     """Co-state residual of the (stochastic) maximum principle.
 
-    Z(t) = P(t)X(t) + Sigma(t) ybar(t).  Deterministic mode (sigma, beta
-    forced to 0) checks max_i |dZ + D_X L dt| / dt = O(dt); stochastic mode
-    (beta forced to 0) checks mean_i |dZ + D_X L dt - K dw|^2 = O(dt^2)
-    with K dw = sigma (P dw_i + Sigma mean(dw)).  The residuals are formed
-    while the ensemble moves, so the check holds two (N, n) arrays, not the
-    path of every particle.
+    Z(t) = P(t)X(t) + Sigma(t) ybar(t), and each step's residual is
+    dZ + D_X L dt - (P z_i + Sigma mean(z)) on the draw z that simulate
+    hands its observer (no draw, no last term).  Deterministic mode (sigma,
+    beta forced to 0) reports max_i |resid| / dt = O(dt), stochastic mode
+    (beta forced to 0) mean_i |resid|^2 = O(dt^2), each the largest over
+    the steps.  The residuals are formed while the ensemble moves, so the
+    check holds a few (N, n) arrays, not the path of every particle.
     """
     if sol.kind != "MFC":
         raise ValueError("maximum-principle check requires an MFC solution")
+    grid = ric.TimeGrid(model.T, cfg.steps)
+    dt, times = grid.h, grid.nodes()
     if mode == "deterministic":
         model = replace(model, sigma=0.0, beta=0.0)
+        stat = lambda r: float(np.max(np.abs(r))) / dt
     elif mode == "stochastic":
         model = replace(model, beta=0.0)
+        stat = lambda r: float(np.mean(np.sum(r ** 2, axis=1)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    dt = cfg.dt(model.T)
-    sdt = np.sqrt(dt)
-    noisy = mode == "stochastic" and model.sigma > 0.0
-    times = np.linspace(0.0, model.T, cfg.steps + 1)
     P = ric._interp(sol.P, sol.grid, times)
     Sig = ric._interp(sol.Sigma, sol.grid, times)
-    worst = 0.0
     stats = []
-    Z = g = None     # the co-state and D_X L at the last node seen
+    Z = g = Kz = None     # the co-state, D_X L and noise term at the last node
 
-    def observe(k, x, yb):
-        nonlocal worst, Z, g
+    def observe(k, x, yb, z):
+        nonlocal Z, g, Kz
         Z_next = x @ P[k].T + yb @ Sig[k].T
         if k > 0:
             resid = Z_next - Z + dt * g
-            if noisy:
-                dw = sdt * _normals(cfg.seed, STREAM_IDIOSYNCRATIC, k - 1, x.shape)
-                resid = resid - model.sigma * (dw @ P[k - 1].T + dw.mean(axis=0) @ Sig[k - 1].T)
-                stats.append(float(np.mean(np.sum(resid ** 2, axis=1))))
-            else:
-                worst = max(worst, float(np.max(np.abs(resid))) / dt)
+            if Kz is not None:
+                resid -= Kz
+            stats.append(stat(resid))
         Z = Z_next
         if k < cfg.steps:
             # D_X L = D_x H(x, ybar, Z) + the measure term at (ybar, E Z)
             g = (lq.dx_hamiltonian(x, yb, Z, model)
                  + lq.measure_term(yb, Z.mean(axis=0), model))
+            # formed now: z's buffer is refilled while the next step runs
+            Kz = None if z is None else z @ P[k].T + z.mean(axis=0) @ Sig[k].T
 
     traj = simulate(model, FeedbackPolicy(sol), X0, cfg, observe)
 
@@ -411,11 +409,11 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     terminal_gap = float(np.max(np.abs(Z - DXh)))
 
     out = {"mode": mode, "dt": dt, "terminal_gap": terminal_gap}
+    worst = float(np.max(stats))
     if mode == "deterministic":
-        out["residual"] = worst           # already divided by dt: O(dt)
-        out["C"] = worst / dt
+        out["residual"], out["C"] = worst, worst / dt   # already divided by dt: O(dt)
     else:
-        out["mean_sq_residual"] = float(np.max(stats)) if stats else 0.0
+        out["mean_sq_residual"] = worst
     return out
 
 

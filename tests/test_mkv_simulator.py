@@ -261,6 +261,29 @@ def test_max_principle_requires_mfc(scalar_coupled, sol_coupled_mfg):
         check_max_principle(scalar_coupled, sol_coupled_mfg, X0, SimConfig(steps=10))
 
 
+def test_max_principle_stochastic_without_noise_sees_a_wrong_solution():
+    # at sigma = 0 stochastic mode forms the same residual as at sigma > 0,
+    # less a noise term the steps do not have, and reports it
+    m = scalar_model(A=0.2, B=1.0, Q=1.0, R=1.0, sigma=0.0, T=1.0)
+    sol = riccati.solve_mfc(m, riccati.TimeGrid(m.T, 100))
+    X0, cfg = gaussian_ensemble(200, 1, seed=16, mean=0.5), SimConfig(steps=100, seed=16)
+    good = check_max_principle(m, sol, X0, cfg, mode="stochastic")["mean_sq_residual"]
+    bad = check_max_principle(m, dataclasses.replace(sol, P=1.5 * sol.P), X0, cfg,
+                              mode="stochastic")["mean_sq_residual"]
+    assert 0.0 < good < 1e-10
+    assert bad > 1e-6
+
+
+@pytest.mark.parametrize("steps", [0, -1, -3])
+def test_steps_below_one_raise_value_error(scalar_coupled, sol_coupled_mfc, steps):
+    X0, cfg = gaussian_ensemble(10, 1, seed=17), SimConfig(steps=steps)
+    with pytest.raises(ValueError, match="need K >= 1"):
+        simulate(scalar_coupled, FeedbackPolicy(sol_coupled_mfc), X0, cfg)
+    for mode in ("deterministic", "stochastic"):
+        with pytest.raises(ValueError, match="need K >= 1"):
+            check_max_principle(scalar_coupled, sol_coupled_mfc, X0, cfg, mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -283,7 +306,7 @@ def _reference_simulate(model, policy, X0, cfg, keep_states=False):
     R^{-1} B* re-factored at every step.  With keep_states it returns the
     (steps+1, N, n) ensemble path beside the trajectory."""
     N, n = X0.N, X0.n
-    dt = cfg.dt(model.T)
+    dt = riccati.TimeGrid(model.T, cfg.steps).h
     sdt = np.sqrt(dt)
     x = X0.states.copy()
     times = np.linspace(0.0, model.T, cfg.steps + 1)
@@ -455,16 +478,32 @@ def test_simulate_bitwise_equal_reference(name, kind, store, threads):
     X0 = gaussian_ensemble(257, model.n, seed=19, mean=0.4)
     cfg = SimConfig(steps=40, seed=19)
     seen = []
-    observe = (lambda k, x, yb: seen.append((k, x.copy(), yb.copy()))) if store else None
+
+    def store_node(k, x, yb, z):
+        seen.append((k, x.copy(), yb.copy(), None if z is None else z.copy()))
+
+    observe = store_node if store else None
     got = simulate(model, policy, X0, cfg, observe)
     ref, states = _reference_simulate(model, policy, X0, cfg, keep_states=True)
     for fld in dataclasses.fields(mkv.Trajectory):
         assert np.array_equal(getattr(got, fld.name), getattr(ref, fld.name)), fld.name
     if store:
-        assert [k for k, _, _ in seen] == list(range(cfg.steps + 1))
-        for k, x, yb in seen:
+        assert [k for k, _, _, _ in seen] == list(range(cfg.steps + 1))
+        sdt = np.sqrt(riccati.TimeGrid(model.T, cfg.steps).h)
+        for k, x, yb, z in seen:
             assert np.array_equal(x, states[k]), k
             assert np.array_equal(yb, ref.ybar[k]), k
+            if k < cfg.steps:
+                draw = model.sigma * sdt * mkv._normals(
+                    cfg.seed, mkv.STREAM_IDIOSYNCRATIC, k, (X0.N, model.n))
+                assert z.tobytes() == draw.tobytes(), k
+            else:
+                assert z is None
+        # without idiosyncratic noise no node has a draw
+        seen.clear()
+        simulate(dataclasses.replace(model, sigma=0.0), policy, X0, cfg, observe)
+        assert len(seen) == cfg.steps + 1
+        assert all(z is None for _, _, _, z in seen)
 
 
 @pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2"])
@@ -726,7 +765,7 @@ def _ref_max_principle(model, sol, X0, cfg, mode):
     model = dataclasses.replace(model, sigma=model.sigma if mode == "stochastic" else 0.0,
                                 beta=0.0)
     traj, states = _reference_simulate(model, FeedbackPolicy(sol), X0, cfg, keep_states=True)
-    dt = cfg.dt(model.T)
+    dt = riccati.TimeGrid(model.T, cfg.steps).h
     S, Qb = model.S, model.Qbar
     Z = np.empty_like(states)
     for k, t in enumerate(traj.times):
@@ -779,7 +818,7 @@ def test_max_principle_equals_reference(name, N, steps, seed, mode):
     assert got["terminal_gap"] == ref["terminal_gap"]
     # D_X L is summed in another order, so each step's residual may move by
     # a few ulps of D_X L's O(1) terms: 1e-15 absolute per unit of dt.
-    dt = cfg.dt(model.T)
+    dt = riccati.TimeGrid(model.T, cfg.steps).h
     floor = {"residual": 1e-15, "C": 1e-15 / dt, "mean_sq_residual": 0.0}
     for key in ref.keys() - {"terminal_gap"}:
         assert got[key] == pytest.approx(ref[key], rel=1e-10, abs=floor[key]), key
