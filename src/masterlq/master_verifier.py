@@ -97,37 +97,35 @@ def residual_master_mfg_gradient(model: lq.LQModelSpec, sol: ric.RiccatiSolution
 
 
 def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
-                               x: np.ndarray, X: np.ndarray, t: float) -> dict:
-    """Scalar bivariate master equation residual for the ansatz
-    U(x, X, t) = 1/2 x*Px + x*Sigma EX + 1/2 EX*Gamma EX + mu.  The
-    Gaussian term D_X^2 U (Gamma_w, Gamma_w) is zero (E[N] = 0) and has
-    no entry."""
+                               X: np.ndarray, t: float) -> dict:
+    """Residual of the MFG master equation for the scalar-valued field
+    U(x, X, t) = 1/2 x*Px + x*Sigma EX + 1/2 EX*Gamma EX + mu, at each row
+    x of X with EX the mean of the rows.  The equation holds at any n and
+    at any EX; this is the one residual that reads Gamma, mu and the
+    common-noise terms.  The Gaussian term D_X^2 U (Gamma_w, Gamma_w) is
+    zero (E[N] = 0) and has no entry."""
     if sol.kind != "MFG":
         raise ValueError("kind mismatch: need MFG solution with Gamma, mu")
     ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
     P, Sig, Gam = ev["P"], ev["Sigma"], ev["Gamma"]
     s2, b2 = model.sigma ** 2, model.beta ** 2
-    x = np.asarray(x, dtype=float).reshape(model.n)
     X = np.atleast_2d(X)
     yb = X.mean(axis=0)
-
-    dU = (0.5 * x @ dv["dP"] @ x + x @ dv["dSigma"] @ yb
-          + 0.5 * yb @ dv["dGamma"] @ yb + dv["dmu"])
-    lap_x = 0.5 * (s2 + b2) * np.trace(P)
-    ek_sum = 0.5 * b2 * np.trace(Gam)
-    div_term = b2 * np.trace(Sig)
-    DXU = Sig.T @ x + Gam @ yb
     mean_flow = _drift_matrix(model.A + model.Abar, model.BRB(), P, Sig) @ yb
-    inner = float(DXU @ mean_flow)
-    quad = lq.hamiltonian(x[None], yb, (P @ x + Sig @ yb)[None], model)[0]
     terms = {
-        "dU_dt": float(dU), "laplacian_x": float(lap_x),
-        "ek_sum": float(ek_sum),
-        "divergence": float(div_term), "DXU_inner": inner,
-        "quadratic_form": float(quad),
+        "dU_dt": (0.5 * lq._quad(X, dv["dP"]) + X @ (dv["dSigma"] @ yb)
+                  + 0.5 * yb @ dv["dGamma"] @ yb + dv["dmu"]),
+        "laplacian_x": 0.5 * (s2 + b2) * np.trace(P),
+        "ek_sum": 0.5 * b2 * np.trace(Gam),
+        "divergence": b2 * np.trace(Sig),
+        "DXU_inner": X @ (Sig @ mean_flow) + Gam @ yb @ mean_flow,   # (Sigma*x + Gamma EX).flow
+        "quadratic_form": lq.hamiltonian(X, yb, X @ P.T + yb @ Sig.T, model),
     }
     resid = sum(terms.values())
-    return {"residual": float(resid), "term_breakdown": terms}
+    return {
+        "residual_norm": float(np.max(np.abs(resid))),
+        "term_breakdown": {name: float(np.max(np.abs(v))) for name, v in terms.items()},
+    }
 
 
 def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
@@ -161,47 +159,6 @@ def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
 
     y0 = np.asarray(y0, dtype=float).reshape(model.n)
     return ric._integrate(make_rhs, (y0,), 0.0, h, grid.K, 0)[0]
-
-
-def consistency_uncoupling(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
-                           y0: np.ndarray, x_pts: np.ndarray,
-                           t_pts: np.ndarray | None = None) -> dict:
-    """Check that u(x,t) = U(x, m(t), t) built along the mean flow solves
-    the HJB side analytically for the quadratic ansatz.
-
-    MFG: residual of -du/dt + Au - H(x, ybar, Du).  MFC: same with the
-    measure-derivative term of the Hamiltonian added; the residual is
-    evaluated after removing its spatial constant (the MFC u is defined up
-    to an additive function of time here).
-    """
-    if model.beta > 0.0:
-        raise ValueError("uncoupling check applies to the deterministic (beta = 0) system")
-    if t_pts is None:
-        t_pts = np.asarray(time_panel(model.T))
-    flow_grid = ric.TimeGrid(model.T, 2000)
-    flow = mean_flow_ode(model, sol, y0, flow_grid)
-    AAbar, BRB = model.A + model.Abar, model.BRB()
-    x_pts = np.asarray(x_pts, dtype=float).reshape(-1, model.n)
-
-    worst = 0.0
-    for t in t_pts:
-        ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
-        P, Sig = ev["P"], ev["Sigma"]
-        yb = ric._interp(flow, flow_grid, t)
-        ydot = _drift_matrix(AAbar, BRB, P, Sig) @ yb
-        H = lq.hamiltonian(x_pts, yb, x_pts @ P.T + Sig @ yb, model)
-        du_dt = (0.5 * lq._quad(x_pts, dv["dP"])
-                 + x_pts @ (dv["dSigma"] @ yb + Sig @ ydot))
-        Au = -0.5 * model.sigma ** 2 * np.trace(P)
-        if sol.kind == "MFG":
-            du_dt += 0.5 * (yb @ dv["dGamma"] @ yb + 2.0 * yb @ ev["Gamma"] @ ydot) + dv["dmu"]
-            res = -du_dt + Au - H
-        else:
-            qbar = P @ yb + Sig @ yb   # int Du(xi) m(dxi) for the linear gradient
-            res = -du_dt + Au - H - x_pts @ lq.measure_term(yb, qbar, model)
-            res = res - np.mean(res)   # x-independent offset not pinned for MFC
-        worst = max(worst, float(np.max(np.abs(res))))
-    return {"max_residual": worst}
 
 
 def seeded_state_panel(n: int, count: int, seed: int) -> np.ndarray:

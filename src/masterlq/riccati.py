@@ -12,8 +12,8 @@ MFC (value function V = 1/2 E X*PX + 1/2 (EX)* Sigma EX + lambda):
 MFG (bivariate field U = 1/2 x*Px + x*Sigma EX + 1/2 EX*Gamma EX + mu):
     P'     same as above
     Sigma' + Sigma M + (A* - P BRB) Sigma - Sigma BRB Sigma - Qbar S + P Abar = 0
-    Gamma' + Gamma N + N* Gamma + S*Qbar S - Sigma BRB Sigma
-           + Sigma Abar + Abar* Sigma = 0, with N = A + Abar - BRB (P + Sigma)
+    Gamma' + Gamma N + N* Gamma + S*Qbar S - Sigma* BRB Sigma
+           + Sigma* Abar + Abar* Sigma = 0, with N = A + Abar - BRB (P + Sigma)
     mu' + (beta^2 + sigma^2)/2 tr P + beta^2/2 tr Gamma + beta^2 tr Sigma = 0
 
 Integrated by fixed-step classical RK4 on a uniform grid, on one packed
@@ -171,13 +171,13 @@ def _mfg_rhs(model: LQModelSpec):
     cP, cG = 0.5 * (b2 + a), 0.5 * b2
 
     def terms(P, Sig, Gam):
-        PB = mm(P, BRB)
-        SBS = mm(mm(Sig, BRB), Sig)
+        PB, SigT = mm(P, BRB), tp(Sig)
         M = AAbar - mm(BRB, P)
         N = AAbar - mm(BRB, P + Sig)
         return (mm(P, A) + mm(AT, P) - mm(PB, P) + Q + Qbar,
-                mm(Sig, M) + mm(AT - PB, Sig) - SBS - QbarS + mm(P, Abar),
-                mm(Gam, N) + mm(tp(N), Gam) + STQbarS - SBS + mm(Sig, Abar) + mm(AbarT, Sig),
+                mm(Sig, M) + mm(AT - PB, Sig) - mm(mm(Sig, BRB), Sig) - QbarS + mm(P, Abar),
+                mm(Gam, N) + mm(tp(N), Gam) + STQbarS - mm(mm(SigT, BRB), Sig)
+                + mm(SigT, Abar) + mm(AbarT, Sig),
                 cP * tr(P) + cG * tr(Gam) + b2 * tr(Sig))
 
     return _bind(terms, model.n, 3)

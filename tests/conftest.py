@@ -76,6 +76,25 @@ def asymmetric_2x2():
 
 
 @pytest.fixture(scope="session")
+def seeded_n8():
+    """Convex n = 8 model with weak mean-field coupling and a stable drift."""
+    n, rng = 8, np.random.default_rng(1)
+    small = lambda scale: scale * rng.standard_normal((n, n)) / np.sqrt(n)
+
+    def psd(scale):
+        G = rng.standard_normal((n, n))
+        M = scale * (G @ G.T) / n
+        return 0.5 * (M + M.T)
+
+    eye = np.eye(n)
+    return lq_model.LQModelSpec(
+        n=n, d=n, T=1.0, A=-0.3 * eye + small(0.2), Abar=small(0.05),
+        B=eye + small(0.1), Q=psd(1.0) + 0.5 * eye, Qbar=psd(0.2), S=small(0.1),
+        R=psd(0.1) + eye, QT=psd(0.5), QbarT=psd(0.1), ST=small(0.1),
+        sigma=0.5, beta=0.2, convex=True)
+
+
+@pytest.fixture(scope="session")
 def sol_lqr(scalar_lqr):
     return riccati.solve_mfc(scalar_lqr, riccati.TimeGrid(scalar_lqr.T, 1000))
 

@@ -181,7 +181,7 @@ def test_mp_runs_on_one_particle(tmp_path):
     code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
                     "--particles", "1", "--steps", "10")
     assert code == 0
-    assert json.loads((out / "verify_mp.json").read_text())["reports"][0]["particles"] == 1
+    assert json.loads((out / "verify_mp.json").read_text())["manifest"]["particles"] == 1
 
 
 def test_key_error_is_a_fault_not_bad_input(tmp_path, monkeypatch):
@@ -334,6 +334,8 @@ def test_verify_master_asymmetric_model(tmp_path):
     rep = _verify_payload(out, "master")
     flagged = [r for r in rep["reports"] if r.get("expected_asymmetry")]
     assert flagged and all(r["symmetry_violation"] > 1e-6 for r in flagged)
+    value = [r for r in rep["reports"] if r["check"] == "master_mfg_scalar"]
+    assert len(value) == 5 and all(r["residual_norm"] <= 1e-6 for r in value)
 
 
 def test_verify_mp_suite(tmp_path):
@@ -342,16 +344,24 @@ def test_verify_mp_suite(tmp_path):
     assert code == 0
     rep = _verify_payload(out, "mp")
     assert rep["reports"][0]["terminal_gap"] <= 1e-8
-    assert rep["reports"][0]["particles"] == 500
+    assert rep["manifest"]["particles"] == 500
 
 
-def test_verify_mp_records_particle_cap(tmp_path):
+def test_verify_mp_runs_every_particle(tmp_path, monkeypatch):
+    import masterlq.cli as cli
+    seen, check = [], cli.mk.check_max_principle
+
+    def spy(model, sol, X0, *args, **kwargs):
+        seen.append(X0.N)
+        return check(model, sol, X0, *args, **kwargs)
+
+    monkeypatch.setattr(cli.mk, "check_max_principle", spy)
     code, out = run(tmp_path, "verify", "--suite", "mp", "--model", COUPLED,
                     "--steps", "50", "--particles", "5000")
     assert code == 0
     rep = json.loads((out / "verify_mp.json").read_text())
-    assert rep["reports"][0]["particles"] == 2000
-    assert rep["manifest"]["particles"] == 5000
+    assert seen == [5000] and rep["manifest"]["particles"] == 5000
+    assert "particles" not in rep["reports"][0]
 
 
 def test_verify_optimality_suite(tmp_path):
@@ -702,7 +712,8 @@ GATED = {
     "hjbfp": ("hjbfp", "--model", CROWD, "--grid=-4,4,120,400"),
 }
 # the verify reports each bound gates
-FAILED_CHECKS = {("master", "master_residual"): {"master_mfc", "master_mfg_gradient"},
+FAILED_CHECKS = {("master", "master_residual"): {"master_mfc", "master_mfg_gradient",
+                                                  "master_mfg_scalar"},
                  ("master", "master_symmetry"): {"master_mfg_gradient"},
                  ("mp", "check_rel"): {"max_principle_deterministic"}}
 

@@ -1,4 +1,4 @@
-"""Master-equation residuals and consistency checks."""
+"""Master-equation residuals, the value and the mean flow."""
 from __future__ import annotations
 
 import dataclasses
@@ -8,8 +8,7 @@ import pytest
 
 from masterlq import lq_model, master_verifier as mv, riccati
 from masterlq.lq_model import scalar_model
-from masterlq.master_verifier import (consistency_uncoupling, eval_value,
-                                      mean_flow_ode, residual_master_mfc,
+from masterlq.master_verifier import (eval_value, mean_flow_ode, residual_master_mfc,
                                       residual_master_mfg_gradient,
                                       residual_master_mfg_scalar,
                                       seeded_state_panel, time_panel)
@@ -75,10 +74,12 @@ def test_master_field_is_lifted_value_gradient(scalar_coupled, sol_coupled_mfc):
 # ---------------------------------------------------------------------------
 # MFC master residual
 
-def test_mfc_residual_small_on_panel(scalar_coupled, sol_coupled_mfc, panel):
-    for t in time_panel(scalar_coupled.T):
-        r = residual_master_mfc(scalar_coupled, sol_coupled_mfc, panel, t)
-        assert r["residual_norm"] <= 1e-6
+def test_mfc_residual_small_on_panel(scalar_coupled, sol_coupled_mfc, crowd_mfg, panel):
+    crowd = riccati.solve_mfc(crowd_mfg, riccati.TimeGrid(crowd_mfg.T, 2000))
+    for m, sol in ((scalar_coupled, sol_coupled_mfc), (crowd_mfg, crowd)):
+        for t in time_panel(m.T):
+            r = residual_master_mfc(m, sol, panel, t)
+            assert r["residual_norm"] <= 1e-6
 
 
 def test_mfc_residual_zero_model(panel):
@@ -126,11 +127,28 @@ def test_mfg_gradient_symmetric_model_clean():
     assert r["residual_norm"] <= 1e-6
 
 
-def test_mfg_scalar_residual_small(scalar_coupled, sol_coupled_mfg, panel):
-    x = np.array([0.7])
-    for t in time_panel(scalar_coupled.T):
-        r = residual_master_mfg_scalar(scalar_coupled, sol_coupled_mfg, x, panel, t)
-        assert abs(r["residual"]) <= 1e-6
+def test_mfg_scalar_residual_small(request, scalar_coupled, sol_coupled_mfg):
+    # at n >= 2 the residual reads Gamma's Sigma*BRB Sigma and Sigma*Abar terms
+    cases = [(scalar_coupled, sol_coupled_mfg)]
+    for name in ("crowd_mfg", "asymmetric_2x2", "coupled_2x2", "seeded_n8"):
+        m = request.getfixturevalue(name)
+        cases.append((m, riccati.solve_mfg(m, riccati.TimeGrid(m.T, 2000))))
+    for m, sol in cases:
+        X = seeded_state_panel(m.n, 64, 3)
+        for t in time_panel(m.T):
+            r = residual_master_mfg_scalar(m, sol, X, t)
+            assert r["residual_norm"] <= 1e-6
+            assert set(r["term_breakdown"]) == {"dU_dt", "laplacian_x", "ek_sum", "divergence",
+                                                "DXU_inner", "quadratic_form"}
+
+
+@pytest.mark.parametrize("block", ["P", "Sigma"])
+def test_mfg_scalar_residual_detects_corruption(crowd_mfg, panel, block):
+    # a Sigma error enters with EX, so the panel is moved off mean zero
+    sol = riccati.solve_mfg(crowd_mfg, riccati.TimeGrid(crowd_mfg.T, 2000))
+    bad = dataclasses.replace(sol, **{block: getattr(sol, block) + 1e-3})
+    r = residual_master_mfg_scalar(crowd_mfg, bad, panel + 1.0, 0.5 * crowd_mfg.T)
+    assert r["residual_norm"] > 1e-4
 
 
 def test_mfg_scalar_constant_term_identity():
@@ -146,9 +164,8 @@ def test_mfg_scalar_constant_term_identity():
 
 def test_mfg_scalar_terminal_residual_zero(scalar_coupled, sol_coupled_mfg, panel):
     t = scalar_coupled.T * (1 - 1e-9)
-    r = residual_master_mfg_scalar(scalar_coupled, sol_coupled_mfg,
-                                   np.array([1.3]), panel, t)
-    assert abs(r["residual"]) < 1e-6
+    r = residual_master_mfg_scalar(scalar_coupled, sol_coupled_mfg, panel, t)
+    assert r["residual_norm"] < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +180,7 @@ def test_sigma_differs_between_kinds():
 
 
 # ---------------------------------------------------------------------------
-# uncoupling along the mean flow
-
-def test_uncoupling_mfg(crowd_mfg):
-    sol = riccati.solve_mfg(crowd_mfg, riccati.TimeGrid(crowd_mfg.T, 2000))
-    xp = np.linspace(-2, 2, 50)
-    rep = consistency_uncoupling(crowd_mfg, sol, np.array([1.0]), xp)
-    assert rep["max_residual"] <= 1e-6
-
-
-def test_uncoupling_mfc(crowd_mfg):
-    sol = riccati.solve_mfc(crowd_mfg, riccati.TimeGrid(crowd_mfg.T, 2000))
-    xp = np.linspace(-2, 2, 50)
-    rep = consistency_uncoupling(crowd_mfg, sol, np.array([1.0]), xp)
-    assert rep["max_residual"] <= 1e-6
-
-
-def test_uncoupling_rejects_common_noise(scalar_coupled, sol_coupled_mfg):
-    with pytest.raises(ValueError):
-        consistency_uncoupling(scalar_coupled, sol_coupled_mfg,
-                               np.array([1.0]), np.linspace(-1, 1, 5))
-
+# mean flow
 
 def test_mean_flow_ode_exponential():
     # no control influence: ydot = A y
@@ -195,6 +192,25 @@ def test_mean_flow_ode_exponential():
 
 # ---------------------------------------------------------------------------
 # infrastructure
+
+def test_verify_runs_every_residual(monkeypatch, coupled_2x2):
+    from masterlq import cli
+    names = [name for name in dir(mv) if name.startswith("residual_master_")]
+    called = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(mv, name, spy(name, getattr(mv, name)))
+    man = {"seed": 0, "tolerances": cli.TOLERANCES["master"]}
+    reports = cli._suite_master(man, coupled_2x2, riccati.TimeGrid(coupled_2x2.T, 200))
+    assert len(names) == 3 and called == set(names)
+    assert all(r["pass"] for r in reports)
+
 
 def test_time_panel_layout():
     tp = time_panel(2.0)

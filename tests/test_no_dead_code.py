@@ -12,10 +12,6 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "masterlq"
 ALLOWED = {
     "scalar_model": "the n = d = 1 constructor that tests and interactive use build models with",
-    "residual_master_mfg_scalar": "scalar MFG master residual, run only in tests until verify "
-                                  "runs it or it is deleted (ROADMAP items 3 and 8)",
-    "consistency_uncoupling": "uncoupling check along the mean flow, run only in tests until "
-                              "verify runs it or it is deleted (ROADMAP items 3 and 8)",
 }
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from masterlq import lq_model, riccati
 from masterlq.riccati import (RiccatiBlowUp, TimeGrid, check_symmetry_conditions,
@@ -172,6 +173,51 @@ def test_mfg_sigma_asymmetry_on_obstructed_model(asymmetric_2x2):
     assert asym > 1e-6
 
 
+def _mean_flow_cost(model, y0):
+    """Oracle for 1/2 y0*Gamma(0) y0 + mu(0) at sigma = beta = 0, by scipy
+    alone: P and Sigma backward from T, then the equilibrium mean flow
+    y' = (A + Abar - BRB (P + Sigma)) y forward from y0, accumulating the
+    y-y part of the agent's running cost, 1/2 y*S*Qbar S y + (Sigma y)*Abar y
+    - 1/2 (Sigma y)*BRB (Sigma y), and adding the terminal 1/2 y*ST*QbarT ST y."""
+    n, T = model.n, model.T
+    A, Abar, Q, Qbar, S, BRB = model.A, model.Abar, model.Q, model.Qbar, model.S, model.BRB()
+
+    def backward(t, v):
+        P, Sig = v[:n * n].reshape(n, n), v[n * n:].reshape(n, n)
+        M = A + Abar - BRB @ P
+        dP = -(P @ A + A.T @ P - P @ BRB @ P + Q + Qbar)
+        dSig = -(Sig @ M + (A.T - P @ BRB) @ Sig - Sig @ BRB @ Sig - Qbar @ S + P @ Abar)
+        return np.concatenate([dP.ravel(), dSig.ravel()])
+
+    end = np.concatenate([(model.QT + model.QbarT).ravel(), (-model.QbarT @ model.ST).ravel()])
+    ps = solve_ivp(backward, (T, 0.0), end, method="DOP853", rtol=1e-12, atol=1e-14,
+                   dense_output=True).sol
+
+    def forward(t, v):
+        PS = ps(t)
+        P, Sig = PS[:n * n].reshape(n, n), PS[n * n:].reshape(n, n)
+        y = v[:n]
+        Sy = Sig @ y
+        run = 0.5 * y @ S.T @ Qbar @ S @ y + Sy @ Abar @ y - 0.5 * Sy @ BRB @ Sy
+        return np.concatenate([(A + Abar - BRB @ (P + Sig)) @ y, [run]])
+
+    v = solve_ivp(forward, (0.0, T), np.concatenate([y0, [0.0]]), method="DOP853",
+                  rtol=1e-12, atol=1e-14).y[:, -1]
+    yT = v[:n]
+    return v[n] + 0.5 * yT @ model.ST.T @ model.QbarT @ model.ST @ yT
+
+
+@pytest.mark.parametrize("name", ["asymmetric_2x2", "coupled_2x2", "seeded_n8"])
+def test_mfg_gamma_mu_equal_mean_flow_cost(request, name):
+    m = dataclasses.replace(request.getfixturevalue(name), sigma=0.0, beta=0.0)
+    sol = solve_mfg(m, TimeGrid(m.T, 4000))
+    assert np.max(np.abs(sol.Gamma - np.swapaxes(sol.Gamma, 1, 2))) <= 1e-12
+    y0 = np.linspace(1.0, -0.5, m.n)
+    ref = _mean_flow_cost(m, y0)
+    got = 0.5 * y0 @ sol.Gamma[0] @ y0 + sol.mu[0]
+    assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # eval_at / CSV
 
@@ -318,8 +364,8 @@ def _ref_mfg_rhs(model):
         dP = -(P @ A + A.T @ P - P @ BRB @ P + Q + Qbar)
         dSig = -(Sig @ M + (A.T - P @ BRB) @ Sig - Sig @ BRB @ Sig
                  - Qbar @ S + P @ Abar)
-        dGam = -(Gam @ N + N.T @ Gam + S.T @ Qbar @ S - Sig @ BRB @ Sig
-                 + Sig @ Abar + Abar.T @ Sig)
+        dGam = -(Gam @ N + N.T @ Gam + S.T @ Qbar @ S - Sig.T @ BRB @ Sig
+                 + Sig.T @ Abar + Abar.T @ Sig)
         dmu = -(0.5 * (b2 + a) * np.trace(P) + 0.5 * b2 * np.trace(Gam) + b2 * np.trace(Sig))
         return dP, dSig, dGam, dmu
 
@@ -373,25 +419,6 @@ def _ref_solve(kind, m, grid):
     out = {name: np.array([s[i] for s in nodes]) for i, name in enumerate(names)}
     out.update({name: np.array([d[i] for d in derivs]) for i, name in enumerate(dnames)})
     return out
-
-
-@pytest.fixture(scope="module")
-def seeded_n8():
-    """Convex n = 8 model with weak mean-field coupling and a stable drift."""
-    n, rng = 8, np.random.default_rng(1)
-    small = lambda scale: scale * rng.standard_normal((n, n)) / np.sqrt(n)
-
-    def psd(scale):
-        G = rng.standard_normal((n, n))
-        M = scale * (G @ G.T) / n
-        return 0.5 * (M + M.T)
-
-    eye = np.eye(n)
-    return lq_model.LQModelSpec(
-        n=n, d=n, T=1.0, A=-0.3 * eye + small(0.2), Abar=small(0.05),
-        B=eye + small(0.1), Q=psd(1.0) + 0.5 * eye, Qbar=psd(0.2), S=small(0.1),
-        R=psd(0.1) + eye, QT=psd(0.5), QbarT=psd(0.1), ST=small(0.1),
-        sigma=0.5, beta=0.2, convex=True)
 
 
 def _seeded_n1(seed: int) -> lq_model.LQModelSpec:
