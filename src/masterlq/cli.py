@@ -40,7 +40,7 @@ EXIT_CHECK_FAILED = 3
 TOLERANCES = {
     "riccati": {},
     "simulate": {"cost_dt_const": 10.0},
-    "lift": {},
+    "lift": lc.BOUNDS,   # the dict the lift checks read, not a copy
     "master": {"master_residual": 1e-6, "master_symmetry": 1e-9},
     "mp": {"check_rel": 1e-8},
     "optimality": {},
@@ -278,12 +278,12 @@ def cmd_hjbfp(args) -> int:
     return EXIT_OK
 
 
-def _dump_slices(fields: hj.PDEFields, path: str, count: int = 5) -> None:
-    """Rows (t, x, u, m) at `count` evenly spaced time nodes, x fastest."""
-    ks = np.linspace(0, fields.tgrid.K, count).astype(int)
+def _dump_slices(fields: hj.PDEFields, path: str) -> None:
+    """Rows (t, x, u, m) at five evenly spaced time nodes, x fastest."""
+    ks = np.linspace(0, fields.tgrid.K, 5).astype(int)
     Nx = fields.grid.Nx
     ric._write_csv(path, ["t", "x", "u", "m"], np.column_stack([
-        np.repeat(ks * fields.tgrid.h, Nx), np.tile(fields.grid.nodes(), count),
+        np.repeat(ks * fields.tgrid.h, Nx), np.tile(fields.grid.nodes(), ks.size),
         fields.u[ks].ravel(), fields.m[ks].ravel()]))
 
 

@@ -39,6 +39,7 @@ from . import riccati as ric
 from . import master_verifier as mv
 
 ANDERSON_DEPTH = 5     # Anderson history depth of picard_solve
+PICARD_TOL = 1e-6      # picard_solve stops once max |F(z) - z| is below it
 CROSSVAL_ROWS = 64     # time nodes per block of cross_validate_lq: small temporaries
 SWEEP_BLOCK = 16       # time steps per block of sweep checks: buffers of a few tens of KB
 
@@ -422,7 +423,7 @@ def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray,
 
 def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
                  m0: np.ndarray, kind: str = "MFG", damping: float = 0.5,
-                 max_iter: int = 200, tol: float = 1e-6) -> PDEFields:
+                 max_iter: int = 200) -> PDEFields:
     """Anderson-accelerated fixed point on the statistics z the HJB reads.
 
     z holds the mean path ybar_0..ybar_K (when the problem uses the mean)
@@ -430,7 +431,7 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
     HJB sweep on z, one FP sweep on the resulting drift, and reads z back
     from the new (u, m).  Each step is a Type-II Anderson step (Walker-Ni)
     of depth ANDERSON_DEPTH with mixing `damping`; the iteration stops when
-    max |F(z) - z| < tol and returns that evaluation's u and m.  An empty z
+    max |F(z) - z| < PICARD_TOL and returns that evaluation's u and m.  An empty z
     (a problem that never reads m) converges after one HJB + FP pair.
     """
     if not 0.0 < damping <= 1.0:
@@ -474,7 +475,7 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
         f = _statistics(u, m, x, prob.uses_mean, mfc) - z
         delta = float(np.max(np.abs(f))) if f.size else 0.0
         history.append(delta)
-        if delta < tol:
+        if delta < PICARD_TOL:
             return PDEFields(u=u, m=m, grid=grid, tgrid=tgrid,
                              iterations=it, history=history)
         if z_prev is not None:

@@ -60,7 +60,7 @@ class GaussianMeasure:
         return u * u - 1.0 / self.std ** 2
 
 
-def _expect(m: GaussianMeasure, f, order: int) -> float:
+def _expect(m: GaussianMeasure, f, order: int = 128) -> float:
     x, w = m.quad_points(order)
     return float(w @ f(x))
 
@@ -124,24 +124,24 @@ class MomentFunctional:
     def d2Fdm2(self, m: GaussianMeasure, xi, eta, order: int = 128):
         return self.g2(self.moment(m, order)) * (self.phi.f(xi) * self.phi.f(eta))
 
-    def d2m(self, m, x, y, order: int = 128):
+    def d2m(self, m, x, y):
         """Mixed second measure derivative d2m F(m)(x, y)."""
-        return self.g2(self.moment(m, order)) * (self.phi.d1(x) * self.phi.d1(y))
+        return self.g2(self.moment(m)) * (self.phi.d1(x) * self.phi.d1(y))
 
-    def dx_dm(self, m, x, order: int = 128):
+    def dx_dm(self, m, x):
         """D_x partial_m F(m)(x)."""
-        return self.g1(self.moment(m, order)) * self.phi.d2(x)
+        return self.g1(self.moment(m)) * self.phi.d2(x)
 
     # analytic Gaussian evaluations of the Hilbert-space second derivative
-    def sum_D2F_ek(self, m: GaussianMeasure, order: int = 128) -> float:
+    def sum_D2F_ek(self, m: GaussianMeasure) -> float:
         """sum_k D2F(X)(e_k, e_k) for X ~ m (n = 1: single term)."""
-        s, e1 = self.moment(m, order), _expect(m, self.phi.d1, order)
-        return self.g2(s) * e1 * e1 + self.g1(s) * _expect(m, self.phi.d2, order)
+        s, e1 = self.moment(m), _expect(m, self.phi.d1)
+        return self.g2(s) * e1 * e1 + self.g1(s) * _expect(m, self.phi.d2)
 
-    def D2F_indep_gauss(self, m: GaussianMeasure, order: int = 128) -> float:
+    def D2F_indep_gauss(self, m: GaussianMeasure) -> float:
         """D2F(X)(N, N) with N standard Gaussian independent of X ~ m:
         E[phi'(X) N] = 0 and E[phi''(X) N^2] = E[phi''(X)]."""
-        return self.g1(self.moment(m, order)) * _expect(m, self.phi.d2, order)
+        return self.g1(self.moment(m)) * _expect(m, self.phi.d2)
 
 
 def builtin_functionals() -> list[MomentFunctional]:
@@ -188,6 +188,12 @@ def _quad_checked(fn, F, m) -> float:
 # ---------------------------------------------------------------------------
 # identity checks
 
+# The bounds the checks read at each call, which `verify --suite lift` records; the
+# Taylor fit's order must lie in [3 - taylor_slope, 3 + taylor_slope].
+BOUNDS = {"lift_fd_rel": 1e-6, "lift_quad_rel": 1e-8, "lift_linear_zero": 1e-10,
+          "taylor_slope": 0.1}
+
+
 def _report(check, F, lhs, rhs, abs_err, rel_err, passed, **extra) -> dict:
     """A check's result: its name, the functional, the two sides, their
     errors and the verdict, then the check's own extras."""
@@ -202,12 +208,12 @@ def _mk_report(check, F, lhs, rhs, tol) -> dict:
     return _report(check, F, float(lhs), float(rhs), abs_err, rel_err, bool(rel_err < tol))
 
 
-def check_gradient_lift(F: MomentFunctional, X: np.ndarray, Y: np.ndarray,
-                        theta_steps=(1e-3, 1e-4, 1e-5), tol=1e-6) -> dict:
+def check_gradient_lift(F: MomentFunctional, X: np.ndarray, Y: np.ndarray) -> dict:
     """Directional derivative of the lifted F against <DF(X), Y>."""
     if X.size == 0:
         raise ValueError("empty ensemble")
     exact = float(np.mean(F.DF_lifted(X) * Y))
+    theta_steps = (1e-3, 1e-4, 1e-5)
     errs = []
     slopes = {}
     for th in theta_steps:
@@ -218,57 +224,59 @@ def check_gradient_lift(F: MomentFunctional, X: np.ndarray, Y: np.ndarray,
         errs.append(abs(rich - exact) / max(1.0, abs(exact)))
     best = min(errs)
     return _report("gradient_lift", F, exact, slopes[min(theta_steps)],
-                   abs(slopes[min(theta_steps)] - exact), best, bool(best < tol),
-                   theta_steps=list(theta_steps))
+                   abs(slopes[min(theta_steps)] - exact), best,
+                   bool(best < BOUNDS["lift_fd_rel"]), theta_steps=list(theta_steps))
 
 
-def check_second_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8) -> dict:
+def check_second_identity(F: MomentFunctional, m: GaussianMeasure) -> dict:
     """sum_k D2F(e_k,e_k) vs quadrature of dF/dm Lap m + double kernel term."""
     lhs = F.sum_D2F_ek(m)
     rhs = _quad_checked(_quad_dFdm_lap, F, m) + _quad_checked(_quad_d2F_DmDm, F, m)
-    return _mk_report("second_identity", F, lhs, rhs, tol)
+    return _mk_report("second_identity", F, lhs, rhs, BOUNDS["lift_quad_rel"])
 
 
-def check_difference_identity(F: MomentFunctional, m: GaussianMeasure, tol=1e-8) -> dict:
+def check_difference_identity(F: MomentFunctional, m: GaussianMeasure) -> dict:
     """sum_k D2F(e_k,e_k) - D2F(N,N) vs the double kernel quadrature.
 
     For linear functionals the difference vanishes identically.
     """
     lhs = F.sum_D2F_ek(m) - F.D2F_indep_gauss(m)
     rhs = _quad_checked(_quad_d2F_DmDm, F, m)
-    rep = _mk_report("difference_identity", F, lhs, rhs, tol)
+    rep = _mk_report("difference_identity", F, lhs, rhs, BOUNDS["lift_quad_rel"])
     if F.p == 1:
-        rep["pass"] = rep["pass"] and abs(lhs) < 1e-10 and abs(rhs) < 1e-10
-        rep["linear_zero"] = abs(lhs) < 1e-10
+        zero = BOUNDS["lift_linear_zero"]
+        rep["pass"] = rep["pass"] and abs(lhs) < zero and abs(rhs) < zero
+        rep["linear_zero"] = abs(lhs) < zero
     return rep
 
 
-def check_buckdahn_relation(F: MomentFunctional, m: GaussianMeasure,
-                            grid_pts=20, span=3.0, fd_step=1e-4, tol=1e-6) -> dict:
-    """d2m F(m)(x,y) vs mixed central finite difference of d2F/dm2."""
-    xs = np.linspace(m.mean - span * m.std, m.mean + span * m.std, grid_pts)
+def check_buckdahn_relation(F: MomentFunctional, m: GaussianMeasure) -> dict:
+    """d2m F(m)(x,y) vs mixed central finite difference of d2F/dm2, on a
+    20 x 20 grid over mean +- 3 std with step h = 1e-4."""
+    xs = np.linspace(m.mean - 3.0 * m.std, m.mean + 3.0 * m.std, 20)
     Xg, Yg = np.meshgrid(xs, xs, indexing="ij")
     direct = F.d2m(m, Xg, Yg)
-    h = fd_step
+    h = 1e-4
     fd = (F.d2Fdm2(m, Xg + h, Yg + h) - F.d2Fdm2(m, Xg + h, Yg - h)
           - F.d2Fdm2(m, Xg - h, Yg + h) + F.d2Fdm2(m, Xg - h, Yg - h)) / (4.0 * h * h)
     err = float(np.max(np.abs(direct - fd)))
     scale = max(1.0, float(np.max(np.abs(direct))))
     return _report("buckdahn_relation", F, float(np.max(np.abs(direct))),
-                   float(np.max(np.abs(fd))), err, err / scale, bool(err / scale < tol))
+                   float(np.max(np.abs(fd))), err, err / scale,
+                   bool(err / scale < BOUNDS["lift_fd_rel"]))
 
 
 TAYLOR_BLOCK = 64   # particles per block of the N x N second-order kernel
 
 
-def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray,
-                           eps_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-                           noise_floor=1e-12) -> dict:
+def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray) -> dict:
     """Fit the order of the remainder after the second-order expansion.
 
     Remainder R(eps) = F(X0 + eps Y) - [F(X0) + first + two second-order
-    terms]; a three-times differentiable functional gives slope ~= 3.
+    terms] at eps = 1e-1 ... 1e-3; a three-times differentiable functional
+    gives slope ~= 3.  A fit needs two remainders above the noise floor.
     """
+    eps_list, noise_floor = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3), 1e-12
     F0 = F.F_lifted(X0)
     DF0, dx_dm0 = F.DF_lifted(X0), F.dx_dm(X0, X0)
     # d2m(X0, xi, X0) = g''(s) phi'(xi) phi'(X0), with s the moment of X0;
@@ -296,8 +304,9 @@ def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray,
                        remainders=remainders.tolist(), too_few_points_for_fit=True)
     slope = float(np.polyfit(np.log(np.asarray(eps_list)[mask]),
                              np.log(np.abs(remainders[mask])), 1)[0])
+    b = BOUNDS["taylor_slope"]
     return _report("taylor_remainder", F, slope, 3.0, abs(slope - 3.0), abs(slope - 3.0) / 3.0,
-                   bool(2.9 <= slope <= 3.1), slope=slope, remainders=remainders.tolist())
+                   bool(3.0 - b <= slope <= 3.0 + b), slope=slope, remainders=remainders.tolist())
 
 
 def seeded_ensemble(N: int, seed: int, mean=0.0, std=1.0) -> np.ndarray:

@@ -162,5 +162,6 @@ def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
 
 
 def seeded_state_panel(n: int, count: int, seed: int) -> np.ndarray:
+    """count rows from N(1, I): a mean away from 0 lets residuals see Gamma (1/2 EX*Gamma EX)."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.standard_normal((count, n))
+    return rng.standard_normal((count, n)) + 1.0

@@ -80,33 +80,22 @@ class SimConfig:
 class FeedbackPolicy:
     """Linear feedback v = (-R^{-1}B* P(t) + K1) x + (-R^{-1}B* Sigma(t) + K2) ybar.
 
-    The Riccati part is present when sol is set, and each constant offset
-    K1, K2 only when given: sol alone is the optimal control of its MFC or
-    MFG solution, sol with offsets a perturbed one, offsets alone constant
-    user gains.
+    Each constant offset K1, K2 is added only when given: sol alone is the
+    optimal control of its MFC or MFG solution, sol with offsets a
+    perturbed one.
     """
 
-    sol: ric.RiccatiSolution | None = None
+    sol: ric.RiccatiSolution
     K1: np.ndarray | None = None
     K2: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.sol is None:
-            for name in ("K1", "K2"):
-                if getattr(self, name) is None:
-                    raise ValueError(f"a feedback policy without sol needs both gains: "
-                                     f"{name} is missing")
-
-    def gains(self, times: np.ndarray, RB: np.ndarray | None):
+    def gains(self, times: np.ndarray, RB: np.ndarray):
         """(K1, K2) stacks of shape (len(times), d, n), row j at times[j],
-        given RB = model.Rinv_Bt() (None when sol is not set)."""
+        given RB = model.Rinv_Bt()."""
         tables = []
         for name, K in (("P", self.K1), ("Sigma", self.K2)):
-            G = (None if self.sol is None
-                 else -RB @ ric._interp(getattr(self.sol, name), self.sol.grid, times))
-            if K is not None:
-                G = np.broadcast_to(K, (len(times),) + K.shape) if G is None else G + K
-            tables.append(G)
+            G = -RB @ ric._interp(getattr(self.sol, name), self.sol.grid, times)
+            tables.append(G if K is None else G + K)
         return tables
 
 
@@ -197,7 +186,7 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
             return buf, beta_sdt * _normals(cfg.seed, STREAM_COMMON, k, (n,))
         return buf, None
 
-    RB = model.Rinv_Bt() if any(p.sol is not None for p in policies) else None
+    RB = model.Rinv_Bt()
     gains = [p.gains(times[:-1], RB) for p in policies]
     bufs = [np.empty((N, n)), np.empty((N, n))] if model.sigma > 0.0 else [None, None]
     # Every (N, .) quantity of a step is written into these arrays, made
@@ -301,8 +290,7 @@ def estimate_cost(model: lq.LQModelSpec, traj: Trajectory) -> dict:
 
 
 def check_cost_matches_value(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
-                             X0: ParticleEnsemble, traj: Trajectory,
-                             dt_const: float = 10.0) -> dict:
+                             X0: ParticleEnsemble, traj: Trajectory, dt_const: float) -> dict:
     """Cost of traj, simulated under sol's feedback from X0, vs V(X0, 0).
 
     By Ito's formula on the lifted value V(t, X_t), J - V(0, X0) is a

@@ -19,6 +19,7 @@ from masterlq.lq_model import LQModelSpec, scalar_model
 from conftest import make_asymmetric_2x2, make_coupled_2x2
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
+DT_CONST = cli.TOLERANCES["simulate"]["cost_dt_const"]   # the bound `simulate` gates on
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -115,7 +116,7 @@ def test_criterion_05_bellman_cost_matching():
             assert sol.lam[0] == pytest.approx(0.5 * np.log(np.cosh(1.0)), abs=1e-8)
         X0 = mkv.gaussian_ensemble(100_000, 1, seed=5)
         traj = mkv.simulate(m, mkv.FeedbackPolicy(sol), X0, mkv.SimConfig(steps=1000, seed=5))
-        rep = mkv.check_cost_matches_value(m, sol, X0, traj)
+        rep = mkv.check_cost_matches_value(m, sol, X0, traj, DT_CONST)
         ok = ok and rep["pass"] and rep["gap"] <= 3 * rep["stderr"] + 0.01
         details.append(f"sigma={sigma:g}: |J-V| = {rep['gap']:.4f} "
                        f"(3 stderr + 0.01 = {3 * rep['stderr'] + 0.01:.4f})")

@@ -696,7 +696,8 @@ ARTIFACT = {"riccati": "riccati_mfc.json", "simulate": "simulate.json",
 TOLERANCES = {
     "riccati": {},
     "simulate": {"cost_dt_const": 10.0},
-    "lift": {},
+    "lift": {"lift_fd_rel": 1e-6, "lift_quad_rel": 1e-8, "lift_linear_zero": 1e-10,
+             "taylor_slope": 0.1},
     "master": {"master_residual": 1e-6, "master_symmetry": 1e-9},
     "mp": {"check_rel": 1e-8},
     "optimality": {},
@@ -707,6 +708,7 @@ TOLERANCES = {
 # coupling, so its master run gates on the symmetry too
 GATED = {
     "simulate": ("simulate", "--model", LQR, "--particles", "50", "--steps", "2"),
+    "lift": ("verify", "--suite", "lift"),
     "master": ("verify", "--suite", "master", "--model", LQR, "--steps", "200"),
     "mp": ("verify", "--suite", "mp", "--model", LQR, "--steps", "20", "--particles", "50"),
     "hjbfp": ("hjbfp", "--model", CROWD, "--grid=-4,4,120,400"),
@@ -715,7 +717,11 @@ GATED = {
 FAILED_CHECKS = {("master", "master_residual"): {"master_mfc", "master_mfg_gradient",
                                                   "master_mfg_scalar"},
                  ("master", "master_symmetry"): {"master_mfg_gradient"},
-                 ("mp", "check_rel"): {"max_principle_deterministic"}}
+                 ("mp", "check_rel"): {"max_principle_deterministic"},
+                 ("lift", "lift_fd_rel"): {"gradient_lift", "buckdahn_relation"},
+                 ("lift", "lift_quad_rel"): {"second_identity", "difference_identity"},
+                 ("lift", "lift_linear_zero"): {"difference_identity"},
+                 ("lift", "taylor_slope"): {"taylor_remainder"}}
 
 
 def _parser(row):

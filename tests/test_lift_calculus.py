@@ -141,7 +141,7 @@ def test_taylor_cubed_mean_remainder_exact():
     # R(eps) = eps^3 (E Y)^3 exactly for the cubed mean
     X = seeded_ensemble(2000, 3)
     Y = seeded_ensemble(2000, 4, mean=1.0)
-    r = check_taylor_remainder(BUILTIN["cubed-mean"], X, Y, eps_list=(1e-1,))
+    r = check_taylor_remainder(BUILTIN["cubed-mean"], X, Y)   # eps = 1e-1 first
     Ey = float(np.mean(Y))
     assert r["remainders"][0] == pytest.approx((0.1 * Ey) ** 3, rel=1e-9)
 

@@ -212,6 +212,24 @@ def test_verify_runs_every_residual(monkeypatch, coupled_2x2):
     assert all(r["pass"] for r in reports)
 
 
+def test_verify_master_sees_gamma_error(monkeypatch, crowd_mfg):
+    # crowd's Gamma enters the scalar residual only through 1/2 EX*Gamma EX: a
+    # panel drawn around 0 (EX near 0.1) let Gamma + 1e-4 pass the gate
+    from masterlq import cli
+    solve_mfg = riccati.solve_mfg
+
+    def gamma_off(*args):
+        sol = solve_mfg(*args)
+        return dataclasses.replace(sol, Gamma=sol.Gamma + 1e-4)
+
+    monkeypatch.setattr(riccati, "solve_mfg", gamma_off)
+    man = {"seed": 0, "tolerances": cli.TOLERANCES["master"]}
+    reports = cli._suite_master(man, crowd_mfg, riccati.TimeGrid(crowd_mfg.T, 1000))
+    scalar = [r for r in reports if r["check"] == "master_mfg_scalar"]
+    assert max(r["residual_norm"] for r in scalar) > 10 * man["tolerances"]["master_residual"]
+    assert not all(r["pass"] for r in scalar)
+
+
 def test_time_panel_layout():
     tp = time_panel(2.0)
     assert tp[0] == 0.0 and tp[2] == 1.0

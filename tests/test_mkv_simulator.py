@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masterlq import lq_model, master_verifier as mv, mkv_simulator as mkv, riccati
+from masterlq import cli, lq_model, master_verifier as mv, mkv_simulator as mkv, riccati
 from masterlq.lq_model import scalar_model
 from masterlq.mkv_simulator import (FeedbackPolicy, ParticleEnsemble, SimConfig,
                                     check_cost_matches_value,
@@ -21,17 +21,35 @@ from masterlq.mkv_simulator import (FeedbackPolicy, ParticleEnsemble, SimConfig,
 from conftest import make_coupled_2x2
 
 
+DT_CONST = cli.TOLERANCES["simulate"]["cost_dt_const"]   # the bound `simulate` gates on
+
+
+def constant_policy(model: lq_model.LQModelSpec, K1, K2) -> FeedbackPolicy:
+    """Constant gains K1, K2: offsets on the MFC solution of a model with
+    model's n, d, T and R and no cost, whose P and Sigma are zero."""
+    free = lq_model.model_from_dict({"n": model.n, "d": model.d, "T": model.T,
+                                     "R": model.R.tolist()})
+    return FeedbackPolicy(riccati.solve_mfc(free, riccati.TimeGrid(model.T, 10)), K1=K1, K2=K2)
+
+
 def zero_policy(model: lq_model.LQModelSpec) -> FeedbackPolicy:
     """The uncontrolled policy: both gains zero."""
-    return FeedbackPolicy(K1=np.zeros((model.d, model.n)),
-                          K2=np.zeros((model.d, model.n)))
+    return constant_policy(model, np.zeros((model.d, model.n)), np.zeros((model.d, model.n)))
 
 
-@pytest.mark.parametrize("gains,missing", [({}, "K1"), ({"K1": np.zeros((1, 1))}, "K2"),
-                                           ({"K2": np.zeros((1, 1))}, "K1")])
-def test_policy_without_solution_needs_both_gains(gains, missing):
-    with pytest.raises(ValueError, match=f"{missing} is missing"):
-        FeedbackPolicy(**gains)
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (2, 1)])
+@pytest.mark.parametrize("zero", [False, True])
+def test_constant_policy_gains_are_its_offsets(n, d, zero):
+    # the zero-cost solution's gains add +-0.0 to the offsets: the tables
+    # hold the offsets' bits at every step
+    model = lq_model.model_from_dict({"n": n, "d": d, "T": 1.0, "R": np.eye(d).tolist(),
+                                      "B": np.ones((n, d)).tolist()})
+    rng = np.random.default_rng(10 * n + d)
+    K1, K2 = np.zeros((2, d, n)) if zero else rng.standard_normal((2, d, n))
+    times = np.linspace(0.0, 1.0, 38)[:-1]
+    tables = constant_policy(model, K1, K2).gains(times, model.Rinv_Bt())
+    for table, K in zip(tables, (K1, K2)):
+        assert table.tobytes() == np.broadcast_to(K, (len(times), d, n)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +173,7 @@ def test_estimate_cost_needs_two_particles(scalar_lqr, sol_lqr):
     with pytest.raises(ValueError, match="at least two particles"):
         estimate_cost(scalar_lqr, traj)
     with pytest.raises(ValueError, match="at least two particles"):
-        check_cost_matches_value(scalar_lqr, sol_lqr, X0, traj)
+        check_cost_matches_value(scalar_lqr, sol_lqr, X0, traj, DT_CONST)
     with pytest.raises(ValueError, match="at least two particles"):
         check_optimality_gap(scalar_lqr, sol_lqr, X0, SimConfig(steps=20, seed=0))
     two = ParticleEnsemble(np.array([[0.7], [-0.2]]))
@@ -167,7 +185,7 @@ def test_cost_matches_value_coupled(scalar_coupled, sol_coupled_mfc):
     X0 = gaussian_ensemble(20000, 1, seed=11, mean=0.5)
     traj = simulate(scalar_coupled, FeedbackPolicy(sol_coupled_mfc), X0,
                     SimConfig(steps=500, seed=11))
-    rep = check_cost_matches_value(scalar_coupled, sol_coupled_mfc, X0, traj)
+    rep = check_cost_matches_value(scalar_coupled, sol_coupled_mfc, X0, traj, DT_CONST)
     assert rep["pass"], rep
     assert rep["J_hat"] == rep["J_path"] - rep["common_noise_martingale"]
     # the martingale step by step: (P + Sigma)(t_k) ybar_k . (b_{k+1} - b_k)
@@ -180,7 +198,7 @@ def test_cost_matches_value_coupled(scalar_coupled, sol_coupled_mfc):
     assert rep["common_noise_martingale"] == pytest.approx(M, rel=1e-12)
     # the correction cannot hide a wrong value
     wrong = dataclasses.replace(sol_coupled_mfc, lam=sol_coupled_mfc.lam + 0.05)
-    bad = check_cost_matches_value(scalar_coupled, wrong, X0, traj)
+    bad = check_cost_matches_value(scalar_coupled, wrong, X0, traj, DT_CONST)
     assert bad["J_hat"] == rep["J_hat"] and not bad["pass"], bad
 
 
@@ -190,7 +208,7 @@ def test_cost_check_without_common_noise_is_the_plain_estimate(scalar_coupled, m
     X0 = gaussian_ensemble(5000, 1, seed=11, mean=0.5)
     traj = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=500, seed=11))
     monkeypatch.setattr(mkv, "_simulate", None)     # the check runs no simulation
-    rep = check_cost_matches_value(m, sol, X0, traj)
+    rep = check_cost_matches_value(m, sol, X0, traj, DT_CONST)
     est = estimate_cost(m, traj)
     assert rep["common_noise_martingale"] == 0.0
     assert rep["J_hat"] == rep["J_path"] == est["J_hat"]
@@ -324,16 +342,13 @@ def _reference_simulate(model, policy, X0, cfg, keep_states=False):
         m2[k] = np.mean(x * x, axis=0)
         if hist is not None:
             hist[k] = x
-        if policy.sol is None:
-            K1, K2 = policy.K1, policy.K2
-        else:
-            ev = riccati.eval_at(policy.sol, t)
-            RB = model.Rinv_Bt()
-            K1 = -RB @ ev["P"]
-            K2 = -RB @ ev["Sigma"]
-            if policy.K1 is not None:
-                K1 = K1 + policy.K1
-                K2 = K2 + policy.K2
+        ev = riccati.eval_at(policy.sol, t)
+        RB = model.Rinv_Bt()
+        K1 = -RB @ ev["P"]
+        K2 = -RB @ ev["Sigma"]
+        if policy.K1 is not None:
+            K1 = K1 + policy.K1
+            K2 = K2 + policy.K2
         v = x @ K1.T + yb @ K2.T
         e = x - yb @ S.T
         f = 0.5 * (np.einsum("ij,jk,ik->i", x, Q, x)
@@ -415,20 +430,19 @@ def test_gain_tables_equal_per_step_formula(name, steps, K):
     policies = [FeedbackPolicy(mfc), FeedbackPolicy(mfg),
                 FeedbackPolicy(mfc, K1=0.3 * d1, K2=0.3 * d2),
                 FeedbackPolicy(mfg, K1=0.3 * d1, K2=0.3 * d2),
-                FeedbackPolicy(K1=C1, K2=C2)]
+                constant_policy(model, C1, C2)]
     for policy in policies:
-        K1s, K2s = policy.gains(times, RB if policy.sol is not None else None)
+        K1s, K2s = policy.gains(times, RB)
         assert K1s.shape == K2s.shape == (steps, model.d, model.n)
         for k, t in enumerate(times):
-            if policy.sol is None:
-                K1, K2 = C1, C2
-            else:
-                ev = riccati.eval_at(policy.sol, t)
-                K1, K2 = -RB @ ev["P"], -RB @ ev["Sigma"]
-                if policy.K1 is not None:
-                    K1, K2 = K1 + policy.K1, K2 + policy.K2
+            ev = riccati.eval_at(policy.sol, t)
+            K1, K2 = -RB @ ev["P"], -RB @ ev["Sigma"]
+            if policy.K1 is not None:
+                K1, K2 = K1 + policy.K1, K2 + policy.K2
             assert K1s[k].tobytes() == K1.tobytes(), (k, t)
             assert K2s[k].tobytes() == K2.tobytes(), (k, t)
+    assert K1s.tobytes() == np.broadcast_to(C1, K1s.shape).tobytes()   # the constant policy
+    assert K2s.tobytes() == np.broadcast_to(C2, K2s.shape).tobytes()
 
 
 def test_particle_layer_interpolates_once_per_run(monkeypatch):
@@ -535,7 +549,7 @@ def test_simulate_one_rinv_bt_per_call(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_numerical_failure_same_step_and_joins_worker(threads):
     model = lq_model.scalar_model(A=0.5, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=1.0)
-    policy = mkv.FeedbackPolicy(K1=np.array([[1e120]]), K2=np.array([[0.0]]))
+    policy = constant_policy(model, np.array([[1e120]]), np.array([[0.0]]))
     X0 = gaussian_ensemble(300, 1, seed=20)
     cfg = SimConfig(steps=50, seed=20)
     with pytest.raises(riccati.NumericalFailure) as ref:
@@ -631,7 +645,7 @@ def test_optimality_gap_failure_is_first_in_list_order(threads):
 @pytest.mark.parametrize("gains", [(1e60, 1e120), (1e120, 1e60), (0.0, 1e120), (1e120, 0.0)])
 def test_simulate_policies_failure_matches_sequential(gains, threads):
     model = lq_model.scalar_model(A=0.5, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=1.0)
-    policies = [mkv.FeedbackPolicy(K1=np.array([[g]]), K2=np.array([[0.0]])) for g in gains]
+    policies = [constant_policy(model, np.array([[g]]), np.array([[0.0]])) for g in gains]
     X0 = gaussian_ensemble(300, 1, seed=25)
     cfg = SimConfig(steps=50, seed=25)
     expected = _sequential_failure(model, policies, X0, cfg)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_continuous_are
 
 from masterlq import lq_model, riccati
 from masterlq.riccati import (RiccatiBlowUp, TimeGrid, check_symmetry_conditions,
@@ -216,6 +217,30 @@ def test_mfg_gamma_mu_equal_mean_flow_cost(request, name):
     ref = _mean_flow_cost(m, y0)
     got = 0.5 * y0 @ sol.Gamma[0] @ y0 + sol.mu[0]
     assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+def _stationary(model):
+    """The algebraic Riccati solutions that P and the MFC Pi = P + Sigma tend
+    to far from T, by scipy's Schur method: P from (A, B, Q + Qbar, R), Pi
+    from (A + Abar, B, Q + (I - S)* Qbar (I - S), R)."""
+    I = np.eye(model.n)
+    P = solve_continuous_are(model.A, model.B, model.Q + model.Qbar, model.R)
+    Pi = solve_continuous_are(model.A + model.Abar, model.B,
+                              model.Q + (I - model.S).T @ model.Qbar @ (I - model.S), model.R)
+    return P, Pi
+
+
+@pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "asymmetric_2x2"])
+def test_long_horizon_equals_stationary_riccati(request, name):
+    # at T = 20 the gap to the stationary solution, ~ e^{-2 rho T} with rho > 1
+    # the slowest closed-loop decay rate, is below rounding
+    m = dataclasses.replace(request.getfixturevalue(name), T=20.0)
+    grid = TimeGrid(m.T, 4000)
+    mfc, mfg = solve_mfc(m, grid), solve_mfg(m, grid)
+    P, Pi = _stationary(m)
+    assert np.max(np.abs(mfc.P[0] - P)) <= 1e-12
+    assert np.max(np.abs(mfc.P[0] + mfc.Sigma[0] - Pi)) <= 1e-12
+    assert np.max(np.abs(mfg.P[0] - P)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
