@@ -212,21 +212,21 @@ def cmd_verify(args) -> int:
 
 
 def _load_problem(args):
-    """(problem, LQ model, kind) from --model.  A model file holding an
-    object with a "demo" key selects a built-in non-LQ problem, which has
-    no LQ model and is always solved as an MFG."""
+    """(problem, LQ model) from --model: an LQ model's problem of --kind, or, for
+    a model file holding an object with a "demo" key, a built-in non-LQ problem,
+    which has no LQ model and is an MFG whatever --kind says."""
     with open(args.model) as fh:
         doc = json.load(fh)
     if not (isinstance(doc, dict) and "demo" in doc):
-        model, kind = _load_model(args), args.kind.upper()
-        return hj.problem_from_lq(model, kind), model, kind
+        model = _load_model(args)
+        return hj.problem_from_lq(model, args.kind.upper()), model
     if doc["demo"] != "cosine":
         raise ValueError(f"unknown demo problem {doc['demo']!r}")
     kappa = lq._number(doc, "kappa", 0.5)
     if not np.isfinite(kappa):
         raise ValueError(f"model key 'kappa' must be finite, got {kappa}")
     return hj.cosine_demo(sigma=lq._number(doc, "sigma", 0.5), T=lq._number(doc, "T", 0.5),
-                          kappa=kappa), None, "MFG"
+                          kappa=kappa), None
 
 
 def _parse_grid(text: str) -> tuple[float, float, int, int]:
@@ -243,15 +243,15 @@ def cmd_hjbfp(args) -> int:
     xmin, xmax, Nx, Nt = _parse_grid(args.grid)
     grid = hj.SpaceGrid1D(xmin, xmax, Nx)
     m0 = hj.gaussian_density(grid, args.m0_mean, args.m0_std)
-    prob, model, kind = _load_problem(args)
-    man["kind"] = kind.lower()
+    prob, model = _load_problem(args)
+    man["kind"] = "mfg" if prob.dHdm_coeff is None else "mfc"   # the demo is an MFG
     tgrid = ric.TimeGrid(prob.T, Nt)
     if not 0.0 < args.damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "hjbfp.json")
     try:
-        fields = hj.picard_solve(prob, grid, tgrid, m0, kind=kind, damping=args.damping)
+        fields = hj.picard_solve(prob, grid, tgrid, m0, damping=args.damping)
     except (hj.CFLViolation, ric.NumericalFailure) as exc:
         return _write_failure(path, man, exc, converged=False)
     except hj.NonConvergence as exc:
@@ -265,7 +265,7 @@ def cmd_hjbfp(args) -> int:
     ok = True
     if model is not None:
         rgrid = ric.TimeGrid(model.T, max(Nt, 1000))
-        sol = ric.solve_mfc(model, rgrid) if kind == "MFC" else ric.solve_mfg(model, rgrid)
+        sol = (ric.solve_mfc if args.kind == "mfc" else ric.solve_mfg)(model, rgrid)
         cv = payload["cross_validation"] = hj.cross_validate_lq(model, sol, fields)
         tol = man["tolerances"]["pde_diff"]
         ok = payload["pass"] = all(cv[k] <= tol for k in ("sup_diff", "mean_flow_diff"))

@@ -95,11 +95,10 @@ class Problem1D:
 
     hamiltonian(x, ybar, q) and drift(x, ybar, q) are vectorized over x, q
     and return a new array; terminal(x, ybar) gives u(x, T).  dHdm_coeff,
-    when set, returns the linear-in-x coefficient of the measure-derivative
-    term (LQ closed form, used for the MFC variant):
-    term(x) = dHdm_coeff(ybar, qbar) * x.  The hamiltonian and drift of
-    problem_from_lq and cosine_demo keep their x-only terms for the last
-    node array they were given (see _per_grid).
+    set exactly for an MFC problem, gives the linear-in-x coefficient of the
+    measure-derivative term: term(x) = dHdm_coeff(ybar, qbar) * x.  The
+    hamiltonian and drift of problem_from_lq and cosine_demo keep their
+    x-only terms for the last node array they were given (see _per_grid).
     """
     hamiltonian: callable
     drift: callable
@@ -138,8 +137,11 @@ def _scalars(*values: float) -> list[np.ndarray]:
 
 
 def problem_from_lq(model: lq.LQModelSpec, kind: str = "MFG") -> Problem1D:
-    """The MFG or MFC problem of a scalar LQ model.  The MFC terminal adds
-    the measure-derivative correction of h at ybar(T) = y."""
+    """The MFG or MFC problem of a scalar LQ model (kind "MFG" or "MFC").
+    Only the MFC problem has the measure term dHdm_coeff, and its terminal
+    adds the measure-derivative correction of h at ybar(T) = y."""
+    if kind not in ("MFG", "MFC"):
+        raise ValueError(f"kind must be MFG or MFC, got {kind!r}")
     if model.n != 1 or model.d != 1:
         raise ValueError("FD solver handles scalar (n = d = 1) models only")
     if model.beta > 0.0:
@@ -183,9 +185,9 @@ def problem_from_lq(model: lq.LQModelSpec, kind: str = "MFG") -> Problem1D:
     def dHdm_coeff(y, qbar):
         return -y * Qb * S + y * S * Qb * S + qbar * Ab
 
-    return Problem1D(hamiltonian=ham, drift=drift,
-                     terminal=terminal_mfc if kind == "MFC" else terminal,
-                     sigma=model.sigma, T=model.T, dHdm_coeff=dHdm_coeff)
+    mfc = kind == "MFC"
+    return Problem1D(hamiltonian=ham, drift=drift, terminal=terminal_mfc if mfc else terminal,
+                     sigma=model.sigma, T=model.T, dHdm_coeff=dHdm_coeff if mfc else None)
 
 
 def cosine_demo(sigma: float = 0.5, T: float = 0.5, kappa: float = 0.5) -> Problem1D:
@@ -348,12 +350,12 @@ def solve_fp_forward(drift_fn, sigma: float, m0: np.ndarray,
 def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid1D,
                        tgrid: ric.TimeGrid, qbar: np.ndarray | None = None) -> np.ndarray:
     """Backward HJB sweep given the mean path ybar[0..K] (read only when the
-    problem uses the mean) and, for the MFC measure term, the path
-    qbar[0..K-1] of the mean gradient E[D_x u].
-    Raises CFLViolation (Courant > 1) or NumericalFailure (non-finite value),
-    the first in sweep order; both are checked per block of SWEEP_BLOCK steps."""
-    if qbar is not None and prob.dHdm_coeff is None:
-        raise ValueError("MFC variant needs the closed-form measure term")
+    problem uses the mean) and, exactly when the problem has the MFC measure
+    term, the path qbar[0..K-1] of the mean gradient E[D_x u].  Raises
+    CFLViolation (Courant > 1) or NumericalFailure (non-finite value), the
+    first in sweep order; both are checked per block of SWEEP_BLOCK steps."""
+    if (qbar is None) != (prob.dHdm_coeff is None):
+        raise ValueError("qbar is given exactly when the problem has the MFC measure term")
     x, dx, dt, K, Nx = grid.nodes(), grid.dx, tgrid.h, tgrid.K, grid.Nx
     nu = 0.5 * prob.sigma ** 2
     # boundary rows carry u_xx = 0 (linear extrapolation)
@@ -402,17 +404,16 @@ def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid
     return u
 
 
-def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray,
-                uses_mean: bool, mfc: bool) -> np.ndarray:
-    """The statistics the HJB sweep reads, from (u, m): ybar_k = E[X_k] for
-    k = 0..K when the problem uses the mean, then for MFC
+def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray, prob: Problem1D) -> np.ndarray:
+    """The statistics the HJB sweep of prob reads, from (u, m): ybar_k = E[X_k]
+    for k = 0..K when the problem uses the mean, then for MFC
     qbar_k = sum_j D_c u[k+1]_j m[k]_j dx for k = 0..K-1, with D_c the central
     difference of _differences (one-sided at the ends; dx cancels).  Written
     as sums of products, so no (K+1) x Nx temporary is formed."""
     parts = []
-    if uses_mean:
+    if prob.uses_mean:
         parts.append(np.einsum("kj,j->k", m, x) / m.sum(axis=1))
-    if mfc:
+    if prob.dHdm_coeff is not None:
         un, mk = u[1:], m[:-1]
         inner = (np.einsum("kj,kj->k", un[:, 2:], mk[:, 1:-1])
                  - np.einsum("kj,kj->k", un[:, :-2], mk[:, 1:-1]))
@@ -422,23 +423,21 @@ def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray,
 
 
 def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
-                 m0: np.ndarray, kind: str = "MFG", damping: float = 0.5,
-                 max_iter: int = 200) -> PDEFields:
+                 m0: np.ndarray, damping: float = 0.5, max_iter: int = 200) -> PDEFields:
     """Anderson-accelerated fixed point on the statistics z the HJB reads.
 
-    z holds the mean path ybar_0..ybar_K (when the problem uses the mean)
-    and, for MFC, the mean gradient path qbar_0..qbar_{K-1}.  F(z) runs one
-    HJB sweep on z, one FP sweep on the resulting drift, and reads z back
-    from the new (u, m).  Each step is a Type-II Anderson step (Walker-Ni)
-    of depth ANDERSON_DEPTH with mixing `damping`; the iteration stops when
-    max |F(z) - z| < PICARD_TOL and returns that evaluation's u and m.  An empty z
-    (a problem that never reads m) converges after one HJB + FP pair.
+    The problem alone decides MFC or MFG: z holds the mean path ybar_0..ybar_K
+    (when the problem uses the mean) and, when it has the measure term (MFC),
+    the mean gradient path qbar_0..qbar_{K-1}.  F(z) runs one HJB sweep on z,
+    one FP sweep on the resulting drift, and reads z back from the new (u, m).
+    Each step is a Type-II Anderson step (Walker-Ni) of depth ANDERSON_DEPTH
+    with mixing `damping`; the iteration stops when max |F(z) - z| < PICARD_TOL
+    and returns that evaluation's u and m.  An empty z (a problem that never
+    reads m) converges after one HJB + FP pair.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    if kind not in ("MFG", "MFC"):
-        raise ValueError("kind must be MFG or MFC")
-    mfc = kind == "MFC"
+    mfc = prob.dHdm_coeff is not None
     x, dx, K = grid.nodes(), grid.dx, tgrid.K
     m0 = np.maximum(np.asarray(m0, dtype=float), 0.0)
     m0 = m0 / _mass(m0, dx)
@@ -472,7 +471,7 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
         u = m = None    # free the previous iterate before the next sweep
         u = solve_hjb_backward(z[:nY], prob, grid, tgrid, qbar=z[nY:] if mfc else None)
         m = solve_fp_forward(drift_fn, prob.sigma, m0, grid, tgrid)
-        f = _statistics(u, m, x, prob.uses_mean, mfc) - z
+        f = _statistics(u, m, x, prob) - z
         delta = float(np.max(np.abs(f))) if f.size else 0.0
         history.append(delta)
         if delta < PICARD_TOL:

@@ -28,8 +28,7 @@ def grid():
 def crowd_pde(crowd_mfg, grid):
     tg = riccati.TimeGrid(crowd_mfg.T, 2000)
     m0 = gaussian_density(grid, 1.0, 0.5)
-    pde = picard_solve(problem_from_lq(crowd_mfg), grid, tg, m0,
-                       kind="MFG", damping=0.5)
+    pde = picard_solve(problem_from_lq(crowd_mfg), grid, tg, m0, damping=0.5)
     return pde, tg
 
 
@@ -37,8 +36,7 @@ def crowd_pde(crowd_mfg, grid):
 def crowd_pde_mfc(crowd_mfg, grid):
     tg = riccati.TimeGrid(crowd_mfg.T, 2000)
     m0 = gaussian_density(grid, 1.0, 0.5)
-    return picard_solve(problem_from_lq(crowd_mfg), grid, tg, m0,
-                        kind="MFC", damping=0.5), tg
+    return picard_solve(problem_from_lq(crowd_mfg, "MFC"), grid, tg, m0, damping=0.5), tg
 
 
 def _mean_path(m, grid):
@@ -146,7 +144,7 @@ def test_picard_decoupled_converges_immediately(grid):
                                         sigma=0.5, T=0.5))
     tg = riccati.TimeGrid(0.5, 1000)
     m0 = gaussian_density(grid, 0.5, 0.6)
-    pde = picard_solve(prob, grid, tg, m0, kind="MFG", damping=1.0)
+    pde = picard_solve(prob, grid, tg, m0, damping=1.0)
     assert pde.iterations <= 2
 
 
@@ -173,8 +171,7 @@ def test_picard_nonconvergence_reports_history(crowd_mfg, grid):
     with pytest.raises(NonConvergence) as exc:
         picard_solve(problem_from_lq(crowd_mfg), grid,
                      riccati.TimeGrid(0.5, 1000),
-                     gaussian_density(grid, 1.0, 0.5),
-                     kind="MFG", damping=0.5, max_iter=2)
+                     gaussian_density(grid, 1.0, 0.5), damping=0.5, max_iter=2)
     assert len(exc.value.history) == 2
 
 
@@ -187,6 +184,13 @@ def test_problem_rejects_bad_sigma(sigma):
 def test_problem_from_lq_rejects_matrix_models(coupled_2x2):
     with pytest.raises(ValueError):
         problem_from_lq(coupled_2x2)
+
+
+@pytest.mark.parametrize("kind", ["mfc", "mfg", "Mfc", "", "MFC "])
+def test_problem_from_lq_rejects_unknown_kind(crowd_mfg, kind):
+    # the one kind check: the CLI's lower-case spelling is not a kind
+    with pytest.raises(ValueError, match="kind must be MFG or MFC"):
+        problem_from_lq(crowd_mfg, kind)
 
 
 def test_problem_from_lq_rejects_common_noise(scalar_coupled):
@@ -213,11 +217,36 @@ def test_cross_validate_mfc(crowd_mfg, crowd_pde_mfc):
     assert rep["mean_flow_diff"] <= 1e-2
 
 
+# crowd's data with a coupled terminal cost, QbarT * ST != 0: the MFC
+# terminal carries its measure-derivative correction
+COUPLED_TERMINAL = scalar_model(A=0.0, Abar=0.5, B=1.0, Q=1.0, Qbar=1.0, S=1.0, R=1.0, QT=0.2,
+                                QbarT=0.8, ST=0.5, sigma=0.5, T=0.5)
+COUPLED_TERMINAL_DIFF = 0.03    # matched runs read 0.0138 (MFC) and 0.0238 (MFG)
+
+
+@pytest.mark.parametrize("kind,other", [("MFC", "MFG"), ("MFG", "MFC")])
+def test_cross_validate_coupled_terminal(grid, kind, other):
+    # the solve matches its Riccati reference only with its own kind's
+    # terminal; the other kind's terminal (the MFC correction dropped, or
+    # added to the MFG) moves sup_diff to about 0.42 (MFC) and 0.45 (MFG)
+    model = COUPLED_TERMINAL
+    tg = riccati.TimeGrid(model.T, 2000)
+    m0 = gaussian_density(grid, 1.0, 0.5)
+    sol = (riccati.solve_mfc if kind == "MFC" else riccati.solve_mfg)(model, tg)
+    prob = problem_from_lq(model, kind)
+    rep = cross_validate_lq(model, sol, picard_solve(prob, grid, tg, m0))
+    assert rep["sup_diff"] <= COUPLED_TERMINAL_DIFF
+    assert rep["mean_flow_diff"] <= COUPLED_TERMINAL_DIFF
+    swapped = dataclasses.replace(prob, terminal=problem_from_lq(model, other).terminal)
+    wrong = cross_validate_lq(model, sol, picard_solve(swapped, grid, tg, m0))
+    assert wrong["sup_diff"] >= 10 * COUPLED_TERMINAL_DIFF
+
+
 def test_cross_validate_zero_coupling_lqr(grid):
     m = scalar_model(A=0.0, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=0.5)
     tg = riccati.TimeGrid(0.5, 2000)
     m0 = gaussian_density(grid, 0.5, 0.6)
-    pde = picard_solve(problem_from_lq(m), grid, tg, m0, kind="MFG", damping=1.0)
+    pde = picard_solve(problem_from_lq(m), grid, tg, m0, damping=1.0)
     sol = riccati.solve_mfg(m, tg)
     rep = cross_validate_lq(m, sol, pde)
     assert rep["sup_diff"] <= 1e-2
@@ -388,7 +417,7 @@ def test_sweeps_bitwise_equal_reference(crowd_mfg, inexact, name, steps):
 def test_anderson_matches_density_picard(crowd_mfg, kind, inexact):
     model = INEXACT if inexact else crowd_mfg
     prob, grid, tg, m0 = _bitwise_case(model, kind)
-    pde = picard_solve(prob, grid, tg, m0, kind=kind)
+    pde = picard_solve(prob, grid, tg, m0)
     u_ref, m_ref = _ref_picard(prob, grid, tg, m0, kind, tol=1e-10)
     assert np.max(np.abs(pde.u - u_ref)) <= 1e-5
     assert np.max(np.abs(pde.m - m_ref)) <= 1e-5
@@ -407,7 +436,7 @@ def test_anderson_iterations_crowd(crowd_pde, crowd_pde_mfc):
 
 def test_anderson_cosine_one_sweep_pair(crowd_mfg):
     prob, grid, tg, m0 = _bitwise_case(crowd_mfg, "cosine")
-    pde = picard_solve(prob, grid, tg, m0, kind="MFG")
+    pde = picard_solve(prob, grid, tg, m0)
     assert pde.iterations == 1 and pde.history == [0.0]
     u = solve_hjb_backward(None, prob, grid, tg)
     m = solve_fp_forward(lambda k, xs, ms: prob.drift(xs, 0.0, np.gradient(u[k], grid.dx)),
@@ -416,9 +445,9 @@ def test_anderson_cosine_one_sweep_pair(crowd_mfg):
 
 
 @pytest.mark.parametrize("kind", ["MFG", "MFC"])
-def test_statistics_equal_per_slice_sums(crowd_pde, crowd_pde_mfc, grid, kind):
+def test_statistics_equal_per_slice_sums(crowd_mfg, crowd_pde, crowd_pde_mfc, grid, kind):
     pde, _ = crowd_pde if kind == "MFG" else crowd_pde_mfc
-    z = fd._statistics(pde.u, pde.m, grid.nodes(), True, kind == "MFC")
+    z = fd._statistics(pde.u, pde.m, grid.nodes(), problem_from_lq(crowd_mfg, kind))
     ref = _mean_path(pde.m, grid)
     if kind == "MFC":
         ref = np.concatenate([ref, _ref_mean_gradient(pde.u, pde.m, grid.dx)])
@@ -426,10 +455,17 @@ def test_statistics_equal_per_slice_sums(crowd_pde, crowd_pde_mfc, grid, kind):
     assert np.max(np.abs(z - ref)) <= 1e-13
 
 
-def test_picard_mfc_needs_measure_term(grid):
-    with pytest.raises(ValueError, match="closed-form measure term"):
-        picard_solve(cosine_demo(), grid, riccati.TimeGrid(0.5, 500),
-                     gaussian_density(grid, 0.0, 0.7), kind="MFC")
+def test_hjb_qbar_given_exactly_with_measure_term(crowd_mfg, grid):
+    # an MFC problem swept without qbar would drop its measure term; an MFG
+    # problem or the demo swept with one would be asked for a term it lacks
+    tg = riccati.TimeGrid(0.5, 100)
+    ybar, qbar = np.zeros(tg.K + 1), np.zeros(tg.K)
+    cases = [(problem_from_lq(crowd_mfg, "MFC"), None), (problem_from_lq(crowd_mfg), qbar),
+             (cosine_demo(), qbar)]
+    for prob, given in cases:
+        with pytest.raises(ValueError, match="qbar is given exactly when the problem has"):
+            solve_hjb_backward(ybar, prob, grid, tg, given)
+    solve_hjb_backward(ybar, problem_from_lq(crowd_mfg, "MFC"), grid, tg, qbar)
 
 
 @pytest.mark.parametrize("neumann", [True, False], ids=["neumann", "extrapolation"])
@@ -651,7 +687,7 @@ def test_fp_inline_mean_equals_first_moment(crowd_mfg, crowd_pde, crowd_pde_mfc,
         means.append(y)
         return base.drift(x, y, q)
     prob = dataclasses.replace(base, drift=drift)
-    again = picard_solve(prob, grid, tg, gaussian_density(grid, 1.0, 0.5), kind=kind)
+    again = picard_solve(prob, grid, tg, gaussian_density(grid, 1.0, 0.5))
     assert np.array_equal(again.u, pde.u) and np.array_equal(again.m, pde.m)
     # each iteration: K drift calls of the HJB sweep, then K of the FP sweep
     assert len(means) == 2 * tg.K * again.iterations
@@ -681,8 +717,7 @@ def test_cosine_demo_runs():
     prob = cosine_demo()
     g = SpaceGrid1D(-np.pi, np.pi, 120)
     tg = riccati.TimeGrid(prob.T, 500)
-    pde = picard_solve(prob, g, tg, gaussian_density(g, 0.0, 0.7),
-                       kind="MFG", damping=0.5)
+    pde = picard_solve(prob, g, tg, gaussian_density(g, 0.0, 0.7), damping=0.5)
     assert np.sum(pde.m[-1]) * g.dx == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.isfinite(pde.u))
 
