@@ -6,11 +6,15 @@ bad input.  Every run writes a JSON summary embedding its manifest: the parsed
 options but --out, the SHA-256 of the --model file, and the bounds the command
 or suite gates on (TOLERANCES).  Identical manifests produce byte-identical
 artifacts on one machine; at n >= 2 the matrix products go through the
-host's BLAS, whose rounding may differ on another CPU.  Exit codes: 0
-success, 1 bad input (an unreadable --model included), 2 numerical failure
-(Riccati blow-up or non-finite value, CFL, non-finite PDE slice), 3 at least
-one check failed (for hjbfp: the LQ cross-validation exceeds the manifest's
-pde_diff) or the HJB-FP iteration did not converge.
+host's BLAS, whose rounding may differ on another CPU.  Each command checks
+its input, then hands its work to _run, which creates --out and writes the
+JSON.  Exit codes: 0 success, 1 bad input (an unreadable --model included;
+nothing is written), 2 numerical failure (NUMERICAL: Riccati blow-up or
+non-finite value, CFL, non-finite PDE slice; the JSON still holds the
+manifest and the error, and stderr reads "<command>: <error>", also when an
+hjbfp run's Riccati reference or mean-flow ODE fails after the PDE
+converged), 3 at least one check failed (for hjbfp: the LQ cross-validation
+exceeds the manifest's pde_diff) or the HJB-FP iteration did not converge.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
+# What a run's work may raise that counts as a numerical failure (exit 2).
+NUMERICAL = (ric.RiccatiBlowUp, ric.NumericalFailure, hj.CFLViolation)
 
 
 # The bounds each command or verify suite gates on; a run's manifest records its own.
@@ -54,15 +60,22 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_failure(path: str, man: dict, exc: Exception, **extra) -> int:
-    """A numerical failure's artifact: the manifest and the one-line error
-    (and a Riccati blow-up's escape time); returns the exit code."""
-    payload = {"manifest": man, "error": str(exc), **extra}
-    if isinstance(exc, ric.RiccatiBlowUp):
-        payload["blowup"] = {"escape_time": exc.escape_time}
-    _write_json(path, payload)
-    print(f"{man['command']}: {exc}", file=sys.stderr)
-    return EXIT_NUMERICAL
+def _run(man: dict, out: str, artifact: str, work, **failed) -> int:
+    """Create out, run work() -> (payload, ok) and write out/artifact as the
+    manifest and the payload; exit 0, or 3 when not ok.  A numerical failure
+    writes the manifest, the one-line error, a blow-up's escape time and
+    failed, prints "<command>: <error>" and exits 2."""
+    os.makedirs(out, exist_ok=True)
+    try:
+        payload, ok = work()
+        code = EXIT_OK if ok else EXIT_CHECK_FAILED
+    except NUMERICAL as exc:
+        payload, code = {"error": str(exc), **failed}, EXIT_NUMERICAL
+        if isinstance(exc, ric.RiccatiBlowUp):
+            payload["blowup"] = {"escape_time": exc.escape_time}
+        print(f"{man['command']}: {exc}", file=sys.stderr)
+    _write_json(os.path.join(out, artifact), {"manifest": man, **payload})
+    return code
 
 
 def _load_model(args) -> lq.LQModelSpec:
@@ -82,23 +95,30 @@ def _manifest(args) -> dict:
     return {**man, "tolerances": dict(TOLERANCES[man.get("suite", args.command)])}
 
 
+def _riccati(kind: str, model, grid) -> ric.RiccatiSolution:
+    """The Riccati solution of --kind."""
+    return (ric.solve_mfc if kind == "mfc" else ric.solve_mfg)(model, grid)
+
+
+def _mfc_ensemble(man: dict, model, grid):
+    """(MFC solution, initial ensemble, SimConfig) of --particles, --steps and --seed."""
+    return (ric.solve_mfc(model, grid), mk.gaussian_ensemble(man["particles"], model.n, man["seed"]),
+            mk.SimConfig(steps=man["steps"], seed=man["seed"]))
+
+
 def cmd_riccati(args) -> int:
     model = _load_model(args)
     man = _manifest(args)
     grid = ric.TimeGrid(model.T, args.steps)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"riccati_{args.kind}.json")
-    try:
-        sol = (ric.solve_mfc if args.kind == "mfc" else ric.solve_mfg)(model, grid)
-    except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
-        return _write_failure(path, man, exc)
-    ric.to_csv(sol, os.path.join(args.out, f"riccati_{args.kind}.csv"))
-    scalars = ({"lam0": float(sol.lam[0])} if sol.kind == "MFC"
-               else {"Gamma0": sol.Gamma[0].tolist(), "mu0": float(sol.mu[0])})
-    _write_json(path, {"manifest": man, "P0": sol.P[0].tolist(),
-                       "Sigma0": sol.Sigma[0].tolist(), **scalars,
-                       "symmetry": ric.check_symmetry_conditions(model)})
-    return EXIT_OK
+
+    def work():
+        sol = _riccati(args.kind, model, grid)
+        ric.to_csv(sol, os.path.join(args.out, f"riccati_{args.kind}.csv"))
+        scalars = ({"lam0": float(sol.lam[0])} if sol.kind == "MFC"
+                   else {"Gamma0": sol.Gamma[0].tolist(), "mu0": float(sol.mu[0])})
+        return {"P0": sol.P[0].tolist(), "Sigma0": sol.Sigma[0].tolist(), **scalars,
+                "symmetry": ric.check_symmetry_conditions(model)}, True
+    return _run(man, args.out, f"riccati_{args.kind}.json", work)
 
 
 def cmd_simulate(args) -> int:
@@ -107,23 +127,17 @@ def cmd_simulate(args) -> int:
     # the cost check's gate needs a standard error, which one particle lacks
     if args.particles < 2 or args.steps < 1:
         raise ValueError("need at least two particles and one time step")
-    os.makedirs(args.out, exist_ok=True)
-    X0 = mk.gaussian_ensemble(args.particles, model.n, args.seed)
-    cfg = mk.SimConfig(steps=args.steps, seed=args.seed)
-    path = os.path.join(args.out, "simulate.json")
-    try:
-        sol = ric.solve_mfc(model, ric.TimeGrid(model.T, args.steps))
+
+    def work():
+        sol, X0, cfg = _mfc_ensemble(man, model, ric.TimeGrid(model.T, args.steps))
         traj = mk.simulate(model, mk.FeedbackPolicy(sol), X0, cfg)
-    except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
-        return _write_failure(path, man, exc)
-    rep = mk.check_cost_matches_value(model, sol, X0, traj, man["tolerances"]["cost_dt_const"])
-    mk.trajectory_to_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    _write_json(path, {"manifest": man, **rep})
-    if not rep["pass"]:
-        print(f"simulate: cost check gap = {rep['gap']:.3e} > tolerance = "
-              f"{rep['tolerance']:.3e}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        rep = mk.check_cost_matches_value(model, sol, X0, traj, man["tolerances"]["cost_dt_const"])
+        mk.trajectory_to_csv(traj, os.path.join(args.out, "trajectory.csv"))
+        if not rep["pass"]:
+            print(f"simulate: cost check gap = {rep['gap']:.3e} > tolerance = "
+                  f"{rep['tolerance']:.3e}", file=sys.stderr)
+        return rep, rep["pass"]
+    return _run(man, args.out, "simulate.json", work)
 
 
 def _suite_lift(man: dict, *_) -> list[dict]:
@@ -172,9 +186,7 @@ def _suite_master(man: dict, model, grid) -> list[dict]:
 
 
 def _suite_mp(man: dict, model, grid) -> list[dict]:
-    sol = ric.solve_mfc(model, grid)
-    X0 = mk.gaussian_ensemble(man["particles"], model.n, man["seed"])
-    cfg = mk.SimConfig(steps=man["steps"], seed=man["seed"])
+    sol, X0, cfg = _mfc_ensemble(man, model, grid)
     rep = mk.check_max_principle(model, sol, X0, cfg, mode="deterministic")
     rep["check"] = "max_principle_deterministic"
     rep["terminal_pass"] = rep["pass"] = bool(rep["terminal_gap"] <= man["tolerances"]["check_rel"])
@@ -182,9 +194,7 @@ def _suite_mp(man: dict, model, grid) -> list[dict]:
 
 
 def _suite_optimality(man: dict, model, grid) -> list[dict]:
-    sol = ric.solve_mfc(model, grid)
-    X0 = mk.gaussian_ensemble(man["particles"], model.n, man["seed"])
-    cfg = mk.SimConfig(steps=man["steps"], seed=man["seed"])
+    sol, X0, cfg = _mfc_ensemble(man, model, grid)
     rep = mk.check_optimality_gap(model, sol, X0, cfg)
     rep["check"] = "optimality_gap"
     return [rep]
@@ -198,17 +208,14 @@ def cmd_verify(args) -> int:
     grid = ric.TimeGrid(model.T, args.steps) if "--steps" in options else None
     if least and args.particles < least:
         raise ValueError(f"--suite {args.suite} needs --particles {least} or more")
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"verify_{args.suite}.json")
-    try:
+
+    def work():
         reports = run(man, model, grid)
-    except (ric.RiccatiBlowUp, ric.NumericalFailure) as exc:
-        return _write_failure(path, man, exc)
-    ok = all(r["pass"] for r in reports)
-    _write_json(path, {"manifest": man, "reports": reports, "pass": ok})
-    for r in reports:
-        print(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['check']}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        for r in reports:
+            print(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['check']}")
+        ok = all(r["pass"] for r in reports)
+        return {"reports": reports, "pass": ok}, ok
+    return _run(man, args.out, f"verify_{args.suite}.json", work)
 
 
 def _load_problem(args):
@@ -248,34 +255,26 @@ def cmd_hjbfp(args) -> int:
     tgrid = ric.TimeGrid(prob.T, Nt)
     if not 0.0 < args.damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "hjbfp.json")
-    try:
-        fields = hj.picard_solve(prob, grid, tgrid, m0, damping=args.damping)
-    except (hj.CFLViolation, ric.NumericalFailure) as exc:
-        return _write_failure(path, man, exc, converged=False)
-    except hj.NonConvergence as exc:
-        _write_json(path, {"manifest": man, "converged": False,
-                           "history": exc.history})
-        print(f"hjbfp: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
 
-    payload = {"manifest": man, "converged": True,
-               "iterations": fields.iterations, "history": fields.history}
-    ok = True
-    if model is not None:
-        rgrid = ric.TimeGrid(model.T, max(Nt, 1000))
-        sol = (ric.solve_mfc if args.kind == "mfc" else ric.solve_mfg)(model, rgrid)
-        cv = payload["cross_validation"] = hj.cross_validate_lq(model, sol, fields)
-        tol = man["tolerances"]["pde_diff"]
-        ok = payload["pass"] = all(cv[k] <= tol for k in ("sup_diff", "mean_flow_diff"))
-    _dump_slices(fields, os.path.join(args.out, "hjbfp_fields.csv"))
-    _write_json(path, payload)
-    if not ok:
-        print(f"hjbfp: cross-validation sup_diff = {cv['sup_diff']:.3e}, mean_flow_diff = "
-              f"{cv['mean_flow_diff']:.3e}, bound pde_diff = {tol:g}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    def work():
+        try:
+            fields = hj.picard_solve(prob, grid, tgrid, m0, damping=args.damping)
+        except hj.NonConvergence as exc:
+            print(f"hjbfp: {exc}", file=sys.stderr)
+            return {"converged": False, "history": exc.history}, False
+        payload = {"converged": True, "iterations": fields.iterations, "history": fields.history}
+        ok = True
+        if model is not None:
+            sol = _riccati(args.kind, model, ric.TimeGrid(model.T, max(Nt, 1000)))
+            cv = payload["cross_validation"] = hj.cross_validate_lq(model, sol, fields)
+            tol = man["tolerances"]["pde_diff"]
+            ok = payload["pass"] = all(cv[k] <= tol for k in ("sup_diff", "mean_flow_diff"))
+            if not ok:
+                print(f"hjbfp: cross-validation sup_diff = {cv['sup_diff']:.3e}, mean_flow_diff"
+                      f" = {cv['mean_flow_diff']:.3e}, bound pde_diff = {tol:g}", file=sys.stderr)
+        _dump_slices(fields, os.path.join(args.out, "hjbfp_fields.csv"))
+        return payload, ok
+    return _run(man, args.out, "hjbfp.json", work, converged=False)
 
 
 def _dump_slices(fields: hj.PDEFields, path: str) -> None:
@@ -349,9 +348,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:   # e.g. an unreadable --model
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ric.RiccatiBlowUp, ric.NumericalFailure, hj.CFLViolation) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -75,27 +75,32 @@ def test_riccati_non_finite_writes_json_exit_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.strip().splitlines() == ["riccati: non-finite value at node 49"]
 
 
-@pytest.mark.parametrize("command,artifact", [
-    (("riccati",), "riccati_mfc.json"),
-    (("simulate", "--particles", "200"), "simulate.json"),
-    (("verify", "--suite", "master"), "verify_master.json"),
-    (("verify", "--suite", "mp", "--particles", "200"), "verify_mp.json"),
-    (("verify", "--suite", "optimality", "--particles", "200"), "verify_optimality.json"),
-], ids=["riccati", "simulate", "master", "mp", "optimality"])
-def test_blowup_writes_failure_artifact_exit_2(tmp_path, capsys, command, artifact):
+@pytest.mark.parametrize("command,artifact,failed", [
+    (("riccati", "--steps", "400"), "riccati_mfc.json", {}),
+    (("simulate", "--steps", "400", "--particles", "200"), "simulate.json", {}),
+    (("verify", "--suite", "master", "--steps", "400"), "verify_master.json", {}),
+    (("verify", "--suite", "mp", "--steps", "400", "--particles", "200"), "verify_mp.json", {}),
+    (("verify", "--suite", "optimality", "--steps", "400", "--particles", "200"),
+     "verify_optimality.json", {}),
+    # the HJB-FP iteration converges; its Riccati reference then blows up
+    (("hjbfp", "--grid=-1,1,40,4000", "--kind", "mfc"), "hjbfp.json", {"converged": False}),
+    (("hjbfp", "--grid=-1,1,40,4000", "--kind", "mfg"), "hjbfp.json", {"converged": False}),
+], ids=["riccati", "simulate", "master", "mp", "optimality", "hjbfp-mfc", "hjbfp-mfg"])
+def test_blowup_writes_failure_artifact_exit_2(tmp_path, capsys, command, artifact, failed):
     # Q = -4 drives P to a finite escape near t = 5 - pi/4 = 4.21
     bad = tmp_path / "escape.json"
     bad.write_text(json.dumps({"n": 1, "d": 1, "T": 5.0, "B": 1.0, "Q": -4.0, "R": 1.0,
                                "sigma": 0.5}))
-    code, out = run(tmp_path, *command, "--model", str(bad), "--steps", "400")
+    code, out = run(tmp_path, *command, "--model", str(bad))
     assert code == 2
     rep = json.loads((out / artifact).read_text())
     assert rep["manifest"]["command"] == command[0]
     assert rep["error"].startswith("Riccati solution exceeds 1e+12 near t = ")
     assert rep["blowup"]["escape_time"] == pytest.approx(5 - np.pi / 4, abs=0.05)
-    assert set(rep) == {"manifest", "error", "blowup"}
+    assert set(rep) == {"manifest", "error", "blowup", *failed}
+    assert all(rep[k] == v for k, v in failed.items())
     assert capsys.readouterr().err.strip().splitlines() == [f"{command[0]}: {rep['error']}"]
-    assert not (out / "trajectory.csv").exists()
+    assert sorted(os.listdir(out)) == [artifact]   # no CSV
 
 
 @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])
