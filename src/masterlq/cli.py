@@ -11,10 +11,11 @@ its input, then hands its work to _run, which creates --out and writes the
 JSON.  Exit codes: 0 success, 1 bad input (an unreadable --model included;
 nothing is written), 2 numerical failure (NUMERICAL: Riccati blow-up or
 non-finite value, CFL, non-finite PDE slice; the JSON still holds the
-manifest and the error, and stderr reads "<command>: <error>", also when an
+manifest and the error, and stderr reads "<command>: <error>"; when an
 hjbfp run's Riccati reference or mean-flow ODE fails after the PDE
-converged), 3 at least one check failed (for hjbfp: the LQ cross-validation
-exceeds the manifest's pde_diff) or the HJB-FP iteration did not converge.
+converged, the JSON also keeps the PDE's converged fields), 3 at least one
+check failed (for hjbfp: the LQ cross-validation exceeds the manifest's
+pde_diff) or the HJB-FP iteration did not converge.
 """
 
 from __future__ import annotations
@@ -60,17 +61,18 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _run(man: dict, out: str, artifact: str, work, **failed) -> int:
+def _run(man: dict, out: str, artifact: str, work, failed: dict | None = None) -> int:
     """Create out, run work() -> (payload, ok) and write out/artifact as the
     manifest and the payload; exit 0, or 3 when not ok.  A numerical failure
-    writes the manifest, the one-line error, a blow-up's escape time and
-    failed, prints "<command>: <error>" and exits 2."""
+    writes the manifest, the one-line error, a blow-up's escape time and the
+    entries of failed as work left them, prints "<command>: <error>" and
+    exits 2."""
     os.makedirs(out, exist_ok=True)
     try:
         payload, ok = work()
         code = EXIT_OK if ok else EXIT_CHECK_FAILED
     except NUMERICAL as exc:
-        payload, code = {"error": str(exc), **failed}, EXIT_NUMERICAL
+        payload, code = {"error": str(exc), **(failed or {})}, EXIT_NUMERICAL
         if isinstance(exc, ric.RiccatiBlowUp):
             payload["blowup"] = {"escape_time": exc.escape_time}
         print(f"{man['command']}: {exc}", file=sys.stderr)
@@ -256,13 +258,16 @@ def cmd_hjbfp(args) -> int:
     if not 0.0 < args.damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
 
+    # what work has found so far; a numerical failure writes it next to the error
+    payload = {"converged": False}
+
     def work():
         try:
             fields = hj.picard_solve(prob, grid, tgrid, m0, damping=args.damping)
         except hj.NonConvergence as exc:
             print(f"hjbfp: {exc}", file=sys.stderr)
             return {"converged": False, "history": exc.history}, False
-        payload = {"converged": True, "iterations": fields.iterations, "history": fields.history}
+        payload.update(converged=True, iterations=fields.iterations, history=fields.history)
         ok = True
         if model is not None:
             sol = _riccati(args.kind, model, ric.TimeGrid(model.T, max(Nt, 1000)))
@@ -274,7 +279,7 @@ def cmd_hjbfp(args) -> int:
                       f" = {cv['mean_flow_diff']:.3e}, bound pde_diff = {tol:g}", file=sys.stderr)
         _dump_slices(fields, os.path.join(args.out, "hjbfp_fields.csv"))
         return payload, ok
-    return _run(man, args.out, "hjbfp.json", work, converged=False)
+    return _run(man, args.out, "hjbfp.json", work, payload)
 
 
 def _dump_slices(fields: hj.PDEFields, path: str) -> None:

@@ -22,17 +22,25 @@ symmetrization of P (and of Sigma in the MFC case only: MFG Sigma is
 genuinely non-symmetric unless Abar = 0 and Qbar S = S* Qbar).
 
 Each system's right-hand side is written once, and so is the RK4 loop.  At
-n >= 2 both run on numpy, with np.dot for the matrix products; at n = 1 the
-loop's state, stages and stage sums and the rhs formulas run on Python
-floats, which skips numpy's per-call overhead and keeps every bit, signed
-zeros included.
+n = 1 the loop's state, stages and stage sums and the rhs formulas run on
+Python floats, which skips numpy's per-call overhead and keeps every bit,
+signed zeros included.  At n >= 2 the loop runs on numpy vectors, and the
+rhs body runs once, on records of the state blocks, to give a fixed plan
+(_bind): each np.dot product writes into a preallocated slot, and the
+signed terms of each matrix block's sum are one column of a stack that one
+np.add.reduce sums and one np.negative writes out.  The plan keeps every
+bit of the body's left-to-right sums: x - y is x + (-y) exactly, -0.0 is
+the additive identity, so the padding of shorter sums changes nothing, and
+each sum starts from its first term, added onto -0.0.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import orjson
@@ -95,16 +103,89 @@ class RiccatiSolution:
 
 
 def _algebra(n: int):
-    """Matrix product, transpose and trace for the rhs bodies: numpy on
-    n x n arrays, Python floats at n = 1.  The float forms keep numpy's
-    bits: its 1 x 1 matmul and its one-term diagonal sum add onto +0.0,
-    so -0.0 comes out +0.0, which a bare a * b would not do.  The n >= 2
+    """Matrix product, transpose and trace for the rhs bodies: Python floats
+    at n = 1, numpy on n x n arrays otherwise.  The float forms keep numpy's
+    bits: its 1 x 1 matmul and its one-term diagonal sum add onto +0.0, so
+    -0.0 comes out +0.0, which a bare a * b would not do.  At n >= 2 an
+    operation on constants computes, which is how the factories hoist their
+    state-independent products, and an operation on the state records
+    itself (_Expr), which is how _bind turns a body into its plan.  The
     product is np.dot's C function without its array-function dispatcher,
-    the same BLAS call as np.matmul at a lower cost per call; the trace is
-    ndarray.sum's reduction without its Python-level forwarding."""
+    the same BLAS call as np.matmul at a lower cost per call."""
     if n == 1:
         return (lambda a, b: a * b + 0.0), (lambda a: a), (lambda a: a + 0.0)
-    return np.dot.__wrapped__, np.ndarray.transpose, lambda a: np.add.reduce(a.diagonal())
+    return partial(_op, _dot), partial(_op, np.ndarray.transpose), partial(_op, _trace)
+
+
+_dot = np.dot.__wrapped__
+
+
+def _trace(a):
+    """ndarray.trace's diagonal sum without its Python-level forwarding."""
+    return np.add.reduce(a.diagonal())
+
+
+def _op(fn, *args):
+    """fn(*args), or its record when an argument depends on the state."""
+    return _Expr(fn, *args) if any(isinstance(a, _Expr) for a in args) else fn(*args)
+
+
+class _Expr:
+    """One operation of an n >= 2 rhs body, recorded instead of computed:
+    fn applied to args, each a constant or another _Expr.  A state block
+    is an _Expr whose fn is None and whose one arg is the block's index."""
+
+    __array_ufunc__ = None    # ndarray - _Expr defers to _Expr.__rsub__
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+    def _ops(self):
+        """add, subtract and multiply on this record's kind of value."""
+        if self.fn in (_trace, operator.add, operator.sub, operator.mul):
+            return operator.add, operator.sub, operator.mul
+        return np.add, np.subtract, np.multiply
+
+    def __add__(self, other):
+        return _Expr(self._ops()[0], self, other)
+
+    def __sub__(self, other):
+        return _Expr(self._ops()[1], self, other)
+
+    def __rsub__(self, other):
+        return _Expr(self._ops()[1], other, self)
+
+    def __rmul__(self, other):
+        return _Expr(self._ops()[2], other, self)
+
+
+def _chain(x) -> list:
+    """The signed terms [(sign, term)] of x read as a left-to-right sum."""
+    if isinstance(x, _Expr) and x.fn in (np.add, np.subtract):
+        a, b = x.args
+        return _chain(a) + [(1.0 if x.fn is np.add else -1.0, b)]
+    return [(1.0, x)]
+
+
+def _scalar_fn(x, buf, traces):
+    """The scalar record x as a function of no arguments.  The trace of
+    state block i is traces[i]; any other trace sums a diagonal view of
+    buf(m), the array that holds its matrix m."""
+    if x.fn is _trace:
+        m = x.args[0]
+        if m.fn is None:
+            return partial(traces.item, m.args[0])
+        return partial(np.add.reduce, buf(m).diagonal())
+    op, (a, b) = x.fn, x.args
+    if not isinstance(a, _Expr):
+        g = _scalar_fn(b, buf, traces)
+        return lambda: op(a, g())
+    f = _scalar_fn(a, buf, traces)
+    if not isinstance(b, _Expr):
+        return lambda: op(f(), b)
+    g = _scalar_fn(b, buf, traces)
+    return lambda: op(f(), g())
 
 
 def _coefficients(model: LQModelSpec) -> list:
@@ -118,7 +199,18 @@ def _bind(terms, n: int, k: int):
     n x n blocks of the state to their negated derivatives and the negated
     derivative of the scalar last block.  At n = 1 the state and out are
     the Python float lists of _integrate, and out is written in one
-    assignment."""
+    assignment.
+
+    At n >= 2 terms runs once, on records of the state blocks, and each
+    make_rhs turns the record into a fixed plan on preallocated arrays.
+    Every product writes into its own slot.  Each matrix block's sum of
+    signed terms is one column of a (terms, k, n, n) stack: its terms in
+    order, then -0.0 padding.  The stack holds the constant terms with
+    their signs applied; a call writes the products into it, multiplies
+    the subtracted ones by -1.0, sums over the terms onto -0.0 and negates
+    the sums into out.  That keeps every bit of the body's left-to-right
+    sums: x - y is x + (-y), x + (-0.0) is x, and -0.0 + x is x.
+    """
     if n == 1:
         def make_rhs(y, out):
             def rhs(t):
@@ -127,15 +219,59 @@ def _bind(terms, n: int, k: int):
         return make_rhs
 
     nn = n * n
+    state = [_Expr(None, i) for i in range(k)]
+    *chains, scalar = terms(*state)
+    chains = [_chain(c) for c in chains]
+    depth = max(map(len, chains))
 
     def make_rhs(y, out):
-        mats = [y[i * nn:(i + 1) * nn].reshape(n, n) for i in range(k)]
-        dmats = [out[i * nn:(i + 1) * nn].reshape(n, n) for i in range(k)]
+        stack, signs = np.full((depth, k, n, n), -0.0), np.ones((depth, k, n, n))
+        blocks, traces = y[:k * nn].reshape(k, n, n), np.empty(k)
+        done, home, copies = dict(zip(state, blocks)), {}, []
+        # the k state blocks' traces in one call, each the same pairwise sum as _trace's
+        ops = [(np.add.reduce, (blocks.diagonal(0, 1, 2), 1, None, traces))]
+
+        def buf(x):
+            """The array that holds x once ops have run; adds the ops that compute it."""
+            if not isinstance(x, _Expr):
+                return x
+            if x not in done:
+                # a C-ordered constant keeps a ufunc on numpy's fast path
+                args = [buf(a) if isinstance(a, _Expr) or x.fn is _dot
+                        else np.ascontiguousarray(a) for a in x.args]
+                if x.fn is np.ndarray.transpose:
+                    done[x] = args[0].T
+                else:
+                    done[x] = home.pop(x) if x in home else np.empty((n, n))
+                    ops.append((x.fn, (*args, done[x])))
+            return done[x]
+
+        for j, chain in enumerate(chains):
+            for i, (sign, term) in enumerate(chain):
+                if not isinstance(term, _Expr):
+                    stack[i, j] = term if sign > 0 else -term
+                    continue
+                signs[i, j] = sign
+                if term.fn in (None, np.ndarray.transpose) or term in home:
+                    copies.append((term, stack[i, j]))
+                else:
+                    home[term] = stack[i, j]
+        for chain in chains:
+            for _, term in chain:
+                buf(term)
+        ops += [(np.positive, (buf(term), cell)) for term, cell in copies]
+        value = _scalar_fn(scalar, buf, traces)
+        # buf's closure holds buf: without the del, done and home wait for the cycle collector
+        del buf
+        sums = out[:k * nn].reshape(k, n, n)
+        ops += [(np.multiply, (stack, signs, stack)),
+                (np.add.reduce, (stack, 0, None, sums, False, -0.0)),
+                (np.negative, (sums, sums))]
 
         def rhs(t):
-            ts = terms(*mats)
-            list(map(np.negative, ts, dmats))    # out=dm per block; stops at the k views
-            out[-1] = -ts[-1]
+            for f, args in ops:
+                f(*args)
+            out[-1] = -value()
 
         return rhs
 

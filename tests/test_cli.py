@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -75,6 +76,9 @@ def test_riccati_non_finite_writes_json_exit_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.strip().splitlines() == ["riccati: non-finite value at node 49"]
 
 
+CONVERGED = {"converged": True, "iterations": ANY, "history": ANY}
+
+
 @pytest.mark.parametrize("command,artifact,failed", [
     (("riccati", "--steps", "400"), "riccati_mfc.json", {}),
     (("simulate", "--steps", "400", "--particles", "200"), "simulate.json", {}),
@@ -82,9 +86,10 @@ def test_riccati_non_finite_writes_json_exit_2(tmp_path, monkeypatch, capsys):
     (("verify", "--suite", "mp", "--steps", "400", "--particles", "200"), "verify_mp.json", {}),
     (("verify", "--suite", "optimality", "--steps", "400", "--particles", "200"),
      "verify_optimality.json", {}),
-    # the HJB-FP iteration converges; its Riccati reference then blows up
-    (("hjbfp", "--grid=-1,1,40,4000", "--kind", "mfc"), "hjbfp.json", {"converged": False}),
-    (("hjbfp", "--grid=-1,1,40,4000", "--kind", "mfg"), "hjbfp.json", {"converged": False}),
+    # the HJB-FP iteration converges; its Riccati reference then blows up,
+    # and the JSON keeps what the converged iteration found
+    (("hjbfp", "--grid=-1,1,40,4000", "--kind", "mfc"), "hjbfp.json", CONVERGED),
+    (("hjbfp", "--grid=-1,1,40,4000", "--kind", "mfg"), "hjbfp.json", CONVERGED),
 ], ids=["riccati", "simulate", "master", "mp", "optimality", "hjbfp-mfc", "hjbfp-mfg"])
 def test_blowup_writes_failure_artifact_exit_2(tmp_path, capsys, command, artifact, failed):
     # Q = -4 drives P to a finite escape near t = 5 - pi/4 = 4.21
@@ -99,6 +104,8 @@ def test_blowup_writes_failure_artifact_exit_2(tmp_path, capsys, command, artifa
     assert rep["blowup"]["escape_time"] == pytest.approx(5 - np.pi / 4, abs=0.05)
     assert set(rep) == {"manifest", "error", "blowup", *failed}
     assert all(rep[k] == v for k, v in failed.items())
+    if failed:
+        assert len(rep["history"]) == rep["iterations"] and rep["history"][-1] < 1e-6
     assert capsys.readouterr().err.strip().splitlines() == [f"{command[0]}: {rep['error']}"]
     assert sorted(os.listdir(out)) == [artifact]   # no CSV
 

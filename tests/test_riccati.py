@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import schur, solve_continuous_are, solve_continuous_lyapunov
 
 from masterlq import lq_model, riccati
 from masterlq.riccati import (RiccatiBlowUp, TimeGrid, check_symmetry_conditions,
@@ -230,6 +230,25 @@ def _stationary(model):
     return P, Pi
 
 
+def _stationary_mfg(model, P):
+    """The stationary MFG Sigma and Gamma from P, the stationary P.  Psi =
+    P + Sigma solves the non-symmetric algebraic Riccati equation
+    Psi (A + Abar) + A* Psi - Psi BRB Psi + Q + Qbar - Qbar S = 0, whose
+    solution with N = A + Abar - BRB Psi stable spans the stable invariant
+    subspace of H = [[A + Abar, -BRB], [-(Q + Qbar - Qbar S), -A*]]
+    (ordered real Schur form); then Gamma solves the Lyapunov equation
+    N* Gamma + Gamma N + C = 0, C = S*Qbar S - Sigma* BRB Sigma
+    + Sigma* Abar + Abar* Sigma."""
+    n, A, Abar, Qbar, S, BRB = model.n, model.A, model.Abar, model.Qbar, model.S, model.BRB()
+    H = np.block([[A + Abar, -BRB], [-(model.Q + Qbar - Qbar @ S), -A.T]])
+    U = schur(H, sort="lhp")[1][:, :n]
+    Psi = np.linalg.solve(U[:n].T, U[n:].T).T
+    Sig = Psi - P
+    N = A + Abar - BRB @ Psi
+    C = S.T @ Qbar @ S - Sig.T @ BRB @ Sig + Sig.T @ Abar + Abar.T @ Sig
+    return Sig, solve_continuous_lyapunov(N.T, -C)
+
+
 @pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "asymmetric_2x2"])
 def test_long_horizon_equals_stationary_riccati(request, name):
     # at T = 20 the gap to the stationary solution, ~ e^{-2 rho T} with rho > 1
@@ -241,6 +260,9 @@ def test_long_horizon_equals_stationary_riccati(request, name):
     assert np.max(np.abs(mfc.P[0] - P)) <= 1e-12
     assert np.max(np.abs(mfc.P[0] + mfc.Sigma[0] - Pi)) <= 1e-12
     assert np.max(np.abs(mfg.P[0] - P)) <= 1e-12
+    Sig, Gam = _stationary_mfg(m, P)
+    assert np.max(np.abs(mfg.Sigma[0] - Sig)) <= 1e-12
+    assert np.max(np.abs(mfg.Gamma[0] - Gam)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +468,15 @@ def _ref_solve(kind, m, grid):
     return out
 
 
-def _seeded_n1(seed: int) -> lq_model.LQModelSpec:
-    """n = 1, d = 2 model with about a third of its entries zero, half of
+def _seeded(n: int, seed: int) -> lq_model.LQModelSpec:
+    """n x n, d = 2 model with about a third of its entries zero, half of
     those -0.0, so that products and traces meet signed zeros; beta = 0.3
-    at odd seeds, 0 at even ones.  The cost weights are kept nonnegative."""
+    at odd seeds, 0 at even ones.  The cost weights are symmetric with
+    nonnegative entries, their off-diagonal ones scaled by 0.1, and the
+    entries of A, Abar, S and ST are divided by n, so that no solve escapes
+    before t = 0.  At n >= 2 and seeds 2 and 3 the drift A, Abar is
+    scaled by 1e-160, so that its products with tiny states underflow: the
+    one way a BLAS product returns -0.0, and so a sum of them can be -0.0."""
     rng = np.random.default_rng(seed)
 
     def entry(shape, sign=True):
@@ -458,15 +485,25 @@ def _seeded_n1(seed: int) -> lq_model.LQModelSpec:
         zero = rng.random(shape) < 0.35
         return np.where(zero, np.copysign(0.0, rng.standard_normal(shape)), a)
 
+    def weight():
+        w = entry((n, n), False) * np.where(np.eye(n, dtype=bool), 1.0, 0.1)
+        return np.where(np.tri(n, dtype=bool), w, w.T)
+
     G = rng.standard_normal((2, 2))
+    drift = (1e-160 if n > 1 and seed in (2, 3) else 1.0) / n
     return lq_model.LQModelSpec(
-        n=1, d=2, T=1.0, A=entry((1, 1)), Abar=entry((1, 1)), B=entry((1, 2)),
-        Q=entry((1, 1), False), Qbar=entry((1, 1), False), S=entry((1, 1)),
-        R=G @ G.T + np.eye(2), QT=entry((1, 1), False), QbarT=entry((1, 1), False),
-        ST=entry((1, 1)), sigma=float(rng.random()), beta=0.3 * (seed % 2))
+        n=n, d=2, T=1.0, A=drift * entry((n, n)), Abar=drift * entry((n, n)), B=entry((n, 2)),
+        Q=weight(), Qbar=weight(), S=entry((n, n)) / n, R=G @ G.T + np.eye(2), QT=weight(),
+        QbarT=weight(), ST=entry((n, n)) / n, sigma=float(rng.random()), beta=0.3 * (seed % 2))
 
 
 SEEDED_N1 = [f"seeded_n1_{seed}" for seed in range(8)]
+SEEDED = SEEDED_N1 + [f"seeded_n{n}_{seed}" for n in (2, 3) for seed in range(4)]
+
+
+def _seeded_model(name: str) -> lq_model.LQModelSpec:
+    n, seed = name.removeprefix("seeded_n").split("_")
+    return _seeded(int(n), int(seed))
 
 
 def _bits(a) -> np.ndarray:
@@ -475,13 +512,10 @@ def _bits(a) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name", ["scalar_lqr", "scalar_coupled", "crowd_mfg", "asymmetric_2x2",
-                                  "coupled_2x2", "seeded_n8"] + SEEDED_N1)
+                                  "coupled_2x2", "seeded_n8"] + SEEDED)
 @pytest.mark.parametrize("kind", ["mfc", "mfg"])
 def test_integrate_bitwise_equal_reference(request, kind, name):
-    if name in SEEDED_N1:
-        m = _seeded_n1(int(name.rsplit("_", 1)[1]))
-    else:
-        m = request.getfixturevalue(name)
+    m = _seeded_model(name) if name in SEEDED else request.getfixturevalue(name)
     grid = TimeGrid(m.T, 300)
     sol = (solve_mfc if kind == "mfc" else solve_mfg)(m, grid)
     ref = _ref_solve(kind, m, grid)
@@ -491,23 +525,67 @@ def test_integrate_bitwise_equal_reference(request, kind, name):
         assert np.max(np.abs(sol.Sigma - np.swapaxes(sol.Sigma, 1, 2))) > 1e-6
 
 
-@pytest.mark.parametrize("name", SEEDED_N1)
+@pytest.mark.parametrize("name", SEEDED)
 @pytest.mark.parametrize("kind", ["mfc", "mfg"])
 def test_scalar_rhs_bitwise_equal_numpy(kind, name):
-    # the float binding against the 1 x 1 numpy reference on states whose
-    # blocks are often +0.0 or -0.0, where a bare a * b, or a trace without
-    # its + 0.0, changes the sign of a zero
-    m = _seeded_n1(int(name.rsplit("_", 1)[1]))
+    # the binding against the numpy reference on states whose entries are
+    # often +0.0 or -0.0: at n = 1 a bare a * b, or a trace without its
+    # + 0.0, changes the sign of a zero; at n >= 2 a term summed out of
+    # order changes the rounding, and half of the states are tiny, so
+    # that with the tiny drift of seeds 2 and 3 the products underflow to
+    # signed zeros and a sum that does not start from -0.0, or pads with
+    # +0.0, changes the sign of a zero
+    m = _seeded_model(name)
     k = 2 if kind == "mfc" else 3
+    L = k * m.n * m.n + 1
     ref_rhs = (_ref_mfc_rhs if kind == "mfc" else _ref_mfg_rhs)(m)
-    y, out = np.empty(k + 1), np.empty(k + 1)
+    y, out = np.empty(L), np.empty(L)
     rhs = getattr(riccati, f"_{kind}_rhs")(m)(y, out)
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        y[:] = rng.choice([-0.0, 0.0, 1.0], k + 1) * rng.standard_normal(k + 1)
+    for i in range(200):
+        y[:] = rng.choice([-0.0, 0.0, 1.0], L) * rng.standard_normal(L)
+        y *= 1e-170 if m.n > 1 and i % 2 else 1.0
         rhs(0.5)
-        ref = ref_rhs(0.5, [b.reshape(1, 1) for b in y[:k]] + [y[k]])
+        ref = ref_rhs(0.5, [b.reshape(m.n, m.n) for b in y[:-1].reshape(k, -1)] + [y[-1]])
         assert np.array_equal(_bits(out), _bits(np.hstack([np.ravel(r) for r in ref]))), y
+
+
+def test_bind_plan_bitwise_equal_direct_evaluation():
+    # a body unlike the two systems: a sum that starts from a constant with
+    # -0.0 entries, a product that is a term three times, a state block and
+    # a transposed one as terms, and a trace of an intermediate matrix.  The
+    # plan must give the bits of the same body evaluated on the arrays.
+    mm, tp, tr = riccati._algebra(2)
+    C = np.array([[-0.0, 1.5], [0.0, -0.0]])
+
+    def terms(X, Y):
+        XY = mm(X, Y)
+        return C - XY + X, XY - tp(Y) + C - XY + XY, 0.5 * tr(X + Y) - tr(Y)
+
+    y, out = np.empty(9), np.empty(9)
+    rhs = riccati._bind(terms, 2, 2)(y, out)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        y[:] = rng.choice([-0.0, 0.0, 1.0], 9) * rng.standard_normal(9)
+        rhs(0.5)
+        ref = terms(y[:4].reshape(2, 2), y[4:8].reshape(2, 2))
+        assert np.array_equal(_bits(out), _bits(np.hstack([-np.ravel(r) for r in ref]))), y
+
+
+def test_rhs_allocates_no_array_after_first_call(seeded_n8):
+    # the n >= 2 plan writes every product and sum into arrays made when it
+    # was built: over 100 calls the traced peak stays below 2 kB, about
+    # what numpy's reductions take for their iterators; a body that makes
+    # its 512-byte temporaries at each call peaks near 5.5 kB
+    L = 3 * 64 + 1
+    y, out = np.random.default_rng(6).standard_normal(L), np.empty(L)
+    rhs = riccati._mfg_rhs(seeded_n8)(y, out)
+    rhs(0.5)
+
+    def calls():
+        for _ in range(100):
+            rhs(0.5)
+    assert _traced_peak(calls) < 2048
 
 
 @pytest.mark.parametrize("kind, name", [("mfc", "coupled_2x2"), ("mfg", "coupled_2x2"),
