@@ -8,12 +8,13 @@ or suite gates on (TOLERANCES).  Identical manifests produce byte-identical
 artifacts on one machine; at n >= 2 the matrix products go through the
 host's BLAS, whose rounding may differ on another CPU.  Each command checks
 its input, then hands its work to _run, which creates --out and writes the
-JSON.  Exit codes: 0 success, 1 bad input (an unreadable --model included;
-nothing is written), 2 numerical failure (NUMERICAL: Riccati blow-up or
-non-finite value, CFL, non-finite PDE slice; the JSON still holds the
+JSON.  Exit codes: 0 success, 1 bad input (an unreadable --model included,
+and nothing is written; a size too large to allocate included, where --out
+may exist but stays empty), 2 numerical failure (NUMERICAL: Riccati blow-up
+or non-finite value, CFL, non-finite PDE slice; the JSON still holds the
 manifest and the error, and stderr reads "<command>: <error>"; when an
-hjbfp run's Riccati reference or mean-flow ODE fails after the PDE
-converged, the JSON also keeps the PDE's converged fields), 3 at least one
+hjbfp run's Riccati reference fails after the PDE converged, the JSON also
+keeps the PDE's converged fields), 3 at least one
 check failed (for hjbfp: the LQ cross-validation exceeds the manifest's
 pde_diff) or the HJB-FP iteration did not converge.
 """
@@ -255,15 +256,13 @@ def cmd_hjbfp(args) -> int:
     prob, model = _load_problem(args)
     man["kind"] = "mfg" if prob.dHdm_coeff is None else "mfc"   # the demo is an MFG
     tgrid = ric.TimeGrid(prob.T, Nt)
-    if not 0.0 < args.damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
 
     # what work has found so far; a numerical failure writes it next to the error
     payload = {"converged": False}
 
     def work():
         try:
-            fields = hj.picard_solve(prob, grid, tgrid, m0, damping=args.damping)
+            fields = hj.picard_solve(prob, grid, tgrid, m0)
         except hj.NonConvergence as exc:
             print(f"hjbfp: {exc}", file=sys.stderr)
             return {"converged": False, "history": exc.history}, False
@@ -283,8 +282,8 @@ def cmd_hjbfp(args) -> int:
 
 
 def _dump_slices(fields: hj.PDEFields, path: str) -> None:
-    """Rows (t, x, u, m) at five evenly spaced time nodes, x fastest."""
-    ks = np.linspace(0, fields.tgrid.K, 5).astype(int)
+    """Rows (t, x, u, m) at up to five evenly spaced time nodes, each once, x fastest."""
+    ks = np.unique(np.linspace(0, fields.tgrid.K, 5).astype(int))
     Nx = fields.grid.Nx
     ric._write_csv(path, ["t", "x", "u", "m"], np.column_stack([
         np.repeat(ks * fields.tgrid.h, Nx), np.tile(fields.grid.nodes(), ks.size),
@@ -316,7 +315,6 @@ OPTIONS = {
         f"{name} reads {' '.join(row[1]) or 'no other option'}" for name, row in SUITES.items())),
     "--kind": dict(choices=["mfc", "mfg"], default="mfc"),
     "--grid": dict(default="-4,4,200,2000", help="xmin,xmax,Nx,Nt"),
-    "--damping": dict(type=float, default=0.5, help="Anderson mixing parameter in (0, 1]"),
     "--m0-mean": dict(type=float, default=1.0),
     "--m0-std": dict(type=float, default=0.5),
 }
@@ -326,7 +324,7 @@ COMMANDS = {
                  ("--model", "--steps", "--particles")),
     "verify": (cmd_verify, "run a verification suite", ("--suite",)),
     "hjbfp": (cmd_hjbfp, "1D HJB-FP fixed-point solve + LQ cross-validation",
-              ("--model", "--grid", "--kind", "--damping", "--m0-mean", "--m0-std")),
+              ("--model", "--grid", "--kind", "--m0-mean", "--m0-std")),
 }
 
 
@@ -350,7 +348,8 @@ def main(argv=None) -> int:
         if not 0 <= args.seed < 2 ** 64:   # it keys the Philox generators
             raise ValueError(f"argument --seed: must be in [0, 2**64), got {args.seed}")
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:   # e.g. an unreadable --model
+    except (OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
+        # e.g. an unreadable --model, or a size too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -39,6 +39,7 @@ from . import riccati as ric
 from . import master_verifier as mv
 
 ANDERSON_DEPTH = 5     # Anderson history depth of picard_solve
+ANDERSON_DAMPING = 0.5  # Anderson mixing parameter of picard_solve
 PICARD_TOL = 1e-6      # picard_solve stops once max |F(z) - z| is below it
 CROSSVAL_ROWS = 64     # time nodes per block of cross_validate_lq: small temporaries
 SWEEP_BLOCK = 16       # time steps per block of sweep checks: buffers of a few tens of KB
@@ -423,7 +424,7 @@ def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray, prob: Problem1D) ->
 
 
 def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
-                 m0: np.ndarray, damping: float = 0.5, max_iter: int = 200) -> PDEFields:
+                 m0: np.ndarray, max_iter: int = 200) -> PDEFields:
     """Anderson-accelerated fixed point on the statistics z the HJB reads.
 
     The problem alone decides MFC or MFG: z holds the mean path ybar_0..ybar_K
@@ -431,12 +432,10 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
     the mean gradient path qbar_0..qbar_{K-1}.  F(z) runs one HJB sweep on z,
     one FP sweep on the resulting drift, and reads z back from the new (u, m).
     Each step is a Type-II Anderson step (Walker-Ni) of depth ANDERSON_DEPTH
-    with mixing `damping`; the iteration stops when max |F(z) - z| < PICARD_TOL
-    and returns that evaluation's u and m.  An empty z (a problem that never
-    reads m) converges after one HJB + FP pair.
+    with mixing ANDERSON_DAMPING; the iteration stops when
+    max |F(z) - z| < PICARD_TOL and returns that evaluation's u and m.  An
+    empty z (a problem that never reads m) converges after one HJB + FP pair.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     mfc = prob.dHdm_coeff is not None
     x, dx, K = grid.nodes(), grid.dx, tgrid.K
     m0 = np.maximum(np.asarray(m0, dtype=float), 0.0)
@@ -481,11 +480,11 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
             dZ.append(z - z_prev)
             dF.append(f - f_prev)
         z_prev, f_prev = z, f
-        z = z + damping * f
+        z = z + ANDERSON_DAMPING * f
         if dF:
             Fm, Zm = np.column_stack(dF), np.column_stack(dZ)
             gamma = np.linalg.lstsq(Fm, f, rcond=None)[0]
-            z -= (Zm + damping * Fm) @ gamma
+            z -= (Zm + ANDERSON_DAMPING * Fm) @ gamma
     raise NonConvergence(history)
 
 

@@ -130,35 +130,22 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
 
 def mean_flow_ode(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                   y0: np.ndarray, grid: ric.TimeGrid) -> np.ndarray:
-    """RK4 on dy/dt = (A + Abar - BRB (P + Sigma)) y, forward from y(0).
+    """The mean flow dy/dt = a(t) y, a = A + Abar - BRB (P + Sigma), from
+    y(0) = y0, at the nodes of grid: a (K+1, 1) array.  n = 1 only.
 
-    The drift matrix is formed once per stage time, all at once: the nodes,
-    accumulated by t += h as _integrate accumulates them, and the midpoints
-    t + h/2 between them.  At n = 1 the drifts are Python floats and the
-    product adds onto +0.0, as numpy's 1 x 1 matmul does."""
-    h, t, times = grid.h, 0.0, [0.0]
-    for _ in range(grid.K):
-        times += [t + 0.5 * h, t + h]
-        t += h
-    ts = np.array(times)
-    drift = _drift_matrix(model.A + model.Abar, model.BRB(),
-                          ric._interp(sol.P, sol.grid, ts), ric._interp(sol.Sigma, sol.grid, ts))
-    stage = {s: j for j, s in enumerate(times)}
-    if model.n == 1:
-        d = drift.ravel().tolist()
-
-        def make_rhs(y, out):
-            def rhs(t):
-                out[0] = d[stage[t]] * y[0] + 0.0
-            return rhs
-    else:
-        def make_rhs(y, out):
-            def rhs(t):
-                np.matmul(drift[stage[t]], y, out=out)
-            return rhs
-
-    y0 = np.asarray(y0, dtype=float).reshape(model.n)
-    return ric._integrate(make_rhs, (y0,), 0.0, h, grid.K, 0)[0]
+    a is the linear interpolant of its values a_j at sol's nodes, as eval_at
+    gives P and Sigma, and the flow is exact for it: y(t) = y0 exp(int_0^t a),
+    the integral being C_k + h w (a_k + w (a_{k+1} - a_k) / 2) at the time
+    that lies at node k of sol's grid plus the fraction w of its step h, with
+    C_k the trapezoid sum of a over [0, t_k]."""
+    if model.n != 1:
+        raise ValueError(f"mean_flow_ode solves n = 1 only, got n = {model.n}")
+    a = _drift_matrix(model.A + model.Abar, model.BRB(), sol.P, sol.Sigma)[:, 0, 0]
+    h = sol.grid.h
+    C = np.concatenate([[0.0], np.cumsum(0.5 * h * (a[:-1] + a[1:]))])
+    k, w = ric._locate(sol.grid, grid.nodes())
+    integral = C[k] + h * w * (a[k] + 0.5 * w * (a[k + 1] - a[k]))
+    return np.exp(integral)[:, None] * y0
 
 
 def seeded_state_panel(n: int, count: int, seed: int) -> np.ndarray:

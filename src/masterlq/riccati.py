@@ -381,8 +381,8 @@ def _vector_steps(n: int, sym: int, Y: np.ndarray, D: np.ndarray):
     return u, R, stage, advance, bounded, store
 
 
-def _integrate(make_rhs, y0, t0: float, h: float, K: int, sym: int):
-    """K classical RK4 steps of signed size h from (t0, y0) on one packed
+def _integrate(make_rhs, y0, grid: TimeGrid, sym: int):
+    """grid.K classical RK4 steps backward from (grid.T, y0) on one packed
     float64 state vector, with per-step symmetrization and blow-up detection.
 
     y0 is the tuple of state blocks (arrays or scalars), packed in order;
@@ -390,24 +390,24 @@ def _integrate(make_rhs, y0, t0: float, h: float, K: int, sym: int):
     make_rhs(y, out) returns rhs(t), which reads the state from the vector y
     and writes its derivative into the vector out; both are Python lists of
     floats when the first block has n = 1 rows, numpy vectors otherwise.
-    The steps run forward from t = 0 (h > 0) or backward from t = K|h|
-    (h < 0).  Returns the (K+1, L) node array and the rhs at each node, row
-    i at grid node i counted from t = 0; a NumericalFailure names the node
-    the same way.  The rhs at a node is the next step's first stage, so K
-    steps make 4K + 1 calls.
+    Each step has signed size h = -grid.h, and its time is accumulated by
+    t += h from grid.T.  Returns the (K+1, L) node array and the rhs at each
+    node, row i at grid node i counted from t = 0; a NumericalFailure names
+    the node the same way.  The rhs at a node is the next step's first
+    stage, so K steps make 4K + 1 calls.
     """
+    K, h = grid.K, -grid.h
     blocks = [np.asarray(b, dtype=float) for b in y0]
     ends = np.cumsum([b.size for b in blocks]).tolist()
     Y, D = np.empty((K + 1, ends[-1])), np.empty((K + 1, ends[-1]))
     u, R, stage, advance, bounded, store = _vector_steps(blocks[0].shape[0], sym, Y, D)
     node, rhs2, rhs3, rhs4 = (make_rhs(u, k) for k in R)
     k1, k2, k3 = R[:3]
-    step, i = (1, 0) if h > 0 else (-1, K)
     u[:] = np.concatenate([b.ravel() for b in blocks]).tolist()
-    node(t0)
-    y = store(i)
-    t, half = t0, 0.5 * h
-    for _ in range(K):
+    node(grid.T)
+    y = store(K)
+    t, half = grid.T, 0.5 * h
+    for i in range(K - 1, -1, -1):
         stage(y, k1, half)
         rhs2(t + half)
         stage(y, k2, half)
@@ -416,7 +416,6 @@ def _integrate(make_rhs, y0, t0: float, h: float, K: int, sym: int):
         rhs4(t + h)
         advance(y, h / 6.0)
         t += h
-        i += step
         if not bounded():
             for a, b in zip([0] + ends[:-1], ends):    # first failing block decides
                 m = np.abs(np.asarray(u[a:b])).max()
@@ -443,7 +442,7 @@ def solve_mfc(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
     ST, QbT = model.ST, model.QbarT
     P_T = model.QT + QbT
     Sig_T = ST.T @ QbT @ ST - (ST.T @ QbT + QbT @ ST)
-    Y, D = _integrate(_mfc_rhs(model), (P_T, Sig_T, 0.0), grid.T, -grid.h, grid.K, 2)
+    Y, D = _integrate(_mfc_rhs(model), (P_T, Sig_T, 0.0), grid, 2)
     return RiccatiSolution(kind="MFC", grid=grid,
                            **_split(Y, model.n, ("P", "Sigma", "lam")),
                            **_split(D, model.n, ("dP", "dSigma", None)))
@@ -454,7 +453,7 @@ def solve_mfg(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
     Only P is symmetrized: MFG Sigma asymmetry is a feature, not roundoff."""
     ST, QbT = model.ST, model.QbarT
     state = (model.QT + QbT, -QbT @ ST, ST.T @ QbT @ ST, 0.0)
-    Y, D = _integrate(_mfg_rhs(model), state, grid.T, -grid.h, grid.K, 1)
+    Y, D = _integrate(_mfg_rhs(model), state, grid, 1)
     return RiccatiSolution(kind="MFG", grid=grid,
                            **_split(Y, model.n, ("P", "Sigma", "Gamma", "mu")),
                            **_split(D, model.n, ("dP", "dSigma", "dGamma", "dmu")))
@@ -472,15 +471,21 @@ def check_symmetry_conditions(model: LQModelSpec) -> dict:
             "self_adjoint_possible": bool(t_ok and r_ok and a_ok)}
 
 
+def _locate(grid: TimeGrid, t):
+    """(k, w) for the times of the 1-D array t: each lies at node k of grid
+    plus the fraction w of a step, k <= K - 1 and w in [0, 1]."""
+    if not np.all((0.0 <= t) & (t <= grid.T + 1e-12)):
+        raise ValueError(f"times outside [0, {grid.T}]")
+    s = np.minimum(t, grid.T) / grid.h
+    k = np.minimum(np.floor(s).astype(int), grid.K - 1)
+    return k, s - k
+
+
 def _interp(values: np.ndarray, grid: TimeGrid, t):
     """Linear interpolation of the node values at time t, or at each time of
     a 1-D array t (one result row per time, each with the scalar weights)."""
-    ts = np.atleast_1d(t)
-    if not np.all((0.0 <= ts) & (ts <= grid.T + 1e-12)):
-        raise ValueError(f"times outside [0, {grid.T}]")
-    s = np.minimum(ts, grid.T) / grid.h
-    k = np.minimum(np.floor(s).astype(int), grid.K - 1)
-    w = (s - k).reshape((-1,) + (1,) * (values.ndim - 1))
+    k, w = _locate(grid, np.atleast_1d(t))
+    w = w.reshape((-1,) + (1,) * (values.ndim - 1))
     out = (1.0 - w) * values[k] + w * values[k + 1]
     return out if np.ndim(t) else out[0]
 

@@ -205,7 +205,7 @@ def test_criterion_10_hjbfp_cross_validation():
         grid = hj.SpaceGrid1D(-4.0, 4.0, Nx)
         tg = riccati.TimeGrid(m.T, Nt)
         m0 = hj.gaussian_density(grid, 1.0, 0.5)
-        pde = hj.picard_solve(prob, grid, tg, m0, damping=0.5)
+        pde = hj.picard_solve(prob, grid, tg, m0)
         return hj.cross_validate_lq(m, riccati.solve_mfg(m, tg), pde)
 
     coarse = solve(200, 2000)

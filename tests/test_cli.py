@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 from unittest.mock import ANY
 
 import numpy as np
@@ -152,7 +153,7 @@ def test_model_file_shape_exit_1(tmp_path, capsys, command, text, message):
 # per command, an option value that is bad input
 BAD_VALUE = {"riccati": ("--steps", "0"), "simulate": ("--particles", "0"),
              "master": ("--steps", "0"), "mp": ("--particles", "0"),
-             "optimality": ("--steps", "-1"), "hjbfp": ("--damping", "0")}
+             "optimality": ("--steps", "-1"), "hjbfp": ("--m0-std", "0")}
 
 
 @pytest.mark.parametrize("bad", ["model", "grid", "value"])
@@ -174,6 +175,24 @@ def test_bad_input_leaves_no_out(tmp_path, capsys, command, bad):
     assert code == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
+
+
+# a size far beyond the address space: numpy raises MemoryError before any page is touched
+HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize("argv", [("riccati", "--model", LQR, "--steps", HUGE),
+                                  ("simulate", "--model", LQR, "--particles", HUGE,
+                                   "--steps", "10"),
+                                  ("hjbfp", "--model", CROWD, f"--grid=-4,4,{HUGE},10")],
+                         ids=["riccati", "simulate", "hjbfp"])
+def test_unallocatable_size_exit_1(tmp_path, capsys, argv):
+    # --out may exist by then, but nothing is written into it
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", [("simulate",), ("verify", "--suite", "optimality")],
@@ -420,7 +439,6 @@ def test_hjbfp_cfl_failure_bytes(tmp_path, capsys):
   "error": "{error}",
   "manifest": {{
     "command": "hjbfp",
-    "damping": 0.5,
     "grid": "-4,4,200,20",
     "kind": "mfc",
     "m0_mean": 1.0,
@@ -686,8 +704,9 @@ READS = {
     "master": ("--suite", "--model", "--steps"),
     "mp": ("--suite", "--model", "--steps", "--particles"),
     "optimality": ("--suite", "--model", "--steps", "--particles"),
-    "hjbfp": ("--model", "--grid", "--kind", "--damping", "--m0-mean", "--m0-std"),
+    "hjbfp": ("--model", "--grid", "--kind", "--m0-mean", "--m0-std"),
 }
+# no command reads --damping: every command refuses it
 VALUES = {"--model": LQR, "--steps": "20", "--particles": "0", "--kind": "mfg",
           "--suite": "lift", "--grid": "-3,3,40,50", "--damping": "0.5", "--m0-mean": "0",
           "--m0-std": "0.7"}
@@ -791,6 +810,26 @@ def test_each_command_takes_only_its_options():
     assert taken == {row: {"--out", "--seed", *READS[row]} for row in READS}
 
 
+def _readme_options() -> dict:
+    """The README's CLI options table: each row's first cell, and the
+    options its second cell names."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        lines = fh.read().split("| Command | Options |\n| --- | --- |\n")[1].split("\n\n")[0]
+    rows = [line.strip("|").split("|") for line in lines.splitlines()]
+    table = {row.strip(): set(re.findall(r"`(--[\w-]+)", cell)) for row, cell in rows}
+    assert len(table) == len(rows)
+    return table
+
+
+def test_readme_options_table_matches_parser():
+    from masterlq.cli import COMMANDS, SUITES
+    assert COMMANDS["verify"][2] == ("--suite",)
+    expected = {"every command": {"--out", "--seed"},
+                **{f"`{name}`": set(row[2]) for name, row in COMMANDS.items() if name != "verify"},
+                **{f"`verify --suite {name}`": set(row[1]) for name, row in SUITES.items()}}
+    assert _readme_options() == expected
+
+
 @pytest.mark.parametrize("command", list(READS))
 def test_manifest_is_the_parsed_options(tmp_path, command):
     # the guard that keeps the manifest from drifting from the parser
@@ -856,8 +895,8 @@ def test_pde_tolerance_only_in_hjbfp_manifest(tmp_path, argv, name):
 
 
 @pytest.mark.parametrize("option,values", [("--m0-mean", ("0", "1")),
-                                           ("--damping", ("0.5", "0.9"))])
-def test_hjbfp_manifest_records_density_and_damping(tmp_path, option, values):
+                                           ("--m0-std", ("0.7", "0.9"))])
+def test_hjbfp_manifest_records_density(tmp_path, option, values):
     manifests = []
     for v in values:
         code, out = run(tmp_path / v, *SMALL["hjbfp"], f"{option}={v}")
@@ -973,3 +1012,13 @@ def test_hjbfp_fields_csv_bytes(tmp_path, monkeypatch):
                     "--m0-mean", "0", "--m0-std", "0.7")
     assert code == 0
     _assert_same_bytes(out, "hjbfp_fields.csv", tmp_path, _reference_slices_csv, solves[0])
+
+
+def test_hjbfp_fields_csv_writes_each_node_once(tmp_path):
+    # at Nt = 2 the five evenly spaced slices round to nodes 0, 0, 1, 1, 2
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, "--grid=-3,3,16,2",
+                    "--m0-mean", "0", "--m0-std", "0.7")
+    assert code == 0
+    with open(out / "hjbfp_fields.csv", newline="") as fh:
+        times = [row[0] for row in csv.reader(fh)][1:]
+    assert times == [t for t in ("0.0", "0.25", "0.5") for _ in range(16)]

@@ -28,7 +28,7 @@ def grid():
 def crowd_pde(crowd_mfg, grid):
     tg = riccati.TimeGrid(crowd_mfg.T, 2000)
     m0 = gaussian_density(grid, 1.0, 0.5)
-    pde = picard_solve(problem_from_lq(crowd_mfg), grid, tg, m0, damping=0.5)
+    pde = picard_solve(problem_from_lq(crowd_mfg), grid, tg, m0)
     return pde, tg
 
 
@@ -36,7 +36,7 @@ def crowd_pde(crowd_mfg, grid):
 def crowd_pde_mfc(crowd_mfg, grid):
     tg = riccati.TimeGrid(crowd_mfg.T, 2000)
     m0 = gaussian_density(grid, 1.0, 0.5)
-    return picard_solve(problem_from_lq(crowd_mfg, "MFC"), grid, tg, m0, damping=0.5), tg
+    return picard_solve(problem_from_lq(crowd_mfg, "MFC"), grid, tg, m0), tg
 
 
 def _mean_path(m, grid):
@@ -144,8 +144,9 @@ def test_picard_decoupled_converges_immediately(grid):
                                         sigma=0.5, T=0.5))
     tg = riccati.TimeGrid(0.5, 1000)
     m0 = gaussian_density(grid, 0.5, 0.6)
-    pde = picard_solve(prob, grid, tg, m0, damping=1.0)
-    assert pde.iterations <= 2
+    pde = picard_solve(prob, grid, tg, m0)
+    # the mixing halves the first correction (history 0.0553, 0.0277, 5.6e-17)
+    assert pde.iterations == 3 and pde.history[-1] <= 1e-15
 
 
 def test_picard_converges_crowd(crowd_pde):
@@ -160,18 +161,11 @@ def test_picard_monotone_tail(crowd_pde):
     assert all(b <= a for a, b in zip(tail, tail[1:]))
 
 
-def test_picard_rejects_bad_damping(crowd_mfg, grid):
-    with pytest.raises(ValueError):
-        picard_solve(problem_from_lq(crowd_mfg), grid,
-                     riccati.TimeGrid(0.5, 1000),
-                     gaussian_density(grid, 1.0, 0.5), damping=0.0)
-
-
 def test_picard_nonconvergence_reports_history(crowd_mfg, grid):
     with pytest.raises(NonConvergence) as exc:
         picard_solve(problem_from_lq(crowd_mfg), grid,
                      riccati.TimeGrid(0.5, 1000),
-                     gaussian_density(grid, 1.0, 0.5), damping=0.5, max_iter=2)
+                     gaussian_density(grid, 1.0, 0.5), max_iter=2)
     assert len(exc.value.history) == 2
 
 
@@ -246,7 +240,7 @@ def test_cross_validate_zero_coupling_lqr(grid):
     m = scalar_model(A=0.0, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=0.5)
     tg = riccati.TimeGrid(0.5, 2000)
     m0 = gaussian_density(grid, 0.5, 0.6)
-    pde = picard_solve(problem_from_lq(m), grid, tg, m0, damping=1.0)
+    pde = picard_solve(problem_from_lq(m), grid, tg, m0)
     sol = riccati.solve_mfg(m, tg)
     rep = cross_validate_lq(m, sol, pde)
     assert rep["sup_diff"] <= 1e-2
@@ -717,7 +711,7 @@ def test_cosine_demo_runs():
     prob = cosine_demo()
     g = SpaceGrid1D(-np.pi, np.pi, 120)
     tg = riccati.TimeGrid(prob.T, 500)
-    pde = picard_solve(prob, g, tg, gaussian_density(g, 0.0, 0.7), damping=0.5)
+    pde = picard_solve(prob, g, tg, gaussian_density(g, 0.0, 0.7))
     assert np.sum(pde.m[-1]) * g.dx == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.isfinite(pde.u))
 

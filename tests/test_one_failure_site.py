@@ -15,7 +15,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "masterlq" / "cli
 # NUMERICAL, its three classes, and the broad clauses that would catch them too
 NUMERICAL_NAMES = {"NUMERICAL", "RiccatiBlowUp", "NumericalFailure", "CFLViolation",
                    "RuntimeError", "Exception", "BaseException"}
-BAD_INPUT = {"OSError", "ValueError", "json.JSONDecodeError"}
+BAD_INPUT = {"OSError", "ValueError", "json.JSONDecodeError", "MemoryError"}
 
 
 def _caught(handler: ast.ExceptHandler) -> list[str]:

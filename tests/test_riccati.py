@@ -691,7 +691,7 @@ def test_integrate_failure_precedence_equals_reference(size, d0, d1, exc):
     grid = TimeGrid(1.0, 10)
     y0 = (np.zeros(size), 0.0)
     with pytest.raises(exc) as new:
-        riccati._integrate(make_rhs, y0, grid.T, -grid.h, grid.K, 0)
+        riccati._integrate(make_rhs, y0, grid, 0)
     with pytest.raises(exc) as ref:
         _ref_integrate(rhs, y0, grid, lambda s: s)
     if exc is RiccatiBlowUp:
@@ -709,7 +709,7 @@ def test_integrate_signed_zero_sum_equals_reference(size):
     make_rhs, rhs = _synthetic(g, size)
     grid = TimeGrid(1.0, 4)
     y0 = (np.full(size, -0.0), -0.0)
-    Y, D = riccati._integrate(make_rhs, y0, grid.T, -grid.h, grid.K, 0)
+    Y, D = riccati._integrate(make_rhs, y0, grid, 0)
     nodes, derivs = _ref_integrate(rhs, y0, grid, lambda s: s)
     assert np.array_equal(_bits(Y), _bits([np.hstack(s) for s in nodes]))
     assert np.array_equal(_bits(D), _bits([np.hstack(d) for d in derivs]))
