@@ -19,11 +19,14 @@ new slice is finite (the FP's mass check stays per step, since the
 normalization needs that mass).  They raise the first failure in sweep
 order, as a check after every step would, and compute with floating-point
 warnings off, so the steps run past a failure inside its block print
-nothing.  The FP reads the central differences of u a block of rows at a
-time, and problem_from_lq and cosine_demo compute their x-only terms once
-per node array.  Each sweep makes its shifted views once and hands numpy
-its constants as 0-d arrays, and the Hamiltonians and drifts build their
-values in place: fewer numpy calls and temporaries per step, the same bits.
+nothing.  A problem is the quadratic form H = h0 + g0 q - brb q^2 / 2 and
+its q-derivative, the drift G = g0 - brb q.  The HJB sweep forms the
+q-free rows (h0, g0 and the MFC measure term) from the mean path a block
+of SWEEP_BLOCK nodes at a time, and the FP sweep reads the central
+differences of u, times brb, a block of rows at a time; each step does only
+the q-dependent work.  Each sweep makes its shifted views once and hands
+numpy its constants as 0-d arrays: fewer numpy calls and temporaries per
+step, the same bits.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from . import riccati as ric
 from . import master_verifier as mv
 
 ANDERSON_DEPTH = 5     # Anderson history depth of picard_solve
-ANDERSON_DAMPING = 0.5  # Anderson mixing parameter of picard_solve
 PICARD_TOL = 1e-6      # picard_solve stops once max |F(z) - z| is below it
 CROSSVAL_ROWS = 64     # time nodes per block of cross_validate_lq: small temporaries
 SWEEP_BLOCK = 16       # time steps per block of sweep checks: buffers of a few tens of KB
@@ -94,15 +96,18 @@ class PDEFields:
 class Problem1D:
     """Scalar problem data for the FD solver.
 
-    hamiltonian(x, ybar, q) and drift(x, ybar, q) are vectorized over x, q
-    and return a new array; terminal(x, ybar) gives u(x, T).  dHdm_coeff,
-    set exactly for an MFC problem, gives the linear-in-x coefficient of the
-    measure-derivative term: term(x) = dHdm_coeff(ybar, qbar) * x.  The
-    hamiltonian and drift of problem_from_lq and cosine_demo keep their
-    x-only terms for the last node array they were given (see _per_grid).
+    The Hamiltonian is one quadratic form in q,
+        H(x, y, q) = h0(x, y) + g0(x, y) q - brb q^2 / 2,
+    and the drift is its q-derivative G = g0(x, y) - brb q.  h0 and g0 return
+    a new array and broadcast over x and y: the HJB sweep hands them a column
+    of means, one row per time node.  terminal(x, ybar) gives u(x, T).
+    dHdm_coeff, set exactly for an MFC problem, gives the linear-in-x
+    coefficient of the measure-derivative term:
+    term(x) = dHdm_coeff(ybar, qbar) * x; it too broadcasts.
     """
-    hamiltonian: callable
-    drift: callable
+    h0: callable
+    g0: callable
+    brb: float
     terminal: callable
     sigma: float
     T: float
@@ -113,21 +118,6 @@ class Problem1D:
         if not 0.0 < self.sigma < np.inf:
             raise ValueError(f"diffusion coefficient sigma must be finite and > 0 for the "
                              f"FD solver, got {self.sigma}")
-
-
-def _per_grid(fn):
-    """fn(x), computed again only when x is not the node array of the last
-    call.  The entry holds that array itself, so its id cannot be reused;
-    the sweeps pass one array at every step and never write to it."""
-    last = (None, None)
-
-    def terms(x):
-        nonlocal last
-        hit = last
-        if hit[0] is not x:
-            hit = last = (x, fn(x))
-        return hit[1]
-    return terms
 
 
 def _scalars(*values: float) -> list[np.ndarray]:
@@ -150,32 +140,14 @@ def problem_from_lq(model: lq.LQModelSpec, kind: str = "MFG") -> Problem1D:
     A = float(model.A[0, 0]); Ab = float(model.Abar[0, 0])
     Q = float(model.Q[0, 0]); Qb = float(model.Qbar[0, 0]); S = float(model.S[0, 0])
     QT = float(model.QT[0, 0]); QbT = float(model.QbarT[0, 0]); ST = float(model.ST[0, 0])
-    BRB = float(model.BRB()[0, 0])
+    # the FP sweep calls g0 at every step: its factor of x as a 0-d array (see _scalars)
+    c_yy, (c_A,) = 0.5 * S * Qb * S, _scalars(A)
 
-    x_terms = _per_grid(lambda x: (0.5 * (Q + Qb) * x * x, Qb * S * x, A * x))
-    # the constant factors of q as 0-d arrays (see _scalars)
-    c_yy, (c_qq, c_q) = 0.5 * S * Qb * S, _scalars(0.5 * BRB, BRB)
+    def h0(x, y):
+        return 0.5 * (Q + Qb) * x * x - Qb * S * x * y + c_yy * y * y
 
-    def ham(x, y, q):
-        # xx - sx*y + c_yy*y*y - c_qq*q*q + q*(ax + Ab*y), term by term in
-        # that order, in a fresh result and one scratch array
-        xx, sx, ax = x_terms(x)
-        h = np.multiply(sx, y)
-        np.subtract(xx, h, out=h)
-        h += c_yy * y * y
-        w = np.multiply(q, c_qq)
-        w *= q
-        h -= w
-        np.add(ax, Ab * y, out=w)
-        w *= q
-        h += w
-        return h
-
-    def drift(x, y, q):
-        # ax + Ab*y - BRB*q
-        g = np.add(x_terms(x)[2], Ab * y)
-        g -= np.multiply(q, c_q)
-        return g
+    def g0(x, y):
+        return c_A * x + Ab * y
 
     def terminal(x, y):
         return 0.5 * (QT * x * x + QbT * (x - ST * y) ** 2)
@@ -187,33 +159,15 @@ def problem_from_lq(model: lq.LQModelSpec, kind: str = "MFG") -> Problem1D:
         return -y * Qb * S + y * S * Qb * S + qbar * Ab
 
     mfc = kind == "MFC"
-    return Problem1D(hamiltonian=ham, drift=drift, terminal=terminal_mfc if mfc else terminal,
-                     sigma=model.sigma, T=model.T, dHdm_coeff=dHdm_coeff if mfc else None)
+    return Problem1D(h0=h0, g0=g0, brb=float(model.BRB()[0, 0]),
+                     terminal=terminal_mfc if mfc else terminal, sigma=model.sigma, T=model.T,
+                     dHdm_coeff=dHdm_coeff if mfc else None)
 
 
 def cosine_demo(sigma: float = 0.5, T: float = 0.5, kappa: float = 0.5) -> Problem1D:
     """Non-LQ demonstration: quadratic control cost with a cosine potential."""
-    x_terms = _per_grid(lambda x: (kappa * (1.0 - np.cos(x)), np.zeros_like(x)))
-    (minus_half,) = _scalars(-0.5)
-
-    def ham(x, y, q):
-        # -0.5*q*q + potential + zero*y, in that order
-        potential, zero = x_terms(x)
-        h = np.multiply(q, minus_half)
-        h *= q
-        h += potential
-        h += np.multiply(zero, y)
-        return h
-
-    def drift(x, y, q):
-        g = np.negative(q)
-        g += x_terms(x)[1]
-        return g
-
-    def terminal(x, y):
-        return np.zeros_like(x)
-
-    return Problem1D(hamiltonian=ham, drift=drift, terminal=terminal,
+    return Problem1D(h0=lambda x, y: kappa * (1.0 - np.cos(x)), g0=lambda x, y: np.zeros_like(x),
+                     brb=1.0, terminal=lambda x, y: np.zeros_like(x),
                      sigma=sigma, T=T, uses_mean=False)
 
 
@@ -361,43 +315,59 @@ def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid
     nu = 0.5 * prob.sigma ** 2
     # boundary rows carry u_xx = 0 (linear extrapolation)
     lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, Nx, neumann=False))
-    ys = np.asarray(ybar, dtype=float).tolist() if prob.uses_mean else [0.0] * (K + 1)
-    qs = None if qbar is None else np.asarray(qbar, dtype=float).tolist()
+    ys = np.asarray(ybar, dtype=float) if prob.uses_mean else np.zeros(K + 1)
     u = np.empty((K + 1, Nx))
-    u[-1] = prob.terminal(x, ys[K])
-    vel = np.empty((SWEEP_BLOCK, Nx))
-    fwd, q_c, q, H_dt = np.empty(Nx - 1), np.empty(Nx), np.empty(Nx), np.empty(Nx)
+    u[-1] = prob.terminal(x, float(ys[K]))
+    # the paths in sweep order, as columns: step j = K-1-k reads node k
+    y_rev = ys[-2::-1, None]
+    q_rev = None if qbar is None else np.asarray(qbar, dtype=float)[::-1, None]
+    # the q-free rows of H and G, formed from them a block of steps at a time
+    vel, h0, g0 = (np.empty((SWEEP_BLOCK, Nx)) for _ in range(3))
+    measure = None if q_rev is None else np.empty((SWEEP_BLOCK, Nx))
+    fwd, q_c, q, H, w = np.empty(Nx - 1), np.empty(Nx), np.empty(Nx), np.empty(Nx), np.empty(Nx)
     bwd = np.empty(Nx - 2, dtype=bool)
-    drift, hamiltonian = prob.drift, prob.hamiltonian
-    zero, c_dx, c_dx2, c_dt = _scalars(0.0, dx, 2.0 * dx, dt)
+    zero, c_dx, c_dx2, c_dt, c_brb, c_half_brb = _scalars(0.0, dx, 2.0 * dx, dt, prob.brb,
+                                                          0.5 * prob.brb)
     # the shifted views every step reads, made once; the differences are
     # _differences' written out
     u_hi, u_lo, u_hi2, u_lo2 = u[:, 1:], u[:, :-1], u[:, 2:], u[:, :-2]
     vel_mid, fwd_lo, q_lo, q_mid, q_c_mid = vel[:, 1:-1], fwd[:-1], q[:-1], q[1:-1], q_c[1:-1]
     with np.errstate(all="ignore"):
         for k in range(K - 1, -1, -1):
-            i = (K - 1 - k) % SWEEP_BLOCK
-            yb, nxt = ys[k], u[k]
+            j = K - 1 - k
+            i = j % SWEEP_BLOCK
+            if i == 0:
+                y = y_rev[j:j + SWEEP_BLOCK]
+                h0[:len(y)] = prob.h0(x, y)
+                g0[:len(y)] = prob.g0(x, y)
+                if measure is not None:
+                    np.multiply(x, prob.dHdm_coeff(y, q_rev[j:j + SWEEP_BLOCK]),
+                                out=measure[:len(y)])
+            nxt, v = u[k], vel[i]
             np.subtract(u_hi[k + 1], u_lo[k + 1], out=fwd)
             fwd /= c_dx
             np.subtract(u_hi2[k + 1], u_lo2[k + 1], out=q_c_mid)
             q_c_mid /= c_dx2
             q_c[0] = fwd[0]
             q_c[-1] = fwd[-1]
-            vel[i] = drift(x, yb, q_c)
+            # G = g0 - brb q at the central differences
+            np.multiply(q_c, c_brb, out=v)
+            np.subtract(g0[i], v, out=v)
             # upwind u_x: backward difference where v > 0, forward elsewhere
             q_lo[...] = fwd
             q[-1] = fwd[-1]
             np.greater(vel_mid[i], zero, out=bwd)
             np.copyto(q_mid, fwd_lo, where=bwd)
-            H = hamiltonian(x, yb, q)
-            if qs is None:
-                np.multiply(H, c_dt, out=H_dt)
-            else:
-                np.multiply(x, prob.dHdm_coeff(yb, qs[k]), out=H_dt)
-                np.add(H, H_dt, out=H_dt)
-                H_dt *= c_dt
-            np.add(u[k + 1], H_dt, out=nxt)
+            # H = h0 - brb q^2 / 2 + g0 q [+ the measure term], term by term
+            np.multiply(q, c_half_brb, out=H)
+            H *= q
+            np.subtract(h0[i], H, out=H)
+            np.multiply(g0[i], q, out=w)
+            H += w
+            if measure is not None:
+                H += measure[i]
+            H *= c_dt
+            np.add(u[k + 1], H, out=nxt)
             dgttrs(*lu, nxt, "N", 1)     # trans "N", overwrite_b: in place
             if i == SWEEP_BLOCK - 1 or k == 0:
                 _check_block(vel[:i + 1], dt, dx, range(k + i, k - 1, -1),
@@ -431,8 +401,8 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
     (when the problem uses the mean) and, when it has the measure term (MFC),
     the mean gradient path qbar_0..qbar_{K-1}.  F(z) runs one HJB sweep on z,
     one FP sweep on the resulting drift, and reads z back from the new (u, m).
-    Each step is a Type-II Anderson step (Walker-Ni) of depth ANDERSON_DEPTH
-    with mixing ANDERSON_DAMPING; the iteration stops when
+    Each step is an undamped Type-II Anderson step (Walker-Ni) of depth
+    ANDERSON_DEPTH, z <- z + f - (dZ + dF) gamma; the iteration stops when
     max |F(z) - z| < PICARD_TOL and returns that evaluation's u and m.  An
     empty z (a problem that never reads m) converges after one HJB + FP pair.
     """
@@ -446,16 +416,17 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
     dZ: deque = deque(maxlen=ANDERSON_DEPTH)
     dF: deque = deque(maxlen=ANDERSON_DEPTH)
     z_prev = f_prev = None
-    fwd, q = np.empty((SWEEP_BLOCK, grid.Nx - 1)), np.empty((SWEEP_BLOCK, grid.Nx))
+    fwd, bq = np.empty((SWEEP_BLOCK, grid.Nx - 1)), np.empty((SWEEP_BLOCK, grid.Nx))
     sums = np.empty((2, grid.Nx))
 
     def drift_fn(k, xs, m_slice):
         # the FP sweep asks for k = 0, 1, ... in order: the central differences
-        # of u come a block of rows at a time
+        # of u, and brb times them, come a block of rows at a time
         i = k % SWEEP_BLOCK
         if i == 0:
             rows = u[k:k + SWEEP_BLOCK]
-            _differences(rows, dx, fwd[:len(rows)], q[:len(rows)])
+            _differences(rows, dx, fwd[:len(rows)], bq[:len(rows)])
+            bq[:len(rows)] *= prob.brb
         yb = 0.0
         if prob.uses_mean:
             # first_moment(m_slice, xs, dx): the sums of x * m and of m are one
@@ -464,7 +435,9 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
             sums[1] = m_slice
             xm, mass = np.add.reduce(sums, axis=1).tolist()
             yb = xm * dx / max(mass * dx, 1e-300)
-        return prob.drift(xs, yb, q[i])
+        g = prob.g0(xs, yb)
+        g -= bq[i]
+        return g
 
     for it in range(1, max_iter + 1):
         u = m = None    # free the previous iterate before the next sweep
@@ -480,11 +453,11 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
             dZ.append(z - z_prev)
             dF.append(f - f_prev)
         z_prev, f_prev = z, f
-        z = z + ANDERSON_DAMPING * f
+        z = z + f
         if dF:
             Fm, Zm = np.column_stack(dF), np.column_stack(dZ)
             gamma = np.linalg.lstsq(Fm, f, rcond=None)[0]
-            z -= (Zm + ANDERSON_DAMPING * Fm) @ gamma
+            z -= (Zm + Fm) @ gamma
     raise NonConvergence(history)
 
 
@@ -544,6 +517,10 @@ def gaussian_density(grid: SpaceGrid1D, mean: float, std: float) -> np.ndarray:
         raise ValueError(f"initial density mean must be finite, got {mean}")
     if not 0.0 < std < np.inf:
         raise ValueError(f"initial density std must be finite and > 0, got {std}")
-    x = grid.nodes()
-    m = np.exp(-0.5 * ((x - mean) / std) ** 2)
-    return m / (np.sum(m) * grid.dx)
+    with np.errstate(over="ignore"):    # a far-off mean or tiny std: mass 0, refused below
+        m = np.exp(-0.5 * ((grid.nodes() - mean) / std) ** 2)
+    mass = np.sum(m) * grid.dx
+    if not 0.0 < mass < np.inf:
+        raise ValueError(f"initial density with mean {mean:g} and std {std:g} has no mass on "
+                         f"the grid [{grid.x_min:g}, {grid.x_max:g}]")
+    return m / mass

@@ -460,7 +460,7 @@ def test_hjbfp_non_finite_exit_2(tmp_path, monkeypatch):
     import masterlq.hjbfp_1d as hj
     orig = hj.cosine_demo
     monkeypatch.setattr(hj, "cosine_demo", lambda **kw: dataclasses.replace(
-        orig(**kw), hamiltonian=lambda x, y, q: np.full_like(x, np.nan)))
+        orig(**kw), h0=lambda x, y: np.full_like(x, np.nan)))
     code, out = run(tmp_path, "hjbfp", "--model", COSINE, "--grid=-3,3,40,50")
     assert code == 2
     rep = json.loads((out / "hjbfp.json").read_text())
@@ -571,6 +571,19 @@ def test_hjbfp_bad_initial_density_exit_1(tmp_path, capsys, option, value):
     what = "std must be finite and > 0" if option == "--m0-std" else "mean must be finite"
     assert len(err) == 1 and err[0].startswith(f"error: initial density {what}, got ")
     assert not (out / "hjbfp.json").exists()
+
+
+@pytest.mark.parametrize("option,value", [("--m0-mean", "100"), ("--m0-std", "1e-9"),
+                                          ("--m0-mean", "1e308")])
+def test_hjbfp_density_without_mass_exit_1(tmp_path, capsys, option, value):
+    # a finite mean and std whose density underflows to zero on every node
+    code, out = run(tmp_path, "hjbfp", "--model", CROWD, "--grid=-4,4,200,200",
+                    f"{option}={value}")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: initial density with mean ")
+    assert err[0].endswith(" has no mass on the grid [-4, 4]")
+    assert not out.exists()
 
 
 def test_hjbfp_common_noise_exit_1(tmp_path, capsys):
