@@ -266,9 +266,6 @@ def check_buckdahn_relation(F: MomentFunctional, m: GaussianMeasure) -> dict:
                    bool(err / scale < BOUNDS["lift_fd_rel"]))
 
 
-TAYLOR_BLOCK = 64   # particles per block of the N x N second-order kernel
-
-
 def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray) -> dict:
     """Fit the order of the remainder after the second-order expansion.
 
@@ -279,17 +276,16 @@ def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray) -
     eps_list, noise_floor = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3), 1e-12
     F0 = F.F_lifted(X0)
     DF0, dx_dm0 = F.DF_lifted(X0), F.dx_dm(X0, X0)
-    # d2m(X0, xi, X0) = g''(s) phi'(xi) phi'(X0), with s the moment of X0;
-    # rows of it are formed for blocks of particles xi, never all N x N at once
+    # d2m(X0, xi, X0) = g''(s) phi'(xi) phi'(X0), with s the moment of X0:
+    # a rank-one kernel, so its mean against D over the second copy is one
+    # row product, g''(s) phi'(xi) mean(phi'(X0) D), never an N x N array
     g2, d1 = F.g2(F.moment(X0)), F.phi.d1(X0)
     remainders = []
     for eps in eps_list:
         D = eps * Y
         t1 = float(np.mean(DF0 * D))
         # E_(X X0) (X-X0) . E_(Y Y0) d2m(X0, Y0)(Y-Y0), copies share the ensemble
-        inner = np.concatenate([
-            np.mean(g2 * (d1[i:i + TAYLOR_BLOCK, None] * d1) * D, axis=1)
-            for i in range(0, d1.size, TAYLOR_BLOCK)])
+        inner = g2 * d1 * np.mean(d1 * D)
         t2 = 0.5 * float(np.mean(D * inner))
         t3 = 0.5 * float(np.mean(dx_dm0 * D * D))
         R = F.F_lifted(X0 + D) - F0 - t1 - t2 - t3

@@ -21,17 +21,23 @@ state vector [P, Sigma, (Gamma,) lambda or mu] per node, with per-step
 symmetrization of P (and of Sigma in the MFC case only: MFG Sigma is
 genuinely non-symmetric unless Abar = 0 and Qbar S = S* Qbar).
 
-Each system's right-hand side is written once, and so is the RK4 loop.  At
-n = 1 the loop's state, stages and stage sums and the rhs formulas run on
-Python floats, which skips numpy's per-call overhead and keeps every bit,
-signed zeros included.  At n >= 2 the loop runs on numpy vectors, and the
-rhs body runs once, on records of the state blocks, to give a fixed plan
-(_bind): each np.dot product writes into a preallocated slot, and the
-signed terms of each matrix block's sum are one column of a stack that one
-np.add.reduce sums and one np.negative writes out.  The plan keeps every
-bit of the body's left-to-right sums: x - y is x + (-y) exactly, -0.0 is
-the additive identity, so the padding of shorter sums changes nothing, and
-each sum starts from its first term, added onto -0.0.
+Each system's right-hand side is written once, and runs once per solve, on
+records of the state blocks (_bind).  At n = 1 the records become one
+generated Python function per system (_float_source): the RK4 loop on float
+locals, unrolled so that each of its four rhs evaluations per step is the
+body as straight-line assignments, compiled once per process and shared by
+every model, whose constants it takes as arguments.  It keeps numpy's bits,
+signed zeros included: each assignment is one float operation of the body,
+in its left-to-right order, a product is a * b + 0.0 and a trace a + 0.0,
+as numpy's 1 x 1 matmul and one-term diagonal sum add onto +0.0, and the
+stage sums are the numpy loop's, term for term.  At n >= 2 the loop runs
+on numpy vectors, and the records give a fixed plan: each np.dot product
+writes into a preallocated slot, and the signed terms of each matrix
+block's sum are one column of a stack that one np.add.reduce sums and one
+np.negative writes out.  The plan keeps every bit of the body's
+left-to-right sums: x - y is x + (-y) exactly, -0.0 is the additive
+identity, so the padding of shorter sums changes nothing, and each sum
+starts from its first term, added onto -0.0.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ import csv
 import io
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -103,17 +110,17 @@ class RiccatiSolution:
 
 
 def _algebra(n: int):
-    """Matrix product, transpose and trace for the rhs bodies: Python floats
-    at n = 1, numpy on n x n arrays otherwise.  The float forms keep numpy's
-    bits: its 1 x 1 matmul and its one-term diagonal sum add onto +0.0, so
-    -0.0 comes out +0.0, which a bare a * b would not do.  At n >= 2 an
-    operation on constants computes, which is how the factories hoist their
-    state-independent products, and an operation on the state records
-    itself (_Expr), which is how _bind turns a body into its plan.  The
-    product is np.dot's C function without its array-function dispatcher,
-    the same BLAS call as np.matmul at a lower cost per call."""
+    """Matrix product, transpose and trace for the rhs bodies.  At n >= 2
+    they act on n x n arrays: an operation on constants computes, which is
+    how the factories hoist their state-independent products, and an
+    operation on the state records itself (_Expr), which is how _bind turns
+    a body into its plan.  The product is np.dot's C function without its
+    array-function dispatcher, the same BLAS call as np.matmul at a lower
+    cost per call.  At n = 1 every product and trace records itself, on
+    constants too, and transpose is the identity: _float_rhs writes the
+    records out as Python float source."""
     if n == 1:
-        return (lambda a, b: a * b + 0.0), (lambda a: a), (lambda a: a + 0.0)
+        return partial(_Expr, _dot), (lambda a: a), partial(_Expr, _trace)
     return partial(_op, _dot), partial(_op, np.ndarray.transpose), partial(_op, _trace)
 
 
@@ -131,7 +138,7 @@ def _op(fn, *args):
 
 
 class _Expr:
-    """One operation of an n >= 2 rhs body, recorded instead of computed:
+    """One operation of an rhs body, recorded instead of computed:
     fn applied to args, each a constant or another _Expr.  A state block
     is an _Expr whose fn is None and whose one arg is the block's index."""
 
@@ -195,32 +202,27 @@ def _coefficients(model: LQModelSpec) -> list:
 
 
 def _bind(terms, n: int, k: int):
-    """make_rhs(y, out) for _integrate from terms(*mats), which maps the k
-    n x n blocks of the state to their negated derivatives and the negated
-    derivative of the scalar last block.  At n = 1 the state and out are
-    the Python float lists of _integrate, and out is written in one
-    assignment.
+    """The rhs for _integrate from terms(*mats), which maps the k n x n
+    blocks of the state to their negated derivatives and the negated
+    derivative of the scalar last block.  terms runs once, on records of
+    the state blocks.  At n = 1 the rhs is the records written out as
+    Python float source (_float_rhs).
 
-    At n >= 2 terms runs once, on records of the state blocks, and each
-    make_rhs turns the record into a fixed plan on preallocated arrays.
-    Every product writes into its own slot.  Each matrix block's sum of
-    signed terms is one column of a (terms, k, n, n) stack: its terms in
-    order, then -0.0 padding.  The stack holds the constant terms with
-    their signs applied; a call writes the products into it, multiplies
-    the subtracted ones by -1.0, sums over the terms onto -0.0 and negates
-    the sums into out.  That keeps every bit of the body's left-to-right
-    sums: x - y is x + (-y), x + (-0.0) is x, and -0.0 + x is x.
+    At n >= 2 the rhs is make_rhs(y, out), which turns the record into a
+    fixed plan on preallocated arrays.  Every product writes into its own
+    slot.  Each matrix block's sum of signed terms is one column of a
+    (terms, k, n, n) stack: its terms in order, then -0.0 padding.  The
+    stack holds the constant terms with their signs applied; a call writes
+    the products into it, multiplies the subtracted ones by -1.0, sums over
+    the terms onto -0.0 and negates the sums into out.  That keeps every
+    bit of the body's left-to-right sums: x - y is x + (-y), x + (-0.0) is
+    x, and -0.0 + x is x.
     """
-    if n == 1:
-        def make_rhs(y, out):
-            def rhs(t):
-                out[:] = [-v for v in terms(*y[:k])]
-            return rhs
-        return make_rhs
-
-    nn = n * n
     state = [_Expr(None, i) for i in range(k)]
     *chains, scalar = terms(*state)
+    if n == 1:
+        return _float_rhs(chains + [scalar])
+    nn = n * n
     chains = [_chain(c) for c in chains]
     depth = max(map(len, chains))
 
@@ -278,6 +280,107 @@ def _bind(terms, n: int, k: int):
     return make_rhs
 
 
+class _FloatRhs(NamedTuple):
+    """An n = 1 rhs as Python source.  body sets {d0}, {d1}, ... to the
+    derivative of the state {y0}, {y1}, ... at time {t} (str.format fields).
+    It reads the constants c0, c1, ..., whose values are consts, and the
+    names that prologue sets from them once per solve."""
+    prologue: str
+    body: str
+    consts: tuple
+
+
+_FLOAT_OPS = {_dot: "{} * {} + 0.0", _trace: "{} + 0.0",
+              np.add: "{} + {}", operator.add: "{} + {}",
+              np.subtract: "{} - {}", operator.sub: "{} - {}",
+              np.multiply: "{} * {}", operator.mul: "{} * {}"}
+
+
+def _float_rhs(records: list) -> _FloatRhs:
+    """The n = 1 records of a body's negated derivatives as straight-line
+    assignments, one per operation, in the body's left-to-right order.  A
+    product is a * b + 0.0 and a trace a + 0.0, the bits of numpy's 1 x 1
+    matmul and one-term diagonal sum, which add onto +0.0: a bare a * b
+    would keep a -0.0 that they turn into +0.0.  An operation on constants
+    alone goes to the prologue.  Each constant is an argument, never a
+    literal, so every model of one body has the same source."""
+    consts, prologue, body = [], [], []
+    # records and constants by id: floats that are equal may be distinct
+    # constants; operations by (fn, argument names): one op on the same
+    # values, such as M* Sigma and M Sigma at n = 1, is computed once
+    names, ops = {}, {}
+
+    def name(x) -> str:
+        if id(x) not in names:
+            if not isinstance(x, _Expr):
+                names[id(x)] = f"c{len(consts)}"
+                consts.append(x)
+            elif x.fn is None:
+                names[id(x)] = f"{{y{x.args[0]}}}"
+            else:
+                key = (x.fn, *map(name, x.args))
+                if key not in ops:
+                    # an op on a state-dependent name ({y...} or _...) runs at every call
+                    lines, prefix = prologue, "p"
+                    if any(a[0] in "{_" for a in key[1:]):
+                        lines, prefix = body, "_"
+                    ops[key] = f"{prefix}{len(lines)}"
+                    lines.append(f"{ops[key]} = " + _FLOAT_OPS[x.fn].format(*key[1:]))
+                names[id(x)] = ops[key]
+        return names[id(x)]
+
+    for j, x in enumerate(records):
+        body.append(f"{{d{j}}} = -{name(x)}")
+    return _FloatRhs("\n".join(prologue), "\n".join(body), tuple(consts))
+
+
+def _float_source(rhs: _FloatRhs, L: int, sym: int) -> str:
+    """The source of loop(Y, D, K, t, h, *rhs.consts), the RK4 loop of
+    _integrate at n = 1 on the L float entries of the state, whose four rhs
+    evaluations per step are rhs.body inline.  Y and D are flat
+    float views of the (K+1, L) arrays, and row K of Y holds the state at
+    time t.  The stage sums, the symmetrization of the first sym entries,
+    the blow-up test and the time steps are the float forms of
+    _vector_steps' numpy ones, term for term.  The loop writes each node
+    into Y and D; at a node that fails the blow-up test it returns (i, t)
+    with the failing state in row i of Y, and None once it reaches t = 0."""
+    y, u = [f"y{j}" for j in range(L)], [f"u{j}" for j in range(L)]
+    k1, k2, k3, k4 = ([f"k{s}_{j}" for j in range(L)] for s in range(1, 5))
+    at = [f"j + {j}" if j else "j" for j in range(L)]
+
+    def each(fmt, *cols):
+        return [fmt.format(*c) for c in zip(*cols)]
+
+    def call(state, out, t):
+        fields = {f"y{j}": v for j, v in enumerate(state)} | {f"d{j}": v for j, v in enumerate(out)}
+        return rhs.body.format(t=t, **fields).splitlines()
+
+    step = [*each("{} = {} + half * {}", u, y, k1), *call(u, k2, "t + half"),
+            *each("{} = {} + half * {}", u, y, k2), *call(u, k3, "t + half"),
+            *each("{} = {} + h * {}", u, y, k3), *call(u, k4, "t + h"),
+            *each("{} = {} + ({} + 2.0 * {} + 2.0 * {} + {}) * sixth", u, y, k1, k2, k3, k4),
+            *each("{0} = 0.5 * ({0} + {0})", u[:sym]),
+            "t += h", f"j -= {L}", *each("Y[{}] = {}", at, u),
+            # a NaN fails every comparison
+            f"if not ({' and '.join(f'abs({v}) <= B' for v in u)}):", "    return i, t",
+            *call(u, k1, "t"), *each("D[{}] = {}", at, k1),
+            f"{', '.join(y)} = {', '.join(u)}"]
+    args = "".join(f", c{m}" for m in range(len(rhs.consts)))
+    lines = [*rhs.prologue.splitlines(), "B = BLOWUP_THRESHOLD",
+             "half, sixth = 0.5 * h, h / 6.0", f"j = K * {L}", *each("{} = Y[{}]", y, at),
+             *call(y, k1, "t"), *each("D[{}] = {}", at, k1),
+             "for i in range(K - 1, -1, -1):", *("    " + s for s in step), "return None"]
+    return "\n".join([f"def loop(Y, D, K, t, h{args}):", *("    " + s for s in lines)])
+
+
+@lru_cache(maxsize=None)
+def _compile(source: str):
+    """The function loop that source defines, compiled once per process."""
+    scope = {}
+    exec(compile(source, "<n = 1 RK4 loop>", "exec"), globals(), scope)
+    return scope["loop"]
+
+
 def _mfc_rhs(model: LQModelSpec):
     mm, tp, tr = _algebra(model.n)
     A, Abar, Q, Qbar, S, BRB = _coefficients(model)
@@ -321,9 +424,7 @@ def _mfg_rhs(model: LQModelSpec):
 
 def _vector_steps(n: int, sym: int, Y: np.ndarray, D: np.ndarray):
     """The state u, the stage rows R = (k1, k2, k3, k4) and the vector steps
-    of _integrate over them: Python lists of floats at n = 1, where numpy's
-    cost per call exceeds the arithmetic, numpy vectors otherwise.  Both
-    forms make the same floating-point operations in the same order.
+    of _vector_loop over them, on numpy vectors.
 
     stage(y, k, c) sets u = y + c k.  advance(y, c) sets
     u = y + c (k1 + 2 k2 + 2 k3 + k4), summed left to right, then makes the
@@ -332,28 +433,7 @@ def _vector_steps(n: int, sym: int, Y: np.ndarray, D: np.ndarray):
     value; NaN is not.  store(i) writes u and k1 to row i of Y and D and
     returns the state to step from.
     """
-    L = Y.shape[1]
-    if n == 1:
-        u, R = [0.0] * L, [[0.0] * L for _ in range(4)]
-
-        def stage(y, k, c):
-            u[:] = [a + c * b for a, b in zip(y, k)]
-
-        def advance(y, c):
-            u[:] = [a + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * c for a, k1, k2, k3, k4 in zip(y, *R)]
-            if sym:
-                u[:sym] = [0.5 * (v + v) for v in u[:sym]]
-
-        def bounded():
-            return all(abs(v) <= BLOWUP_THRESHOLD for v in u)    # max() would skip a NaN
-
-        def store(i):
-            Y[i], D[i] = u, R[0]
-            return u[:]
-
-        return u, R, stage, advance, bounded, store
-
-    u, R = np.empty(L), np.empty((4, L))
+    u, R = np.empty(Y.shape[1]), np.empty((4, Y.shape[1]))
     square = u[:sym * n * n].reshape(sym, n, n)
     square_T = square.transpose(0, 2, 1)
 
@@ -381,32 +461,21 @@ def _vector_steps(n: int, sym: int, Y: np.ndarray, D: np.ndarray):
     return u, R, stage, advance, bounded, store
 
 
-def _integrate(make_rhs, y0, grid: TimeGrid, sym: int):
-    """grid.K classical RK4 steps backward from (grid.T, y0) on one packed
-    float64 state vector, with per-step symmetrization and blow-up detection.
-
-    y0 is the tuple of state blocks (arrays or scalars), packed in order;
-    the first `sym` blocks are n x n matrices that each step symmetrizes.
-    make_rhs(y, out) returns rhs(t), which reads the state from the vector y
-    and writes its derivative into the vector out; both are Python lists of
-    floats when the first block has n = 1 rows, numpy vectors otherwise.
-    Each step has signed size h = -grid.h, and its time is accumulated by
-    t += h from grid.T.  Returns the (K+1, L) node array and the rhs at each
-    node, row i at grid node i counted from t = 0; a NumericalFailure names
-    the node the same way.  The rhs at a node is the next step's first
-    stage, so K steps make 4K + 1 calls.
-    """
-    K, h = grid.K, -grid.h
-    blocks = [np.asarray(b, dtype=float) for b in y0]
-    ends = np.cumsum([b.size for b in blocks]).tolist()
-    Y, D = np.empty((K + 1, ends[-1])), np.empty((K + 1, ends[-1]))
-    u, R, stage, advance, bounded, store = _vector_steps(blocks[0].shape[0], sym, Y, D)
+def _vector_loop(make_rhs, Y: np.ndarray, D: np.ndarray, t: float, h: float, n: int, sym: int):
+    """The RK4 loop of _integrate at n >= 2: make_rhs(y, out) returns
+    rhs(t), which reads the state from the vector y and writes its
+    derivative into the vector out.  Row K of Y holds the state at time t.
+    Writes each node into Y and D; at a node that fails the blow-up test it
+    returns (i, t) with the failing state in row i of Y, and None once it
+    reaches t = 0."""
+    K = len(Y) - 1
+    u, R, stage, advance, bounded, store = _vector_steps(n, sym, Y, D)
     node, rhs2, rhs3, rhs4 = (make_rhs(u, k) for k in R)
     k1, k2, k3 = R[:3]
-    u[:] = np.concatenate([b.ravel() for b in blocks]).tolist()
-    node(grid.T)
+    u[:] = Y[K]
+    node(t)
     y = store(K)
-    t, half = grid.T, 0.5 * h
+    half = 0.5 * h
     for i in range(K - 1, -1, -1):
         stage(y, k1, half)
         rhs2(t + half)
@@ -417,12 +486,45 @@ def _integrate(make_rhs, y0, grid: TimeGrid, sym: int):
         advance(y, h / 6.0)
         t += h
         if not bounded():
-            for a, b in zip([0] + ends[:-1], ends):    # first failing block decides
-                m = np.abs(np.asarray(u[a:b])).max()
-                if not m <= BLOWUP_THRESHOLD:
-                    raise NumericalFailure(i) if not np.isfinite(m) else RiccatiBlowUp(t)
+            Y[i] = u
+            return i, t
         node(t)
         y = store(i)
+    return None
+
+
+def _integrate(rhs, y0, grid: TimeGrid, sym: int):
+    """grid.K classical RK4 steps backward from (grid.T, y0) on one packed
+    float64 state vector, with per-step symmetrization and blow-up detection.
+
+    y0 is the tuple of state blocks (arrays or scalars), packed in order;
+    the first `sym` blocks are n x n matrices that each step symmetrizes.
+    When the first block has n = 1 rows, rhs is a _FloatRhs and the loop is
+    the one _float_source generates; otherwise rhs is the make_rhs of
+    _vector_loop.  Each step has signed size h = -grid.h, and its time is
+    accumulated by t += h from grid.T.  Returns the (K+1, L) node array and
+    the rhs at each node, row i at grid node i counted from t = 0; a
+    NumericalFailure names the node the same way.  The rhs at a node is the
+    next step's first stage, so K steps make 4K + 1 calls.
+    """
+    K, h = grid.K, -grid.h
+    blocks = [np.asarray(b, dtype=float) for b in y0]
+    ends = np.cumsum([b.size for b in blocks]).tolist()
+    Y, D = np.empty((K + 1, ends[-1])), np.empty((K + 1, ends[-1]))
+    Y[K] = np.concatenate([b.ravel() for b in blocks])
+    n = blocks[0].shape[0]
+    if n == 1:
+        loop = _compile(_float_source(rhs, ends[-1], sym))
+        failed = loop(memoryview(Y.reshape(-1)), memoryview(D.reshape(-1)), K, grid.T, h,
+                      *rhs.consts)
+    else:
+        failed = _vector_loop(rhs, Y, D, grid.T, h, n, sym)
+    if failed:
+        i, t = failed
+        for a, b in zip([0] + ends[:-1], ends):    # first failing block decides
+            m = np.abs(Y[i, a:b]).max()
+            if not m <= BLOWUP_THRESHOLD:
+                raise NumericalFailure(i) if not np.isfinite(m) else RiccatiBlowUp(t)
     return Y, D
 
 

@@ -179,14 +179,24 @@ def _per_particle_remainders(F, X0, Y, eps_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)):
 @pytest.mark.parametrize("name,N", [(name, N) for name in BUILTIN for N in (1, 63, 64, 65, 300)]
                          + [("cubed-mean", 2000)])      # the size `verify --suite lift` uses
 def test_taylor_remainders_equal_per_particle_kernel(name, N):
+    # the check forms the second-order term from the rank-one kernel as
+    # g''(s) phi'(xi) mean(phi'(X0) D), the reference as the mean of each
+    # N-term kernel row: two roundings of the same term, each within about
+    # (5 + 2 log2 N) eps of its scale g''(s) mean|phi'(X0) D|^2 / 2, so the
+    # remainders may differ by up to 32 eps of that scale (N <= 2000) and,
+    # where g'' = 0, not at all
+    F = BUILTIN[name]
     X0 = seeded_ensemble(N, 11, mean=0.4)
     Y = seeded_ensemble(N, 12, mean=1.0)
-    ref = _per_particle_remainders(BUILTIN[name], X0, Y)
-    r = check_taylor_remainder(BUILTIN[name], X0, Y)
+    ref = _per_particle_remainders(F, X0, Y)
+    r = check_taylor_remainder(F, X0, Y)
+    g2, d1 = F.g2(F.moment(X0)), F.phi.d1(X0)
+    tol = [32 * np.finfo(float).eps * 0.5 * abs(g2) * np.mean(np.abs(d1 * eps * Y)) ** 2
+           for eps in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)]
     if r.get("below_noise_floor"):
-        assert r["abs_err"] == max(abs(x) for x in ref)
+        assert abs(r["abs_err"] - max(abs(x) for x in ref)) <= max(tol)
     else:
-        assert r["remainders"] == ref
+        assert all(abs(a - b) <= t for a, b, t in zip(r["remainders"], ref, tol, strict=True))
 
 
 # ---------------------------------------------------------------------------

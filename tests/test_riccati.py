@@ -534,18 +534,26 @@ def test_scalar_rhs_bitwise_equal_numpy(kind, name):
     # order changes the rounding, and half of the states are tiny, so
     # that with the tiny drift of seeds 2 and 3 the products underflow to
     # signed zeros and a sum that does not start from -0.0, or pads with
-    # +0.0, changes the sign of a zero
+    # +0.0, changes the sign of a zero.  At n = 1 the body runs inside the
+    # solve's generated loop, given no steps: it evaluates the rhs at the
+    # one node, row 0 of y, into row 0 of out.
     m = _seeded_model(name)
     k = 2 if kind == "mfc" else 3
     L = k * m.n * m.n + 1
     ref_rhs = (_ref_mfc_rhs if kind == "mfc" else _ref_mfg_rhs)(m)
     y, out = np.empty(L), np.empty(L)
-    rhs = getattr(riccati, f"_{kind}_rhs")(m)(y, out)
+    rhs = getattr(riccati, f"_{kind}_rhs")(m)
+    if m.n == 1:
+        loop = riccati._compile(riccati._float_source(rhs, L, 2 if kind == "mfc" else 1))
+        evaluate = lambda: loop(memoryview(y), memoryview(out), 0, 0.5, -0.1, *rhs.consts)
+    else:
+        plan = rhs(y, out)
+        evaluate = lambda: plan(0.5)
     rng = np.random.default_rng(5)
     for i in range(200):
         y[:] = rng.choice([-0.0, 0.0, 1.0], L) * rng.standard_normal(L)
         y *= 1e-170 if m.n > 1 and i % 2 else 1.0
-        rhs(0.5)
+        evaluate()
         ref = ref_rhs(0.5, [b.reshape(m.n, m.n) for b in y[:-1].reshape(k, -1)] + [y[-1]])
         assert np.array_equal(_bits(out), _bits(np.hstack([np.ravel(r) for r in ref]))), y
 
@@ -597,6 +605,11 @@ def test_integrate_rhs_calls_per_solve(request, monkeypatch, kind, name):
     def counting(factory):
         def counting_factory(model):
             make_rhs = factory(model)
+            if model.n == 1:
+                # the generated loop calls the last constant with the time
+                # before each inline evaluation of the body
+                return make_rhs._replace(body=f"c{len(make_rhs.consts)}({{t}})\n" + make_rhs.body,
+                                         consts=make_rhs.consts + (calls.append,))
 
             def make(y, out):
                 rhs = make_rhs(y, out)
@@ -613,6 +626,35 @@ def test_integrate_rhs_calls_per_solve(request, monkeypatch, kind, name):
     K = 37
     (solve_mfc if kind == "mfc" else solve_mfg)(request.getfixturevalue(name), TimeGrid(1.0, K))
     assert len(calls) == 4 * K + 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float_loop_compiled_once_per_system_without_model_numbers():
+    # two n = 1 models and one with a NaN and an inf coefficient: each
+    # system compiles one loop, whose source reads every constant from its
+    # arguments, so that no number of any model is written into it
+    coeffs = dict(A=0.29, Abar=-0.13, B=1.1, R=0.83, Q=0.37, Qbar=1.23, S=-0.71,
+                  QT=0.61, QbarT=0.47, ST=0.19, sigma=0.43, beta=0.17, T=1.0)
+    models = [scalar_model(**coeffs), scalar_model(**{**coeffs, "Q": 0.77, "Abar": 0.31}),
+              scalar_model(**{**coeffs, "Qbar": np.nan, "A": np.inf})]
+    riccati._compile.cache_clear()
+    for kind, solve, k in (("mfc", solve_mfc, 2), ("mfg", solve_mfg, 3)):
+        sources = set()
+        for m in models:
+            if np.isfinite(m.A).all():
+                assert np.isfinite(solve(m, TimeGrid(1.0, 20)).P).all()
+            else:
+                with pytest.raises(riccati.NumericalFailure):
+                    solve(m, TimeGrid(1.0, 20))
+            rhs = getattr(riccati, f"_{kind}_rhs")(m)
+            source = riccati._float_source(rhs, k + 1, 2 if kind == "mfc" else 1)
+            numbers = [*rhs.consts, *coeffs.values(), 0.77, 0.31]
+            assert not [v for v in numbers if repr(v) in source], kind
+            assert "nan" not in source and "inf" not in source
+            sources.add(source)
+        assert len(sources) == 1, kind
+    assert riccati._compile.cache_info().misses == 2
+    assert riccati._compile.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("kind", ["mfc", "mfg"])
@@ -664,7 +706,15 @@ def test_solve_peak_memory_at_most_reference(seeded_n8, scalar_coupled):
 
 def _synthetic(g, size):
     """The same rhs g(t) -> (d0 of shape (size,), d1) for _integrate and
-    for the tuple-state reference."""
+    for the tuple-state reference.  At size 1 it is an opaque rhs of the
+    generated n = 1 loop: the body is one call of it, on the floats."""
+    if size == 1:
+        def opaque(t, *state):
+            d0, d1 = g(t)
+            return d0.item(), d1
+        return (riccati._FloatRhs("", "{d0}, {d1} = c0({t}, {y0}, {y1})", (opaque,)),
+                lambda t, state: g(t))
+
     def make_rhs(y, out):
         def rhs(t):
             d0, d1 = g(t)
@@ -698,6 +748,21 @@ def test_integrate_failure_precedence_equals_reference(size, d0, d1, exc):
         assert new.value.escape_time == ref.value.escape_time
     else:
         assert new.value.node == ref.value.node == 5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_n1_symmetrization_overflow_equals_reference():
+    # at n = 1 the symmetrization 0.5 * (v + v) changes v only when v + v
+    # overflows: a state of 1e308 becomes inf in the first step, so the
+    # solve fails as non-finite, not as a blow-up past 1e12
+    make_rhs, rhs = _synthetic(lambda t: (np.zeros(1), 0.0), 1)
+    grid = TimeGrid(1.0, 4)
+    y0 = (np.full(1, 1e308), 0.0)
+    with pytest.raises(riccati.NumericalFailure) as new:
+        riccati._integrate(make_rhs, y0, grid, 1)
+    with pytest.raises(riccati.NumericalFailure) as ref:
+        _ref_integrate(rhs, y0, grid, lambda s: (0.5 * (s[0] + s[0]), s[1]))
+    assert new.value.node == ref.value.node == 3
 
 
 @pytest.mark.parametrize("size", [2, 1], ids=["numpy", "n1"])
