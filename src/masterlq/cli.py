@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -328,7 +329,10 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser(suite: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, verify's with the options of suite;
+    built once per suite and process, and shared: do not change it."""
     p = _Parser(prog="masterlq", description="LQ mean-field control/games toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (func, summary, options) in COMMANDS.items():
@@ -343,7 +347,7 @@ def build_parser(suite: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        known, _ = build_parser().parse_known_args(argv)   # learns verify's --suite
+        known, _ = build_parser(None).parse_known_args(argv)   # learns verify's --suite
         args = build_parser(getattr(known, "suite", None)).parse_args(argv)
         if not 0 <= args.seed < 2 ** 64:   # it keys the Philox generators
             raise ValueError(f"argument --seed: must be in [0, 2**64), got {args.seed}")

@@ -31,10 +31,12 @@ signed zeros included: each assignment is one float operation of the body,
 in its left-to-right order, a product is a * b + 0.0 and a trace a + 0.0,
 as numpy's 1 x 1 matmul and one-term diagonal sum add onto +0.0, and the
 stage sums are the numpy loop's, term for term.  At n >= 2 the loop runs
-on numpy vectors, and the records give a fixed plan: each np.dot product
-writes into a preallocated slot, and the signed terms of each matrix
-block's sum are one column of a stack that one np.add.reduce sums and one
-np.negative writes out.  The plan keeps every bit of the body's
+on numpy vectors, each operation into a buffer made once per solve, and
+tests the blow-up bound RK4_BLOCK steps at a time.  The records give a
+fixed plan: each np.dot product writes into a preallocated slot, the
+signed terms of each matrix block's sum are one column of a stack that one
+np.add.reduce sums and one np.negative writes out, and the scalar entry is
+one generated float expression.  The plan keeps every bit of the body's
 left-to-right sums: x - y is x + (-y) exactly, -0.0 is the additive
 identity, so the padding of shorter sums changes nothing, and each sum
 starts from its first term, added onto -0.0.
@@ -55,7 +57,8 @@ import orjson
 from .lq_model import SYM_TOL, LQModelSpec
 
 BLOWUP_THRESHOLD = 1e12
-CSV_BLOCK_ROWS = 8                # rows per orjson call in _write_csv
+RK4_BLOCK = 32                    # n >= 2 RK4 steps per blow-up test
+CSV_BLOCK_CELLS = 1552            # cells per orjson call in _write_csv: 8 rows of 194
 
 
 class RiccatiBlowUp(RuntimeError):
@@ -175,24 +178,28 @@ def _chain(x) -> list:
     return [(1.0, x)]
 
 
-def _scalar_fn(x, buf, traces):
-    """The scalar record x as a function of no arguments.  The trace of
-    state block i is traces[i]; any other trace sums a diagonal view of
-    buf(m), the array that holds its matrix m."""
-    if x.fn is _trace:
-        m = x.args[0]
-        if m.fn is None:
-            return partial(traces.item, m.args[0])
-        return partial(np.add.reduce, buf(m).diagonal())
-    op, (a, b) = x.fn, x.args
-    if not isinstance(a, _Expr):
-        g = _scalar_fn(b, buf, traces)
-        return lambda: op(a, g())
-    f = _scalar_fn(a, buf, traces)
-    if not isinstance(b, _Expr):
-        return lambda: op(f(), b)
-    g = _scalar_fn(b, buf, traces)
-    return lambda: op(f(), g())
+def _scalar_value(x, buf, k: int):
+    """(value, consts): value(out, traces, *consts) sets out[-1] to -x, the
+    scalar record x as one float expression, its operations in the
+    record's order.  It reads the traces of the k state blocks once, from
+    traces; any other trace sums a diagonal view of buf(m), the array that
+    holds its matrix m; every other value is an argument."""
+    consts = []
+
+    def source(x) -> str:
+        if not isinstance(x, _Expr):
+            consts.append(x)
+            return f"c{len(consts) - 1}"
+        if x.fn is _trace and x.args[0].fn is None:
+            return f"T{x.args[0].args[0]}"
+        if x.fn is _trace:
+            return f"{source(np.add.reduce)}({source(buf(x.args[0]).diagonal())})"
+        return "(" + _FLOAT_OPS[x.fn].format(*map(source, x.args)) + ")"
+
+    expr = source(x)
+    return _compile(f"def value(out, traces{''.join(f', c{j}' for j in range(len(consts)))}):\n"
+                    f"    {''.join(f'T{i}, ' for i in range(k))}= traces.tolist()\n"
+                    f"    out[-1] = -{expr}"), consts
 
 
 def _coefficients(model: LQModelSpec) -> list:
@@ -216,7 +223,7 @@ def _bind(terms, n: int, k: int):
     the products into it, multiplies the subtracted ones by -1.0, sums over
     the terms onto -0.0 and negates the sums into out.  That keeps every
     bit of the body's left-to-right sums: x - y is x + (-y), x + (-0.0) is
-    x, and -0.0 + x is x.
+    x, and -0.0 + x is x.  The last op sets the scalar entry (_scalar_value).
     """
     state = [_Expr(None, i) for i in range(k)]
     *chains, scalar = terms(*state)
@@ -262,18 +269,17 @@ def _bind(terms, n: int, k: int):
             for _, term in chain:
                 buf(term)
         ops += [(np.positive, (buf(term), cell)) for term, cell in copies]
-        value = _scalar_fn(scalar, buf, traces)
+        value, consts = _scalar_value(scalar, buf, k)
         # buf's closure holds buf: without the del, done and home wait for the cycle collector
         del buf
         sums = out[:k * nn].reshape(k, n, n)
         ops += [(np.multiply, (stack, signs, stack)),
                 (np.add.reduce, (stack, 0, None, sums, False, -0.0)),
-                (np.negative, (sums, sums))]
+                (np.negative, (sums, sums)), (value, (out, traces, *consts))]
 
         def rhs(t):
             for f, args in ops:
                 f(*args)
-            out[-1] = -value()
 
         return rhs
 
@@ -375,10 +381,17 @@ def _float_source(rhs: _FloatRhs, L: int, sym: int) -> str:
 
 @lru_cache(maxsize=None)
 def _compile(source: str):
-    """The function loop that source defines, compiled once per process."""
+    """The one function that source defines, compiled once per process."""
     scope = {}
-    exec(compile(source, "<n = 1 RK4 loop>", "exec"), globals(), scope)
-    return scope["loop"]
+    exec(compile(source, "<generated>", "exec"), globals(), scope)
+    (fn,) = scope.values()
+    return fn
+
+
+@lru_cache(maxsize=None)
+def _float_loop(prologue: str, body: str, consts: int, L: int, sym: int):
+    """_float_source's loop, built once per body text and number of constants."""
+    return _compile(_float_source(_FloatRhs(prologue, body, (None,) * consts), L, sym))
 
 
 def _mfc_rhs(model: LQModelSpec):
@@ -422,74 +435,60 @@ def _mfg_rhs(model: LQModelSpec):
     return _bind(terms, model.n, 3)
 
 
-def _vector_steps(n: int, sym: int, Y: np.ndarray, D: np.ndarray):
-    """The state u, the stage rows R = (k1, k2, k3, k4) and the vector steps
-    of _vector_loop over them, on numpy vectors.
-
-    stage(y, k, c) sets u = y + c k.  advance(y, c) sets
-    u = y + c (k1 + 2 k2 + 2 k3 + k4), summed left to right, then makes the
-    first `sym` n x n blocks of u symmetric as (M + M*) / 2.  bounded()
-    tells whether every entry of u is at most BLOWUP_THRESHOLD in absolute
-    value; NaN is not.  store(i) writes u and k1 to row i of Y and D and
-    returns the state to step from.
-    """
-    u, R = np.empty(Y.shape[1]), np.empty((4, Y.shape[1]))
-    square = u[:sym * n * n].reshape(sym, n, n)
-    square_T = square.transpose(0, 2, 1)
-
-    def stage(y, k, c):
-        np.add(y, c * k, out=u)
-
-    def advance(y, c):
-        R[1:3] *= 2.0
-        # row by row onto -0.0, the additive identity that keeps a sum of
-        # -0.0 terms -0.0; the default start, +0.0, would not
-        s = np.add.reduce(R, axis=0, initial=-0.0)
-        s *= c
-        np.add(y, s, out=u)
-        if sym:
-            np.multiply(0.5, square + square_T, out=square)
-
-    def bounded():
-        # ndarray.max's reduction without its Python layer; NaN compares false
-        return np.maximum.reduce(np.abs(u)) <= BLOWUP_THRESHOLD
-
-    def store(i):
-        Y[i], D[i] = u, R[0]
-        return Y[i]
-
-    return u, R, stage, advance, bounded, store
-
-
 def _vector_loop(make_rhs, Y: np.ndarray, D: np.ndarray, t: float, h: float, n: int, sym: int):
-    """The RK4 loop of _integrate at n >= 2: make_rhs(y, out) returns
-    rhs(t), which reads the state from the vector y and writes its
-    derivative into the vector out.  Row K of Y holds the state at time t.
-    Writes each node into Y and D; at a node that fails the blow-up test it
-    returns (i, t) with the failing state in row i of Y, and None once it
-    reaches t = 0."""
-    K = len(Y) - 1
-    u, R, stage, advance, bounded, store = _vector_steps(n, sym, Y, D)
-    node, rhs2, rhs3, rhs4 = (make_rhs(u, k) for k in R)
-    k1, k2, k3 = R[:3]
-    u[:] = Y[K]
-    node(t)
-    y = store(K)
-    half = 0.5 * h
-    for i in range(K - 1, -1, -1):
-        stage(y, k1, half)
-        rhs2(t + half)
-        stage(y, k2, half)
-        rhs3(t + half)
-        stage(y, k3, h)
-        rhs4(t + h)
-        advance(y, h / 6.0)
-        t += h
-        if not bounded():
-            Y[i] = u
-            return i, t
+    """The RK4 loop of _integrate at n >= 2, each operation into a buffer
+    made once: make_rhs(y, out) returns rhs(t), which reads the state from
+    the vector y and writes its derivative into the vector out.  Row K of Y
+    holds the state at time t.  Writes each node into Y and D, and tests
+    the blow-up bound on RK4_BLOCK rows at a time: at the first failing node
+    in sweep order it returns (i, t), t as a per-step test would give it,
+    with the failing state in row i of Y; None once it reaches t = 0."""
+    K, L = Y.shape[0] - 1, Y.shape[1]
+    u, ck, s, R = np.empty(L), np.empty(L), np.empty(L), np.empty((4, L))
+    square = u[:sym * n * n].reshape(sym, n, n)
+    square_T, both = square.transpose(0, 2, 1), np.empty((sym, n, n))
+    (k1, k2, k3, _), middle, half = R, R[1:3], 0.5 * h
+    c_half, c_h, c_sixth, two, c_sym = map(np.array, (half, h, h / 6.0, 2.0, 0.5))
+    add, mul, rsum = np.add, np.multiply, np.add.reduce
+    with np.errstate(all="ignore"):
+        node, rhs2, rhs3, rhs4 = (make_rhs(u, k) for k in R)
+        u[:] = Y[K]
         node(t)
-        y = store(i)
+        Y[K], D[K] = u, k1
+        y, top, t_top, stop = Y[K], K, t, max(K - RK4_BLOCK, 0)
+        for i in range(K - 1, -1, -1):
+            mul(c_half, k1, ck)
+            add(y, ck, u)
+            rhs2(t + half)
+            mul(c_half, k2, ck)
+            add(y, ck, u)
+            rhs3(t + half)
+            mul(c_h, k3, ck)
+            add(y, ck, u)
+            rhs4(t + h)
+            mul(middle, two, middle)
+            # row by row onto -0.0, the additive identity that keeps a sum of
+            # -0.0 terms -0.0; the default start, +0.0, would not
+            rsum(R, 0, None, s, False, -0.0)
+            mul(s, c_sixth, s)
+            add(y, s, u)
+            if sym:    # (M + M*) / 2
+                add(square, square_T, both)
+                mul(c_sym, both, square)
+            t += h
+            Y[i] = u
+            node(t)
+            D[i] = k1
+            y = Y[i]
+            if i == stop:
+                # ndarray.max's reduction without its Python layer; NaN compares false
+                bad = ~(np.maximum.reduce(np.abs(Y[i:top]), 1) <= BLOWUP_THRESHOLD)
+                if bad.any():
+                    i += int(np.flatnonzero(bad)[-1])    # the last row is the first stepped
+                    for _ in range(top - i):
+                        t_top += h
+                    return i, t_top
+                top, t_top, stop = i, t, max(i - RK4_BLOCK, 0)
     return None
 
 
@@ -514,7 +513,7 @@ def _integrate(rhs, y0, grid: TimeGrid, sym: int):
     Y[K] = np.concatenate([b.ravel() for b in blocks])
     n = blocks[0].shape[0]
     if n == 1:
-        loop = _compile(_float_source(rhs, ends[-1], sym))
+        loop = _float_loop(rhs.prologue, rhs.body, len(rhs.consts), ends[-1], sym)
         failed = loop(memoryview(Y.reshape(-1)), memoryview(D.reshape(-1)), K, grid.T, h,
                       *rhs.consts)
     else:
@@ -634,14 +633,15 @@ def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     so that it reads back exactly.  The header goes through csv.writer; a
     repr never needs csv quoting, so the rows are formatted by _csv_rows in
     the csv module's bytes and \\r\\n line ends.  The table is formatted
-    CSV_BLOCK_ROWS rows at a time, so the text of only one block is held
-    at once."""
+    a block of at most CSV_BLOCK_CELLS cells (and at least one row) at a
+    time, so the text of only one block is held at once."""
     head = io.StringIO()
     csv.writer(head).writerow(header)
     with open(path, "wb") as fh:
         fh.write(head.getvalue().encode())
-        for i in range(0, len(table), CSV_BLOCK_ROWS):
-            fh.write(_csv_rows(np.ascontiguousarray(table[i:i + CSV_BLOCK_ROWS])))
+        rows = max(CSV_BLOCK_CELLS // max(table.shape[1], 1), 1)
+        for i in range(0, len(table), rows):
+            fh.write(_csv_rows(np.ascontiguousarray(table[i:i + rows])))
 
 
 def to_csv(sol: RiccatiSolution, path: str) -> None:

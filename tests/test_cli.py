@@ -77,6 +77,25 @@ def test_riccati_non_finite_writes_json_exit_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.strip().splitlines() == ["riccati: non-finite value at node 49"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,node", [
+    (("riccati", "--kind", "mfc"), 999), (("riccati", "--kind", "mfg"), 999),
+    (("verify", "--suite", "master"), 999),
+    (("simulate", "--particles", "50", "--steps", "20"), 19)],
+    ids=["riccati-mfc", "riccati-mfg", "master", "simulate"])
+def test_non_finite_n2_solve_warns_nothing(tmp_path, capsys, command, node):
+    # A = 1e200 I overflows the n = 2 products in the first step; the steps
+    # computed past the failure print nothing, so stderr is the one line
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps({"n": 2, "d": 2, "T": 1.0, "A": [[1e200, 0], [0, 1e200]],
+                               "B": [[1, 0], [0, 1]], "R": [[1, 0], [0, 1]],
+                               "Q": [[1, 0], [0, 1]], "sigma": 0.5}))
+    code, _ = run(tmp_path, *command, "--model", str(bad))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command[0]}: non-finite value at node {node}"]
+
+
 CONVERGED = {"converged": True, "iterations": ANY, "history": ANY}
 
 
@@ -813,6 +832,27 @@ def test_unreadable_model_exit_1(tmp_path, capsys, row, path):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: [Errno ") and model in err[0]
     assert not out.exists()
+
+
+def test_parsers_built_once_per_suite(tmp_path, capsys, monkeypatch):
+    # one process runs four commands, one after another, on the parsers
+    # main keeps: they exit and print as on parsers built afresh for each
+    # call, and each parser is built once
+    from masterlq import cli
+    runs = [SMALL["master"],
+            ("verify", "--suite", "mp", "--model", LQR, "--steps", "20", "--particles", "0"),
+            SMALL["riccati"], (*SMALL["hjbfp"], "--steps=20")]
+
+    def outcomes():
+        return [(run(tmp_path, *argv)[0], capsys.readouterr().err.splitlines()) for argv in runs]
+
+    cli.build_parser.cache_clear()
+    kept = outcomes()
+    assert cli.build_parser.cache_info().misses == cli.build_parser.cache_info().currsize == 3
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert kept == outcomes() == [
+        (0, []), (1, ["error: --suite mp needs --particles 1 or more"]), (0, []),
+        (1, ["error: unrecognized arguments: --steps=20"])]
 
 
 def test_each_command_takes_only_its_options():

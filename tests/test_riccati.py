@@ -376,6 +376,19 @@ def test_write_csv_peak_memory_is_one_block(tmp_path):
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("cols", [1, 4, 14, 194, 2000])
+def test_write_csv_blocks_by_cells(tmp_path, monkeypatch, cols):
+    # each block holds as many whole rows as fit in CSV_BLOCK_CELLS, and at
+    # least one: a narrow table takes a few orjson calls, not one per 8 rows
+    table = np.random.default_rng(23).standard_normal((2001, cols))
+    blocks, real = [], riccati._csv_rows
+    monkeypatch.setattr(riccati, "_csv_rows", lambda b: blocks.append(b.shape) or real(b))
+    assert _written(tmp_path, table) == _repr_rows(table)
+    rows = max(riccati.CSV_BLOCK_CELLS // cols, 1)
+    assert blocks == [(min(rows, 2001 - i), cols) for i in range(0, 2001, rows)]
+    assert max(r * c for r, c in blocks) <= max(riccati.CSV_BLOCK_CELLS, cols) == max(1552, cols)
+
+
 # ---------------------------------------------------------------------------
 # _integrate against the five-call reference formulation
 
@@ -629,32 +642,39 @@ def test_integrate_rhs_calls_per_solve(request, monkeypatch, kind, name):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_float_loop_compiled_once_per_system_without_model_numbers():
+def test_float_loop_compiled_once_per_system_without_model_numbers(monkeypatch):
     # two n = 1 models and one with a NaN and an inf coefficient: each
-    # system compiles one loop, whose source reads every constant from its
-    # arguments, so that no number of any model is written into it
+    # system builds and compiles one loop, whose source reads every
+    # constant from its arguments, so that no number of any model is
+    # written into it; a second model of a system builds no source
     coeffs = dict(A=0.29, Abar=-0.13, B=1.1, R=0.83, Q=0.37, Qbar=1.23, S=-0.71,
                   QT=0.61, QbarT=0.47, ST=0.19, sigma=0.43, beta=0.17, T=1.0)
     models = [scalar_model(**coeffs), scalar_model(**{**coeffs, "Q": 0.77, "Abar": 0.31}),
               scalar_model(**{**coeffs, "Qbar": np.nan, "A": np.inf})]
+    built, build = [], riccati._float_source
+    monkeypatch.setattr(riccati, "_float_source", lambda *a: built.append(1) or build(*a))
     riccati._compile.cache_clear()
+    riccati._float_loop.cache_clear()
     for kind, solve, k in (("mfc", solve_mfc, 2), ("mfg", solve_mfg, 3)):
         sources = set()
-        for m in models:
+        for j, m in enumerate(models):
+            built.clear()
             if np.isfinite(m.A).all():
                 assert np.isfinite(solve(m, TimeGrid(1.0, 20)).P).all()
             else:
                 with pytest.raises(riccati.NumericalFailure):
                     solve(m, TimeGrid(1.0, 20))
+            assert len(built) == (j == 0), (kind, j)
             rhs = getattr(riccati, f"_{kind}_rhs")(m)
-            source = riccati._float_source(rhs, k + 1, 2 if kind == "mfc" else 1)
+            source = build(rhs, k + 1, 2 if kind == "mfc" else 1)
             numbers = [*rhs.consts, *coeffs.values(), 0.77, 0.31]
             assert not [v for v in numbers if repr(v) in source], kind
             assert "nan" not in source and "inf" not in source
             sources.add(source)
         assert len(sources) == 1, kind
-    assert riccati._compile.cache_info().misses == 2
-    assert riccati._compile.cache_info().currsize == 2
+    for cache in (riccati._float_loop, riccati._compile):
+        assert cache.cache_info().misses == 2
+        assert cache.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("kind", ["mfc", "mfg"])
@@ -778,3 +798,67 @@ def test_integrate_signed_zero_sum_equals_reference(size):
     nodes, derivs = _ref_integrate(rhs, y0, grid, lambda s: s)
     assert np.array_equal(_bits(Y), _bits([np.hstack(s) for s in nodes]))
     assert np.array_equal(_bits(D), _bits([np.hstack(d) for d in derivs]))
+
+
+# ---------------------------------------------------------------------------
+# at n >= 2 the bound is tested on RK4_BLOCK rows at a time: the failure a
+# per-step test raises, with its node or its escape time
+
+RB = riccati.RK4_BLOCK
+K_RK4 = 3 * RB + 5     # three full blocks and a partial one
+
+
+def _failure(fn):
+    with pytest.raises((RiccatiBlowUp, riccati.NumericalFailure)) as exc:
+        fn()
+    e = exc.value
+    return type(e), getattr(e, "node", None), getattr(e, "escape_time", None)
+
+
+# (K, {node: the rhs on the step that ends at node}); the sweep runs K-1, ..., 0
+RK4_CASES = {
+    "first-step": (K_RK4, {K_RK4 - 1: 1e15}),
+    "mid-block": (K_RK4, {K_RK4 - RB // 2: np.nan}),
+    "block-last-row": (K_RK4, {K_RK4 - RB: 1e15, K_RK4 - RB - 1: np.nan}),
+    "partial-block": (K_RK4, {2: np.nan}),
+    "huge-then-nan-in-block": (K_RK4, {K_RK4 - RB - 3: 1e15, K_RK4 - RB - 6: np.nan}),
+    "nan-then-huge-in-block": (K_RK4, {K_RK4 - RB - 3: np.nan, K_RK4 - RB - 6: 1e15}),
+    "K-below-one-block": (RB - 5, {10: 1e15}),
+}
+
+
+@pytest.mark.parametrize("K, bad", RK4_CASES.values(), ids=RK4_CASES.keys())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integrate_block_check_equals_reference(K, bad):
+    # the rhs is d at the two midpoint stages of the step that ends at a
+    # node of bad, zero elsewhere; the steps the loop computes past the
+    # failure, to the end of its block, warn nothing
+    h = 1.0 / K
+
+    def g(t):
+        i = round(t / h - 0.5)
+        d = bad.get(i, 0.0) if abs(t / h - 0.5 - i) < 0.25 else 0.0
+        return np.full(2, d), 0.0
+    make_rhs, rhs = _synthetic(g, 2)
+    grid, y0 = TimeGrid(1.0, K), (np.zeros(2), 0.0)
+    new = _failure(lambda: riccati._integrate(make_rhs, y0, grid, 0))
+    with np.errstate(all="ignore"):
+        ref = _failure(lambda: _ref_integrate(rhs, y0, grid, lambda s: s))
+    assert new == ref
+    first = max(bad)
+    assert new[0] is (RiccatiBlowUp if bad[first] == 1e15 else riccati.NumericalFailure)
+    assert new[1] in (None, first)
+
+
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_n2_escape_time_equals_reference(kind):
+    # Q = -4 I drives P to a finite escape near t = 5 - pi/4 = 4.21
+    eye = np.eye(2)
+    m = lq_model.LQModelSpec(n=2, d=2, T=5.0, A=0 * eye, Abar=0 * eye, B=eye, Q=-4 * eye,
+                             Qbar=0 * eye, S=0 * eye, R=eye, QT=0 * eye, QbarT=0 * eye,
+                             ST=0 * eye, sigma=0.5)
+    grid = TimeGrid(5.0, 1000)
+    new = _failure(lambda: (solve_mfc if kind == "mfc" else solve_mfg)(m, grid))
+    ref = _failure(lambda: _ref_solve(kind, m, grid))
+    assert new == ref and new[0] is RiccatiBlowUp
+    assert new[2] == pytest.approx(5 - np.pi / 4, abs=0.01)
