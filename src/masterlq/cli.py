@@ -82,21 +82,23 @@ def _run(man: dict, out: str, artifact: str, work, failed: dict | None = None) -
     return code
 
 
-def _load_model(args) -> lq.LQModelSpec:
-    model = lq.load_model(args.model)
+def _load_model(data: bytes) -> lq.LQModelSpec:
+    model = lq.load_model(data)
     report = lq.validate(model)
     if not report.valid:
         raise ValueError("invalid model: " + "; ".join(report.violations))
     return model
 
 
-def _manifest(args) -> dict:
-    """The run's inputs: every parsed option but --out, the model's SHA-256, and the bounds."""
-    man = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+def _manifest(args) -> tuple[dict, bytes | None]:
+    """(the run's inputs, the --model file's bytes or None): every parsed option
+    but --out, the SHA-256 of the bytes that the run parses, and the bounds."""
+    man, data = {k: v for k, v in vars(args).items() if k not in ("func", "out")}, None
     if "model" in man:
         with open(args.model, "rb") as fh:
-            man["model_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-    return {**man, "tolerances": dict(TOLERANCES[man.get("suite", args.command)])}
+            data = fh.read()
+        man["model_sha256"] = hashlib.sha256(data).hexdigest()
+    return {**man, "tolerances": dict(TOLERANCES[man.get("suite", args.command)])}, data
 
 
 def _riccati(kind: str, model, grid) -> ric.RiccatiSolution:
@@ -111,8 +113,8 @@ def _mfc_ensemble(man: dict, model, grid):
 
 
 def cmd_riccati(args) -> int:
-    model = _load_model(args)
-    man = _manifest(args)
+    man, data = _manifest(args)
+    model = _load_model(data)
     grid = ric.TimeGrid(model.T, args.steps)
 
     def work():
@@ -126,8 +128,8 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = _load_model(args)
-    man = _manifest(args)
+    man, data = _manifest(args)
+    model = _load_model(data)
     # the cost check's gate needs a standard error, which one particle lacks
     if args.particles < 2 or args.steps < 1:
         raise ValueError("need at least two particles and one time step")
@@ -206,9 +208,9 @@ def _suite_optimality(man: dict, model, grid) -> list[dict]:
 
 def cmd_verify(args) -> int:
     run, options, least = SUITES[args.suite]
-    man = _manifest(args)
+    man, data = _manifest(args)
     # the suite's inputs load, and bad --steps or --particles is found, before --out exists
-    model = _load_model(args) if "--model" in options else None
+    model = _load_model(data) if "--model" in options else None
     grid = ric.TimeGrid(model.T, args.steps) if "--steps" in options else None
     if least and args.particles < least:
         raise ValueError(f"--suite {args.suite} needs --particles {least} or more")
@@ -222,14 +224,13 @@ def cmd_verify(args) -> int:
     return _run(man, args.out, f"verify_{args.suite}.json", work)
 
 
-def _load_problem(args):
-    """(problem, LQ model) from --model: an LQ model's problem of --kind, or, for
-    a model file holding an object with a "demo" key, a built-in non-LQ problem,
-    which has no LQ model and is an MFG whatever --kind says."""
-    with open(args.model) as fh:
-        doc = json.load(fh)
+def _load_problem(args, data: bytes):
+    """(problem, LQ model) from the --model bytes data: an LQ model's problem of
+    --kind, or, for a file holding an object with a "demo" key, a built-in
+    non-LQ problem, which has no LQ model and is an MFG whatever --kind says."""
+    doc = json.loads(data)
     if not (isinstance(doc, dict) and "demo" in doc):
-        model = _load_model(args)
+        model = _load_model(data)
         return hj.problem_from_lq(model, args.kind.upper()), model
     if doc["demo"] != "cosine":
         raise ValueError(f"unknown demo problem {doc['demo']!r}")
@@ -250,11 +251,11 @@ def _parse_grid(text: str) -> tuple[float, float, int, int]:
 
 
 def cmd_hjbfp(args) -> int:
-    man = _manifest(args)
+    man, data = _manifest(args)
     xmin, xmax, Nx, Nt = _parse_grid(args.grid)
     grid = hj.SpaceGrid1D(xmin, xmax, Nx)
     m0 = hj.gaussian_density(grid, args.m0_mean, args.m0_std)
-    prob, model = _load_problem(args)
+    prob, model = _load_problem(args, data)
     man["kind"] = "mfg" if prob.dHdm_coeff is None else "mfc"   # the demo is an MFG
     tgrid = ric.TimeGrid(prob.T, Nt)
 

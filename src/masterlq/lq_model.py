@@ -225,11 +225,10 @@ def terminal_cost(x: np.ndarray, y: np.ndarray, model: LQModelSpec) -> np.ndarra
     return 0.5 * (_quad(x, model.QT) + _quad(e, model.QbarT))
 
 
-def load_model(path: str) -> LQModelSpec:
-    """Read a model from JSON.  Missing matrices default to zero; R is required."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return model_from_dict(doc)
+def load_model(data: bytes) -> LQModelSpec:
+    """A model from the bytes of a JSON model file.  Missing matrices default
+    to zero; R is required."""
+    return model_from_dict(json.loads(data))
 
 
 def model_from_dict(doc: dict) -> LQModelSpec:

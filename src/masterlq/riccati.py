@@ -22,24 +22,25 @@ symmetrization of P (and of Sigma in the MFC case only: MFG Sigma is
 genuinely non-symmetric unless Abar = 0 and Qbar S = S* Qbar).
 
 Each system's right-hand side is written once, and runs once per solve, on
-records of the state blocks (_bind).  At n = 1 the records become one
-generated Python function per system (_float_source): the RK4 loop on float
-locals, unrolled so that each of its four rhs evaluations per step is the
-body as straight-line assignments, compiled once per process and shared by
-every model, whose constants it takes as arguments.  It keeps numpy's bits,
-signed zeros included: each assignment is one float operation of the body,
-in its left-to-right order, a product is a * b + 0.0 and a trace a + 0.0,
-as numpy's 1 x 1 matmul and one-term diagonal sum add onto +0.0, and the
-stage sums are the numpy loop's, term for term.  At n >= 2 the loop runs
-on numpy vectors, each operation into a buffer made once per solve, and
-tests the blow-up bound RK4_BLOCK steps at a time.  The records give a
-fixed plan: each np.dot product writes into a preallocated slot, the
-signed terms of each matrix block's sum are one column of a stack that one
-np.add.reduce sums and one np.negative writes out, and the scalar entry is
-one generated float expression.  The plan keeps every bit of the body's
-left-to-right sums: x - y is x + (-y) exactly, -0.0 is the additive
-identity, so the padding of shorter sums changes nothing, and each sum
-starts from its first term, added onto -0.0.
+records of the state blocks (_bind); an operation on constants alone is
+computed then, so every record reads the state.  At n = 1 the records
+become one generated Python function per system (_float_source): the RK4
+loop on float locals, unrolled so that each of its four rhs evaluations per
+step is the body as straight-line assignments (_float_rhs), compiled once
+per process and shared by every model, whose constants it takes as
+arguments.  It keeps numpy's bits, signed zeros included: each assignment
+is one float operation of the body, in its left-to-right order, a product
+is a * b + 0.0 and a trace a + 0.0, as numpy's 1 x 1 matmul and one-term
+diagonal sum add onto +0.0, and the stage sums are the numpy loop's, term
+for term.  At n >= 2 the loop runs on numpy vectors, each operation into a
+buffer made once per solve, and tests the blow-up bound RK4_BLOCK steps at
+a time.  The records give a fixed plan: each np.dot product writes into a
+preallocated slot, the signed terms of each matrix block's sum are one
+column of a stack that one np.add.reduce sums and one np.negative writes
+out, and the scalar entry is _float_rhs's assignments on the traces.  The
+plan keeps every bit of the body's left-to-right sums: x - y is x + (-y)
+exactly, -0.0 is the additive identity, so the padding of shorter sums
+changes nothing, and each sum starts from its first term, added onto -0.0.
 """
 
 from __future__ import annotations
@@ -113,17 +114,18 @@ class RiccatiSolution:
 
 
 def _algebra(n: int):
-    """Matrix product, transpose and trace for the rhs bodies.  At n >= 2
-    they act on n x n arrays: an operation on constants computes, which is
-    how the factories hoist their state-independent products, and an
-    operation on the state records itself (_Expr), which is how _bind turns
-    a body into its plan.  The product is np.dot's C function without its
+    """Matrix product, transpose and trace for the rhs bodies.  An operation
+    on constants computes, which is how the factories hoist their
+    state-independent products; an operation on the state records itself
+    (_Expr), which is how _bind turns a body into its plan.  At n >= 2 they
+    act on n x n arrays, and the product is np.dot's C function without its
     array-function dispatcher, the same BLAS call as np.matmul at a lower
-    cost per call.  At n = 1 every product and trace records itself, on
-    constants too, and transpose is the identity: _float_rhs writes the
-    records out as Python float source."""
+    cost per call.  At n = 1 they act on floats: transpose is the identity,
+    a product is a * b + 0.0 and a trace a + 0.0, the bits of numpy's 1 x 1
+    matmul and one-term diagonal sum, which add onto +0.0: a bare a * b
+    would keep a -0.0 that they turn into +0.0."""
     if n == 1:
-        return partial(_Expr, _dot), (lambda a: a), partial(_Expr, _trace)
+        return partial(_op, _float_dot), (lambda a: a), partial(_op, _float_trace)
     return partial(_op, _dot), partial(_op, np.ndarray.transpose), partial(_op, _trace)
 
 
@@ -135,15 +137,19 @@ def _trace(a):
     return np.add.reduce(a.diagonal())
 
 
+_float_dot, _float_trace = (lambda a, b: a * b + 0.0), (lambda a: a + 0.0)    # n = 1
+
+
 def _op(fn, *args):
     """fn(*args), or its record when an argument depends on the state."""
     return _Expr(fn, *args) if any(isinstance(a, _Expr) for a in args) else fn(*args)
 
 
 class _Expr:
-    """One operation of an rhs body, recorded instead of computed:
-    fn applied to args, each a constant or another _Expr.  A state block
-    is an _Expr whose fn is None and whose one arg is the block's index."""
+    """One operation of an rhs body on the state, recorded instead of
+    computed: fn applied to args, each a constant or another _Expr.  Sums,
+    differences and scalar multiples record operator.add, sub and mul.  A
+    state block is an _Expr whose fn is None and whose one arg is its index."""
 
     __array_ufunc__ = None    # ndarray - _Expr defers to _Expr.__rsub__
     __slots__ = ("fn", "args")
@@ -151,55 +157,25 @@ class _Expr:
     def __init__(self, fn, *args):
         self.fn, self.args = fn, args
 
-    def _ops(self):
-        """add, subtract and multiply on this record's kind of value."""
-        if self.fn in (_trace, operator.add, operator.sub, operator.mul):
-            return operator.add, operator.sub, operator.mul
-        return np.add, np.subtract, np.multiply
-
     def __add__(self, other):
-        return _Expr(self._ops()[0], self, other)
+        return _Expr(operator.add, self, other)
 
     def __sub__(self, other):
-        return _Expr(self._ops()[1], self, other)
+        return _Expr(operator.sub, self, other)
 
     def __rsub__(self, other):
-        return _Expr(self._ops()[1], other, self)
+        return _Expr(operator.sub, other, self)
 
     def __rmul__(self, other):
-        return _Expr(self._ops()[2], other, self)
+        return _Expr(operator.mul, other, self)
 
 
 def _chain(x) -> list:
     """The signed terms [(sign, term)] of x read as a left-to-right sum."""
-    if isinstance(x, _Expr) and x.fn in (np.add, np.subtract):
+    if isinstance(x, _Expr) and x.fn in (operator.add, operator.sub):
         a, b = x.args
-        return _chain(a) + [(1.0 if x.fn is np.add else -1.0, b)]
+        return _chain(a) + [(1.0 if x.fn is operator.add else -1.0, b)]
     return [(1.0, x)]
-
-
-def _scalar_value(x, buf, k: int):
-    """(value, consts): value(out, traces, *consts) sets out[-1] to -x, the
-    scalar record x as one float expression, its operations in the
-    record's order.  It reads the traces of the k state blocks once, from
-    traces; any other trace sums a diagonal view of buf(m), the array that
-    holds its matrix m; every other value is an argument."""
-    consts = []
-
-    def source(x) -> str:
-        if not isinstance(x, _Expr):
-            consts.append(x)
-            return f"c{len(consts) - 1}"
-        if x.fn is _trace and x.args[0].fn is None:
-            return f"T{x.args[0].args[0]}"
-        if x.fn is _trace:
-            return f"{source(np.add.reduce)}({source(buf(x.args[0]).diagonal())})"
-        return "(" + _FLOAT_OPS[x.fn].format(*map(source, x.args)) + ")"
-
-    expr = source(x)
-    return _compile(f"def value(out, traces{''.join(f', c{j}' for j in range(len(consts)))}):\n"
-                    f"    {''.join(f'T{i}, ' for i in range(k))}= traces.tolist()\n"
-                    f"    out[-1] = -{expr}"), consts
 
 
 def _coefficients(model: LQModelSpec) -> list:
@@ -216,15 +192,17 @@ def _bind(terms, n: int, k: int):
     Python float source (_float_rhs).
 
     At n >= 2 the rhs is make_rhs(y, out), which turns the record into a
-    fixed plan on preallocated arrays.  Every product writes into its own
-    slot.  Each matrix block's sum of signed terms is one column of a
-    (terms, k, n, n) stack: its terms in order, then -0.0 padding.  The
-    stack holds the constant terms with their signs applied; a call writes
-    the products into it, multiplies the subtracted ones by -1.0, sums over
-    the terms onto -0.0 and negates the sums into out.  That keeps every
-    bit of the body's left-to-right sums: x - y is x + (-y), x + (-0.0) is
-    x, and -0.0 + x is x.  The last op sets the scalar entry (_scalar_value).
-    """
+    fixed plan of ufuncs (_UFUNCS) on preallocated arrays.  Every product
+    writes into its own slot.  Each matrix block's sum of signed terms is
+    one column of a (terms, k, n, n) stack: its terms in order, then -0.0
+    padding.  The stack holds the constant terms with their signs applied;
+    a call writes the products into it, multiplies the subtracted ones by
+    -1.0, sums over the terms onto -0.0 and negates the sums into out.
+    That keeps every bit of the body's left-to-right sums: x - y is
+    x + (-y), x + (-0.0) is x, and -0.0 + x is x.  The last op, value, is
+    the scalar record as _float_rhs writes it, each trace an input T<i>:
+    the k state blocks' traces, then those of other matrices, which the
+    plan sums into traces."""
     state = [_Expr(None, i) for i in range(k)]
     *chains, scalar = terms(*state)
     if n == 1:
@@ -232,13 +210,27 @@ def _bind(terms, n: int, k: int):
     nn = n * n
     chains = [_chain(c) for c in chains]
     depth = max(map(len, chains))
+    traced = {}    # each traced matrix that is not a state block: its input's index
+
+    def inputs(x):
+        if isinstance(x, _Expr) and x.fn is _trace:
+            m = x.args[0]
+            return _Expr(None, m.args[0] if m.fn is None else traced.setdefault(m, k + len(traced)))
+        return _Expr(x.fn, *map(inputs, x.args)) if isinstance(x, _Expr) and x.fn else x
+
+    scalar = _float_rhs([inputs(scalar)])
+    T = [f"T{i}" for i in range(k + len(traced))]
+    args = "".join(f", c{j}" for j in range(len(scalar.consts)))
+    body = scalar.body.format(d0="out[-1]", **{f"y{i}": v for i, v in enumerate(T)})
+    value = _compile(f"def value(out, traces{args}):\n    {', '.join(T)}, = traces.tolist()\n    "
+                     + body.replace("\n", "\n    "))
 
     def make_rhs(y, out):
         stack, signs = np.full((depth, k, n, n), -0.0), np.ones((depth, k, n, n))
-        blocks, traces = y[:k * nn].reshape(k, n, n), np.empty(k)
+        blocks, traces = y[:k * nn].reshape(k, n, n), np.empty(len(T))
         done, home, copies = dict(zip(state, blocks)), {}, []
         # the k state blocks' traces in one call, each the same pairwise sum as _trace's
-        ops = [(np.add.reduce, (blocks.diagonal(0, 1, 2), 1, None, traces))]
+        ops = [(np.add.reduce, (blocks.diagonal(0, 1, 2), 1, None, traces[:k]))]
 
         def buf(x):
             """The array that holds x once ops have run; adds the ops that compute it."""
@@ -252,7 +244,7 @@ def _bind(terms, n: int, k: int):
                     done[x] = args[0].T
                 else:
                     done[x] = home.pop(x) if x in home else np.empty((n, n))
-                    ops.append((x.fn, (*args, done[x])))
+                    ops.append((_UFUNCS.get(x.fn, x.fn), (*args, done[x])))
             return done[x]
 
         for j, chain in enumerate(chains):
@@ -269,13 +261,14 @@ def _bind(terms, n: int, k: int):
             for _, term in chain:
                 buf(term)
         ops += [(np.positive, (buf(term), cell)) for term, cell in copies]
-        value, consts = _scalar_value(scalar, buf, k)
+        ops += [(np.add.reduce, (buf(m).diagonal(), 0, None, traces[i, ...]))
+                for m, i in traced.items()]
         # buf's closure holds buf: without the del, done and home wait for the cycle collector
         del buf
         sums = out[:k * nn].reshape(k, n, n)
         ops += [(np.multiply, (stack, signs, stack)),
                 (np.add.reduce, (stack, 0, None, sums, False, -0.0)),
-                (np.negative, (sums, sums)), (value, (out, traces, *consts))]
+                (np.negative, (sums, sums)), (value, (out, traces, *scalar.consts))]
 
         def rhs(t):
             for f, args in ops:
@@ -286,31 +279,28 @@ def _bind(terms, n: int, k: int):
     return make_rhs
 
 
+_UFUNCS = {operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply}
+
+
 class _FloatRhs(NamedTuple):
-    """An n = 1 rhs as Python source.  body sets {d0}, {d1}, ... to the
+    """An rhs as Python float source.  body sets {d0}, {d1}, ... to the
     derivative of the state {y0}, {y1}, ... at time {t} (str.format fields).
-    It reads the constants c0, c1, ..., whose values are consts, and the
-    names that prologue sets from them once per solve."""
-    prologue: str
+    It reads the constants c0, c1, ..., whose values are consts."""
     body: str
     consts: tuple
 
 
-_FLOAT_OPS = {_dot: "{} * {} + 0.0", _trace: "{} + 0.0",
-              np.add: "{} + {}", operator.add: "{} + {}",
-              np.subtract: "{} - {}", operator.sub: "{} - {}",
-              np.multiply: "{} * {}", operator.mul: "{} * {}"}
+_FLOAT_OPS = {_float_dot: "{} * {} + 0.0", _float_trace: "{} + 0.0",
+              operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}"}
 
 
 def _float_rhs(records: list) -> _FloatRhs:
-    """The n = 1 records of a body's negated derivatives as straight-line
-    assignments, one per operation, in the body's left-to-right order.  A
-    product is a * b + 0.0 and a trace a + 0.0, the bits of numpy's 1 x 1
-    matmul and one-term diagonal sum, which add onto +0.0: a bare a * b
-    would keep a -0.0 that they turn into +0.0.  An operation on constants
-    alone goes to the prologue.  Each constant is an argument, never a
-    literal, so every model of one body has the same source."""
-    consts, prologue, body = [], [], []
+    """Float records of a body's negated derivatives as straight-line
+    assignments, one per operation, in the body's left-to-right order: the
+    n = 1 rhs, and the scalar entry of the n >= 2 plan.  Each constant is
+    an argument, never a literal, so every model of one body has the same
+    source."""
+    consts, body = [], []
     # records and constants by id: floats that are equal may be distinct
     # constants; operations by (fn, argument names): one op on the same
     # values, such as M* Sigma and M Sigma at n = 1, is computed once
@@ -326,18 +316,14 @@ def _float_rhs(records: list) -> _FloatRhs:
             else:
                 key = (x.fn, *map(name, x.args))
                 if key not in ops:
-                    # an op on a state-dependent name ({y...} or _...) runs at every call
-                    lines, prefix = prologue, "p"
-                    if any(a[0] in "{_" for a in key[1:]):
-                        lines, prefix = body, "_"
-                    ops[key] = f"{prefix}{len(lines)}"
-                    lines.append(f"{ops[key]} = " + _FLOAT_OPS[x.fn].format(*key[1:]))
+                    ops[key] = f"_{len(body)}"
+                    body.append(f"{ops[key]} = " + _FLOAT_OPS[x.fn].format(*key[1:]))
                 names[id(x)] = ops[key]
         return names[id(x)]
 
     for j, x in enumerate(records):
         body.append(f"{{d{j}}} = -{name(x)}")
-    return _FloatRhs("\n".join(prologue), "\n".join(body), tuple(consts))
+    return _FloatRhs("\n".join(body), tuple(consts))
 
 
 def _float_source(rhs: _FloatRhs, L: int, sym: int) -> str:
@@ -347,7 +333,7 @@ def _float_source(rhs: _FloatRhs, L: int, sym: int) -> str:
     float views of the (K+1, L) arrays, and row K of Y holds the state at
     time t.  The stage sums, the symmetrization of the first sym entries,
     the blow-up test and the time steps are the float forms of
-    _vector_steps' numpy ones, term for term.  The loop writes each node
+    _vector_loop's numpy ones, term for term.  The loop writes each node
     into Y and D; at a node that fails the blow-up test it returns (i, t)
     with the failing state in row i of Y, and None once it reaches t = 0."""
     y, u = [f"y{j}" for j in range(L)], [f"u{j}" for j in range(L)]
@@ -372,7 +358,7 @@ def _float_source(rhs: _FloatRhs, L: int, sym: int) -> str:
             *call(u, k1, "t"), *each("D[{}] = {}", at, k1),
             f"{', '.join(y)} = {', '.join(u)}"]
     args = "".join(f", c{m}" for m in range(len(rhs.consts)))
-    lines = [*rhs.prologue.splitlines(), "B = BLOWUP_THRESHOLD",
+    lines = ["B = BLOWUP_THRESHOLD",
              "half, sixth = 0.5 * h, h / 6.0", f"j = K * {L}", *each("{} = Y[{}]", y, at),
              *call(y, k1, "t"), *each("D[{}] = {}", at, k1),
              "for i in range(K - 1, -1, -1):", *("    " + s for s in step), "return None"]
@@ -389,9 +375,9 @@ def _compile(source: str):
 
 
 @lru_cache(maxsize=None)
-def _float_loop(prologue: str, body: str, consts: int, L: int, sym: int):
+def _float_loop(body: str, consts: int, L: int, sym: int):
     """_float_source's loop, built once per body text and number of constants."""
-    return _compile(_float_source(_FloatRhs(prologue, body, (None,) * consts), L, sym))
+    return _compile(_float_source(_FloatRhs(body, (None,) * consts), L, sym))
 
 
 def _mfc_rhs(model: LQModelSpec):
@@ -513,7 +499,7 @@ def _integrate(rhs, y0, grid: TimeGrid, sym: int):
     Y[K] = np.concatenate([b.ravel() for b in blocks])
     n = blocks[0].shape[0]
     if n == 1:
-        loop = _float_loop(rhs.prologue, rhs.body, len(rhs.consts), ends[-1], sym)
+        loop = _float_loop(rhs.body, len(rhs.consts), ends[-1], sym)
         failed = loop(memoryview(Y.reshape(-1)), memoryview(D.reshape(-1)), K, grid.T, h,
                       *rhs.consts)
     else:

@@ -925,6 +925,66 @@ def test_manifest_records_model_content(tmp_path):
     assert manifests[0] != manifests[1] and manifests[1] == manifests[2]
 
 
+# each row that reads --model, and hjbfp on an LQ model as well as on the demo
+MODEL_ROWS = {**{row: SMALL[row] for row in READS if "--model" in READS[row]},
+              "hjbfp-lq": ("hjbfp", "--model", LQR, "--grid=-3,3,40,50")}
+
+
+def _on_model_open(monkeypatch, path: str, after_first=lambda: None) -> list:
+    """Each open() of path from now on, in a list; after_first runs once the
+    first has opened the file."""
+    import builtins
+    opened, real_open = [], builtins.open
+
+    def spy(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if file == path:
+            opened.append(file)
+            if len(opened) == 1:
+                after_first()
+        return fh
+    monkeypatch.setattr(builtins, "open", spy)
+    return opened
+
+
+def _model_of(row: str) -> bytes:
+    argv = MODEL_ROWS[row]
+    return open(argv[argv.index("--model") + 1], "rb").read()
+
+
+def _row_on(row: str, model) -> tuple:
+    argv = MODEL_ROWS[row]
+    at = argv.index("--model")
+    return (*argv[:at + 1], str(model), *argv[at + 2:])
+
+
+@pytest.mark.parametrize("row", list(MODEL_ROWS))
+def test_model_file_opened_once(tmp_path, monkeypatch, row):
+    model = tmp_path / "model.json"
+    model.write_bytes(_model_of(row))
+    opened = _on_model_open(monkeypatch, str(model))
+    code, out = run(tmp_path, *_row_on(row, model))
+    assert code in (0, 3) and len(opened) == 1
+
+
+@pytest.mark.parametrize("row", list(MODEL_ROWS))
+def test_manifest_hashes_the_model_that_ran(tmp_path, monkeypatch, row):
+    # the model file is replaced by one with another horizon once the run
+    # has opened it: the run hashes and solves the bytes it read first
+    model, other = tmp_path / "model.json", tmp_path / "other.json"
+    data = _model_of(row)
+    model.write_bytes(data)
+    other.write_text(json.dumps({**json.loads(data), "T": 0.5 * json.loads(data)["T"]}))
+    code, out = run(tmp_path, *_row_on(row, model))
+    man = json.loads((out / ARTIFACT[row.removesuffix("-lq")]).read_text())["manifest"]
+    assert man["model_sha256"] == hashlib.sha256(data).hexdigest()
+    expected = {path.name: path.read_bytes() for path in out.iterdir()}
+    _on_model_open(monkeypatch, str(model), lambda: os.replace(other, model))
+    assert run(tmp_path, *_row_on(row, model))[0] == code
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
+    assert model.read_bytes() != data     # the file was replaced during the run
+
+
 def test_manifest_in_every_report(tmp_path):
     code, out = run(tmp_path, "riccati", "--model", LQR)
     assert code == 0

@@ -210,7 +210,7 @@ def test_load_model_round_trip(tmp_path):
            "A": [[0.1, 0.2], [0.0, 0.3]], "sigma": 0.4, "beta": 0.1}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    m = load_model(str(path))
+    m = load_model(path.read_bytes())
     assert m.n == 2 and m.T == 0.7 and m.sigma == 0.4
     assert np.allclose(m.A, doc["A"])
     assert np.allclose(m.R, 2.0 * np.eye(2))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 import tracemalloc
 
 import numpy as np
@@ -315,20 +316,25 @@ def _written(tmp_path, table) -> bytes:
     return rows
 
 
-def _bits(patterns) -> np.ndarray:
+def _floats(patterns) -> np.ndarray:
     return np.asarray(patterns, dtype=np.uint64).view(np.float64)
 
 
 def test_csv_rows_random_bit_patterns(tmp_path):
     rng = np.random.default_rng(20)
     table = rng.integers(0, 2**64, size=(1001, 97), dtype=np.uint64).view(np.float64)
-    special = _bits([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+    special = _floats([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
                      0x7FF0000000000001, 0xFFF7FFFFFFFFFFFF,       # NaN payloads
                      0x7FF0000000000000, 0xFFF0000000000000,       # +-inf
                      0x0000000000000000, 0x8000000000000000,       # +-0.0
                      0x0000000000000001, 0x800FFFFFFFFFFFFF,       # subnormals
                      0x000FFFFFFFFFFFFF, 0x0010000000000000,
                      0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF])      # +-max
+    fi = np.finfo(np.float64)
+    assert np.isnan(special[:5]).all() and special[5:7].tolist() == [np.inf, -np.inf]
+    assert special[7:9].tolist() == [0.0, 0.0] and np.signbit(special[7:9]).tolist() == [0, 1]
+    assert ((special[9:12] != 0.0) & (np.abs(special[9:12]) < fi.tiny)).all()
+    assert np.abs(special[12:]).tolist() == [fi.tiny, fi.max, fi.max]
     table[::7, :special.size] = special
     assert _written(tmp_path, table) == _repr_rows(table)
     assert riccati._csv_rows(table) == _repr_rows(table)     # one block of all rows
@@ -593,6 +599,48 @@ def test_bind_plan_bitwise_equal_direct_evaluation():
         assert np.array_equal(_bits(out), _bits(np.hstack([-np.ravel(r) for r in ref]))), y
 
 
+def _spy(monkeypatch, name: str) -> list:
+    """The (arguments, result) of each call of riccati.<name> from now on."""
+    calls, fn = [], getattr(riccati, name)
+
+    def spy(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(riccati, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_records_one_op_vocabulary_no_constant_op_one_float_writer(monkeypatch, kind, n):
+    # the record layer makes each choice once, at every n: a record's op is
+    # a product, a transpose, a trace or operator.add, sub or mul; an op on
+    # constants alone is computed, never recorded; and _float_rhs writes the
+    # float source, at n >= 2 that of the scalar entry, which _bind compiles
+    binds, written, compiled = (_spy(monkeypatch, f) for f in ("_bind", "_float_rhs", "_compile"))
+    getattr(riccati, f"_{kind}_rhs")(_seeded(n, 1))
+    (((terms, _, k), _),) = binds
+    ops = {riccati._dot, riccati._float_dot, np.ndarray.transpose, riccati._trace,
+           riccati._float_trace, operator.add, operator.sub, operator.mul}
+    todo, seen = list(terms(*(riccati._Expr(None, i) for i in range(k)))), set()
+    while todo:
+        x = todo.pop()
+        if isinstance(x, riccati._Expr) and x.fn is not None and id(x) not in seen:
+            seen.add(id(x))
+            assert x.fn in ops, x.fn
+            assert any(isinstance(a, riccati._Expr) for a in x.args), x.fn
+            todo += x.args
+    assert len(seen) > 20
+    ((_, rhs),) = written
+    if n == 1:
+        assert rhs.body.count("{d") == k + 1 and compiled == []
+        return
+    (((source,), _),) = compiled
+    inputs = {f"y{i}": f"T{i}" for i in range(k + 1)}
+    assert source.splitlines()[2:] == ["    " + line for line in
+                                       rhs.body.format(d0="out[-1]", **inputs).splitlines()]
+
+
 def test_rhs_allocates_no_array_after_first_call(seeded_n8):
     # the n >= 2 plan writes every product and sum into arrays made when it
     # was built: over 100 calls the traced peak stays below 2 kB, about
@@ -732,7 +780,7 @@ def _synthetic(g, size):
         def opaque(t, *state):
             d0, d1 = g(t)
             return d0.item(), d1
-        return (riccati._FloatRhs("", "{d0}, {d1} = c0({t}, {y0}, {y1})", (opaque,)),
+        return (riccati._FloatRhs("{d0}, {d1} = c0({t}, {y0}, {y1})", (opaque,)),
                 lambda t, state: g(t))
 
     def make_rhs(y, out):
