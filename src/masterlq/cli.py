@@ -5,18 +5,20 @@ and SUITES each verify suite, only the options it reads; any other option is
 bad input.  Every run writes a JSON summary embedding its manifest: the parsed
 options but --out, the SHA-256 of the --model file, and the bounds the command
 or suite gates on (TOLERANCES).  Identical manifests produce byte-identical
-artifacts on one machine; at n >= 2 the matrix products go through the
-host's BLAS, whose rounding may differ on another CPU.  Each command checks
-its input, then hands its work to _run, which creates --out and writes the
-JSON.  Exit codes: 0 success, 1 bad input (an unreadable --model included,
-and nothing is written; a size too large to allocate included, where --out
-may exist but stays empty), 2 numerical failure (NUMERICAL: Riccati blow-up
-or non-finite value, CFL, non-finite PDE slice; the JSON still holds the
-manifest and the error, and stderr reads "<command>: <error>"; when an
+artifacts on one machine; at n >= 2 the matrix products go through the host's
+BLAS, whose rounding may differ on another CPU, and at n = 1 so do
+verify_lift.json's quadrature dots, while hjbfp.json and hjbfp_fields.csv move
+with numpy's SIMD dispatch (np.exp of the initial density, for one).  Each
+command checks its input, then hands its work to _run, which creates --out and
+writes the JSON.  Exit codes: 0 success, 1 bad input (an unreadable --model
+included, and nothing is written; a size too large to allocate included, where
+--out may exist but stays empty), 2 numerical failure (NUMERICAL: Riccati
+blow-up or non-finite value, CFL, non-finite PDE slice; the JSON still holds
+the manifest and the error, and stderr reads "<command>: <error>"; when an
 hjbfp run's Riccati reference fails after the PDE converged, the JSON also
-keeps the PDE's converged fields), 3 at least one
-check failed (for hjbfp: the LQ cross-validation exceeds the manifest's
-pde_diff) or the HJB-FP iteration did not converge.
+keeps the PDE's converged fields), 3 at least one check failed (for hjbfp: the
+LQ cross-validation exceeds the manifest's pde_diff) or the HJB-FP iteration
+did not converge.
 """
 
 from __future__ import annotations
@@ -201,19 +203,17 @@ def _suite_mp(man: dict, model, grid) -> list[dict]:
 
 def _suite_optimality(man: dict, model, grid) -> list[dict]:
     sol, X0, cfg = _mfc_ensemble(man, model, grid)
-    rep = mk.check_optimality_gap(model, sol, X0, cfg)
-    rep["check"] = "optimality_gap"
-    return [rep]
+    return [{"check": "optimality_gap", **mk.check_optimality_gap(model, sol, X0, cfg)}]
 
 
 def cmd_verify(args) -> int:
-    run, options, least = SUITES[args.suite]
+    run, options = SUITES[args.suite]
     man, data = _manifest(args)
     # the suite's inputs load, and bad --steps or --particles is found, before --out exists
     model = _load_model(data) if "--model" in options else None
     grid = ric.TimeGrid(model.T, args.steps) if "--steps" in options else None
-    if least and args.particles < least:
-        raise ValueError(f"--suite {args.suite} needs --particles {least} or more")
+    if "--particles" in options and args.particles < 1:
+        raise ValueError(f"--suite {args.suite} needs --particles 1 or more")
 
     def work():
         reports = run(man, model, grid)
@@ -297,13 +297,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# Each verify suite: (run, the options it reads but --out and --seed, least
-# --particles); the optimality gaps need a standard error, the co-state check does not.
+# Each verify suite: (run, the options it reads but --out and --seed).
 SUITES = {
-    "lift": (_suite_lift, (), 0),
-    "master": (_suite_master, ("--model", "--steps"), 0),
-    "mp": (_suite_mp, ("--model", "--steps", "--particles"), 1),
-    "optimality": (_suite_optimality, ("--model", "--steps", "--particles"), 2),
+    "lift": (_suite_lift, ()),
+    "master": (_suite_master, ("--model", "--steps")),
+    "mp": (_suite_mp, ("--model", "--steps", "--particles")),
+    "optimality": (_suite_optimality, ("--model", "--steps", "--particles")),
 }
 # Every option of any command.  Each command takes --out and --seed, and
 # the options COMMANDS (and for verify, SUITES) lists for it.

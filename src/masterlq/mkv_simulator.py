@@ -14,7 +14,8 @@ bit-identical regardless of scheduling: with sigma > 0 and at least
 PREFETCH_MIN_DRAWS draws per step, simulate draws step k+1's noise on one
 worker thread while step k runs, and otherwise inline.
 check_cost_matches_value compares one path's cost, less its common-noise
-martingale, with the Riccati value.
+martingale, with the Riccati value; expected_costs gives the scheme's
+expected cost exactly, from the ensemble's first two moments.
 """
 
 from __future__ import annotations
@@ -102,9 +103,7 @@ class FeedbackPolicy:
 def perturbation_directions(model: lq.LQModelSpec, seed: int):
     """Fixed unit-Frobenius-norm gain perturbations drawn once from the seed."""
     z = _normals(seed, STREAM_PERTURBATION, 0, (2, model.d, model.n))
-    d1 = z[0] / np.linalg.norm(z[0])
-    d2 = z[1] / np.linalg.norm(z[1])
-    return d1, d2
+    return tuple(z / np.linalg.norm(z, axis=(1, 2), keepdims=True))
 
 
 @dataclass
@@ -143,38 +142,21 @@ def simulate(model: lq.LQModelSpec, policy: FeedbackPolicy,
     (at k = steps, the final one), its mean ybar_k and z_k, the scaled draw
     sigma sqrt(dt) xi_k that step k adds to x (None at k = steps or if
     sigma = 0).  x is updated in place and z_k's buffer refilled two steps
-    later, so an observer copies what it keeps.
-    """
-    return _simulate(model, [policy], X0, cfg, observe)[0]
-
-
-def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
-              X0: ParticleEnsemble, cfg: SimConfig, observe=None) -> list[Trajectory]:
-    """simulate for each policy, all on one noise draw per step.
-
-    Each policy's ensemble sees the same numbers as in its own simulate
-    call, so every trajectory has the same bits.  If ensembles go
-    non-finite, the NumericalFailure raised is the one of the first failing
-    policy in list order, as if the policies had run one after another.
-    observe sees every advancing ensemble at each node, in list order.
+    later, so an observer copies what it keeps.  A non-finite ensemble
+    after step k raises NumericalFailure(k).
     """
     N, n = X0.N, X0.n
     if n != model.n:
         raise ValueError(f"ensemble dimension {n} != model dimension {model.n}")
     grid = ric.TimeGrid(model.T, cfg.steps)
     dt, times = grid.h, grid.nodes()
-    sdt = np.sqrt(dt)
-    sig_sdt, beta_sdt = model.sigma * sdt, model.beta * sdt
+    sig_sdt, beta_sdt = model.sigma * np.sqrt(dt), model.beta * np.sqrt(dt)
 
-    bpath = np.zeros((cfg.steps + 1, n))
-    # final_states is the ensemble itself, advanced in place
-    trajs = [Trajectory(times=times, ybar=np.empty((cfg.steps + 1, n)),
-                        second_moment=np.empty((cfg.steps + 1, n)), common_path=bpath,
-                        running_cost=np.zeros(N), running_cost_partial=np.zeros(cfg.steps + 1),
-                        final_states=X0.states.copy())
-             for _ in policies]
-    live = list(range(len(policies)))   # indices of the policies still advancing
-    failed = {}                         # policy index -> step its ensemble failed at
+    tr = Trajectory(times=times, ybar=np.empty((cfg.steps + 1, n)),
+                    second_moment=np.empty((cfg.steps + 1, n)),
+                    common_path=np.zeros((cfg.steps + 1, n)), running_cost=np.zeros(N),
+                    running_cost_partial=np.zeros(cfg.steps + 1), final_states=X0.states.copy())
+    x, bpath = tr.final_states, tr.common_path   # the ensemble advances in place
 
     def noise(k, buf):
         # Step k's scaled draws.  On the worker thread this calls no public
@@ -186,24 +168,19 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
             return buf, beta_sdt * _normals(cfg.seed, STREAM_COMMON, k, (n,))
         return buf, None
 
-    RB = model.Rinv_Bt()
-    gains = [p.gains(times[:-1], RB) for p in policies]
+    K1, K2 = policy.gains(times[:-1], model.Rinv_Bt())
     bufs = [np.empty((N, n)), np.empty((N, n))] if model.sigma > 0.0 else [None, None]
-    # Every (N, .) quantity of a step is written into these arrays, made
-    # once per run and shared by the policies, which advance one after
-    # another: the control v, the cost f, the drift w (first x * x, then
-    # x - Sy), the product p, whose first N entries serve the running cost
-    # as its scratch q before p is written, and the finiteness mask.  Above
-    # n = d = 1, _quad also takes an (N,) scratch and the columns it reads.
+    # Every (N, .) quantity of a step is written into these arrays, made once
+    # per run: the control v, the cost f, the drift w (first x * x, then x - Sy),
+    # the product p, whose first N entries serve the running cost as its scratch
+    # q first, and the finiteness mask; above n = d = 1, _quad's scratch too.
     v, w, p = np.empty((N, model.d)), np.empty((N, n)), np.empty((N, n))
     f, q, finite = np.empty(N), p.reshape(-1)[:N], np.empty((N, n), dtype=bool)
     m = max(n, model.d)
     scratch = (w, q) + ((np.empty(N), np.empty((m, N))) if m > 1 else (None, None))
 
-    def moments(tr, k, z):
-        # x.mean(axis=0) and np.mean(x * x, axis=0), the same reductions
-        # and divisions without ndarray.mean's Python layer
-        x = tr.final_states
+    def moments(k, z):
+        # the bits of x.mean(axis=0) and np.mean(x * x, axis=0), minus their Python layer
         yb = tr.ybar[k] = np.add.reduce(x, axis=0) / N
         tr.second_moment[k] = np.add.reduce(np.multiply(x, x, out=w), axis=0) / N
         if observe is not None:
@@ -218,41 +195,28 @@ def _simulate(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
             z, b = pending.result()
             if k + 1 < cfg.steps:
                 pending = submit(noise, k + 1, bufs[(k + 1) % 2])
-            for i in live:
-                tr = trajs[i]
-                x = tr.final_states
-                yb = moments(tr, k, z)
-                K1, K2 = gains[i]
-                _times_t(x, K1[k], v)
-                v += yb @ K2[k].T
-                lq.running_cost(x, yb, v, model, f, scratch)   # left-endpoint rule
-                tr.running_cost += np.multiply(f, dt, out=q)
-                tr.running_cost_partial[k + 1] = (tr.running_cost_partial[k]
-                                                  + float(np.add.reduce(f) / N) * dt)
+            yb = moments(k, z)
+            _times_t(x, K1[k], v)
+            v += yb @ K2[k].T
+            lq.running_cost(x, yb, v, model, f, scratch)   # left-endpoint rule
+            tr.running_cost += np.multiply(f, dt, out=q)
+            tr.running_cost_partial[k + 1] = (tr.running_cost_partial[k]
+                                              + float(np.add.reduce(f) / N) * dt)
 
-                _times_t(x, model.A, w)
-                w += yb @ model.Abar.T
-                w += _times_t(v, model.B, p)
-                w *= dt
-                x += w
-                if z is not None:
-                    x += z
-                if b is not None:
-                    x += b
-                if not np.logical_and.reduce(np.isfinite(x, out=finite), axis=None):
-                    failed[i] = k
-            bpath[k + 1] = bpath[k] + b if b is not None else bpath[k]
-            if failed:
-                live = [i for i in live if i not in failed]
-                first = min(failed)
-                if not live or first < live[0]:
-                    raise ric.NumericalFailure(failed[first])
-    if failed:
-        raise ric.NumericalFailure(failed[min(failed)])
-
-    for tr in trajs:
-        moments(tr, cfg.steps, None)
-    return trajs
+            _times_t(x, model.A, w)
+            w += yb @ model.Abar.T
+            w += _times_t(v, model.B, p)
+            w *= dt
+            x += w
+            if z is not None:
+                x += z
+            if b is not None:   # else every row of the common path stays 0.0
+                x += b
+                bpath[k + 1] = bpath[k] + b
+            if not np.logical_and.reduce(np.isfinite(x, out=finite), axis=None):
+                raise ric.NumericalFailure(k)
+    moments(cfg.steps, None)
+    return tr
 
 
 def _times_t(a: np.ndarray, M: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -283,8 +247,7 @@ def estimate_cost(model: lq.LQModelSpec, traj: Trajectory) -> dict:
     N = traj.final_states.shape[0]
     if N < 2:
         raise ValueError(f"a cost estimate needs at least two particles, got {N}")
-    h = lq.terminal_cost(traj.final_states, traj.ybar[-1], model)
-    total = traj.running_cost + h
+    total = traj.running_cost + lq.terminal_cost(traj.final_states, traj.ybar[-1], model)
     stderr = float(np.std(total, ddof=1) / np.sqrt(N))
     return {"J_hat": float(np.mean(total)), "stderr": stderr}
 
@@ -314,30 +277,68 @@ def check_cost_matches_value(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
             "gap": gap, "tolerance": tol, "pass": bool(gap <= tol)}
 
 
+def expected_costs(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
+                   X0: ParticleEnsemble, cfg: SimConfig) -> np.ndarray:
+    """E[J_hat] of simulate(model, policy, X0, cfg) for each policy, exactly.
+
+    Under a linear feedback the expected spread C = mean_i (x_i - ybar)
+    (x_i - ybar)* and mean moment Y = E[ybar ybar*] follow from X0's:
+        C <- F1 C F1* + sigma^2 dt (1 - 1/N) I,  F1 = I + dt (A + B K1),
+        Y <- F2 Y F2* + (sigma^2/N + beta^2) dt I,  F2 = I + dt (A + Abar + B (K1 + K2)).
+    A step costs dt/2 [tr(W1 C) + tr(W2 Y)] at its left end, W1 = Q + Qbar
+    + K1* R K1, W2 = Q + (I - S)* Qbar (I - S) + (K1 + K2)* R (K1 + K2), and
+    the end the same forms of QT, QbarT and ST.  Each product is a fixed-order
+    np.einsum, which no BLAS kernel rounds.  A non-finite cost term raises
+    NumericalFailure at the first node that has one.
+    """
+    N, n = X0.N, X0.n
+    grid = ric.TimeGrid(model.T, cfg.steps)
+    dt, RB, I = grid.h, model.Rinv_Bt(), np.eye(n)
+    # (steps, policies, 2, d, n): the gains on the spread, K1, and on the mean, K1 + K2
+    K = np.stack([np.stack([K1, K1 + K2], axis=1)
+                  for K1, K2 in (p.gains(grid.nodes()[:-1], RB) for p in policies)], axis=1)
+
+    def forms(Q, Qbar, S):   # the cost's forms in the spread and in the mean, gains aside
+        return np.stack([Q + Qbar, Q + np.einsum("ji,jk,kl->il", I - S, Qbar, I - S)])
+
+    F = I + dt * (np.stack([model.A, model.A + model.Abar])
+                  + np.einsum("ij,kpzjl->kpzil", model.B, K))
+    W = forms(model.Q, model.Qbar, model.S) + np.einsum(
+        "kpzji,kpzjl->kpzil", K, np.einsum("ij,kpzjl->kpzil", model.R, K))
+    noise = np.multiply.outer([model.sigma ** 2 * dt * (1.0 - 1.0 / N),
+                               (model.sigma ** 2 / N + model.beta ** 2) * dt], I)
+    ybar = np.einsum("ki->i", X0.states) / N
+    e = X0.states - ybar
+    Z = np.broadcast_to([np.einsum("ki,kj->ij", e, e) / N, np.multiply.outer(ybar, ybar)],
+                        (len(policies), 2, n, n))
+    terms = np.empty((cfg.steps + 1, len(policies)))
+    for k in range(cfg.steps):
+        terms[k] = np.einsum("pzij,pzji->p", W[k], Z)
+        Z = np.einsum("pzij,pzjl,pzml->pzim", F[k], Z, F[k]) + noise
+    terms[-1] = np.einsum("zij,pzji->p", forms(model.QT, model.QbarT, model.ST), Z)
+    if not np.isfinite(terms).all():
+        raise ric.NumericalFailure(int(np.argmin(np.isfinite(terms).all(axis=1))))
+    return 0.5 * (dt * np.add.reduce(terms[:-1]) + terms[-1])
+
+
 def check_optimality_gap(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                          X0: ParticleEnsemble, cfg: SimConfig,
                          eps_list=(0.1, 0.2, 0.4)) -> dict:
-    """Cost increase under fixed random gain perturbations of size eps.
+    """Exact cost increase under fixed random gain perturbations of size eps.
 
-    Common random numbers make the gaps directly comparable: the optimal
-    and perturbed ensembles advance together on one draw per step.  Near
-    the optimum the gaps grow ~ eps^2.
+    expected_costs prices the optimal feedback and each perturbed one from
+    X0, so the gaps carry no sampling error.  The Euler scheme's optimum
+    sits O(dt) from the Riccati gains: near it the gaps grow ~ eps^2.
     """
     d1, d2 = perturbation_directions(model, cfg.seed)
-    policies = [FeedbackPolicy(sol)] + [
-        FeedbackPolicy(sol, K1=eps * d1, K2=eps * d2) for eps in eps_list]
-    trajs = _simulate(model, policies, X0, cfg)
-    base = estimate_cost(model, trajs[0])
-    gaps = {}
-    for eps, traj in zip(eps_list, trajs[1:]):
-        gaps[eps] = estimate_cost(model, traj)["J_hat"] - base["J_hat"]
-    eps_arr = np.asarray(list(gaps))
-    gap_arr = np.asarray([gaps[e] for e in gaps])
-    quad_coef = float(np.linalg.lstsq(eps_arr[:, None] ** 2, gap_arr, rcond=None)[0][0])
-    monotone = bool(np.all(gap_arr >= -3.0 * base["stderr"]))
-    return {"J_optimal": base["J_hat"], "stderr": base["stderr"], "gaps": gaps,
+    J = expected_costs(model, [FeedbackPolicy(sol)] + [
+        FeedbackPolicy(sol, K1=eps * d1, K2=eps * d2) for eps in eps_list], X0, cfg)
+    gap, eps2 = J[1:] - J[0], np.square(eps_list)
+    quad_coef = float(np.einsum("e,e->", eps2, gap) / np.einsum("e,e->", eps2, eps2))
+    positive = bool(np.all(gap > 0.0))
+    return {"J_optimal": float(J[0]), "gaps": dict(zip(eps_list, gap.tolist())),
             "quadratic_coefficient": quad_coef,
-            "all_nonnegative": monotone, "pass": monotone and quad_coef > 0.0}
+            "all_positive": positive, "pass": positive and quad_coef > 0.0}
 
 
 def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,

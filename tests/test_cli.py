@@ -214,10 +214,9 @@ def test_unallocatable_size_exit_1(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("command", [("simulate",), ("verify", "--suite", "optimality")],
-                         ids=["simulate", "verify-optimality"])
+@pytest.mark.parametrize("command", [("simulate",)], ids=["simulate"])
 def test_one_particle_leaves_no_out(tmp_path, capsys, command):
-    # one particle has no standard error, so these gates would lose their
+    # one particle has no standard error, so the cost gate would lose its
     # 3 stderr term: bad input, found before --out exists
     code, out = run(tmp_path, *command, "--model", COUPLED, "--particles", "1",
                     "--steps", "10")
@@ -232,6 +231,21 @@ def test_mp_runs_on_one_particle(tmp_path):
                     "--particles", "1", "--steps", "10")
     assert code == 0
     assert json.loads((out / "verify_mp.json").read_text())["manifest"]["particles"] == 1
+
+
+def test_optimality_needs_one_particle(tmp_path, capsys):
+    # exact costs need no standard error: one particle's X0 prices every
+    # feedback, and none is bad input.  One particle has no spread, so its
+    # cost sees K1 + K2 alone; at seed 2 the perturbation directions move it.
+    argv = ("verify", "--suite", "optimality", "--model", COUPLED, "--steps", "400",
+            "--seed", "2")
+    code, out = run(tmp_path / "none", *argv, "--particles", "0")
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --suite optimality needs --particles 1 or more"]
+    code, out = run(tmp_path / "one", *argv, "--particles", "1")
+    assert code == 0
+    assert json.loads((out / "verify_optimality.json").read_text())["manifest"]["particles"] == 1
 
 
 def test_key_error_is_a_fault_not_bad_input(tmp_path, monkeypatch):
@@ -420,7 +434,9 @@ def test_verify_optimality_suite(tmp_path):
                     "--particles", "4000", "--seed", "2")
     assert code == 0
     rep = _verify_payload(out, "optimality")
-    assert all(g >= 0 for g in rep["reports"][0]["gaps"].values())
+    report = rep["reports"][0]
+    assert report["all_positive"] and all(g > 0 for g in report["gaps"].values())
+    assert "stderr" not in report
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,31 @@ def test_cross_validate_zero_coupling_lqr(grid):
     assert rep["sup_diff"] <= 1e-2
 
 
+# initial laws that are not Gaussian: the decoupling field reads m only
+# through its mean, so the LQ cross-validation holds for any m0
+NON_GAUSSIAN = {
+    "mixture": lambda x: (np.exp(-0.5 * ((x + 0.2) / 0.3) ** 2)
+                          + np.exp(-0.5 * ((x - 2.2) / 0.3) ** 2)),
+    "exponential": lambda x: np.where(x >= 0.2, np.exp(0.2 - x), 0.0),   # its kink at 0.2
+}
+
+
+@pytest.mark.parametrize("law", list(NON_GAUSSIAN))
+@pytest.mark.parametrize("kind", ["MFG", "MFC"])
+def test_cross_validate_non_gaussian_halves_with_dx(crowd_mfg, kind, law):
+    # both differences are O(dx): doubling Nx (Nt = 10 Nx) halves them
+    sol = (riccati.solve_mfc if kind == "MFC" else riccati.solve_mfg)(
+        crowd_mfg, riccati.TimeGrid(crowd_mfg.T, 2000))
+    reps = []
+    for Nx in (100, 200):
+        grid = SpaceGrid1D(-4.0, 4.0, Nx)
+        pde = picard_solve(problem_from_lq(crowd_mfg, kind), grid,
+                           riccati.TimeGrid(crowd_mfg.T, 10 * Nx), NON_GAUSSIAN[law](grid.nodes()))
+        reps.append(cross_validate_lq(crowd_mfg, sol, pde))
+    for key in ("sup_diff", "mean_flow_diff"):
+        assert 1.8 <= reps[0][key] / reps[1][key] <= 2.2, (key, reps)
+
+
 def _ref_cross_validate(model, sol, pde):
     """The per-node loop over eval_at that cross_validate_lq replaced."""
     grid, tgrid = pde.grid, pde.tgrid

@@ -174,8 +174,6 @@ def test_estimate_cost_needs_two_particles(scalar_lqr, sol_lqr):
         estimate_cost(scalar_lqr, traj)
     with pytest.raises(ValueError, match="at least two particles"):
         check_cost_matches_value(scalar_lqr, sol_lqr, X0, traj, DT_CONST)
-    with pytest.raises(ValueError, match="at least two particles"):
-        check_optimality_gap(scalar_lqr, sol_lqr, X0, SimConfig(steps=20, seed=0))
     two = ParticleEnsemble(np.array([[0.7], [-0.2]]))
     traj = simulate(scalar_lqr, FeedbackPolicy(sol_lqr), two, SimConfig(steps=20, seed=0))
     assert estimate_cost(scalar_lqr, traj)["stderr"] > 0.0
@@ -207,7 +205,7 @@ def test_cost_check_without_common_noise_is_the_plain_estimate(scalar_coupled, m
     sol = riccati.solve_mfc(m, riccati.TimeGrid(m.T, 500))
     X0 = gaussian_ensemble(5000, 1, seed=11, mean=0.5)
     traj = simulate(m, FeedbackPolicy(sol), X0, SimConfig(steps=500, seed=11))
-    monkeypatch.setattr(mkv, "_simulate", None)     # the check runs no simulation
+    monkeypatch.setattr(mkv, "simulate", None)     # the check runs no simulation
     rep = check_cost_matches_value(m, sol, X0, traj, DT_CONST)
     est = estimate_cost(m, traj)
     assert rep["common_noise_martingale"] == 0.0
@@ -562,40 +560,112 @@ def test_simulate_numerical_failure_same_step_and_joins_worker(threads):
 
 
 # ---------------------------------------------------------------------------
-# the optimality check's policies advance together on one draw per step
+# exact expected costs
 
-def _sequential_optimality_gap(model, sol, X0, cfg, eps_list=(0.1, 0.2, 0.4)):
-    """check_optimality_gap as four separate simulations, one after another."""
+def _ref_cost_terms(model, policy, X0, steps):
+    """The exact cost's terms node by node, one policy, with @ products:
+    1/2 dt [tr(W1 C) + tr(W2 Y)] at each left step end, then the terminal
+    forms, as ROADMAP item 10 writes the recursion."""
+    grid = riccati.TimeGrid(model.T, steps)
+    dt, N, I = grid.h, X0.N, np.eye(model.n)
+    K1s, K2s = policy.gains(grid.nodes()[:-1], model.Rinv_Bt())
+    x = X0.states
+    ybar = x.mean(axis=0)
+    C, Y = (x - ybar).T @ (x - ybar) / N, np.outer(ybar, ybar)
+    S, ST = I - model.S, I - model.ST
+    terms = []
+    for K1, K2 in zip(K1s, K2s):
+        W1 = model.Q + model.Qbar + K1.T @ model.R @ K1
+        W2 = model.Q + S.T @ model.Qbar @ S + (K1 + K2).T @ model.R @ (K1 + K2)
+        terms.append(0.5 * dt * (np.trace(W1 @ C) + np.trace(W2 @ Y)))
+        F1 = I + dt * (model.A + model.B @ K1)
+        F2 = I + dt * (model.A + model.Abar + model.B @ (K1 + K2))
+        C = F1 @ C @ F1.T + model.sigma ** 2 * dt * (1 - 1 / N) * I
+        Y = F2 @ Y @ F2.T + (model.sigma ** 2 / N + model.beta ** 2) * dt * I
+    terms.append(0.5 * (np.trace((model.QT + model.QbarT) @ C)
+                        + np.trace((model.QT + ST.T @ model.QbarT @ ST) @ Y)))
+    return terms
+
+
+@pytest.mark.parametrize("name", list(SIM_MODELS))
+def test_expected_costs_equal_reference(name):
+    model, mfc, mfg = _solved(name)
+    X0, cfg = gaussian_ensemble(40, model.n, seed=8, mean=0.5), SimConfig(steps=60)
+    policies = [FeedbackPolicy(mfc), FeedbackPolicy(mfg), _policy("PERTURBED", model, mfc, mfg),
+                zero_policy(model)]
+    got = mkv.expected_costs(model, policies, X0, cfg)
+    ref = [sum(_ref_cost_terms(model, p, X0, cfg.steps)) for p in policies]
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+# simulate's mean J_hat over this many seeds, all from one X0
+SEEDS = 100
+
+
+def test_expected_costs_match_particles():
+    model = dataclasses.replace(make_coupled_2x2(), beta=0.0)
+    mfc = riccati.solve_mfc(model, riccati.TimeGrid(model.T, 200))
+    X0 = gaussian_ensemble(50, 2, seed=3, mean=0.5)
+    d1, d2 = mkv.perturbation_directions(model, 3)
+    policies = [FeedbackPolicy(mfc), FeedbackPolicy(mfc, K1=0.5 * d1, K2=0.5 * d2)]
+    exact = mkv.expected_costs(model, policies, X0, SimConfig(steps=100))
+    for policy, J in zip(policies, exact):
+        J_hat = [estimate_cost(model, simulate(model, policy, X0, SimConfig(steps=100, seed=s)))
+                 ["J_hat"] for s in range(SEEDS)]
+        stderr = np.std(J_hat, ddof=1) / np.sqrt(SEEDS)
+        assert abs(np.mean(J_hat) - J) <= 3.0 * stderr, (np.mean(J_hat), J, stderr)
+        # the two feedbacks' costs lie far more than 3 stderr apart
+        assert abs(exact[1] - exact[0]) > 10.0 * stderr
+
+
+@pytest.mark.parametrize("N", [20, 1000])
+def test_expected_cost_is_the_value_to_first_order(scalar_coupled, N):
+    # J - V(0, X0) is the finite-N term sigma^2/(2N) int tr Sigma plus the
+    # Euler scheme's bias, O(dt) with a constant that the step count does
+    # not move; a wrong lambda, or a dropped 1/N term, moves it by a
+    # fixed amount / dt
+    model = scalar_coupled
+    sol = riccati.solve_mfc(model, riccati.TimeGrid(model.T, 4000))
+    X0 = gaussian_ensemble(N, 1, seed=0, mean=1.0)
+    finite_N = (model.sigma ** 2 / (2 * N)
+                * np.trapezoid(np.einsum("kii->k", sol.Sigma), sol.grid.nodes()))
+
+    def bias(sol, finite_N):
+        V = mv.eval_value(sol, X0.states, 0.0)
+        return np.array([(mkv.expected_costs(model, [FeedbackPolicy(sol)], X0,
+                                             SimConfig(steps=steps))[0] - V - finite_N)
+                         * steps / model.T for steps in (250, 500, 1000, 2000)])
+
+    def steady(c):
+        return bool(np.all(np.abs(c / c[0] - 1.0) <= 0.01))
+
+    c = bias(sol, finite_N)
+    assert steady(c), c
+    assert not steady(bias(dataclasses.replace(sol, lam=sol.lam + 1e-3), finite_N))
+    if N == 20:   # at N = 1000 the term is within the 1% of the constant
+        assert not steady(bias(sol, 0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_optimality_gap_nonfinite_cost_raises():
+    # eps = 1e150 and 1e60 make the cost non-finite, at the first node that
+    # has a non-finite term; the check reports the earliest
+    model, mfc, _ = _solved("scalar_coupled")
+    X0, cfg = gaussian_ensemble(300, 1, seed=24), SimConfig(steps=50, seed=24)
     d1, d2 = mkv.perturbation_directions(model, cfg.seed)
-    base = estimate_cost(model, _reference_simulate(model, FeedbackPolicy(sol), X0, cfg))
-    gaps = {}
-    for eps in eps_list:
-        pol = mkv.FeedbackPolicy(sol, K1=eps * d1, K2=eps * d2)
-        gaps[eps] = estimate_cost(model, _reference_simulate(model, pol, X0, cfg))["J_hat"] \
-            - base["J_hat"]
-    eps_arr = np.asarray(list(gaps))
-    gap_arr = np.asarray([gaps[e] for e in gaps])
-    quad_coef = float(np.linalg.lstsq(eps_arr[:, None] ** 2, gap_arr, rcond=None)[0][0])
-    monotone = bool(np.all(gap_arr >= -3.0 * base["stderr"]))
-    return {"J_optimal": base["J_hat"], "stderr": base["stderr"], "gaps": gaps,
-            "quadratic_coefficient": quad_coef,
-            "all_nonnegative": monotone, "pass": monotone and quad_coef > 0.0}
+    eps_list = (0.1, 1e60, 1e150)
+    nodes = [next((k for k, t in enumerate(_ref_cost_terms(
+        model, FeedbackPolicy(mfc, K1=e * d1, K2=e * d2), X0, cfg.steps))
+        if not np.isfinite(t)), None) for e in eps_list]
+    assert nodes[0] is None and nodes[2] < nodes[1]
+    with pytest.raises(riccati.NumericalFailure) as got:
+        check_optimality_gap(model, mfc, X0, cfg, eps_list=eps_list)
+    assert got.value.node == nodes[2]
 
 
-@pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "n3_d2"])
-def test_optimality_gap_equals_sequential_runs(name, threads):
-    model, mfc, _ = _solved(name)
-    X0 = gaussian_ensemble(257, model.n, seed=22, mean=0.5)
-    cfg = SimConfig(steps=40, seed=22)
-    assert check_optimality_gap(model, mfc, X0, cfg) == _sequential_optimality_gap(
-        model, mfc, X0, cfg)
-
-
-@pytest.mark.parametrize("name", ["scalar_lqr", "scalar_coupled"])
-def test_optimality_gap_draws_once_per_step(monkeypatch, name, threads):
-    model, mfc, _ = _solved(name)
-    X0 = gaussian_ensemble(100, model.n, seed=23)
-    cfg = SimConfig(steps=30, seed=23)
+def test_optimality_gap_draws_only_its_directions(monkeypatch):
+    model, mfc, _ = _solved("scalar_coupled")
+    X0, cfg = gaussian_ensemble(100, 1, seed=23), SimConfig(steps=30, seed=23)
     calls = []
     philox = mkv._philox
 
@@ -605,55 +675,7 @@ def test_optimality_gap_draws_once_per_step(monkeypatch, name, threads):
 
     monkeypatch.setattr(mkv, "_philox", counted)
     check_optimality_gap(model, mfc, X0, cfg)
-    # one idiosyncratic (and, with beta > 0, one common) draw per step, plus
-    # the one draw of the perturbation directions
-    per_step = 1 + (model.beta > 0.0)
-    assert len(calls) == cfg.steps * per_step + 1
-    assert calls.count((cfg.seed, mkv.STREAM_PERTURBATION, 0)) == 1
-
-
-def _sequential_failure(model, policies, X0, cfg):
-    """The node of the first NumericalFailure in list order, or None."""
-    for policy in policies:
-        try:
-            _reference_simulate(model, policy, X0, cfg)
-        except riccati.NumericalFailure as exc:
-            return exc.node
-    return None
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_optimality_gap_failure_is_first_in_list_order(threads):
-    # the optimal policy runs through; the huge eps fail, the larger one first
-    model, mfc, _ = _solved("scalar_coupled")
-    X0 = gaussian_ensemble(300, 1, seed=24)
-    cfg = SimConfig(steps=50, seed=24)
-    eps_list = (0.1, 1e60, 1e150)
-    d1, d2 = mkv.perturbation_directions(model, cfg.seed)
-    policies = [FeedbackPolicy(mfc)] + [
-        mkv.FeedbackPolicy(mfc, K1=e * d1, K2=e * d2) for e in eps_list]
-    steps = [_sequential_failure(model, [p], X0, cfg) for p in policies]
-    assert steps[0] is None and steps[1] is None and steps[3] < steps[2]
-    before = threading.active_count()
-    with pytest.raises(riccati.NumericalFailure) as got:
-        check_optimality_gap(model, mfc, X0, cfg, eps_list=eps_list)
-    assert got.value.node == steps[2] == _sequential_failure(model, policies, X0, cfg)
-    assert threading.active_count() == before
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("gains", [(1e60, 1e120), (1e120, 1e60), (0.0, 1e120), (1e120, 0.0)])
-def test_simulate_policies_failure_matches_sequential(gains, threads):
-    model = lq_model.scalar_model(A=0.5, B=1.0, Q=1.0, R=1.0, sigma=0.5, T=1.0)
-    policies = [constant_policy(model, np.array([[g]]), np.array([[0.0]])) for g in gains]
-    X0 = gaussian_ensemble(300, 1, seed=25)
-    cfg = SimConfig(steps=50, seed=25)
-    expected = _sequential_failure(model, policies, X0, cfg)
-    before = threading.active_count()
-    with pytest.raises(riccati.NumericalFailure) as got:
-        mkv._simulate(model, policies, X0, cfg)
-    assert got.value.node == expected
-    assert threading.active_count() == before
+    assert calls == [(cfg.seed, mkv.STREAM_PERTURBATION, 0)]
 
 
 class _CountingExecutor(mkv.ThreadPoolExecutor):
@@ -739,7 +761,7 @@ def test_scalar_step_makes_no_dot_call(monkeypatch, name, N, threads):
         raise AssertionError("np.dot called")
 
     monkeypatch.setattr(np, "dot", no_dot)
-    for got, ref in zip(mkv._simulate(model, policies, X0, cfg), refs):
+    for got, ref in zip([simulate(model, p, X0, cfg) for p in policies], refs):
         for fld in dataclasses.fields(mkv.Trajectory):
             assert np.array_equal(getattr(got, fld.name), getattr(ref, fld.name)), fld.name
 

@@ -23,7 +23,7 @@ ALLOWED_UNSET = {
     "seeded_ensemble(std)": "the lift suite draws unit spreads; tests draw other spreads",
     "gaussian_ensemble(mean, std)": "the CLI draws standard ensembles; tests shift and scale them",
     "picard_solve(max_iter)": "tests lower it to reach the non-convergence path",
-    "check_optimality_gap(eps_list)": "tests pass huge eps to reach the failure-order path",
+    "check_optimality_gap(eps_list)": "tests pass eps = 1e150 to reach the non-finite-cost path",
 }
 
 

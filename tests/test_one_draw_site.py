@@ -1,7 +1,7 @@
 """masterlq derives a simulation step's noise in one place.
 
 The idiosyncratic and common draws of a step come from
-mkv_simulator._simulate alone, which hands the idiosyncratic one to its
+mkv_simulator.simulate alone, which hands the idiosyncratic one to its
 observer; a second function keyed on the same streams would draw the same
 numbers again, or different ones from what the particles saw.
 """
@@ -14,7 +14,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "masterlq"
 STEP_STREAMS = {"STREAM_IDIOSYNCRATIC", "STREAM_COMMON"}
-DRAW_SITE = "_simulate"
+DRAW_SITE = "simulate"
 
 
 def _stray_uses(tree: ast.AST) -> list[int]:
@@ -50,7 +50,7 @@ def test_step_streams_named_only_where_drawn(path):
 
 def test_detector_sees_each_form():
     src = ("STREAM_IDIOSYNCRATIC = 0\nSTREAM_COMMON = 1\n"
-           "def _simulate():\n    def noise():\n        return STREAM_COMMON\n"
+           "def simulate():\n    def noise():\n        return STREAM_COMMON\n"
            "    return STREAM_IDIOSYNCRATIC\n"
            "def check():\n    return _normals(0, STREAM_IDIOSYNCRATIC, 0, 1)\n"
            "x = mkv.STREAM_COMMON\n"
