@@ -288,8 +288,9 @@ def expected_costs(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
     A step costs dt/2 [tr(W1 C) + tr(W2 Y)] at its left end, W1 = Q + Qbar
     + K1* R K1, W2 = Q + (I - S)* Qbar (I - S) + (K1 + K2)* R (K1 + K2), and
     the end the same forms of QT, QbarT and ST.  Each product is a fixed-order
-    np.einsum, which no BLAS kernel rounds.  A non-finite cost term raises
-    NumericalFailure at the first node that has one.
+    np.einsum, which no BLAS kernel rounds.  A non-finite cost raises
+    NumericalFailure at its first non-finite node, for the first policy in
+    list order that has one, as pricing the policies one by one would.
     """
     N, n = X0.N, X0.n
     grid = ric.TimeGrid(model.T, cfg.steps)
@@ -316,8 +317,9 @@ def expected_costs(model: lq.LQModelSpec, policies: list[FeedbackPolicy],
         terms[k] = np.einsum("pzij,pzji->p", W[k], Z)
         Z = np.einsum("pzij,pzjl,pzml->pzim", F[k], Z, F[k]) + noise
     terms[-1] = np.einsum("zij,pzji->p", forms(model.QT, model.QbarT, model.ST), Z)
-    if not np.isfinite(terms).all():
-        raise ric.NumericalFailure(int(np.argmin(np.isfinite(terms).all(axis=1))))
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        raise ric.NumericalFailure(int(np.argmax(bad[:, np.argmax(bad.any(axis=0))])))
     return 0.5 * (dt * np.add.reduce(terms[:-1]) + terms[-1])
 
 

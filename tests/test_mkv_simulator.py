@@ -647,9 +647,10 @@ def test_expected_cost_is_the_value_to_first_order(scalar_coupled, N):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_optimality_gap_nonfinite_cost_raises():
-    # eps = 1e150 and 1e60 make the cost non-finite, at the first node that
-    # has a non-finite term; the check reports the earliest
+def test_optimality_gap_failure_is_first_in_list_order(threads):
+    # eps = 1e60 and 1e150 make the cost non-finite, the larger eps at an
+    # earlier node; the check reports the first failing feedback in list
+    # order, as pricing the feedbacks one by one would, and starts no thread
     model, mfc, _ = _solved("scalar_coupled")
     X0, cfg = gaussian_ensemble(300, 1, seed=24), SimConfig(steps=50, seed=24)
     d1, d2 = mkv.perturbation_directions(model, cfg.seed)
@@ -658,14 +659,20 @@ def test_optimality_gap_nonfinite_cost_raises():
         model, FeedbackPolicy(mfc, K1=e * d1, K2=e * d2), X0, cfg.steps))
         if not np.isfinite(t)), None) for e in eps_list]
     assert nodes[0] is None and nodes[2] < nodes[1]
+    before = threading.active_count()
     with pytest.raises(riccati.NumericalFailure) as got:
         check_optimality_gap(model, mfc, X0, cfg, eps_list=eps_list)
-    assert got.value.node == nodes[2]
+    assert got.value.node == nodes[1]
+    assert threading.active_count() == before
 
 
-def test_optimality_gap_draws_only_its_directions(monkeypatch):
-    model, mfc, _ = _solved("scalar_coupled")
-    X0, cfg = gaussian_ensemble(100, 1, seed=23), SimConfig(steps=30, seed=23)
+@pytest.mark.parametrize("name", ["scalar_lqr", "scalar_coupled"])
+def test_optimality_gap_draws_once_per_step(monkeypatch, name, threads):
+    # the exact pricing draws no noise at any step, with or without the
+    # prefetch worker; its one draw is the perturbation directions
+    model, mfc, _ = _solved(name)
+    X0 = gaussian_ensemble(100, model.n, seed=23)
+    cfg = SimConfig(steps=30, seed=23)
     calls = []
     philox = mkv._philox
 
