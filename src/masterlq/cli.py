@@ -5,12 +5,14 @@ and SUITES each verify suite, only the options it reads; any other option is
 bad input.  Every run writes a JSON summary embedding its manifest: the parsed
 options but --out, the SHA-256 of the --model file, and the bounds the command
 or suite gates on (TOLERANCES).  Identical manifests produce byte-identical
-artifacts on one machine; at n >= 2 the matrix products go through the host's
-BLAS, whose rounding may differ on another CPU, and at n = 1 so do
-verify_lift.json's quadrature dots, while hjbfp.json and hjbfp_fields.csv move
-with numpy's SIMD dispatch (np.exp of the initial density, for one).  Each
-command checks its input, then hands its work to _run, which creates --out and
-writes the JSON.  Exit codes: 0 success, 1 bad input (an unreadable --model
+artifacts on one machine.  At n <= 2 the riccati solve's products are
+fixed-order float sums, so its artifacts move with the CPU only through
+B R^-1 B*, which LAPACK and BLAS form; other matrix products at n >= 2 go
+through the host's BLAS, whose rounding may differ on another CPU, and at
+n = 1 so do verify_lift.json's quadrature dots, while hjbfp.json and
+hjbfp_fields.csv move with numpy's SIMD dispatch (np.exp of the initial
+density, for one).  Each command checks its input, then hands its work to
+_run, which creates --out and writes the JSON.  Exit codes: 0 success, 1 bad input (an unreadable --model
 included, and nothing is written; a size too large to allocate included, where
 --out may exist but stays empty), 2 numerical failure (NUMERICAL: Riccati
 blow-up or non-finite value, CFL, non-finite PDE slice; the JSON still holds

@@ -22,17 +22,19 @@ symmetrization of P (and of Sigma in the MFC case only: MFG Sigma is
 genuinely non-symmetric unless Abar = 0 and Qbar S = S* Qbar).
 
 Each system's right-hand side is written once, and runs once per solve, on
-records of the state blocks (_bind); an operation on constants alone is
-computed then, so every record reads the state.  At n = 1 the records
-become one generated Python function per system (_float_source): the RK4
-loop on float locals, unrolled so that each of its four rhs evaluations per
-step is the body as straight-line assignments (_float_rhs), compiled once
-per process and shared by every model, whose constants it takes as
-arguments.  It keeps numpy's bits, signed zeros included: each assignment
-is one float operation of the body, in its left-to-right order, a product
-is a * b + 0.0 and a trace a + 0.0, as numpy's 1 x 1 matmul and one-term
-diagonal sum add onto +0.0, and the stage sums are the numpy loop's, term
-for term.  At n >= 2 the loop runs on numpy vectors, each operation into a
+records of the state (_bind); an operation on constants alone is computed
+then, so every record reads the state.  At n <= 2 the records are of the
+state's entries, and become one generated Python function per system
+(_float_source): the RK4 loop on float locals, compiled once per process
+and shared by every model, whose constants it takes as arguments.  Each of
+its four rhs evaluations per step is the body as straight-line assignments
+(_float_rhs), inline at n = 1 and a call at n = 2.  A product entry is
+a_i0 * b_0j + a_i1 * b_1j + 0.0 and a trace d0 + d1 + 0.0, summed in that
+order, so no BLAS kernel rounds an operation of the solve (its input
+B R^-1 B*, from lq_model's Cholesky, is rounded by LAPACK and BLAS); at
+n = 1 they are the bits of numpy's 1 x 1 matmul and one-term diagonal sum,
+signed zeros included, and the stage sums are the numpy loop's, term for
+term.  At n >= 3 the loop runs on numpy vectors, each operation into a
 buffer made once per solve, and tests the blow-up bound RK4_BLOCK steps at
 a time.  The records give a fixed plan: each np.dot product writes into a
 preallocated slot, the signed terms of each matrix block's sum are one
@@ -49,7 +51,7 @@ import csv
 import io
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -117,15 +119,15 @@ def _algebra(n: int):
     """Matrix product, transpose and trace for the rhs bodies.  An operation
     on constants computes, which is how the factories hoist their
     state-independent products; an operation on the state records itself
-    (_Expr), which is how _bind turns a body into its plan.  At n >= 2 they
-    act on n x n arrays, and the product is np.dot's C function without its
-    array-function dispatcher, the same BLAS call as np.matmul at a lower
-    cost per call.  At n = 1 they act on floats: transpose is the identity,
-    a product is a * b + 0.0 and a trace a + 0.0, the bits of numpy's 1 x 1
-    matmul and one-term diagonal sum, which add onto +0.0: a bare a * b
-    would keep a -0.0 that they turn into +0.0."""
-    if n == 1:
-        return partial(_op, _float_dot), (lambda a: a), partial(_op, _float_trace)
+    (_Expr), which is how _bind turns a body into its plan.  At n <= 2 they
+    act entry by entry on object arrays of floats and records: a product
+    entry is a_i0 * b_0j + a_i1 * b_1j + ... + 0.0 (_float_dot) and a trace
+    d0 + d1 + ... + 0.0 (_float_trace), at n = 1 the bits of numpy's 1 x 1
+    matmul and diagonal sum, which turn a -0.0 into +0.0.  At n >= 3 the
+    product is np.dot's C function without its array-function dispatcher,
+    the same BLAS call as np.matmul at a lower cost per call."""
+    if n <= 2:
+        return _float_mm, np.transpose, lambda a: _op(_float_trace, *a.diagonal())
     return partial(_op, _dot), partial(_op, np.ndarray.transpose), partial(_op, _trace)
 
 
@@ -137,7 +139,14 @@ def _trace(a):
     return np.add.reduce(a.diagonal())
 
 
-_float_dot, _float_trace = (lambda a, b: a * b + 0.0), (lambda a: a + 0.0)    # n = 1
+def _float_mm(a, b):
+    """The product of two object arrays at n <= 2, entry by entry (_algebra)."""
+    return np.array([[_op(_float_dot, *(x for ab in zip(row, col) for x in ab)) for col in b.T]
+                     for row in a], dtype=object)
+
+
+_float_dot = lambda *ab: reduce(operator.add, map(operator.mul, ab[::2], ab[1::2])) + 0.0
+_float_trace = lambda *d: reduce(operator.add, d) + 0.0
 
 
 def _op(fn, *args):
@@ -149,7 +158,8 @@ class _Expr:
     """One operation of an rhs body on the state, recorded instead of
     computed: fn applied to args, each a constant or another _Expr.  Sums,
     differences and scalar multiples record operator.add, sub and mul.  A
-    state block is an _Expr whose fn is None and whose one arg is its index."""
+    state block (at n <= 2, a state entry) is an _Expr whose fn is None and
+    whose one arg is its index."""
 
     __array_ufunc__ = None    # ndarray - _Expr defers to _Expr.__rsub__
     __slots__ = ("fn", "args")
@@ -178,20 +188,23 @@ def _chain(x) -> list:
     return [(1.0, x)]
 
 
-def _coefficients(model: LQModelSpec) -> list:
-    """A, Abar, Q, Qbar, S and BRB; Python floats at n = 1."""
-    mats = [model.A, model.Abar, model.Q, model.Qbar, model.S, model.BRB()]
-    return [m.item() for m in mats] if model.n == 1 else mats
+def _coefficients(model: LQModelSpec, names: str = "A Abar Q Qbar S BRB") -> list:
+    """The model's matrices of names, BRB as model.BRB(), in the form that
+    _algebra(model.n) takes: object arrays of Python floats at n <= 2."""
+    mats = [model.BRB() if name == "BRB" else getattr(model, name) for name in names.split()]
+    return [m.astype(object) for m in mats] if model.n <= 2 else mats
 
 
 def _bind(terms, n: int, k: int):
     """The rhs for _integrate from terms(*mats), which maps the k n x n
     blocks of the state to their negated derivatives and the negated
     derivative of the scalar last block.  terms runs once, on records of
-    the state blocks.  At n = 1 the rhs is the records written out as
-    Python float source (_float_rhs).
+    the state.  At n <= 2 each block is an object array of the records of
+    its entries, and the rhs is the records of the derivative's entries, in
+    the order of the packed state, written out as Python float source
+    (_float_rhs).
 
-    At n >= 2 the rhs is make_rhs(y, out), which turns the record into a
+    At n >= 3 the rhs is make_rhs(y, out), which turns the record into a
     fixed plan of ufuncs (_UFUNCS) on preallocated arrays.  Every product
     writes into its own slot.  Each matrix block's sum of signed terms is
     one column of a (terms, k, n, n) stack: its terms in order, then -0.0
@@ -203,11 +216,13 @@ def _bind(terms, n: int, k: int):
     the scalar record as _float_rhs writes it, each trace an input T<i>:
     the k state blocks' traces, then those of other matrices, which the
     plan sums into traces."""
+    nn = n * n
+    if n <= 2:
+        entries = np.array([_Expr(None, i) for i in range(k * nn)], dtype=object)
+        *blocks, scalar = terms(*entries.reshape(k, n, n))
+        return _float_rhs([x for block in blocks for x in block.flat] + [scalar])
     state = [_Expr(None, i) for i in range(k)]
     *chains, scalar = terms(*state)
-    if n == 1:
-        return _float_rhs(chains + [scalar])
-    nn = n * n
     chains = [_chain(c) for c in chains]
     depth = max(map(len, chains))
     traced = {}    # each traced matrix that is not a state block: its input's index
@@ -290,14 +305,16 @@ class _FloatRhs(NamedTuple):
     consts: tuple
 
 
-_FLOAT_OPS = {_float_dot: "{} * {} + 0.0", _float_trace: "{} + 0.0",
-              operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}"}
+_FLOAT_OPS = {_float_dot: lambda *ab: " + ".join(map("{} * {}".format, ab[::2], ab[1::2]))
+              + " + 0.0", _float_trace: lambda *d: " + ".join(d) + " + 0.0",
+              operator.add: "{} + {}".format, operator.sub: "{} - {}".format,
+              operator.mul: "{} * {}".format}
 
 
 def _float_rhs(records: list) -> _FloatRhs:
     """Float records of a body's negated derivatives as straight-line
     assignments, one per operation, in the body's left-to-right order: the
-    n = 1 rhs, and the scalar entry of the n >= 2 plan.  Each constant is
+    n <= 2 rhs, and the scalar entry of the n >= 3 plan.  Each constant is
     an argument, never a literal, so every model of one body has the same
     source."""
     consts, body = [], []
@@ -317,7 +334,7 @@ def _float_rhs(records: list) -> _FloatRhs:
                 key = (x.fn, *map(name, x.args))
                 if key not in ops:
                     ops[key] = f"_{len(body)}"
-                    body.append(f"{ops[key]} = " + _FLOAT_OPS[x.fn].format(*key[1:]))
+                    body.append(f"{ops[key]} = " + _FLOAT_OPS[x.fn](*key[1:]))
                 names[id(x)] = ops[key]
         return names[id(x)]
 
@@ -326,39 +343,50 @@ def _float_rhs(records: list) -> _FloatRhs:
     return _FloatRhs("\n".join(body), tuple(consts))
 
 
-def _float_source(rhs: _FloatRhs, L: int, sym: int) -> str:
+def _float_source(rhs: _FloatRhs, L: int, sym: int, n: int) -> str:
     """The source of loop(Y, D, K, t, h, *rhs.consts), the RK4 loop of
-    _integrate at n = 1 on the L float entries of the state, whose four rhs
-    evaluations per step are rhs.body inline.  Y and D are flat
-    float views of the (K+1, L) arrays, and row K of Y holds the state at
-    time t.  The stage sums, the symmetrization of the first sym entries,
-    the blow-up test and the time steps are the float forms of
-    _vector_loop's numpy ones, term for term.  The loop writes each node
-    into Y and D; at a node that fails the blow-up test it returns (i, t)
-    with the failing state in row i of Y, and None once it reaches t = 0."""
-    y, u = [f"y{j}" for j in range(L)], [f"u{j}" for j in range(L)]
+    _integrate at n <= 2 on the L float entries of the state.  Its four rhs
+    evaluations per step are rhs.body inline at n = 1, and at n = 2 calls
+    of it as a function that the loop defines, as four copies of the longer
+    body cost more memory than the calls cost time.  Y and D are flat float
+    views of the (K+1, L) arrays, and row K of Y holds the state at time t.
+    The stage sums, the symmetrization of the first sym n x n blocks, the
+    blow-up test and the time steps are the float forms of _vector_loop's
+    numpy ones, term for term.  The loop writes each node into Y and D; at
+    a node that fails the blow-up test it returns (i, t) with the failing
+    state in row i of Y, and None once it reaches t = 0."""
+    y, u, d = ([f"{v}{j}" for j in range(L)] for v in "yud")
     k1, k2, k3, k4 = ([f"k{s}_{j}" for j in range(L)] for s in range(1, 5))
     at = [f"j + {j}" if j else "j" for j in range(L)]
+    nn = n * n
 
     def each(fmt, *cols):
         return [fmt.format(*c) for c in zip(*cols)]
 
     def call(state, out, t):
+        if n > 1:
+            return [f"{', '.join(out)} = rhs({t}, {', '.join(state)})"]
         fields = {f"y{j}": v for j, v in enumerate(state)} | {f"d{j}": v for j, v in enumerate(out)}
         return rhs.body.format(t=t, **fields).splitlines()
 
+    # the entries of each symmetrized block at and above its diagonal, with their mirrors
+    mirror = [(u[b + i * n + j], u[b + j * n + i]) for b in range(0, sym * nn, nn)
+              for i in range(n) for j in range(i, n)]
     step = [*each("{} = {} + half * {}", u, y, k1), *call(u, k2, "t + half"),
             *each("{} = {} + half * {}", u, y, k2), *call(u, k3, "t + half"),
             *each("{} = {} + h * {}", u, y, k3), *call(u, k4, "t + h"),
             *each("{} = {} + ({} + 2.0 * {} + 2.0 * {} + {}) * sixth", u, y, k1, k2, k3, k4),
-            *each("{0} = 0.5 * ({0} + {0})", u[:sym]),
+            *(f"{' = '.join(dict.fromkeys(e))} = 0.5 * ({e[0]} + {e[1]})" for e in mirror),
             "t += h", f"j -= {L}", *each("Y[{}] = {}", at, u),
             # a NaN fails every comparison
             f"if not ({' and '.join(f'abs({v}) <= B' for v in u)}):", "    return i, t",
             *call(u, k1, "t"), *each("D[{}] = {}", at, k1),
             f"{', '.join(y)} = {', '.join(u)}"]
     args = "".join(f", c{m}" for m in range(len(rhs.consts)))
-    lines = ["B = BLOWUP_THRESHOLD",
+    body = rhs.body.format(t="t", **{v: v for v in y + d}).splitlines()
+    body = [] if n == 1 else [f"def rhs(t, {', '.join(y)}):", *("    " + s for s in body),
+                              f"    return {', '.join(d)}"]
+    lines = [*body, "B = BLOWUP_THRESHOLD",
              "half, sixth = 0.5 * h, h / 6.0", f"j = K * {L}", *each("{} = Y[{}]", y, at),
              *call(y, k1, "t"), *each("D[{}] = {}", at, k1),
              "for i in range(K - 1, -1, -1):", *("    " + s for s in step), "return None"]
@@ -375,9 +403,9 @@ def _compile(source: str):
 
 
 @lru_cache(maxsize=None)
-def _float_loop(body: str, consts: int, L: int, sym: int):
+def _float_loop(body: str, consts: int, L: int, sym: int, n: int):
     """_float_source's loop, built once per body text and number of constants."""
-    return _compile(_float_source(_FloatRhs(body, (None,) * consts), L, sym))
+    return _compile(_float_source(_FloatRhs(body, (None,) * consts), L, sym, n))
 
 
 def _mfc_rhs(model: LQModelSpec):
@@ -483,14 +511,14 @@ def _integrate(rhs, y0, grid: TimeGrid, sym: int):
     float64 state vector, with per-step symmetrization and blow-up detection.
 
     y0 is the tuple of state blocks (arrays or scalars), packed in order;
-    the first `sym` blocks are n x n matrices that each step symmetrizes.
-    When the first block has n = 1 rows, rhs is a _FloatRhs and the loop is
-    the one _float_source generates; otherwise rhs is the make_rhs of
-    _vector_loop.  Each step has signed size h = -grid.h, and its time is
-    accumulated by t += h from grid.T.  Returns the (K+1, L) node array and
-    the rhs at each node, row i at grid node i counted from t = 0; a
-    NumericalFailure names the node the same way.  The rhs at a node is the
-    next step's first stage, so K steps make 4K + 1 calls.
+    the first `sym` blocks are n x n matrices that each step symmetrizes,
+    n the first block's number of rows.  When rhs is a _FloatRhs (n <= 2)
+    the loop is the one _float_source generates; otherwise rhs is the
+    make_rhs of _vector_loop.  Each step has signed size h = -grid.h, and
+    its time is accumulated by t += h from grid.T.  Returns the (K+1, L)
+    node array and the rhs at each node, row i at grid node i counted from
+    t = 0; a NumericalFailure names the node the same way.  The rhs at a
+    node is the next step's first stage, so K steps make 4K + 1 calls.
     """
     K, h = grid.K, -grid.h
     blocks = [np.asarray(b, dtype=float) for b in y0]
@@ -498,8 +526,8 @@ def _integrate(rhs, y0, grid: TimeGrid, sym: int):
     Y, D = np.empty((K + 1, ends[-1])), np.empty((K + 1, ends[-1]))
     Y[K] = np.concatenate([b.ravel() for b in blocks])
     n = blocks[0].shape[0]
-    if n == 1:
-        loop = _float_loop(rhs.body, len(rhs.consts), ends[-1], sym)
+    if isinstance(rhs, _FloatRhs):
+        loop = _float_loop(rhs.body, len(rhs.consts), ends[-1], sym, n)
         failed = loop(memoryview(Y.reshape(-1)), memoryview(D.reshape(-1)), K, grid.T, h,
                       *rhs.consts)
     else:
@@ -526,10 +554,11 @@ def _split(A: np.ndarray, n: int, names: tuple) -> dict:
 
 def solve_mfc(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
     """Solve the MFC system (P, Sigma, lambda) backward from t = T."""
-    ST, QbT = model.ST, model.QbarT
-    P_T = model.QT + QbT
-    Sig_T = ST.T @ QbT @ ST - (ST.T @ QbT + QbT @ ST)
-    Y, D = _integrate(_mfc_rhs(model), (P_T, Sig_T, 0.0), grid, 2)
+    mm, tp, _ = _algebra(model.n)
+    QT, QbT, ST = _coefficients(model, "QT QbarT ST")
+    STQbT = mm(tp(ST), QbT)
+    state = (QT + QbT, mm(STQbT, ST) - (STQbT + mm(QbT, ST)), 0.0)
+    Y, D = _integrate(_mfc_rhs(model), state, grid, 2)
     return RiccatiSolution(kind="MFC", grid=grid,
                            **_split(Y, model.n, ("P", "Sigma", "lam")),
                            **_split(D, model.n, ("dP", "dSigma", None)))
@@ -538,8 +567,9 @@ def solve_mfc(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
 def solve_mfg(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
     """Solve the MFG system (P, Sigma, Gamma, mu) backward from t = T.
     Only P is symmetrized: MFG Sigma asymmetry is a feature, not roundoff."""
-    ST, QbT = model.ST, model.QbarT
-    state = (model.QT + QbT, -QbT @ ST, ST.T @ QbT @ ST, 0.0)
+    mm, tp, _ = _algebra(model.n)
+    QT, QbT, ST = _coefficients(model, "QT QbarT ST")
+    state = (QT + QbT, mm(-QbT, ST), mm(mm(tp(ST), QbT), ST), 0.0)
     Y, D = _integrate(_mfg_rhs(model), state, grid, 1)
     return RiccatiSolution(kind="MFG", grid=grid,
                            **_split(Y, model.n, ("P", "Sigma", "Gamma", "mu")),

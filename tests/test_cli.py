@@ -2,16 +2,22 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from unittest.mock import ANY
 
 import numpy as np
 import pytest
+import scipy
 
 from masterlq.cli import main
+
+from conftest import make_coupled_2x2
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 LQR = os.path.join(MODELS, "scalar_lqr.json")
@@ -151,6 +157,68 @@ def test_riccati_malformed_json_exit_1(tmp_path):
 def test_riccati_missing_model_exit_1(tmp_path):
     code, _ = run(tmp_path, "riccati", "--model", str(tmp_path / "nope.json"))
     assert code == 1
+
+
+# each kernel setting, and the variables it sets; numpy and scipy read them at import
+KERNELS = {"default": {}, "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+           "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+           "no-SIMD": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"}}
+
+# both kinds on each model, then the digest of a 64 x 64 BLAS product, the control
+KERNEL_RUN = """
+import hashlib, sys
+import numpy as np
+from masterlq.cli import main
+out, *models = sys.argv[1:]
+for i, model in enumerate(models):
+    for kind in ("mfc", "mfg"):
+        assert main(["riccati", "--model", model, "--kind", kind, "--steps", "300",
+                     f"--out={out}/{i}"]) == 0
+a = np.random.default_rng(0).standard_normal((64, 64))
+print(hashlib.sha256((a @ a).tobytes()).hexdigest())
+"""
+
+
+def _blas_configs() -> list[str]:
+    return [lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            .get("openblas configuration", "") for lib in (np, scipy)]
+
+
+def _riccati_digests(root) -> dict:
+    """The SHA-256 of each riccati_* file under root, by its path below root."""
+    return {f.relative_to(root).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in root.rglob("riccati_*")}
+
+
+def test_riccati_bytes_equal_across_blas_kernels(tmp_path):
+    # at n <= 2 every product of the solve is a fixed-order float sum, so the
+    # riccati artifacts of an n = 1 and an n = 2 model keep their bytes
+    # under other OpenBLAS kernels (Haswell, and Prescott without FMA) and
+    # without numpy's AVX2 and AVX-512 dispatch; the control, a BLAS product
+    # that Prescott rounds differently, shows that the kernel did change
+    configs = _blas_configs()
+    if not all("DYNAMIC_ARCH" in c for c in configs):
+        pytest.skip(f"numpy's or scipy's OpenBLAS is not built with DYNAMIC_ARCH, so "
+                    f"OPENBLAS_CORETYPE cannot switch its kernel: {configs}")
+    two = tmp_path / "coupled_2x2.json"
+    two.write_text(json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
+                               for k, v in dataclasses.asdict(make_coupled_2x2()).items()}))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    runs = {}
+    for name, settings in KERNELS.items():
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env.update(settings, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-c", KERNEL_RUN, str(tmp_path / name), COUPLED, str(two)]
+        runs[name] = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    control = {name: proc.communicate(timeout=120)[0].strip() for name, proc in runs.items()}
+    assert {name: proc.returncode for name, proc in runs.items()} == dict.fromkeys(KERNELS, 0)
+    digests = {name: _riccati_digests(tmp_path / name) for name in KERNELS}
+    assert len(digests["default"]) == 8
+    assert control["Prescott"] != control["default"]
+    for name in KERNELS:
+        assert digests[name] == digests["default"], name
 
 
 @pytest.mark.parametrize("command", ["riccati", "hjbfp"])

@@ -398,6 +398,15 @@ def test_write_csv_blocks_by_cells(tmp_path, monkeypatch, cols):
 # ---------------------------------------------------------------------------
 # _integrate against the five-call reference formulation
 
+def _mm(a, b):
+    """a @ b, but at n = 2 the fixed-order product of the float solve, by
+    ufuncs: each entry a_i0 b_0j + a_i1 b_1j + 0.0, summed left to right,
+    which no BLAS kernel rounds its own way."""
+    if a.shape[1] != 2:
+        return a @ b
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:] + 0.0
+
+
 def _ref_mfc_rhs(model):
     A, Abar, Q, Qbar, S = model.A, model.Abar, model.Q, model.Qbar, model.S
     BRB = model.BRB()
@@ -406,11 +415,11 @@ def _ref_mfc_rhs(model):
 
     def rhs(t, state):
         P, Sig, _ = state
-        M = A + Abar - BRB @ P
-        dP = -(P @ A + A.T @ P - P @ BRB @ P + Q + Qbar)
-        dSig = -(Sig @ M + M.T @ Sig - Sig @ BRB @ Sig
-                 + S.T @ Qbar @ S - Qbar @ S - S.T @ Qbar
-                 + P @ Abar + Abar.T @ P)
+        M = A + Abar - _mm(BRB, P)
+        dP = -(_mm(P, A) + _mm(A.T, P) - _mm(_mm(P, BRB), P) + Q + Qbar)
+        dSig = -(_mm(Sig, M) + _mm(M.T, Sig) - _mm(_mm(Sig, BRB), Sig)
+                 + _mm(_mm(S.T, Qbar), S) - _mm(Qbar, S) - _mm(S.T, Qbar)
+                 + _mm(P, Abar) + _mm(Abar.T, P))
         dlam = -(0.5 * a * np.trace(P) + 0.5 * b2 * np.trace(P + Sig))
         return dP, dSig, dlam
 
@@ -425,13 +434,13 @@ def _ref_mfg_rhs(model):
 
     def rhs(t, state):
         P, Sig, Gam, _ = state
-        M = A + Abar - BRB @ P
-        N = A + Abar - BRB @ (P + Sig)
-        dP = -(P @ A + A.T @ P - P @ BRB @ P + Q + Qbar)
-        dSig = -(Sig @ M + (A.T - P @ BRB) @ Sig - Sig @ BRB @ Sig
-                 - Qbar @ S + P @ Abar)
-        dGam = -(Gam @ N + N.T @ Gam + S.T @ Qbar @ S - Sig.T @ BRB @ Sig
-                 + Sig.T @ Abar + Abar.T @ Sig)
+        M = A + Abar - _mm(BRB, P)
+        N = A + Abar - _mm(BRB, P + Sig)
+        dP = -(_mm(P, A) + _mm(A.T, P) - _mm(_mm(P, BRB), P) + Q + Qbar)
+        dSig = -(_mm(Sig, M) + _mm(A.T - _mm(P, BRB), Sig) - _mm(_mm(Sig, BRB), Sig)
+                 - _mm(Qbar, S) + _mm(P, Abar))
+        dGam = -(_mm(Gam, N) + _mm(N.T, Gam) + _mm(_mm(S.T, Qbar), S) - _mm(_mm(Sig.T, BRB), Sig)
+                 + _mm(Sig.T, Abar) + _mm(Abar.T, Sig))
         dmu = -(0.5 * (b2 + a) * np.trace(P) + 0.5 * b2 * np.trace(Gam) + b2 * np.trace(Sig))
         return dP, dSig, dGam, dmu
 
@@ -473,12 +482,12 @@ def _ref_solve(kind, m, grid):
     sym = lambda M: 0.5 * (M + M.T)
     ST, QbT = m.ST, m.QbarT
     if kind == "mfc":
-        state = (m.QT + QbT, ST.T @ QbT @ ST - (ST.T @ QbT + QbT @ ST), 0.0)
+        state = (m.QT + QbT, _mm(_mm(ST.T, QbT), ST) - (_mm(ST.T, QbT) + _mm(QbT, ST)), 0.0)
         names, dnames = ("P", "Sigma", "lam"), ("dP", "dSigma")
         nodes, derivs = _ref_integrate(_ref_mfc_rhs(m), state, grid,
                                        lambda s: (sym(s[0]), sym(s[1]), s[2]))
     else:
-        state = (m.QT + QbT, -QbT @ ST, ST.T @ QbT @ ST, 0.0)
+        state = (m.QT + QbT, _mm(-QbT, ST), _mm(_mm(ST.T, QbT), ST), 0.0)
         names, dnames = ("P", "Sigma", "Gamma", "mu"), ("dP", "dSigma", "dGamma", "dmu")
         nodes, derivs = _ref_integrate(_ref_mfg_rhs(m), state, grid,
                                        lambda s: (sym(s[0]),) + s[1:])
@@ -548,12 +557,12 @@ def test_integrate_bitwise_equal_reference(request, kind, name):
 @pytest.mark.parametrize("kind", ["mfc", "mfg"])
 def test_scalar_rhs_bitwise_equal_numpy(kind, name):
     # the binding against the numpy reference on states whose entries are
-    # often +0.0 or -0.0: at n = 1 a bare a * b, or a trace without its
+    # often +0.0 or -0.0: at n <= 2 a bare a * b, or a trace without its
     # + 0.0, changes the sign of a zero; at n >= 2 a term summed out of
     # order changes the rounding, and half of the states are tiny, so
     # that with the tiny drift of seeds 2 and 3 the products underflow to
     # signed zeros and a sum that does not start from -0.0, or pads with
-    # +0.0, changes the sign of a zero.  At n = 1 the body runs inside the
+    # +0.0, changes the sign of a zero.  At n <= 2 the body runs inside the
     # solve's generated loop, given no steps: it evaluates the rhs at the
     # one node, row 0 of y, into row 0 of out.
     m = _seeded_model(name)
@@ -562,8 +571,8 @@ def test_scalar_rhs_bitwise_equal_numpy(kind, name):
     ref_rhs = (_ref_mfc_rhs if kind == "mfc" else _ref_mfg_rhs)(m)
     y, out = np.empty(L), np.empty(L)
     rhs = getattr(riccati, f"_{kind}_rhs")(m)
-    if m.n == 1:
-        loop = riccati._compile(riccati._float_source(rhs, L, 2 if kind == "mfc" else 1))
+    if m.n <= 2:
+        loop = riccati._compile(riccati._float_source(rhs, L, 2 if kind == "mfc" else 1, m.n))
         evaluate = lambda: loop(memoryview(y), memoryview(out), 0, 0.5, -0.1, *rhs.consts)
     else:
         plan = rhs(y, out)
@@ -578,24 +587,25 @@ def test_scalar_rhs_bitwise_equal_numpy(kind, name):
 
 
 def test_bind_plan_bitwise_equal_direct_evaluation():
-    # a body unlike the two systems: a sum that starts from a constant with
-    # -0.0 entries, a product that is a term three times, a state block and
-    # a transposed one as terms, and a trace of an intermediate matrix.  The
-    # plan must give the bits of the same body evaluated on the arrays.
-    mm, tp, tr = riccati._algebra(2)
-    C = np.array([[-0.0, 1.5], [0.0, -0.0]])
+    # a body unlike the two systems, on the n >= 3 plan: a sum that starts
+    # from a constant with -0.0 entries, a product that is a term three
+    # times, a state block and a transposed one as terms, and a trace of an
+    # intermediate matrix.  The plan must give the bits of the same body
+    # evaluated on the arrays.
+    mm, tp, tr = riccati._algebra(3)
+    C = np.array([[-0.0, 1.5, 0.0], [0.0, -0.0, -2.0], [-0.0, 0.25, -0.0]])
 
     def terms(X, Y):
         XY = mm(X, Y)
         return C - XY + X, XY - tp(Y) + C - XY + XY, 0.5 * tr(X + Y) - tr(Y)
 
-    y, out = np.empty(9), np.empty(9)
-    rhs = riccati._bind(terms, 2, 2)(y, out)
+    y, out = np.empty(19), np.empty(19)
+    rhs = riccati._bind(terms, 3, 2)(y, out)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        y[:] = rng.choice([-0.0, 0.0, 1.0], 9) * rng.standard_normal(9)
+        y[:] = rng.choice([-0.0, 0.0, 1.0], 19) * rng.standard_normal(19)
         rhs(0.5)
-        ref = terms(y[:4].reshape(2, 2), y[4:8].reshape(2, 2))
+        ref = terms(y[:9].reshape(3, 3), y[9:18].reshape(3, 3))
         assert np.array_equal(_bits(out), _bits(np.hstack([-np.ravel(r) for r in ref]))), y
 
 
@@ -610,19 +620,23 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["mfc", "mfg"])
 def test_records_one_op_vocabulary_no_constant_op_one_float_writer(monkeypatch, kind, n):
     # the record layer makes each choice once, at every n: a record's op is
     # a product, a transpose, a trace or operator.add, sub or mul; an op on
     # constants alone is computed, never recorded; and _float_rhs writes the
-    # float source, at n >= 2 that of the scalar entry, which _bind compiles
+    # float source, at n >= 3 that of the scalar entry, which _bind compiles.
+    # At n <= 2 a state block is an object array of its entries' records.
     binds, written, compiled = (_spy(monkeypatch, f) for f in ("_bind", "_float_rhs", "_compile"))
     getattr(riccati, f"_{kind}_rhs")(_seeded(n, 1))
     (((terms, _, k), _),) = binds
     ops = {riccati._dot, riccati._float_dot, np.ndarray.transpose, riccati._trace,
            riccati._float_trace, operator.add, operator.sub, operator.mul}
-    todo, seen = list(terms(*(riccati._Expr(None, i) for i in range(k)))), set()
+    entries = np.array([riccati._Expr(None, i) for i in range(k * n * n)], dtype=object)
+    state = entries.reshape(k, n, n) if n <= 2 else [riccati._Expr(None, i) for i in range(k)]
+    *blocks, scalar = terms(*state)
+    todo, seen = [*np.ravel(np.array(blocks, dtype=object)), scalar], set()
     while todo:
         x = todo.pop()
         if isinstance(x, riccati._Expr) and x.fn is not None and id(x) not in seen:
@@ -632,8 +646,8 @@ def test_records_one_op_vocabulary_no_constant_op_one_float_writer(monkeypatch, 
             todo += x.args
     assert len(seen) > 20
     ((_, rhs),) = written
-    if n == 1:
-        assert rhs.body.count("{d") == k + 1 and compiled == []
+    if n <= 2:
+        assert rhs.body.count("{d") == k * n * n + 1 and compiled == []
         return
     (((source,), _),) = compiled
     inputs = {f"y{i}": f"T{i}" for i in range(k + 1)}
@@ -658,17 +672,19 @@ def test_rhs_allocates_no_array_after_first_call(seeded_n8):
 
 
 @pytest.mark.parametrize("kind, name", [("mfc", "coupled_2x2"), ("mfg", "coupled_2x2"),
-                                        ("mfc", "scalar_coupled"), ("mfg", "scalar_coupled")],
-                         ids=["mfc", "mfg", "mfc-scalar_coupled", "mfg-scalar_coupled"])
+                                        ("mfc", "scalar_coupled"), ("mfg", "scalar_coupled"),
+                                        ("mfc", "seeded_n8"), ("mfg", "seeded_n8")],
+                         ids=["mfc", "mfg", "mfc-scalar_coupled", "mfg-scalar_coupled",
+                              "mfc-seeded_n8", "mfg-seeded_n8"])
 def test_integrate_rhs_calls_per_solve(request, monkeypatch, kind, name):
     calls = []
 
     def counting(factory):
         def counting_factory(model):
             make_rhs = factory(model)
-            if model.n == 1:
+            if model.n <= 2:
                 # the generated loop calls the last constant with the time
-                # before each inline evaluation of the body
+                # before each evaluation of the body, inline or called
                 return make_rhs._replace(body=f"c{len(make_rhs.consts)}({{t}})\n" + make_rhs.body,
                                          consts=make_rhs.consts + (calls.append,))
 
@@ -691,16 +707,31 @@ def test_integrate_rhs_calls_per_solve(request, monkeypatch, kind, name):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_float_loop_compiled_once_per_system_without_model_numbers(monkeypatch):
-    # two n = 1 models and one with a NaN and an inf coefficient: each
-    # system builds and compiles one loop, whose source reads every
-    # constant from its arguments, so that no number of any model is
-    # written into it; a second model of a system builds no source
-    coeffs = dict(A=0.29, Abar=-0.13, B=1.1, R=0.83, Q=0.37, Qbar=1.23, S=-0.71,
-                  QT=0.61, QbarT=0.47, ST=0.19, sigma=0.43, beta=0.17, T=1.0)
-    models = [scalar_model(**coeffs), scalar_model(**{**coeffs, "Q": 0.77, "Abar": 0.31}),
-              scalar_model(**{**coeffs, "Qbar": np.nan, "A": np.inf})]
+    # at n = 1 and at n = 2, two models and one with a NaN and an inf
+    # coefficient: each system builds and compiles one loop, whose source
+    # (at n = 2 with the body it calls) reads every constant from its
+    # arguments, so that no number of any model is written into it; a
+    # second model of a system builds no source
     built, build = [], riccati._float_source
     monkeypatch.setattr(riccati, "_float_source", lambda *a: built.append(1) or build(*a))
+    for n in (1, 2):
+        _float_loops_compiled_once(n, built, build)
+
+
+def _float_loops_compiled_once(n, built, build):
+    if n == 1:
+        coeffs = dict(A=0.29, Abar=-0.13, B=1.1, R=0.83, Q=0.37, Qbar=1.23, S=-0.71,
+                      QT=0.61, QbarT=0.47, ST=0.19, sigma=0.43, beta=0.17, T=1.0)
+        models = [scalar_model(**coeffs), scalar_model(**{**coeffs, "Q": 0.77, "Abar": 0.31}),
+                  scalar_model(**{**coeffs, "Qbar": np.nan, "A": np.inf})]
+    else:
+        bad = _seeded(2, 0)
+        models = [_seeded(2, 0), _seeded(2, 1),
+                  dataclasses.replace(bad, Qbar=bad.Qbar + [[0.0, np.nan], [0.0, 0.0]],
+                                      A=bad.A + [[0.0, 0.0], [np.inf, 0.0]])]
+    # every coefficient of the two finite models
+    entries = [v for m in models[:2] for f in dataclasses.fields(m)
+               if f.name not in ("n", "d", "convex") for v in np.ravel(getattr(m, f.name)).tolist()]
     riccati._compile.cache_clear()
     riccati._float_loop.cache_clear()
     for kind, solve, k in (("mfc", solve_mfc, 2), ("mfg", solve_mfg, 3)):
@@ -714,9 +745,11 @@ def test_float_loop_compiled_once_per_system_without_model_numbers(monkeypatch):
                     solve(m, TimeGrid(1.0, 20))
             assert len(built) == (j == 0), (kind, j)
             rhs = getattr(riccati, f"_{kind}_rhs")(m)
-            source = build(rhs, k + 1, 2 if kind == "mfc" else 1)
-            numbers = [*rhs.consts, *coeffs.values(), 0.77, 0.31]
-            assert not [v for v in numbers if repr(v) in source], kind
+            source = build(rhs, k * n * n + 1, 2 if kind == "mfc" else 1, n)
+            # 0.0, 0.5, 2.0 and 6.0 are the loop's own literals
+            numbers = [v for v in [*rhs.consts, *entries]
+                       if np.isfinite(v) and v not in (0.0, 0.5, 2.0, 6.0)]
+            assert len(numbers) > 20 and not [v for v in numbers if repr(v) in source], kind
             assert "nan" not in source and "inf" not in source
             sources.add(source)
         assert len(sources) == 1, kind
@@ -750,6 +783,20 @@ def test_numerical_failure_node_equals_reference(kind, bad):
     assert new.value.node == ref.value.node
 
 
+@pytest.mark.parametrize("bad", [{"Q": [[1.0, np.nan], [np.nan, 0.8]]},
+                                 {"QT": [[0.5, 0.0], [0.0, np.inf]]}, {"sigma": np.nan}],
+                         ids=["Q_nan", "QT_inf", "sigma_nan"])
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_n2_numerical_failure_node_equals_reference(coupled_2x2, kind, bad):
+    # the n = 2 float loop fails at the reference's node, as the numpy loop did
+    m = dataclasses.replace(coupled_2x2, **bad)
+    grid = TimeGrid(1.0, 50)
+    new = _failure(lambda: (solve_mfc if kind == "mfc" else solve_mfg)(m, grid))
+    ref = _failure(lambda: _ref_solve(kind, m, grid))
+    assert new == ref and new[0] is riccati.NumericalFailure
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -772,42 +819,55 @@ def test_solve_peak_memory_at_most_reference(seeded_n8, scalar_coupled):
 # ---------------------------------------------------------------------------
 # the packed vector's one abs-max keeps the per-block failure order
 
-def _synthetic(g, size):
-    """The same rhs g(t) -> (d0 of shape (size,), d1) for _integrate and
-    for the tuple-state reference.  At size 1 it is an opaque rhs of the
-    generated n = 1 loop: the body is one call of it, on the floats."""
-    if size == 1:
+# the shape of a synthetic state's first block, and whether the generated
+# float loop runs it (n = 1 and n = 2) or the numpy one
+NUMPY, N1, N2 = ((2,), False), ((1,), True), ((2, 2), True)
+
+
+def _synthetic(g, shape, floats):
+    """The same rhs g(t) -> (d0 of the first block's shape, d1) for
+    _integrate and for the tuple-state reference.  With floats it is an
+    opaque rhs of the generated float loop: the body is one call of it, on
+    the floats; otherwise it is a make_rhs of the numpy loop."""
+    size = int(np.prod(shape))
+    if floats:
         def opaque(t, *state):
             d0, d1 = g(t)
-            return d0.item(), d1
-        return (riccati._FloatRhs("{d0}, {d1} = c0({t}, {y0}, {y1})", (opaque,)),
+            return (*d0.ravel().tolist(), d1)
+        d, y = ([f"{{{v}{j}}}" for j in range(size + 1)] for v in "dy")
+        return (riccati._FloatRhs(f"{', '.join(d)} = c0({{t}}, {', '.join(y)})", (opaque,)),
                 lambda t, state: g(t))
 
     def make_rhs(y, out):
         def rhs(t):
             d0, d1 = g(t)
-            out[:size] = d0.tolist()
+            out[:size] = d0.ravel().tolist()
             out[size] = d1
         return rhs
     return make_rhs, lambda t, state: g(t)
 
 
-@pytest.mark.parametrize("size, d0, d1, exc", [
-    (2, 1e15, np.nan, RiccatiBlowUp),            # block 0 huge but finite, block 1 NaN
-    (2, np.nan, 1e15, riccati.NumericalFailure),  # the reverse: block 0 decides
-    (2, 0.0, np.nan, riccati.NumericalFailure),   # a NaN alone
-    (1, 1e15, np.nan, RiccatiBlowUp),            # the same three on the n = 1 float loop
-    (1, np.nan, 1e15, riccati.NumericalFailure),
-    (1, 0.0, np.nan, riccati.NumericalFailure),
+@pytest.mark.parametrize("loop, d0, d1, exc", [
+    (NUMPY, 1e15, np.nan, RiccatiBlowUp),            # block 0 huge but finite, block 1 NaN
+    (NUMPY, np.nan, 1e15, riccati.NumericalFailure),  # the reverse: block 0 decides
+    (NUMPY, 0.0, np.nan, riccati.NumericalFailure),   # a NaN alone
+    (N1, 1e15, np.nan, RiccatiBlowUp),               # the same three on the float loop
+    (N1, np.nan, 1e15, riccati.NumericalFailure),
+    (N1, 0.0, np.nan, riccati.NumericalFailure),
+    (N2, 1e15, np.nan, RiccatiBlowUp),
+    (N2, np.nan, 1e15, riccati.NumericalFailure),
+    (N2, 0.0, np.nan, riccati.NumericalFailure),
 ], ids=["huge_then_nan", "nan_then_huge", "nan_alone",
-        "n1-huge_then_nan", "n1-nan_then_huge", "n1-nan_alone"])
+        "n1-huge_then_nan", "n1-nan_then_huge", "n1-nan_alone",
+        "n2-huge_then_nan", "n2-nan_then_huge", "n2-nan_alone"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_integrate_failure_precedence_equals_reference(size, d0, d1, exc):
+def test_integrate_failure_precedence_equals_reference(loop, d0, d1, exc):
     # zero rhs until t < 0.52: the step from t = 0.6 to node 5 (t = 0.5) fails
-    g = lambda t: (np.full(size, d0), d1) if t < 0.52 else (np.zeros(size), 0.0)
-    make_rhs, rhs = _synthetic(g, size)
+    shape = loop[0]
+    g = lambda t: (np.full(shape, d0), d1) if t < 0.52 else (np.zeros(shape), 0.0)
+    make_rhs, rhs = _synthetic(g, *loop)
     grid = TimeGrid(1.0, 10)
-    y0 = (np.zeros(size), 0.0)
+    y0 = (np.zeros(shape), 0.0)
     with pytest.raises(exc) as new:
         riccati._integrate(make_rhs, y0, grid, 0)
     with pytest.raises(exc) as ref:
@@ -823,7 +883,7 @@ def test_integrate_n1_symmetrization_overflow_equals_reference():
     # at n = 1 the symmetrization 0.5 * (v + v) changes v only when v + v
     # overflows: a state of 1e308 becomes inf in the first step, so the
     # solve fails as non-finite, not as a blow-up past 1e12
-    make_rhs, rhs = _synthetic(lambda t: (np.zeros(1), 0.0), 1)
+    make_rhs, rhs = _synthetic(lambda t: (np.zeros(1), 0.0), *N1)
     grid = TimeGrid(1.0, 4)
     y0 = (np.full(1, 1e308), 0.0)
     with pytest.raises(riccati.NumericalFailure) as new:
@@ -833,19 +893,40 @@ def test_integrate_n1_symmetrization_overflow_equals_reference():
     assert new.value.node == ref.value.node == 3
 
 
-@pytest.mark.parametrize("size", [2, 1], ids=["numpy", "n1"])
-def test_integrate_signed_zero_sum_equals_reference(size):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_n2_symmetrization_equals_reference():
+    # the float loop's u_01 = u_10 = 0.5 * (u_01 + u_10) and 0.5 * (u_ii + u_ii)
+    # give the bits of 0.5 * (M + M*); an off-diagonal pair whose sum
+    # overflows makes the solve fail as non-finite at the first step
+    make_rhs, rhs = _synthetic(lambda t: (np.zeros((2, 2)), 0.0), *N2)
+    sym = lambda s: (0.5 * (s[0] + s[0].T), s[1])
+    grid = TimeGrid(1.0, 4)
+    y0 = (np.array([[0.1, 0.3], [0.7, -0.2]]), 0.0)
+    Y, _ = riccati._integrate(make_rhs, y0, grid, 1)
+    nodes, _ = _ref_integrate(rhs, y0, grid, sym)
+    assert np.array_equal(_bits(Y), _bits([np.hstack([s[0].ravel(), s[1]]) for s in nodes]))
+    y0 = (np.array([[1.0, 1e308], [1e308, 1.0]]), 0.0)
+    with pytest.raises(riccati.NumericalFailure) as new:
+        riccati._integrate(make_rhs, y0, grid, 1)
+    with pytest.raises(riccati.NumericalFailure) as ref:
+        _ref_integrate(rhs, y0, grid, sym)
+    assert new.value.node == ref.value.node == 3
+
+
+@pytest.mark.parametrize("loop", [NUMPY, N1, N2], ids=["numpy", "n1", "n2"])
+def test_integrate_signed_zero_sum_equals_reference(loop):
     # a -0.0 state under a -0.0 rhs: the stage sum of four -0.0 terms must
     # stay -0.0, so that the step gives (-0.0) + (-h/6)(-0.0) = +0.0 as the
     # reference does; a sum that starts from +0.0 would give -0.0
-    g = lambda t: (np.full(size, -0.0), -0.0)
-    make_rhs, rhs = _synthetic(g, size)
+    g = lambda t: (np.full(loop[0], -0.0), -0.0)
+    make_rhs, rhs = _synthetic(g, *loop)
     grid = TimeGrid(1.0, 4)
-    y0 = (np.full(size, -0.0), -0.0)
+    y0 = (np.full(loop[0], -0.0), -0.0)
     Y, D = riccati._integrate(make_rhs, y0, grid, 0)
     nodes, derivs = _ref_integrate(rhs, y0, grid, lambda s: s)
-    assert np.array_equal(_bits(Y), _bits([np.hstack(s) for s in nodes]))
-    assert np.array_equal(_bits(D), _bits([np.hstack(d) for d in derivs]))
+    flat = lambda rows: _bits([np.hstack([np.ravel(b) for b in r]) for r in rows])
+    assert np.array_equal(_bits(Y), flat(nodes))
+    assert np.array_equal(_bits(D), flat(derivs))
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +968,7 @@ def test_integrate_block_check_equals_reference(K, bad):
         i = round(t / h - 0.5)
         d = bad.get(i, 0.0) if abs(t / h - 0.5 - i) < 0.25 else 0.0
         return np.full(2, d), 0.0
-    make_rhs, rhs = _synthetic(g, 2)
+    make_rhs, rhs = _synthetic(g, *NUMPY)
     grid, y0 = TimeGrid(1.0, K), (np.zeros(2), 0.0)
     new = _failure(lambda: riccati._integrate(make_rhs, y0, grid, 0))
     with np.errstate(all="ignore"):
