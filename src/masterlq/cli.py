@@ -124,9 +124,7 @@ def cmd_riccati(args) -> int:
     def work():
         sol = _riccati(args.kind, model, grid)
         ric.to_csv(sol, os.path.join(args.out, f"riccati_{args.kind}.csv"))
-        scalars = ({"lam0": float(sol.lam[0])} if sol.kind == "MFC"
-                   else {"Gamma0": sol.Gamma[0].tolist(), "mu0": float(sol.mu[0])})
-        return {"P0": sol.P[0].tolist(), "Sigma0": sol.Sigma[0].tolist(), **scalars,
+        return {**{f"{b}0": getattr(sol, b)[0].tolist() for b in ric.BLOCKS[sol.kind]},
                 "symmetry": ric.check_symmetry_conditions(model)}, True
     return _run(man, args.out, f"riccati_{args.kind}.json", work)
 

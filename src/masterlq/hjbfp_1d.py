@@ -477,15 +477,16 @@ def cross_validate_lq(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     y0 = np.array([first_moment(pde.m[0], x, dx)])
     flow = mv.mean_flow_ode(model, sol, y0, tgrid)[:, 0]
 
-    # Blocks of CROSSVAL_ROWS time nodes at once, with eval_at's weights.
-    # Each term keeps the per-node grouping, yb ** 2 stays a Python float
-    # power, and the rows are contiguous so that each row's sum and mean
-    # reduce as a 1-D array's would.
+    # Blocks of CROSSVAL_ROWS time nodes at once, from one eval_at on every
+    # node.  Each term keeps the per-node grouping, yb ** 2 stays a Python
+    # float power, and the rows are contiguous so that each row's sum and
+    # mean reduce as a 1-D array's would.
     times = tgrid.nodes()
-    at = lambda v: ric._interp(v, sol.grid, times)[:, None]
-    P, Sig, yb = at(sol.P[:, 0, 0]), at(sol.Sigma[:, 0, 0]), flow[:, None]
+    ev = ric.eval_at(sol, times)
+    at = lambda name: ev[name].reshape(len(times), 1)
+    P, Sig, yb = at("P"), at("Sigma"), flow[:, None]
     if sol.kind == "MFG":
-        Gam, mu = at(sol.Gamma[:, 0, 0]), at(sol.mu)
+        Gam, mu = at("Gamma"), at("mu")
         yb2 = np.array([y ** 2 for y in flow.tolist()])[:, None]
     xm = x[mask]
     xm2 = xm ** 2

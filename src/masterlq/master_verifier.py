@@ -44,7 +44,7 @@ def _linear_field_terms(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     """For the field U(X) = PX + Sigma EX on the rows of X: the mean ybar,
     U, D U(X) G(X) with G the optimal drift (D U(X) Z = PZ + Sigma EZ),
     D_x H(x, ybar, U) and dU/dt from the stored derivatives."""
-    ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
+    ev = ric.eval_at(sol, t)
     P, Sig = ev["P"], ev["Sigma"]
     X = np.atleast_2d(X)
     yb = X.mean(axis=0)
@@ -52,7 +52,7 @@ def _linear_field_terms(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     G = lq.drift_G(X, yb, U, model)
     DU_G = G @ P.T + G.mean(axis=0) @ Sig.T
     DxH = lq.dx_hamiltonian(X, yb, U, model)
-    dU = X @ dv["dP"].T + yb @ dv["dSigma"].T
+    dU = X @ ev["dP"].T + yb @ ev["dSigma"].T
     return yb, U, DU_G, DxH, dU
 
 
@@ -106,15 +106,15 @@ def residual_master_mfg_scalar(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     zero (E[N] = 0) and has no entry."""
     if sol.kind != "MFG":
         raise ValueError("kind mismatch: need MFG solution with Gamma, mu")
-    ev, dv = ric.eval_at(sol, t), ric.deriv_at(sol, t)
+    ev = ric.eval_at(sol, t)
     P, Sig, Gam = ev["P"], ev["Sigma"], ev["Gamma"]
     s2, b2 = model.sigma ** 2, model.beta ** 2
     X = np.atleast_2d(X)
     yb = X.mean(axis=0)
     mean_flow = _drift_matrix(model.A + model.Abar, model.BRB(), P, Sig) @ yb
     terms = {
-        "dU_dt": (0.5 * lq._quad(X, dv["dP"]) + X @ (dv["dSigma"] @ yb)
-                  + 0.5 * yb @ dv["dGamma"] @ yb + dv["dmu"]),
+        "dU_dt": (0.5 * lq._quad(X, ev["dP"]) + X @ (ev["dSigma"] @ yb)
+                  + 0.5 * yb @ ev["dGamma"] @ yb + ev["dmu"]),
         "laplacian_x": 0.5 * (s2 + b2) * np.trace(P),
         "ek_sum": 0.5 * b2 * np.trace(Gam),
         "divergence": b2 * np.trace(Sig),

@@ -93,9 +93,9 @@ class FeedbackPolicy:
     def gains(self, times: np.ndarray, RB: np.ndarray):
         """(K1, K2) stacks of shape (len(times), d, n), row j at times[j],
         given RB = model.Rinv_Bt()."""
-        tables = []
+        ev, tables = ric.eval_at(self.sol, times), []
         for name, K in (("P", self.K1), ("Sigma", self.K2)):
-            G = -RB @ ric._interp(getattr(self.sol, name), self.sol.grid, times)
+            G = -RB @ ev[name]
             tables.append(G if K is None else G + K)
         return tables
 
@@ -264,8 +264,8 @@ def check_cost_matches_value(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     if sol.kind != "MFC":
         raise ValueError("cost matching requires an MFC solution")
     est = estimate_cost(model, traj)
-    t = traj.times[:-1]
-    PS = ric._interp(sol.P, sol.grid, t) + ric._interp(sol.Sigma, sol.grid, t)
+    ev = ric.eval_at(sol, traj.times[:-1])
+    PS = ev["P"] + ev["Sigma"]
     db = np.diff(traj.common_path, axis=0)
     M = float(np.einsum("kij,kj,ki->", PS, traj.ybar[:-1], db)) if model.beta > 0.0 else 0.0
     J_hat = est["J_hat"] - M
@@ -369,8 +369,8 @@ def check_max_principle(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    P = ric._interp(sol.P, sol.grid, times)
-    Sig = ric._interp(sol.Sigma, sol.grid, times)
+    ev = ric.eval_at(sol, times)
+    P, Sig = ev["P"], ev["Sigma"]
     stats = []
     Z = g = Kz = None     # the co-state, D_X L and noise term at the last node
 

@@ -60,7 +60,7 @@ import orjson
 from .lq_model import SYM_TOL, LQModelSpec
 
 BLOWUP_THRESHOLD = 1e12
-RK4_BLOCK = 32                    # n >= 2 RK4 steps per blow-up test
+RK4_BLOCK = 32                    # n >= 3 RK4 steps per blow-up test
 CSV_BLOCK_CELLS = 1552            # cells per orjson call in _write_csv: 8 rows of 194
 
 
@@ -97,8 +97,15 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.K + 1)
 
 
+BLOCKS = {"MFC": ("P", "Sigma", "lam"), "MFG": ("P", "Sigma", "Gamma", "mu")}
+
+
 @dataclass
 class RiccatiSolution:
+    """The node values of the blocks BLOCKS[kind] and of their derivatives
+    d<block>, the ODE right-hand sides stored at solve time.  Residual checks
+    interpolate these instead of re-deriving them from (possibly tampered)
+    node values, which is what makes corruption detectable."""
     kind: str                      # "MFC" | "MFG"
     grid: TimeGrid
     P: np.ndarray                  # (K+1, n, n)
@@ -106,11 +113,9 @@ class RiccatiSolution:
     lam: np.ndarray | None = None    # (K+1,), MFC
     Gamma: np.ndarray | None = None  # (K+1, n, n), MFG
     mu: np.ndarray | None = None     # (K+1,), MFG
-    # ODE right-hand sides at the nodes, stored at solve time.  Residual
-    # checks interpolate these instead of re-deriving them from (possibly
-    # tampered) node values, which is what makes corruption detectable.
     dP: np.ndarray = field(default=None, repr=False)
     dSigma: np.ndarray = field(default=None, repr=False)
+    dlam: np.ndarray = field(default=None, repr=False)
     dGamma: np.ndarray = field(default=None, repr=False)
     dmu: np.ndarray = field(default=None, repr=False)
 
@@ -450,7 +455,7 @@ def _mfg_rhs(model: LQModelSpec):
 
 
 def _vector_loop(make_rhs, Y: np.ndarray, D: np.ndarray, t: float, h: float, n: int, sym: int):
-    """The RK4 loop of _integrate at n >= 2, each operation into a buffer
+    """The RK4 loop of _integrate at n >= 3, each operation into a buffer
     made once: make_rhs(y, out) returns rhs(t), which reads the state from
     the vector y and writes its derivative into the vector out.  Row K of Y
     holds the state at time t.  Writes each node into Y and D, and tests
@@ -541,15 +546,16 @@ def _integrate(rhs, y0, grid: TimeGrid, sym: int):
     return Y, D
 
 
-def _split(A: np.ndarray, n: int, names: tuple) -> dict:
-    """Views of the packed (K+1, L) rows by name: (K+1, n, n) matrices, then
-    the scalar column (left out when its name is None)."""
-    nn = n * n
-    *mats, scalar = names
-    out = {name: A[:, j * nn:(j + 1) * nn].reshape(-1, n, n) for j, name in enumerate(mats)}
-    if scalar:
-        out[scalar] = A[:, -1]
-    return out
+def _solution(kind: str, grid: TimeGrid, n: int, Y: np.ndarray, D: np.ndarray) -> RiccatiSolution:
+    """The solution of kind from _integrate's packed (K+1, L) node rows Y and
+    their derivatives D, each block a view: the n x n blocks of BLOCKS[kind]
+    in order, then the scalar last column."""
+    *mats, scalar = BLOCKS[kind]
+    nn, blocks = n * n, {}
+    for d, A in (("", Y), ("d", D)):
+        blocks |= {d + b: A[:, j * nn:(j + 1) * nn].reshape(-1, n, n) for j, b in enumerate(mats)}
+        blocks[d + scalar] = A[:, -1]
+    return RiccatiSolution(kind=kind, grid=grid, **blocks)
 
 
 def solve_mfc(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
@@ -558,10 +564,7 @@ def solve_mfc(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
     QT, QbT, ST = _coefficients(model, "QT QbarT ST")
     STQbT = mm(tp(ST), QbT)
     state = (QT + QbT, mm(STQbT, ST) - (STQbT + mm(QbT, ST)), 0.0)
-    Y, D = _integrate(_mfc_rhs(model), state, grid, 2)
-    return RiccatiSolution(kind="MFC", grid=grid,
-                           **_split(Y, model.n, ("P", "Sigma", "lam")),
-                           **_split(D, model.n, ("dP", "dSigma", None)))
+    return _solution("MFC", grid, model.n, *_integrate(_mfc_rhs(model), state, grid, 2))
 
 
 def solve_mfg(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
@@ -570,10 +573,7 @@ def solve_mfg(model: LQModelSpec, grid: TimeGrid) -> RiccatiSolution:
     mm, tp, _ = _algebra(model.n)
     QT, QbT, ST = _coefficients(model, "QT QbarT ST")
     state = (QT + QbT, mm(-QbT, ST), mm(mm(tp(ST), QbT), ST), 0.0)
-    Y, D = _integrate(_mfg_rhs(model), state, grid, 1)
-    return RiccatiSolution(kind="MFG", grid=grid,
-                           **_split(Y, model.n, ("P", "Sigma", "Gamma", "mu")),
-                           **_split(D, model.n, ("dP", "dSigma", "dGamma", "dmu")))
+    return _solution("MFG", grid, model.n, *_integrate(_mfg_rhs(model), state, grid, 1))
 
 
 def check_symmetry_conditions(model: LQModelSpec) -> dict:
@@ -607,23 +607,15 @@ def _interp(values: np.ndarray, grid: TimeGrid, t):
     return out if np.ndim(t) else out[0]
 
 
-def eval_at(sol: RiccatiSolution, t: float) -> dict:
-    """Linear interpolation of all solution components at time t."""
-    out = {"P": _interp(sol.P, sol.grid, t), "Sigma": _interp(sol.Sigma, sol.grid, t)}
-    if sol.kind == "MFC":
-        out["lam"] = float(_interp(sol.lam, sol.grid, t))
-    else:
-        out["Gamma"] = _interp(sol.Gamma, sol.grid, t)
-        out["mu"] = float(_interp(sol.mu, sol.grid, t))
-    return out
-
-
-def deriv_at(sol: RiccatiSolution, t: float) -> dict:
-    """Interpolated solve-time ODE right-hand sides (time derivatives)."""
-    out = {"dP": _interp(sol.dP, sol.grid, t), "dSigma": _interp(sol.dSigma, sol.grid, t)}
-    if sol.kind == "MFG":
-        out["dGamma"] = _interp(sol.dGamma, sol.grid, t)
-        out["dmu"] = float(_interp(sol.dmu, sol.grid, t))
+def eval_at(sol: RiccatiSolution, t: float | np.ndarray) -> dict:
+    """Every block of sol and its derivative d<block>, linearly interpolated
+    at time t, or at each time of a 1-D array t (one row per time).  At a
+    float t the scalar block and its derivative are floats."""
+    out = {}
+    for b in BLOCKS[sol.kind]:
+        for name in (b, "d" + b):
+            v = _interp(getattr(sol, name), sol.grid, t)
+            out[name] = v if np.ndim(v) else float(v)
     return out
 
 
@@ -661,15 +653,12 @@ def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
 
 
 def to_csv(sol: RiccatiSolution, path: str) -> None:
-    """One row per node: t, P_ij row-major, Sigma_ij, then lambda or (Gamma_ij, mu)."""
+    """One row per node: t, then each block of BLOCKS[sol.kind], an n x n one
+    as its entries row-major (P_00, P_01, ...), the scalar lam as lambda."""
     n = sol.P.shape[1]
-    ij = [(i, j) for i in range(n) for j in range(n)]
-    header = ["t"] + [f"P_{i}{j}" for i, j in ij] + [f"Sigma_{i}{j}" for i, j in ij]
-    cols = [sol.grid.nodes(), sol.P, sol.Sigma]
-    if sol.kind == "MFC":
-        header += ["lambda"]
-        cols += [sol.lam]
-    else:
-        header += [f"Gamma_{i}{j}" for i, j in ij] + ["mu"]
-        cols += [sol.Gamma, sol.mu]
+    ij = [f"_{i}{j}" for i in range(n) for j in range(n)]
+    header, cols = ["t"], [sol.grid.nodes()]
+    for b in BLOCKS[sol.kind]:
+        cols.append(getattr(sol, b))
+        header += [b + e for e in ij] if cols[-1].ndim > 1 else [{"lam": "lambda"}.get(b, b)]
     _write_csv(path, header, np.hstack([c.reshape(sol.grid.K + 1, -1) for c in cols]))

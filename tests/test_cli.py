@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy
 
+from masterlq import riccati
 from masterlq.cli import main
 
 from conftest import make_coupled_2x2
@@ -57,6 +58,27 @@ def test_riccati_json_records_scalar_parts(tmp_path):
         first = next(csv.DictReader(fh))
     assert rep["Gamma0"] == [[float(first["Gamma_00"])]] and rep["mu0"] == float(first["mu"])
     assert "lam0" not in rep
+
+
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_riccati_artifacts_follow_blocks(tmp_path, kind):
+    # on an n = 2 model: one <block>0 summary key per block of BLOCKS, and
+    # CSV columns t, then each block's entries <block>_ij row-major, the
+    # scalar block under its name (lam as lambda)
+    two = tmp_path / "coupled_2x2.json"
+    two.write_text(json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
+                               for k, v in dataclasses.asdict(make_coupled_2x2()).items()}))
+    code, out = run(tmp_path, "riccati", "--model", str(two), "--kind", kind, "--steps", "20")
+    assert code == 0
+    *mats, scalar = riccati.BLOCKS[kind.upper()]
+    rep = json.loads((out / f"riccati_{kind}.json").read_text())
+    assert sorted(rep) == sorted([f"{b}0" for b in (*mats, scalar)] + ["manifest", "symmetry"])
+    assert all(np.shape(rep[f"{b}0"]) == (2, 2) for b in mats)
+    assert isinstance(rep[f"{scalar}0"], float)
+    with open(out / f"riccati_{kind}.csv") as fh:
+        header = next(csv.reader(fh))
+    assert header == (["t"] + [f"{b}_{i}{j}" for b in mats for i in range(2) for j in range(2)]
+                      + [{"lam": "lambda"}.get(scalar, scalar)])
 
 
 def test_riccati_blowup_exit_2(tmp_path):

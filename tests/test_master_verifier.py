@@ -288,7 +288,7 @@ def test_state_panel_reproducible():
 # bitwise against the formulation that wrote each LQ form out in place
 
 def _ref_residual_terms(model, sol, X, t):
-    ev, dv = riccati.eval_at(sol, t), riccati.deriv_at(sol, t)
+    ev = riccati.eval_at(sol, t)
     P, Sig = ev["P"], ev["Sigma"]
     A, Abar, Q, Qb, S = model.A, model.Abar, model.Q, model.Qbar, model.S
     BRB = model.BRB()
@@ -299,7 +299,7 @@ def _ref_residual_terms(model, sol, X, t):
     DU_G = G @ P.T + G.mean(axis=0) @ Sig.T
     DxH = X @ (Q + Qb).T - yb @ (Qb @ S).T + U @ A
     copy = yb @ (-S.T @ Qb + S.T @ Qb @ S).T + U.mean(axis=0) @ Abar
-    dU = X @ dv["dP"].T + yb @ dv["dSigma"].T
+    dU = X @ ev["dP"].T + yb @ ev["dSigma"].T
     return dU, DU_G, DxH, copy
 
 

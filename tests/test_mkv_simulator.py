@@ -460,14 +460,16 @@ def test_particle_layer_interpolates_once_per_run(monkeypatch):
     monkeypatch.setattr(riccati, "_interp", counted_interp)
     counts = []
     for steps in (50, 500):
+        evals.clear()
         interps.clear()
         X0, cfg = gaussian_ensemble(20, model.n, seed=26), SimConfig(steps=steps, seed=26)
         simulate(model, FeedbackPolicy(mfc), X0, cfg)
         check_optimality_gap(model, mfc, X0, cfg)
         for mode in ("deterministic", "stochastic"):
             check_max_principle(model, mfc, X0, cfg, mode=mode)
-        counts.append(len(interps))
-    assert evals == []
+        counts.append((len(evals), len(interps)))
+    # the layer reads the solution through eval_at, on every time of a run at once
+    assert counts[0][0] > 0
     assert counts[0] == counts[1]
 
 

@@ -289,6 +289,39 @@ def test_eval_at_out_of_range(sol_lqr):
         eval_at(sol_lqr, 1.01)
 
 
+@pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "seeded_n8"])
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_eval_at_on_times_stacks_float_calls(request, kind, name):
+    # every block of BLOCKS and its derivative, at node times, midpoints and T
+    m = request.getfixturevalue(name)
+    sol = (solve_mfc if kind == "mfc" else solve_mfg)(m, TimeGrid(m.T, 40))
+    nodes = sol.grid.nodes()
+    times = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), [m.T]])
+    rows = eval_at(sol, times)
+    each = [eval_at(sol, t) for t in times.tolist()]
+    names = [x for b in riccati.BLOCKS[sol.kind] for x in (b, "d" + b)]
+    assert list(rows) == names and all(list(ev) == names for ev in each)
+    for x in names:
+        scalar = getattr(sol, x).ndim == 1
+        assert all((type(ev[x]) is float) == scalar for ev in each), x
+        assert rows[x].shape == (len(times),) + getattr(sol, x).shape[1:], x
+        assert _bits(rows[x]).tobytes() == _bits(np.stack([ev[x] for ev in each])).tobytes(), x
+
+
+@pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "seeded_n8"])
+def test_mfc_dlam_is_the_solve_lambda_prime_column(request, name):
+    m = request.getfixturevalue(name)
+    grid = TimeGrid(m.T, 40)
+    sol = solve_mfc(m, grid)
+    _, D = riccati._integrate(riccati._mfc_rhs(m), (sol.P[-1], sol.Sigma[-1], sol.lam[-1]),
+                              grid, 2)
+    assert np.array_equal(_bits(sol.dlam), _bits(D[:, -1]))
+    # lambda' = -(sigma^2 / 2 tr P + beta^2 / 2 tr(P + Sigma))
+    tr = lambda a: np.trace(a, axis1=1, axis2=2)
+    ref = -(0.5 * m.sigma ** 2 * tr(sol.P) + 0.5 * m.beta ** 2 * tr(sol.P + sol.Sigma))
+    assert np.allclose(sol.dlam, ref, rtol=1e-13, atol=1e-15)
+
+
 def test_csv_round_trip(tmp_path, sol_coupled_mfg):
     path = tmp_path / "sol.csv"
     to_csv(sol_coupled_mfg, str(path))
