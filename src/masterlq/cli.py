@@ -135,9 +135,10 @@ def cmd_simulate(args) -> int:
     # the cost check's gate needs a standard error, which one particle lacks
     if args.particles < 2 or args.steps < 1:
         raise ValueError("need at least two particles and one time step")
+    grid = ric.TimeGrid(model.T, args.steps)
 
     def work():
-        sol, X0, cfg = _mfc_ensemble(man, model, ric.TimeGrid(model.T, args.steps))
+        sol, X0, cfg = _mfc_ensemble(man, model, grid)
         traj = mk.simulate(model, mk.FeedbackPolicy(sol), X0, cfg)
         rep = mk.check_cost_matches_value(model, sol, X0, traj, man["tolerances"]["cost_dt_const"])
         mk.trajectory_to_csv(traj, os.path.join(args.out, "trajectory.csv"))
@@ -258,6 +259,11 @@ def cmd_hjbfp(args) -> int:
     prob, model = _load_problem(args, data)
     man["kind"] = "mfg" if prob.dHdm_coeff is None else "mfc"   # the demo is an MFG
     tgrid = ric.TimeGrid(prob.T, Nt)
+    # a grid that the sweeps or the cross-validation cannot use is found before --out exists
+    hj.check_diffusion(prob.sigma, grid, tgrid)
+    if model is not None:
+        hj.crossval_window(grid)
+        ref_grid = ric.TimeGrid(model.T, max(Nt, 1000))
 
     # what work has found so far; a numerical failure writes it next to the error
     payload = {"converged": False}
@@ -271,7 +277,7 @@ def cmd_hjbfp(args) -> int:
         payload.update(converged=True, iterations=fields.iterations, history=fields.history)
         ok = True
         if model is not None:
-            sol = _riccati(args.kind, model, ric.TimeGrid(model.T, max(Nt, 1000)))
+            sol = _riccati(args.kind, model, ref_grid)
             cv = payload["cross_validation"] = hj.cross_validate_lq(model, sol, fields)
             tol = man["tolerances"]["pde_diff"]
             ok = payload["pass"] = all(cv[k] <= tol for k in ("sup_diff", "mean_flow_diff"))

@@ -43,6 +43,7 @@ from . import master_verifier as mv
 
 ANDERSON_DEPTH = 5     # Anderson history depth of picard_solve
 PICARD_TOL = 1e-6      # picard_solve stops once max |F(z) - z| is below it
+PICARD_MAX_ITER = 200  # picard_solve raises NonConvergence after this many iterations
 CROSSVAL_ROWS = 64     # time nodes per block of cross_validate_lq: small temporaries
 SWEEP_BLOCK = 16       # time steps per block of sweep checks: buffers of a few tens of KB
 
@@ -203,6 +204,25 @@ def _diffusion_lu(ab: np.ndarray) -> tuple:
     return lu
 
 
+def _diffusion(sigma: float, grid: SpaceGrid1D, tgrid: ric.TimeGrid, neumann: bool) -> tuple:
+    """_diffusion_lu of a sweep's step I - nu dt D2, nu = sigma^2 / 2, with the
+    FP's zero-flux closure (neumann) or the HJB's one-sided one.  A grid on
+    which dx^2 underflows to 0, or the operator rounds to a singular one (1 + r
+    rounds to r = nu dt / dx^2), is bad input: a ValueError."""
+    nu_dt, dx = 0.5 * sigma ** 2 * tgrid.h, grid.dx
+    try:
+        return _diffusion_lu(_diffusion_banded(nu_dt, dx, grid.Nx, neumann))
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        raise ValueError(f"the diffusion step cannot be formed on the grid: "
+                         f"nu dt = {nu_dt:.3g}, dx = {dx:.3g}") from None
+
+
+def check_diffusion(sigma: float, grid: SpaceGrid1D, tgrid: ric.TimeGrid) -> None:
+    """Raise _diffusion's ValueError if either sweep's step cannot be formed."""
+    for neumann in (True, False):
+        _diffusion(sigma, grid, tgrid, neumann)
+
+
 def _mass(m: np.ndarray, dx: float) -> float:
     return float(np.add.reduce(m) * dx)
 
@@ -260,8 +280,7 @@ def solve_fp_forward(drift_fn, sigma: float, m0: np.ndarray,
     if sigma <= 0.0:
         raise ValueError("sigma > 0 required")
     x, dx, dt, K, Nx = grid.nodes(), grid.dx, tgrid.h, tgrid.K, grid.Nx
-    nu = 0.5 * sigma ** 2
-    lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, Nx, neumann=True))
+    lu = _diffusion(sigma, grid, tgrid, neumann=True)
     m = np.empty((K + 1, Nx))
     m[0] = np.maximum(m0, 0.0)
     m[0] /= _mass(m[0], dx)
@@ -312,9 +331,8 @@ def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid
     if (qbar is None) != (prob.dHdm_coeff is None):
         raise ValueError("qbar is given exactly when the problem has the MFC measure term")
     x, dx, dt, K, Nx = grid.nodes(), grid.dx, tgrid.h, tgrid.K, grid.Nx
-    nu = 0.5 * prob.sigma ** 2
     # boundary rows carry u_xx = 0 (linear extrapolation)
-    lu = _diffusion_lu(_diffusion_banded(nu * dt, dx, Nx, neumann=False))
+    lu = _diffusion(prob.sigma, grid, tgrid, neumann=False)
     ys = np.asarray(ybar, dtype=float) if prob.uses_mean else np.zeros(K + 1)
     u = np.empty((K + 1, Nx))
     u[-1] = prob.terminal(x, float(ys[K]))
@@ -394,7 +412,7 @@ def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray, prob: Problem1D) ->
 
 
 def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
-                 m0: np.ndarray, max_iter: int = 200) -> PDEFields:
+                 m0: np.ndarray) -> PDEFields:
     """Anderson-accelerated fixed point on the statistics z the HJB reads.
 
     The problem alone decides MFC or MFG: z holds the mean path ybar_0..ybar_K
@@ -403,8 +421,9 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
     one FP sweep on the resulting drift, and reads z back from the new (u, m).
     Each step is an undamped Type-II Anderson step (Walker-Ni) of depth
     ANDERSON_DEPTH, z <- z + f - (dZ + dF) gamma; the iteration stops when
-    max |F(z) - z| < PICARD_TOL and returns that evaluation's u and m.  An
-    empty z (a problem that never reads m) converges after one HJB + FP pair.
+    max |F(z) - z| < PICARD_TOL and returns that evaluation's u and m, or
+    raises NonConvergence after PICARD_MAX_ITER iterations.  An empty z (a
+    problem that never reads m) converges after one HJB + FP pair.
     """
     mfc = prob.dHdm_coeff is not None
     x, dx, K = grid.nodes(), grid.dx, tgrid.K
@@ -439,7 +458,7 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
         g -= bq[i]
         return g
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         u = m = None    # free the previous iterate before the next sweep
         u = solve_hjb_backward(z[:nY], prob, grid, tgrid, qbar=z[nY:] if mfc else None)
         m = solve_fp_forward(drift_fn, prob.sigma, m0, grid, tgrid)
@@ -466,13 +485,11 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
 
 def cross_validate_lq(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
                       pde: PDEFields) -> dict:
-    """Compare the PDE u and the Riccati-built reference over the central
-    subdomain |x| <= x_max / 2, and the density's first moment against the
-    mean ODE."""
+    """Compare the PDE u and the Riccati-built reference over the nodes of
+    crossval_window, and the density's first moment against the mean ODE."""
     grid, tgrid = pde.grid, pde.tgrid
     x, dx = grid.nodes(), grid.dx
-    half = 0.5 * max(abs(grid.x_min), abs(grid.x_max))
-    mask = np.abs(x) <= half
+    mask = crossval_window(grid)
 
     y0 = np.array([first_moment(pde.m[0], x, dx)])
     flow = mv.mean_flow_ode(model, sol, y0, tgrid)[:, 0]
@@ -511,6 +528,17 @@ def cross_validate_lq(model: lq.LQModelSpec, sol: ric.RiccatiSolution,
             l2 += row_sum * dx * tgrid.h
     moment_err = float(np.max(np.abs(moment - flow)))
     return {"sup_diff": sup, "l2_diff": float(np.sqrt(l2)), "mean_flow_diff": moment_err}
+
+
+def crossval_window(grid: SpaceGrid1D) -> np.ndarray:
+    """The mask of grid's nodes with |x| <= max(|x_min|, |x_max|) / 2, the
+    central subdomain; a ValueError if it holds none."""
+    half = 0.5 * max(abs(grid.x_min), abs(grid.x_max))
+    mask = np.abs(grid.nodes()) <= half
+    if not mask.any():
+        raise ValueError(f"the LQ cross-validation window |x| <= {half:g} holds no node of "
+                         f"the grid [{grid.x_min:g}, {grid.x_max:g}]")
+    return mask
 
 
 def gaussian_density(grid: SpaceGrid1D, mean: float, std: float) -> np.ndarray:

@@ -305,7 +305,7 @@ def check_taylor_remainder(F: MomentFunctional, X0: np.ndarray, Y: np.ndarray) -
                    bool(3.0 - b <= slope <= 3.0 + b), slope=slope, remainders=remainders.tolist())
 
 
-def seeded_ensemble(N: int, seed: int, mean=0.0, std=1.0) -> np.ndarray:
-    """Reproducible Gaussian sample for lifted checks."""
+def seeded_ensemble(N: int, seed: int, mean=0.0) -> np.ndarray:
+    """Reproducible unit-variance Gaussian sample for lifted checks."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return mean + std * rng.standard_normal(N)
+    return mean + rng.standard_normal(N)

@@ -66,9 +66,9 @@ class ParticleEnsemble:
         return self.states.shape[1]
 
 
-def gaussian_ensemble(N: int, n: int, seed: int, mean=0.0, std=1.0) -> ParticleEnsemble:
+def gaussian_ensemble(N: int, n: int, seed: int, mean=0.0) -> ParticleEnsemble:
     z = _normals(seed, STREAM_INITIAL, 0, (N, n))
-    return ParticleEnsemble(np.asarray(mean) + np.asarray(std) * z)
+    return ParticleEnsemble(np.asarray(mean) + z)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,6 @@ changes nothing, and each sum starts from its first term, added onto -0.0.
 
 from __future__ import annotations
 
-import csv
-import io
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
@@ -86,8 +84,10 @@ class TimeGrid:
     K: int
 
     def __post_init__(self):
-        if self.K < 1 or not 0.0 < self.T < np.inf:
-            raise ValueError(f"need K >= 1 and a finite horizon T > 0, got K={self.K}, T={self.T}")
+        # a step T / K that underflows to 0 is refused too: _locate divides by it
+        if self.K < 1 or not 0.0 < self.T < np.inf or not self.T / self.K > 0.0:
+            raise ValueError(f"need K >= 1, a finite horizon T > 0 and a step T / K > 0, "
+                             f"got K={self.K}, T={self.T}")
 
     @property
     def h(self) -> float:
@@ -598,24 +598,24 @@ def _locate(grid: TimeGrid, t):
     return k, s - k
 
 
-def _interp(values: np.ndarray, grid: TimeGrid, t):
-    """Linear interpolation of the node values at time t, or at each time of
-    a 1-D array t (one result row per time, each with the scalar weights)."""
-    k, w = _locate(grid, np.atleast_1d(t))
-    w = w.reshape((-1,) + (1,) * (values.ndim - 1))
-    out = (1.0 - w) * values[k] + w * values[k + 1]
-    return out if np.ndim(t) else out[0]
+def _interp(values: np.ndarray, k, w):
+    """Linear interpolation of the node values at node k plus the fraction w
+    of a step (_locate), w shaped to broadcast over a node value."""
+    return (1.0 - w) * values[k] + w * values[k + 1]
 
 
 def eval_at(sol: RiccatiSolution, t: float | np.ndarray) -> dict:
     """Every block of sol and its derivative d<block>, linearly interpolated
-    at time t, or at each time of a 1-D array t (one row per time).  At a
-    float t the scalar block and its derivative are floats."""
+    at time t, or at each time of a 1-D array t (one row per time), located
+    once for all blocks.  At a float t the scalar ones are floats."""
+    k, w = _locate(sol.grid, np.atleast_1d(t))
+    weights = {1: w, 3: w[:, None, None]}    # for a scalar block, an n x n one
     out = {}
     for b in BLOCKS[sol.kind]:
         for name in (b, "d" + b):
-            v = _interp(getattr(sol, name), sol.grid, t)
-            out[name] = v if np.ndim(v) else float(v)
+            values = getattr(sol, name)
+            v = _interp(values, k, weights[values.ndim])
+            out[name] = v if np.ndim(t) else v[0] if values.ndim > 1 else float(v[0])
     return out
 
 
@@ -638,15 +638,13 @@ def _csv_rows(block: np.ndarray) -> bytes:
 
 def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     """One header row, then one row per table row, every float as its repr
-    so that it reads back exactly.  The header goes through csv.writer; a
-    repr never needs csv quoting, so the rows are formatted by _csv_rows in
-    the csv module's bytes and \\r\\n line ends.  The table is formatted
-    a block of at most CSV_BLOCK_CELLS cells (and at least one row) at a
-    time, so the text of only one block is held at once."""
-    head = io.StringIO()
-    csv.writer(head).writerow(header)
+    so that it reads back exactly, each row comma-joined with a \\r\\n end,
+    as csv.writer would write it: no cell needs quoting, as neither a repr
+    nor a header (made of BLOCKS names, indices and fixed words) does.  The
+    rows are formatted by _csv_rows a block of at most CSV_BLOCK_CELLS cells
+    (and at least one row) at a time, so only one block's text is held."""
     with open(path, "wb") as fh:
-        fh.write(head.getvalue().encode())
+        fh.write((",".join(header) + "\r\n").encode())
         rows = max(CSV_BLOCK_CELLS // max(table.shape[1], 1), 1)
         for i in range(0, len(table), rows):
             fh.write(_csv_rows(np.ascontiguousarray(table[i:i + rows])))

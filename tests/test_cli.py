@@ -169,6 +169,24 @@ def test_riccati_bad_horizon_exit_1(tmp_path, capsys, T):
     assert not (out / "riccati_mfc.json").exists()
 
 
+@pytest.mark.parametrize("command", [("riccati",), ("simulate", "--particles", "2"),
+                                     ("verify", "--suite", "master"),
+                                     ("verify", "--suite", "mp", "--particles", "2"),
+                                     ("verify", "--suite", "optimality", "--particles", "2")],
+                         ids=["riccati", "simulate", "verify-master", "verify-mp",
+                              "verify-optimality"])
+def test_zero_time_step_leaves_no_out(tmp_path, capsys, command):
+    # T / K rounds to 0, so every node would sit at t = 0
+    model = tmp_path / "tinyT.json"
+    model.write_text(json.dumps({**json.loads(open(COUPLED).read()), "T": 5e-324}))
+    code, out = run(tmp_path, *command, "--model", str(model), "--steps", "2")
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: need K >= 1, a finite horizon T > 0 and a step T / K > 0, "
+                   "got K=2, T=5e-324"]
+    assert not out.exists()
+
+
 def test_riccati_malformed_json_exit_1(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -711,6 +729,31 @@ def test_hjbfp_density_without_mass_exit_1(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid,m0,message", [
+    ("3,5,40,400", ("4", "0.3"),
+     "the LQ cross-validation window |x| <= 2.5 holds no node of the grid [3, 5]"),
+    # dx^2 underflows to 0
+    ("1e-300,2e-300,40,400", ("1e-300", "1e-300"), "the diffusion step cannot be formed"),
+    # 1 + r rounds to r = nu dt / dx^2: the zero-flux operator is singular
+    ("0,1e-10,40,400", ("5e-11", "1e-11"), "the diffusion step cannot be formed"),
+], ids=["empty-window", "dx-underflow", "singular"])
+def test_hjbfp_unusable_grid_leaves_no_out(tmp_path, capsys, grid, m0, message):
+    code, out = run(tmp_path, "hjbfp", "--model", CROWD, "--kind", "mfg", f"--grid={grid}",
+                    "--m0-mean", m0[0], "--m0-std", m0[1])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert not out.exists()
+
+
+def test_hjbfp_demo_needs_no_window(tmp_path):
+    # the demo has no LQ cross-validation, so a grid off the origin runs
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, "--grid=3,5,40,50",
+                    "--m0-mean", "4", "--m0-std", "0.3")
+    assert code == 0
+    assert "cross_validation" not in json.loads((out / "hjbfp.json").read_text())
+
+
 def test_hjbfp_common_noise_exit_1(tmp_path, capsys):
     # the FD solver has no common-noise term: scalar_coupled (beta = 0.3) is refused
     code, out = run(tmp_path, "hjbfp", "--model", COUPLED, "--kind", "mfg",
@@ -735,9 +778,7 @@ def test_hjbfp_mfc_terminal_at_final_mean(tmp_path):
 
 def test_hjbfp_nonconvergence_exit_3(tmp_path, monkeypatch):
     import masterlq.hjbfp_1d as hj
-    orig = hj.picard_solve
-    monkeypatch.setattr(hj, "picard_solve",
-                        lambda *a, **kw: orig(*a, **{**kw, "max_iter": 1}))
+    monkeypatch.setattr(hj, "PICARD_MAX_ITER", 1)
     code, out = run(tmp_path, "hjbfp", "--model", CROWD, "--kind", "mfg",
                     "--grid=-4,4,100,1000")
     assert code == 3

@@ -166,11 +166,12 @@ def test_picard_monotone_tail(crowd_pde):
     assert all(b <= a for a, b in zip(tail, tail[1:]))
 
 
-def test_picard_nonconvergence_reports_history(crowd_mfg, grid):
+def test_picard_nonconvergence_reports_history(crowd_mfg, grid, monkeypatch):
+    monkeypatch.setattr(fd, "PICARD_MAX_ITER", 2)
     with pytest.raises(NonConvergence) as exc:
         picard_solve(problem_from_lq(crowd_mfg), grid,
                      riccati.TimeGrid(0.5, 1000),
-                     gaussian_density(grid, 1.0, 0.5), max_iter=2)
+                     gaussian_density(grid, 1.0, 0.5))
     assert len(exc.value.history) == 2
 
 

@@ -17,8 +17,8 @@ BUILTIN = {F.name: F for F in builtin_functionals()}
 
 @pytest.fixture(scope="module")
 def ensembles():
-    X = seeded_ensemble(4000, 7, mean=0.3, std=1.2)
-    Y = seeded_ensemble(4000, 8, mean=1.0, std=1.0)
+    X = 0.3 + 1.2 * seeded_ensemble(4000, 7)
+    Y = seeded_ensemble(4000, 8, mean=1.0)
     return X, Y
 
 

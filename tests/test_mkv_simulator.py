@@ -134,7 +134,7 @@ def test_mean_matches_mean_flow_ode(crowd_mfg):
     sol = riccati.solve_mfg(crowd_mfg, riccati.TimeGrid(crowd_mfg.T, 1000))
     from dataclasses import replace as dc_replace
     m0 = dc_replace(crowd_mfg, sigma=0.0)
-    X0 = gaussian_ensemble(4000, 1, seed=7, mean=1.0, std=0.5)
+    X0 = ParticleEnsemble(1.0 + 0.5 * gaussian_ensemble(4000, 1, seed=7).states)
     traj = simulate(m0, FeedbackPolicy(sol), X0, SimConfig(steps=1000, seed=7))
     flow = mv.mean_flow_ode(m0, sol, traj.ybar[0], riccati.TimeGrid(m0.T, 1000))
     assert np.max(np.abs(traj.ybar - flow)) < 5e-3

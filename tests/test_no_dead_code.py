@@ -20,9 +20,7 @@ ALLOWED = {
 ALLOWED_UNSET = {
     "main(argv)": "the console entry reads sys.argv; tests pass an argument list",
     "scalar_model": "its defaults are the zero model that tests and interactive use amend",
-    "seeded_ensemble(std)": "the lift suite draws unit spreads; tests draw other spreads",
-    "gaussian_ensemble(mean, std)": "the CLI draws standard ensembles; tests shift and scale them",
-    "picard_solve(max_iter)": "tests lower it to reach the non-convergence path",
+    "gaussian_ensemble(mean)": "the CLI draws standard ensembles; tests shift them",
     "check_optimality_gap(eps_list)": "tests pass eps = 1e150 to reach the non-finite-cost path",
 }
 

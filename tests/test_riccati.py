@@ -308,6 +308,57 @@ def test_eval_at_on_times_stacks_float_calls(request, kind, name):
         assert _bits(rows[x]).tobytes() == _bits(np.stack([ev[x] for ev in each])).tobytes(), x
 
 
+def _eval_per_block(sol, t) -> dict:
+    """The reader with one lookup per block: each block and its derivative
+    located at t and interpolated on its own."""
+    out, ts, h = {}, np.atleast_1d(t), sol.grid.T / sol.grid.K
+    for x in (x for b in riccati.BLOCKS[sol.kind] for x in (b, "d" + b)):
+        values = getattr(sol, x)
+        s = np.minimum(ts, sol.grid.T) / h
+        k = np.minimum(np.floor(s).astype(int), sol.grid.K - 1)
+        w = (s - k).reshape((-1,) + (1,) * (values.ndim - 1))
+        v = (1.0 - w) * values[k] + w * values[k + 1]
+        v = v if np.ndim(t) else v[0]
+        out[x] = v if np.ndim(v) else float(v)
+    return out
+
+
+@pytest.mark.parametrize("K", [7, 1000])
+@pytest.mark.parametrize("name", ["scalar_lqr", "scalar_coupled", "coupled_2x2"])
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_eval_at_equals_per_block_lookup(request, kind, name, K):
+    m = request.getfixturevalue(name)
+    sol = (solve_mfc if kind == "mfc" else solve_mfg)(m, TimeGrid(m.T, K))
+    nodes = sol.grid.nodes()
+    rng = np.random.default_rng(3)
+    times = np.concatenate([[0.0, m.T, m.T + 1e-13, 0.37 * m.T], nodes,
+                            0.5 * (nodes[:-1] + nodes[1:]), m.T * rng.random(50)])
+    for t in [times] + times.tolist():
+        got, ref = eval_at(sol, t), _eval_per_block(sol, t)
+        assert list(got) == list(ref)
+        for x in ref:
+            assert type(got[x]) is type(ref[x]) and np.shape(got[x]) == np.shape(ref[x]), x
+            assert _bits(np.asarray(got[x])).tobytes() == _bits(np.asarray(ref[x])).tobytes(), x
+
+
+@pytest.mark.parametrize("kind", ["mfc", "mfg"])
+def test_eval_at_locates_once_per_call(monkeypatch, sol_coupled_mfc, sol_coupled_mfg, kind):
+    sol = sol_coupled_mfc if kind == "mfc" else sol_coupled_mfg
+    calls = _spy(monkeypatch, "_locate")
+    eval_at(sol, 0.37)
+    assert len(calls) == 1
+    eval_at(sol, sol.grid.nodes())
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("T,K", [(5e-324, 2), (1e-300, 10 ** 30)])
+def test_time_grid_refuses_a_zero_step(T, K):
+    # _locate divides by the step; at T / K == 0 every node would sit at t = 0
+    with pytest.raises(ValueError, match=r"a step T / K > 0, got K="):
+        TimeGrid(T, K)
+    assert TimeGrid(T, 1).h == T
+
+
 @pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "seeded_n8"])
 def test_mfc_dlam_is_the_solve_lambda_prime_column(request, name):
     m = request.getfixturevalue(name)
