@@ -97,11 +97,13 @@ class PDEFields:
 class Problem1D:
     """Scalar problem data for the FD solver.
 
-    The Hamiltonian is one quadratic form in q,
+    The population enters only through the mean y of the law: the
+    Hamiltonian is one quadratic form in q,
         H(x, y, q) = h0(x, y) + g0(x, y) q - brb q^2 / 2,
     and the drift is its q-derivative G = g0(x, y) - brb q.  h0 and g0 return
     a new array and broadcast over x and y: the HJB sweep hands them a column
-    of means, one row per time node.  terminal(x, ybar) gives u(x, T).
+    of means, one row per time node.  terminal(x, ybar) gives u(x, T).  A
+    problem whose data ignore y is solved on its mean path all the same.
     dHdm_coeff, set exactly for an MFC problem, gives the linear-in-x
     coefficient of the measure-derivative term:
     term(x) = dHdm_coeff(ybar, qbar) * x; it too broadcasts.
@@ -113,7 +115,6 @@ class Problem1D:
     sigma: float
     T: float
     dHdm_coeff: callable | None = None
-    uses_mean: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.sigma < np.inf:
@@ -169,7 +170,7 @@ def cosine_demo(sigma: float = 0.5, T: float = 0.5, kappa: float = 0.5) -> Probl
     """Non-LQ demonstration: quadratic control cost with a cosine potential."""
     return Problem1D(h0=lambda x, y: kappa * (1.0 - np.cos(x)), g0=lambda x, y: np.zeros_like(x),
                      brb=1.0, terminal=lambda x, y: np.zeros_like(x),
-                     sigma=sigma, T=T, uses_mean=False)
+                     sigma=sigma, T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +248,6 @@ def _check_block(vel: np.ndarray, dt: float, dx: float, nodes: range,
     raise ric.NumericalFailure(nodes[i])
 
 
-def _differences(u: np.ndarray, dx: float, fwd: np.ndarray, central: np.ndarray) -> None:
-    """Along the last axis of u (one slice or a block of rows): forward
-    differences (u[j+1] - u[j]) / dx into fwd, and np.gradient(u, dx) into
-    central: second order inside, the one-sided fwd values at the ends."""
-    np.subtract(u[..., 1:], u[..., :-1], out=fwd)
-    fwd /= dx
-    np.subtract(u[..., 2:], u[..., :-2], out=central[..., 1:-1])
-    central[..., 1:-1] /= 2.0 * dx
-    central[..., 0] = fwd[..., 0]
-    central[..., -1] = fwd[..., -1]
-
-
 def first_moment(m: np.ndarray, x: np.ndarray, dx: float) -> float:
     return float(np.add.reduce(x * m) * dx / max(_mass(m, dx), 1e-300))
 
@@ -321,19 +310,19 @@ def solve_fp_forward(drift_fn, sigma: float, m0: np.ndarray,
     return m
 
 
-def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid1D,
+def solve_hjb_backward(ybar: np.ndarray, prob: Problem1D, grid: SpaceGrid1D,
                        tgrid: ric.TimeGrid, qbar: np.ndarray | None = None) -> np.ndarray:
-    """Backward HJB sweep given the mean path ybar[0..K] (read only when the
-    problem uses the mean) and, exactly when the problem has the MFC measure
-    term, the path qbar[0..K-1] of the mean gradient E[D_x u].  Raises
-    CFLViolation (Courant > 1) or NumericalFailure (non-finite value), the
-    first in sweep order; both are checked per block of SWEEP_BLOCK steps."""
+    """Backward HJB sweep given the mean path ybar[0..K] and, exactly when the
+    problem has the MFC measure term, the path qbar[0..K-1] of the mean
+    gradient E[D_x u].  Raises CFLViolation (Courant > 1) or NumericalFailure
+    (non-finite value), the first in sweep order; both are checked per block
+    of SWEEP_BLOCK steps."""
     if (qbar is None) != (prob.dHdm_coeff is None):
         raise ValueError("qbar is given exactly when the problem has the MFC measure term")
     x, dx, dt, K, Nx = grid.nodes(), grid.dx, tgrid.h, tgrid.K, grid.Nx
     # boundary rows carry u_xx = 0 (linear extrapolation)
     lu = _diffusion(prob.sigma, grid, tgrid, neumann=False)
-    ys = np.asarray(ybar, dtype=float) if prob.uses_mean else np.zeros(K + 1)
+    ys = np.asarray(ybar, dtype=float)
     u = np.empty((K + 1, Nx))
     u[-1] = prob.terminal(x, float(ys[K]))
     # the paths in sweep order, as columns: step j = K-1-k reads node k
@@ -346,8 +335,8 @@ def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid
     bwd = np.empty(Nx - 2, dtype=bool)
     zero, c_dx, c_dx2, c_dt, c_brb, c_half_brb = _scalars(0.0, dx, 2.0 * dx, dt, prob.brb,
                                                           0.5 * prob.brb)
-    # the shifted views every step reads, made once; the differences are
-    # _differences' written out
+    # the shifted views every step reads, made once; q_c is np.gradient(u, dx):
+    # (u[j+1] - u[j-1]) / (2 dx) inside, the one-sided fwd values at the ends
     u_hi, u_lo, u_hi2, u_lo2 = u[:, 1:], u[:, :-1], u[:, 2:], u[:, :-2]
     vel_mid, fwd_lo, q_lo, q_mid, q_c_mid = vel[:, 1:-1], fwd[:-1], q[:-1], q[1:-1], q_c[1:-1]
     with np.errstate(all="ignore"):
@@ -395,20 +384,18 @@ def solve_hjb_backward(ybar: np.ndarray | None, prob: Problem1D, grid: SpaceGrid
 
 def _statistics(u: np.ndarray, m: np.ndarray, x: np.ndarray, prob: Problem1D) -> np.ndarray:
     """The statistics the HJB sweep of prob reads, from (u, m): ybar_k = E[X_k]
-    for k = 0..K when the problem uses the mean, then for MFC
-    qbar_k = sum_j D_c u[k+1]_j m[k]_j dx for k = 0..K-1, with D_c the central
-    difference of _differences (one-sided at the ends; dx cancels).  Written
-    as sums of products, so no (K+1) x Nx temporary is formed."""
-    parts = []
-    if prob.uses_mean:
-        parts.append(np.einsum("kj,j->k", m, x) / m.sum(axis=1))
-    if prob.dHdm_coeff is not None:
-        un, mk = u[1:], m[:-1]
-        inner = (np.einsum("kj,kj->k", un[:, 2:], mk[:, 1:-1])
-                 - np.einsum("kj,kj->k", un[:, :-2], mk[:, 1:-1]))
-        parts.append(0.5 * inner + (un[:, 1] - un[:, 0]) * mk[:, 0]
-                     + (un[:, -1] - un[:, -2]) * mk[:, -1])
-    return np.concatenate(parts) if parts else np.empty(0)
+    for k = 0..K, then for MFC qbar_k = sum_j D_c u[k+1]_j m[k]_j dx for
+    k = 0..K-1, with D_c np.gradient's central difference (one-sided at the
+    ends; dx cancels).  Written as sums of products, so no (K+1) x Nx
+    temporary is formed."""
+    ybar = np.einsum("kj,j->k", m, x) / m.sum(axis=1)
+    if prob.dHdm_coeff is None:
+        return ybar
+    un, mk = u[1:], m[:-1]
+    inner = (np.einsum("kj,kj->k", un[:, 2:], mk[:, 1:-1])
+             - np.einsum("kj,kj->k", un[:, :-2], mk[:, 1:-1]))
+    return np.concatenate([ybar, 0.5 * inner + (un[:, 1] - un[:, 0]) * mk[:, 0]
+                           + (un[:, -1] - un[:, -2]) * mk[:, -1]])
 
 
 def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
@@ -416,54 +403,54 @@ def picard_solve(prob: Problem1D, grid: SpaceGrid1D, tgrid: ric.TimeGrid,
     """Anderson-accelerated fixed point on the statistics z the HJB reads.
 
     The problem alone decides MFC or MFG: z holds the mean path ybar_0..ybar_K
-    (when the problem uses the mean) and, when it has the measure term (MFC),
-    the mean gradient path qbar_0..qbar_{K-1}.  F(z) runs one HJB sweep on z,
-    one FP sweep on the resulting drift, and reads z back from the new (u, m).
+    and, when the problem has the measure term (MFC), the mean gradient path
+    qbar_0..qbar_{K-1}.  F(z) runs one HJB sweep on z, one FP sweep on the
+    resulting drift, and reads z back from the new (u, m).
     Each step is an undamped Type-II Anderson step (Walker-Ni) of depth
     ANDERSON_DEPTH, z <- z + f - (dZ + dF) gamma; the iteration stops when
     max |F(z) - z| < PICARD_TOL and returns that evaluation's u and m, or
-    raises NonConvergence after PICARD_MAX_ITER iterations.  An empty z (a
-    problem that never reads m) converges after one HJB + FP pair.
+    raises NonConvergence after PICARD_MAX_ITER iterations.
     """
     mfc = prob.dHdm_coeff is not None
     x, dx, K = grid.nodes(), grid.dx, tgrid.K
     m0 = np.maximum(np.asarray(m0, dtype=float), 0.0)
     m0 = m0 / _mass(m0, dx)
-    nY = K + 1 if prob.uses_mean else 0
-    z = np.concatenate([np.full(nY, first_moment(m0, x, dx)), np.zeros(K if mfc else 0)])
+    z = np.concatenate([np.full(K + 1, first_moment(m0, x, dx)), np.zeros(K if mfc else 0)])
     history: list[float] = []
     dZ: deque = deque(maxlen=ANDERSON_DEPTH)
     dF: deque = deque(maxlen=ANDERSON_DEPTH)
     z_prev = f_prev = None
-    fwd, bq = np.empty((SWEEP_BLOCK, grid.Nx - 1)), np.empty((SWEEP_BLOCK, grid.Nx))
-    sums = np.empty((2, grid.Nx))
+    bq, sums = np.empty((SWEEP_BLOCK, grid.Nx)), np.empty((2, grid.Nx))
 
     def drift_fn(k, xs, m_slice):
-        # the FP sweep asks for k = 0, 1, ... in order: the central differences
-        # of u, and brb times them, come a block of rows at a time
+        # the FP sweep asks for k = 0, 1, ... in order: brb times
+        # np.gradient(u, dx) comes a block of rows at a time, (u[j+1] - u[j-1])
+        # / (2 dx) inside and one-sided differences at the ends
         i = k % SWEEP_BLOCK
         if i == 0:
             rows = u[k:k + SWEEP_BLOCK]
-            _differences(rows, dx, fwd[:len(rows)], bq[:len(rows)])
-            bq[:len(rows)] *= prob.brb
-        yb = 0.0
-        if prob.uses_mean:
-            # first_moment(m_slice, xs, dx): the sums of x * m and of m are one
-            # row-wise reduce, each row summed as a 1-D reduce sums it
-            np.multiply(xs, m_slice, out=sums[0])
-            sums[1] = m_slice
-            xm, mass = np.add.reduce(sums, axis=1).tolist()
-            yb = xm * dx / max(mass * dx, 1e-300)
-        g = prob.g0(xs, yb)
+            c = bq[:len(rows)]
+            np.subtract(rows[:, 2:], rows[:, :-2], out=c[:, 1:-1])
+            c[:, 1:-1] /= 2.0 * dx
+            np.subtract(rows[:, 1], rows[:, 0], out=c[:, 0])
+            np.subtract(rows[:, -1], rows[:, -2], out=c[:, -1])
+            c[:, [0, -1]] /= dx
+            c *= prob.brb
+        # first_moment(m_slice, xs, dx): the sums of x * m and of m are one
+        # row-wise reduce, each row summed as a 1-D reduce sums it
+        np.multiply(xs, m_slice, out=sums[0])
+        sums[1] = m_slice
+        xm, mass = np.add.reduce(sums, axis=1).tolist()
+        g = prob.g0(xs, xm * dx / max(mass * dx, 1e-300))
         g -= bq[i]
         return g
 
     for it in range(1, PICARD_MAX_ITER + 1):
         u = m = None    # free the previous iterate before the next sweep
-        u = solve_hjb_backward(z[:nY], prob, grid, tgrid, qbar=z[nY:] if mfc else None)
+        u = solve_hjb_backward(z[:K + 1], prob, grid, tgrid, qbar=z[K + 1:] if mfc else None)
         m = solve_fp_forward(drift_fn, prob.sigma, m0, grid, tgrid)
         f = _statistics(u, m, x, prob) - z
-        delta = float(np.max(np.abs(f))) if f.size else 0.0
+        delta = float(np.max(np.abs(f)))
         history.append(delta)
         if delta < PICARD_TOL:
             return PDEFields(u=u, m=m, grid=grid, tgrid=tgrid,

@@ -123,9 +123,7 @@ def validate(model: LQModelSpec) -> ValidationReport:
             v.append(f"{name} not symmetric (tolerance {SYM_TOL})")
     try:
         cho_factor(model.R)
-    except np.linalg.LinAlgError:
-        v.append("R not positive definite")
-    except ValueError:
+    except (np.linalg.LinAlgError, ValueError):
         v.append("R not positive definite")
     if model.convex:
         for name in ("Q", "Qbar", "QT", "QbarT"):

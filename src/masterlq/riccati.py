@@ -48,6 +48,7 @@ changes nothing, and each sum starts from its first term, added onto -0.0.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from typing import NamedTuple
@@ -84,8 +85,10 @@ class TimeGrid:
     K: int
 
     def __post_init__(self):
-        # a step T / K that underflows to 0 is refused too: _locate divides by it
-        if self.K < 1 or not 0.0 < self.T < np.inf or not self.T / self.K > 0.0:
+        # a step T / K that underflows to 0 is refused too: _locate divides by
+        # it; so is a K too large for a float, for which T / K would overflow
+        if (not 1 <= self.K <= sys.float_info.max or not 0.0 < self.T < np.inf
+                or not self.T / self.K > 0.0):
             raise ValueError(f"need K >= 1, a finite horizon T > 0 and a step T / K > 0, "
                              f"got K={self.K}, T={self.T}")
 

@@ -455,7 +455,8 @@ def test_simulate_no_steps_exit_1(tmp_path, capsys, steps):
                     "--steps", steps)
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: need at least two particles and one time step"]
+    assert err == [f"error: need K >= 1, a finite horizon T > 0 and a step T / K > 0, "
+                   f"got K={steps}, T=1.0"]
     assert not (out / "simulate.json").exists()
 
 
@@ -797,11 +798,43 @@ def test_hjbfp_writes_history_on_success(tmp_path):
 
 
 def test_hjbfp_cosine_history_is_one_exact_pair(tmp_path):
+    import masterlq.hjbfp_1d as hj
     code, out = run(tmp_path, "hjbfp", "--model", COSINE, "--grid=-3,3,40,50")
     assert code == 0
     rep = json.loads((out / "hjbfp.json").read_text())
-    assert rep["iterations"] == 1 and rep["history"] == [0.0]
+    # at --m0-mean 1 the first pair moves the mean path; the second is exact on it
+    assert rep["iterations"] == len(rep["history"]) == 2
+    assert rep["history"][-1] < hj.PICARD_TOL
     assert "pass" not in rep
+
+
+# the demo's argv in the benchmark's pde workload: its op and its warm-up
+@pytest.mark.parametrize("grid", ["--grid=-3,3,120,500", "--grid=-3,3,40,50"],
+                         ids=["op", "warmup"])
+def test_hjbfp_cosine_benchmark_argv_one_sweep_pair(tmp_path, grid):
+    code, out = run(tmp_path, "hjbfp", "--model", COSINE, grid, "--m0-mean", "0",
+                    "--m0-std", "0.7")
+    assert code == 0
+    rep = json.loads((out / "hjbfp.json").read_text())
+    assert rep["converged"] is True and rep["iterations"] == 1
+
+
+HUGE_STEPS = "1" + "0" * 400    # past the largest float: T / K would overflow
+
+
+@pytest.mark.parametrize("argv", [
+    ("riccati", "--model", LQR, "--steps", HUGE_STEPS),
+    ("simulate", "--model", LQR, "--steps", HUGE_STEPS),
+    ("verify", "--suite", "master", "--model", LQR, "--steps", HUGE_STEPS),
+    ("hjbfp", "--model", CROWD, f"--grid=-4,4,40,{HUGE_STEPS}")],
+    ids=["riccati", "simulate", "verify-master", "hjbfp"])
+def test_huge_step_count_leaves_no_out(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: need K >= 1, a finite horizon T > 0 and a step T / K > 0, got K={HUGE_STEPS}, T=")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [{"sup_diff": 0.011}, {"mean_flow_diff": 0.5},

@@ -354,7 +354,7 @@ def _ref_hjb_backward(m, prob, grid, tgrid, mfc_extra=False, ybar=None):
     x, dx, dt = grid.nodes(), grid.dx, tgrid.h
     ab = fd._diffusion_banded(0.5 * prob.sigma ** 2 * dt, dx, grid.Nx, neumann=False)
     moment = lambda k: (ybar[k] if ybar is not None else
-                        np.sum(x * m[k]) * dx / (np.sum(m[k]) * dx) if prob.uses_mean else 0.0)
+                        np.sum(x * m[k]) * dx / (np.sum(m[k]) * dx))
     u = np.empty((tgrid.K + 1, grid.Nx))
     u[-1] = prob.terminal(x, moment(tgrid.K))
     for k in range(tgrid.K - 1, -1, -1):
@@ -387,7 +387,7 @@ def _ref_picard(prob, grid, tgrid, m0, kind, tol):
     for _ in range(500):
         u = _ref_hjb_backward(m, prob, grid, tgrid, kind == "MFC")
         drift = lambda k, xs, ms: _drift(
-            prob, xs, np.sum(xs * ms) * dx / (np.sum(ms) * dx) if prob.uses_mean else 0.0,
+            prob, xs, np.sum(xs * ms) * dx / (np.sum(ms) * dx),
             np.gradient(u[k], dx))
         m_new = _ref_fp_forward(drift, prob.sigma, m0, grid, tgrid)
         delta = float(np.max(np.abs(m_new - m)))
@@ -436,7 +436,7 @@ def test_sweeps_bitwise_equal_reference(crowd_mfg, inexact, name, steps):
     # mean gradient path) equals the reference sweep on m itself
     u = _ref_hjb_backward(m, prob, grid, tg, name == "MFC")
     qbar = _ref_mean_gradient(u, m, grid.dx) if name == "MFC" else None
-    ybar = _mean_path(m, grid) if prob.uses_mean else None
+    ybar = _mean_path(m, grid)
     assert _same_bits(solve_hjb_backward(ybar, prob, grid, tg, qbar), u)
 
 
@@ -465,13 +465,44 @@ def test_anderson_iterations_crowd(crowd_pde, crowd_pde_mfc):
 
 
 def test_anderson_cosine_one_sweep_pair(crowd_mfg):
+    # the demo couples through its mean path like every problem; its data
+    # ignore the mean, so one HJB + FP pair on the returned path is the answer
     prob, grid, tg, m0 = _bitwise_case(crowd_mfg, "cosine")
+    x, dx = grid.nodes(), grid.dx
     pde = picard_solve(prob, grid, tg, m0)
-    assert pde.iterations == 1 and pde.history == [0.0]
-    u = solve_hjb_backward(None, prob, grid, tg)
-    m = solve_fp_forward(lambda k, xs, ms: _drift(prob, xs, 0.0, np.gradient(u[k], grid.dx)),
+    assert pde.iterations == 1 and pde.history[-1] < fd.PICARD_TOL
+    u = solve_hjb_backward(_mean_path(pde.m, grid), prob, grid, tg)
+    m = solve_fp_forward(lambda k, xs, ms: _drift(prob, xs, first_moment(ms, xs, dx),
+                                                  np.gradient(u[k], dx)),
                          prob.sigma, m0, grid, tg)
-    assert np.array_equal(pde.u, u) and np.array_equal(pde.m, m)
+    assert _same_bits(pde.u, u) and _same_bits(pde.m, m)
+
+
+@pytest.mark.parametrize("kind", ["MFG", "MFC"])
+@pytest.mark.parametrize("inexact", [False, True], ids=["crowd", "inexact"])
+def test_picard_drift_is_g0_minus_brb_gradient(crowd_mfg, monkeypatch, kind, inexact):
+    # the drift picard_solve hands the FP sweep, at every step of the last
+    # sweep: G = g0(x, ybar_k) - brb np.gradient(u[k], dx), bit for bit, over
+    # three full blocks of rows and a partial one
+    prob, grid, tg, m0 = _bitwise_case(INEXACT if inexact else crowd_mfg, kind,
+                                       3 * fd.SWEEP_BLOCK + 5)
+    sweeps, fp = [], fd.solve_fp_forward
+
+    def recorded(drift_fn, *args):
+        rows = []
+        sweeps.append(rows)
+
+        def drift(k, xs, ms):
+            rows.append(drift_fn(k, xs, ms).copy())
+            return rows[-1]
+        return fp(drift, *args)
+    monkeypatch.setattr(fd, "solve_fp_forward", recorded)
+    pde = picard_solve(prob, grid, tg, m0)
+    x, dx = grid.nodes(), grid.dx
+    assert len(sweeps) == pde.iterations and len(sweeps[-1]) == tg.K
+    for k, g in enumerate(sweeps[-1]):
+        ref = prob.g0(x, first_moment(pde.m[k], x, dx)) - prob.brb * np.gradient(pde.u[k], dx)
+        assert _same_bits(g, ref), k
 
 
 @pytest.mark.parametrize("kind", ["MFG", "MFC"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import sys
 import tracemalloc
 
 import numpy as np
@@ -357,6 +358,15 @@ def test_time_grid_refuses_a_zero_step(T, K):
     with pytest.raises(ValueError, match=r"a step T / K > 0, got K="):
         TimeGrid(T, K)
     assert TimeGrid(T, 1).h == T
+
+
+def test_time_grid_refuses_a_step_count_past_the_largest_float():
+    # T / K would raise OverflowError: such an int does not convert to a float
+    for K in (2 ** 1024, 10 ** 400):
+        with pytest.raises(ValueError, match=r"a step T / K > 0, got K="):
+            TimeGrid(1.0, K)
+    K = int(sys.float_info.max)
+    assert TimeGrid(1e300, K).h == 1e300 / sys.float_info.max
 
 
 @pytest.mark.parametrize("name", ["scalar_coupled", "coupled_2x2", "seeded_n8"])
